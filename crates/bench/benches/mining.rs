@@ -5,10 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pm_bench::bench_dataset;
-use pm_datagen::DatasetConfig;
-use pm_rules::{MinerConfig, MoaMode, PrunePolicy, RuleMiner, Support};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use pm_rules::{MinerConfig, MoaMode, RuleMiner, Support};
 
 fn bench_mining(c: &mut Criterion) {
     let data = bench_dataset(4000, 300, 7);
@@ -36,39 +33,6 @@ fn bench_mining(c: &mut Criterion) {
                 })
             });
         }
-    }
-    group.finish();
-}
-
-/// Upper-bound pruning on the low-minsup Quest preset: `PrunePolicy::Off`
-/// vs `Upper` under the admission filters the pruner exploits (min-conf,
-/// dominance floor, and a ranked-list profit floor). Output is
-/// bit-identical at both points, so the delta is pure pruned work.
-fn bench_pruning(c: &mut Criterion) {
-    let data = DatasetConfig::quest_low_minsup()
-        .with_transactions(4000)
-        .generate(&mut StdRng::seed_from_u64(7));
-    let mut group = c.benchmark_group("mine-prune");
-    group.sample_size(10);
-    for (label, prune) in [("off", PrunePolicy::Off), ("upper", PrunePolicy::Upper)] {
-        group.bench_with_input(
-            BenchmarkId::new("0.25%/+MOA/len3", label),
-            &prune,
-            |b, &prune| {
-                b.iter(|| {
-                    RuleMiner::new(MinerConfig {
-                        min_support: Support::Fraction(0.0025),
-                        max_body_len: 3,
-                        min_confidence: Some(0.5),
-                        min_rule_profit: Some(60.0),
-                        prune_default_dominated: true,
-                        ..MinerConfig::default()
-                    })
-                    .with_prune(prune)
-                    .mine(&data)
-                })
-            },
-        );
     }
     group.finish();
 }
@@ -106,6 +70,6 @@ criterion_group! {
         .measurement_time(std::time::Duration::from_secs(3))
         .warm_up_time(std::time::Duration::from_secs(1))
         .sample_size(10);
-    targets = bench_mining, bench_pruning, bench_thread_scaling
+    targets = bench_mining, bench_thread_scaling
 }
 criterion_main!(benches);

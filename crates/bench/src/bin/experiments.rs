@@ -35,10 +35,7 @@
 
 use pm_eval::experiments::{self, Dataset, Scale};
 use pm_eval::Table;
-use pm_rules::{
-    ExtendedData, IncrementalMiner, MinerConfig, MoaMode, PrunePolicy, RuleMiner, Support,
-    TidPolicy,
-};
+use pm_rules::{ExtendedData, IncrementalMiner, MinerConfig, MoaMode, RuleMiner, Support};
 use pm_txn::Moa;
 use profit_core::{CutConfig, Matcher, Recommender, RuleModel};
 use serde::Serialize;
@@ -213,21 +210,6 @@ struct PhaseTime {
     millis: f64,
 }
 
-/// The upper-bound pruning cell of `BENCH_mining.json`: the mine phase
-/// with `PrunePolicy::Off` vs `Upper` on the low-minsup Quest preset,
-/// plus the pruning counters the run accumulated.
-#[derive(Serialize)]
-struct PruneBench {
-    transactions: usize,
-    minsup: f64,
-    rules: usize,
-    mine_off_millis: f64,
-    mine_upper_millis: f64,
-    speedup: f64,
-    ub_evaluated: u64,
-    ub_pruned: u64,
-}
-
 /// The streaming-ingestion cell of `BENCH_mining.json`: one delta batch
 /// folded in by [`IncrementalMiner::update`] versus a cold re-mine of
 /// the concatenated set, with the outputs proved rule-identical.
@@ -258,6 +240,8 @@ struct TargetedBench {
 /// The `BENCH_mining.json` document.
 #[derive(Serialize)]
 struct MiningBench {
+    /// Cores of the host the numbers were taken on.
+    host_cores: usize,
     transactions: usize,
     items: usize,
     seed: u64,
@@ -265,7 +249,6 @@ struct MiningBench {
     rules: usize,
     customers_served: usize,
     phases: Vec<PhaseTime>,
-    prune_low_minsup: PruneBench,
     delta_refit: DeltaRefitBench,
     targeted: TargetedBench,
 }
@@ -277,9 +260,9 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
 }
 
 /// Wall-time every phase of the pipeline — generation, extension, tidset
-/// construction and mining under the dense and adaptive policies, model
-/// build, and a full serving pass through the indexed matcher versus the
-/// linear scan — and write the summary as `BENCH_mining.json`.
+/// construction, mining, model build, and a full serving pass through
+/// the indexed matcher versus the linear scan — plus the delta-refit and
+/// targeted-mining cells, and write the summary as `BENCH_mining.json`.
 fn bench_mining(opts: &Options) {
     let cfg = MinerConfig {
         min_support: Support::Fraction(0.01),
@@ -303,22 +286,14 @@ fn bench_mining(opts: &Options) {
     };
     let (extended, t) = timed(|| ExtendedData::build(&data, &moa(), cfg.quantity));
     record("extend", t);
-    for (phase, policy) in [
-        ("tidsets-dense", TidPolicy::Dense),
-        ("tidsets-adaptive", TidPolicy::Adaptive),
-    ] {
-        let (_, t) = timed(|| extended.tidsets(policy));
-        record(phase, t);
-    }
-    let miner = |policy| {
+    let (_, t) = timed(|| extended.tidsets());
+    record("tidsets", t);
+    let (mined, t) = timed(|| {
         RuleMiner::new(cfg)
             .with_threads(opts.threads)
-            .with_tidset(policy)
-    };
-    let (_, t) = timed(|| miner(TidPolicy::Dense).mine_extended(extended.clone(), moa()));
-    record("mine-dense", t);
-    let (mined, t) = timed(|| miner(TidPolicy::Adaptive).mine_extended(extended, moa()));
-    record("mine-adaptive", t);
+            .mine_extended(extended, moa())
+    });
+    record("mine", t);
     let (model, t) = timed(|| RuleModel::build(&mined, &CutConfig::default()));
     record("model-build", t);
 
@@ -345,14 +320,12 @@ fn bench_mining(opts: &Options) {
     record("serve-linear", t);
     assert_eq!(indexed, linear, "indexed and linear serving disagree");
 
-    // Upper-bound pruning cell: mine the single-target low-minsup Quest
-    // preset — the regime where most of the candidate lattice is
-    // marginally frequent but dominated by the default rule — with
-    // pruning off and on, under the CLI's default emission filters
-    // (min-conf 0.5, dominance prefilter), and prove the outputs equal.
-    let low_minsup = 0.001;
+    // The low-minsup Quest preset: most of the candidate lattice is
+    // marginally frequent but dominated by the default rule, so per-anchor
+    // DFS work dominates, under the CLI's default emission filters
+    // (min-conf 0.5, dominance prefilter).
     let low_cfg = MinerConfig {
-        min_support: Support::Fraction(low_minsup),
+        min_support: Support::Fraction(0.001),
         max_body_len: 4,
         min_confidence: Some(0.5),
         // The ranked list's admission floor: only rules whose total
@@ -371,41 +344,6 @@ fn bench_mining(opts: &Options) {
             .generate(&mut rand::rngs::StdRng::seed_from_u64(opts.seed))
     });
     record("generate-lowminsup", t);
-    let low_moa = || Moa::new(low_data.catalog_arc(), low_data.hierarchy_arc(), true);
-    let (low_ext, t) = timed(|| ExtendedData::build(&low_data, &low_moa(), low_cfg.quantity));
-    record("extend-lowminsup", t);
-    let low_miner = |prune| {
-        RuleMiner::new(low_cfg)
-            .with_threads(opts.threads)
-            .with_prune(prune)
-    };
-    let ub_evaluated = pm_obs::counter("mine.ub_evaluated").get();
-    let ub_pruned = pm_obs::counter("mine.ub_pruned").get();
-    let (off, t_off) =
-        timed(|| low_miner(PrunePolicy::Off).mine_extended(low_ext.clone(), low_moa()));
-    record("mine-lowminsup-off", t_off);
-    let (upper, t_upper) =
-        timed(|| low_miner(PrunePolicy::Upper).mine_extended(low_ext, low_moa()));
-    record("mine-lowminsup-upper", t_upper);
-    assert_eq!(
-        off.rules(),
-        upper.rules(),
-        "pruning changed the mined rule set"
-    );
-    let prune_low_minsup = PruneBench {
-        transactions: opts.scale.transactions,
-        minsup: low_minsup,
-        rules: upper.rules().len(),
-        mine_off_millis: t_off,
-        mine_upper_millis: t_upper,
-        speedup: t_off / t_upper,
-        ub_evaluated: pm_obs::counter("mine.ub_evaluated").get() - ub_evaluated,
-        ub_pruned: pm_obs::counter("mine.ub_pruned").get() - ub_pruned,
-    };
-    eprintln!(
-        "  prune speedup   {:9.2}x ({} of {} subtrees cut)",
-        prune_low_minsup.speedup, prune_low_minsup.ub_pruned, prune_low_minsup.ub_evaluated
-    );
 
     // Delta-refit cell: hold out the last 0.1% of the low-minsup Quest
     // preset — where per-anchor DFS work dominates the run — as a
@@ -456,16 +394,15 @@ fn bench_mining(opts: &Options) {
     use pm_txn::{CodeId, TargetFilter};
     // Target the code class of the full run's top rule, so the targeted
     // run keeps a non-empty (and profit-bearing) slice of the head space.
-    let tcode = upper
+    let tcode = full
         .rules()
         .first()
-        .map(|r| upper.head(r.head).1)
+        .map(|r| full.head(r.head).1)
         .unwrap_or(CodeId(0));
     let target = TargetFilter::Codes(vec![tcode]);
     let (posted, t_post) = timed(|| {
         let full = RuleMiner::new(low_cfg)
             .with_threads(opts.threads)
-            .with_prune(PrunePolicy::Upper)
             .mine(&low_data);
         let h = low_data.hierarchy();
         let mut rules: Vec<pm_rules::Rule> = full
@@ -486,7 +423,6 @@ fn bench_mining(opts: &Options) {
     let (tmined, t_targeted) = timed(|| {
         RuleMiner::new(low_cfg)
             .with_threads(opts.threads)
-            .with_prune(PrunePolicy::Upper)
             .with_target(Some(target.clone()))
             .mine(&low_data)
     });
@@ -519,6 +455,7 @@ fn bench_mining(opts: &Options) {
     );
 
     let doc = MiningBench {
+        host_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
         transactions: opts.scale.transactions,
         items: opts.scale.items,
         seed: opts.seed,
@@ -526,7 +463,6 @@ fn bench_mining(opts: &Options) {
         rules: model.rules().len(),
         customers_served: customers.len(),
         phases,
-        prune_low_minsup,
         delta_refit,
         targeted,
     };

@@ -44,10 +44,10 @@ fn bench_mining_json_is_parseable_with_trailing_newline() {
         serde::Value::Map(entries) => {
             let keys: Vec<_> = entries.iter().map(|(k, _)| k.as_str()).collect();
             for expected in [
+                "host_cores",
                 "transactions",
                 "rules",
                 "phases",
-                "prune_low_minsup",
                 "delta_refit",
                 "targeted",
             ] {

@@ -96,6 +96,25 @@ impl ArgMap {
     pub fn switch(&self, flag: &str) -> bool {
         self.switches.iter().any(|s| s == flag)
     }
+
+    /// Reject every flag `verb` does not read (`allowed`, in groups).
+    pub fn only(&self, verb: &str, allowed: &[&[&str]]) -> Result<(), CliError> {
+        let mut unknown: Vec<&str> = self
+            .values
+            .keys()
+            .chain(&self.switches)
+            .map(String::as_str)
+            .filter(|f| !allowed.iter().any(|group| group.contains(f)))
+            .collect();
+        if unknown.is_empty() {
+            return Ok(());
+        }
+        unknown.sort_unstable();
+        Err(CliError::Usage(format!(
+            "{verb} does not take {}",
+            unknown.join(", ")
+        )))
+    }
 }
 
 #[cfg(test)]
@@ -108,6 +127,7 @@ mod tests {
 
     #[test]
     fn parses_values_and_switches() {
+        let _guard = pm_store::faults::test_lock();
         let a = ArgMap::parse(&v(&["--out", "x.json", "--no-moa", "--txns", "100"])).unwrap();
         assert_eq!(a.require("--out").unwrap(), "x.json");
         assert!(a.switch("--no-moa"));
@@ -118,6 +138,7 @@ mod tests {
 
     #[test]
     fn errors() {
+        let _guard = pm_store::faults::test_lock();
         assert!(ArgMap::parse(&v(&["positional"])).is_err());
         assert!(ArgMap::parse(&v(&["--out"])).is_err());
         let a = ArgMap::parse(&v(&["--txns", "abc"])).unwrap();
@@ -126,7 +147,19 @@ mod tests {
     }
 
     #[test]
+    fn only_rejects_unread_flags() {
+        let _guard = pm_store::faults::test_lock();
+        let a = ArgMap::parse(&v(&["--out", "x", "--all", "--mode", "fast"])).unwrap();
+        assert!(a.only("gen", &[&["--out", "--all", "--mode"]]).is_ok());
+        let CliError::Usage(msg) = a.only("gen", &[&["--out"], &["--seed"]]).unwrap_err() else {
+            panic!("expected a usage error");
+        };
+        assert_eq!(msg, "gen does not take --all, --mode");
+    }
+
+    #[test]
     fn duplicate_flags_are_rejected_not_overwritten() {
+        let _guard = pm_store::faults::test_lock();
         let err = ArgMap::parse(&v(&["--seed", "1", "--txns", "5", "--seed", "2"])).unwrap_err();
         let CliError::Usage(msg) = err else {
             panic!("expected a usage error");

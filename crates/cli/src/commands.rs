@@ -4,7 +4,7 @@ use crate::args::{ArgMap, CliError};
 use pm_baselines::MostProfitableItem;
 use pm_datagen::DatasetConfig;
 use pm_eval::runner::{run_sweep, EvalConfig};
-use pm_rules::{MinerConfig, MoaMode, ProfitMode, PrunePolicy, RuleMiner, Support, TidPolicy};
+use pm_rules::{MinerConfig, MoaMode, ProfitMode, RuleMiner, Support};
 use pm_store::log::SalesLog;
 use pm_txn::{
     decode_stream_record, encode_stream_record, parse_item_floors, Catalog, CatalogDelta,
@@ -63,36 +63,6 @@ fn load_model(args: &ArgMap) -> Result<RuleModel, CliError> {
 /// result is bit-identical at every setting.
 fn threads(args: &ArgMap) -> Result<usize, CliError> {
     args.get_or("--threads", 0usize)
-}
-
-/// `--tidset auto|dense|adaptive|sparse`: the miner's tidset
-/// representation policy (default `auto`, which honors `PM_TIDSET`).
-/// Mined models are byte-identical at every setting.
-fn tidset(args: &ArgMap) -> Result<TidPolicy, CliError> {
-    match args.get("--tidset") {
-        None | Some("auto") => Ok(TidPolicy::Auto),
-        Some("dense") => Ok(TidPolicy::Dense),
-        Some("adaptive") => Ok(TidPolicy::Adaptive),
-        Some("sparse") => Ok(TidPolicy::Sparse),
-        Some(other) => Err(CliError::Usage(format!(
-            "--tidset must be auto, dense, adaptive, or sparse, got {other:?}"
-        ))),
-    }
-}
-
-/// `--prune auto|off|upper`: the miner's profit upper-bound pruning
-/// policy (default `auto`, which honors `PM_PRUNE`). Mined models are
-/// byte-identical at every setting — pruning only skips DFS subtrees
-/// that provably emit nothing.
-fn prune(args: &ArgMap) -> Result<PrunePolicy, CliError> {
-    match args.get("--prune") {
-        None | Some("auto") => Ok(PrunePolicy::Auto),
-        Some("off") => Ok(PrunePolicy::Off),
-        Some("upper") => Ok(PrunePolicy::Upper),
-        Some(other) => Err(CliError::Usage(format!(
-            "--prune must be auto, off, or upper, got {other:?}"
-        ))),
-    }
 }
 
 /// `--target items:A,B | subtree:CONCEPT | codes:0,1`: restrict mined
@@ -209,8 +179,6 @@ fn build_pipeline(args: &ArgMap, data: &TransactionSet) -> Result<ProfitMiner, C
     Ok(ProfitMiner::new(miner_config(args)?)
         .with_cut(cut)
         .with_threads(threads(args)?)
-        .with_tidset(tidset(args)?)
-        .with_prune(prune(args)?)
         .with_target(target_filter(args, data.catalog(), data.hierarchy())?)
         .with_item_floors(item_floors(args, data.catalog())?))
 }
@@ -609,8 +577,6 @@ pub fn assort(args: &ArgMap) -> Result<String, CliError> {
     };
     let miner = RuleMiner::new(miner_config(args)?)
         .with_threads(threads(args)?)
-        .with_tidset(tidset(args)?)
-        .with_prune(prune(args)?)
         .with_target(target_filter(args, data.catalog(), data.hierarchy())?)
         .with_item_floors(item_floors(args, data.catalog())?);
     let mined = miner.mine(&data);

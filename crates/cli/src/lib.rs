@@ -12,30 +12,125 @@ pub mod commands;
 
 pub use args::{ArgMap, CliError};
 
+/// The flags that configure the rule miner (`fit`, `assort`,
+/// `checkpoint` and a streaming `serve`).
+const MINE_FLAGS: &[&str] = &[
+    "--minsup",
+    "--max-body",
+    "--no-moa",
+    "--buying",
+    "--min-conf",
+    "--min-profit",
+    "--min-profit-per-item",
+    "--target",
+    "--threads",
+];
+
+/// The recommender-construction flags (`fit`, `checkpoint` and a
+/// streaming `serve`).
+const FIT_FLAGS: &[&str] = &["--conf", "--no-prune"];
+
+/// The daemon's own flags.
+const SERVE_FLAGS: &[&str] = &[
+    "--data",
+    "--log",
+    "--model",
+    "--addr",
+    "--addr-file",
+    "--workers",
+    "--queue",
+    "--io-threads",
+    "--batch",
+    "--read-timeout-ms",
+    "--write-timeout-ms",
+    "--deadline-ms",
+    "--max-line",
+    "--checkpoint",
+    "--max-ingest-txns",
+    "--max-ingest-bytes",
+    "--metrics",
+];
+
+type Verb = fn(&ArgMap) -> Result<String, CliError>;
+
 /// Dispatch a CLI invocation; returns the text to print on stdout.
+///
+/// Every verb lists the flags it reads; any other flag is a usage error
+/// raised before the verb runs, so a typo never silently fits a
+/// different model.
 pub fn run(argv: &[String]) -> Result<String, CliError> {
     let (command, rest) = argv.split_first().ok_or_else(|| CliError::Usage(usage()))?;
+    let (verb, flags): (Verb, &[&[&str]]) = match command.as_str() {
+        "gen" => (
+            commands::gen,
+            &[&["--out", "--dataset", "--txns", "--items", "--seed"]],
+        ),
+        "fit" => (
+            commands::fit,
+            &[
+                MINE_FLAGS,
+                FIT_FLAGS,
+                &["--data", "--out", "--log", "--metrics"],
+            ],
+        ),
+        "ingest" => (
+            commands::ingest,
+            &[&["--data", "--log", "--batch", "--catalog-delta"]],
+        ),
+        "checkpoint" => (
+            commands::checkpoint,
+            &[
+                MINE_FLAGS,
+                FIT_FLAGS,
+                &["--data", "--log", "--out", "--no-compact"],
+            ],
+        ),
+        "split" => (commands::split, &[&["--data", "--at", "--head", "--tail"]]),
+        "recommend" => (
+            commands::recommend,
+            &[&[
+                "--data",
+                "--model",
+                "--txn",
+                "--top",
+                "--all",
+                "--target",
+                "--metrics",
+            ]],
+        ),
+        "assort" => (
+            commands::assort,
+            &[MINE_FLAGS, &["--data", "--n", "--conf", "--metrics"]],
+        ),
+        "rules" => (commands::rules, &[&["--model", "--top"]]),
+        "eval" => (
+            commands::eval,
+            &[&[
+                "--data",
+                "--minsup",
+                "--folds",
+                "--seed",
+                "--max-body",
+                "--buying",
+                "--threads",
+                "--metrics",
+            ]],
+        ),
+        "stats" => (commands::stats, &[&["--data"]]),
+        "import" => (commands::import, &[&["--catalog", "--sales", "--out"]]),
+        "export" => (commands::export, &[&["--data", "--catalog", "--sales"]]),
+        "serve" => (commands::serve, &[MINE_FLAGS, FIT_FLAGS, SERVE_FLAGS]),
+        "help" | "--help" | "-h" => return Ok(usage()),
+        other => {
+            return Err(CliError::Usage(format!(
+                "unknown command {other:?}\n{}",
+                usage()
+            )))
+        }
+    };
     let args = ArgMap::parse(rest)?;
-    match command.as_str() {
-        "gen" => commands::gen(&args),
-        "fit" => commands::fit(&args),
-        "ingest" => commands::ingest(&args),
-        "checkpoint" => commands::checkpoint(&args),
-        "split" => commands::split(&args),
-        "recommend" => commands::recommend(&args),
-        "assort" => commands::assort(&args),
-        "rules" => commands::rules(&args),
-        "eval" => commands::eval(&args),
-        "stats" => commands::stats(&args),
-        "import" => commands::import(&args),
-        "export" => commands::export(&args),
-        "serve" => commands::serve(&args),
-        "help" | "--help" | "-h" => Ok(usage()),
-        other => Err(CliError::Usage(format!(
-            "unknown command {other:?}\n{}",
-            usage()
-        ))),
-    }
+    args.only(command, flags)?;
+    verb(&args)
 }
 
 /// The usage text.
@@ -49,8 +144,7 @@ USAGE
                            [--max-body N] [--no-moa] [--conf] [--no-prune] [--min-conf F]
                            [--min-profit F] [--min-profit-per-item ITEM=F,...]
                            [--target items:A,B|subtree:C|codes:0,1] [--buying] [--threads N]
-                           [--tidset auto|dense|adaptive|sparse]
-                           [--prune auto|off|upper] [--metrics metrics.json]
+                           [--metrics metrics.json]
   profit-mining ingest     --data data.json --log sales.log --batch batch.json
                            [--catalog-delta delta.json]
   profit-mining checkpoint --data data.json --log sales.log --out ck.pmck
@@ -58,7 +152,8 @@ USAGE
   profit-mining split      --data data.json --at N --head head.json --tail tail.json
   profit-mining recommend  --data data.json --model model.json [--txn N] [--top K] [--all]
                            [--target SPEC] [--metrics metrics.json]
-  profit-mining assort     --data data.json [--n N] [fit flags] [--metrics metrics.json]
+  profit-mining assort     --data data.json [--n N] [fit flags except --no-prune]
+                           [--metrics metrics.json]
   profit-mining rules      --model model.json [--top N]
   profit-mining eval       --data data.json [--minsup F] [--folds N] [--buying] [--seed N]
                            [--threads N] [--metrics metrics.json]
@@ -75,12 +170,10 @@ USAGE
   profit-mining help
 
   --threads N selects the worker-thread count for mining and evaluation
-  (0 = all cores, the default; 1 = sequential). --tidset selects the
-  miner's tidset representation (auto honors the PM_TIDSET env var),
-  and --prune the profit upper-bound pruning policy (auto honors
-  PM_PRUNE; anything but \"off\" enables). Output is bit-identical at
-  every setting of any of them. --min-profit F admits only rules with
-  body profit ≥ F — the absolute floor the pruner cuts hardest against.
+  (0 = all cores, the default; 1 = sequential); output is bit-identical
+  at every setting. --min-profit F admits only rules with body profit
+  ≥ F — the absolute floor the miner's profit upper bound cuts hardest
+  against. Every command rejects flags it does not read.
   --min-profit-per-item NAME=F,... sets per-item floors that override
   the scalar for the named target items (names or raw ids).
 
@@ -167,6 +260,7 @@ mod tests {
 
     #[test]
     fn help_and_unknown() {
+        let _guard = pm_store::faults::test_lock();
         assert!(run(&v(&["help"])).unwrap().contains("USAGE"));
         assert!(matches!(run(&v(&["bogus"])), Err(CliError::Usage(_))));
         assert!(matches!(run(&[]), Err(CliError::Usage(_))));
@@ -174,6 +268,7 @@ mod tests {
 
     #[test]
     fn end_to_end_gen_fit_recommend_eval() {
+        let _guard = pm_store::faults::test_lock();
         let dir = std::env::temp_dir().join(format!("pm-cli-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let data = dir.join("data.json").display().to_string();
@@ -248,6 +343,7 @@ mod tests {
 
     #[test]
     fn recommend_all_serves_every_customer() {
+        let _guard = pm_store::faults::test_lock();
         let dir = std::env::temp_dir().join(format!("pm-cli-all-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let data = dir.join("data.json").display().to_string();
@@ -290,46 +386,39 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Flags a verb does not read are usage errors raised before it
+    /// writes anything: the removed policy knobs and a misspelling that
+    /// would otherwise fit a different model.
     #[test]
-    fn tidset_flag_is_output_invariant() {
-        let dir = std::env::temp_dir().join(format!("pm-cli-tid-{}", std::process::id()));
+    fn unknown_flags_are_rejected_before_any_write() {
+        let _guard = pm_store::faults::test_lock();
+        let dir = std::env::temp_dir().join(format!("pm-cli-flags-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let data = dir.join("data.json").display().to_string();
+        let model = dir.join("model.json").display().to_string();
         run(&v(&[
-            "gen", "--out", &data, "--txns", "300", "--items", "60", "--seed", "9",
+            "gen", "--out", &data, "--txns", "100", "--items", "30", "--seed", "9",
         ]))
         .unwrap();
-        let fit_with = |policy: &str| {
-            let model = dir.join(format!("m-{policy}.json")).display().to_string();
-            run(&v(&[
-                "fit",
-                "--data",
-                &data,
-                "--out",
-                &model,
-                "--minsup",
-                "0.03",
-                "--max-body",
-                "2",
-                "--tidset",
-                policy,
+        // The retired tidset and pruning knobs, and a typo of --min-profit.
+        for (name, value) in [("tidset", "dense"), ("prune", "off"), ("min-proft", "5")] {
+            let flag = format!("--{name}");
+            let err = run(&v(&[
+                "fit", "--data", &data, "--out", &model, "--minsup", "0.05", &flag, value,
             ]))
-            .unwrap();
-            std::fs::read(&model).unwrap()
-        };
-        let dense = fit_with("dense");
-        assert_eq!(dense, fit_with("adaptive"), "fitted model bytes differ");
-        assert_eq!(dense, fit_with("sparse"), "fitted model bytes differ");
+            .unwrap_err();
+            let CliError::Usage(msg) = err else {
+                panic!("{flag}: expected a usage error, got {err}");
+            };
+            assert_eq!(msg, format!("fit does not take {flag}"));
+            assert!(
+                !std::path::Path::new(&model).exists(),
+                "{flag} wrote a model"
+            );
+        }
+        // A switch another verb reads is still foreign here.
         assert!(matches!(
-            run(&v(&[
-                "fit",
-                "--data",
-                &data,
-                "--out",
-                "/tmp/x.json",
-                "--tidset",
-                "bogus",
-            ])),
+            run(&v(&["stats", "--data", &data, "--all"])),
             Err(CliError::Usage(_))
         ));
         std::fs::remove_dir_all(&dir).ok();
@@ -337,6 +426,7 @@ mod tests {
 
     #[test]
     fn threads_flag_is_output_invariant() {
+        let _guard = pm_store::faults::test_lock();
         let dir = std::env::temp_dir().join(format!("pm-cli-thr-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let data = dir.join("data.json").display().to_string();
@@ -382,6 +472,7 @@ mod tests {
 
     #[test]
     fn metrics_flag_emits_json_without_perturbing_model_bytes() {
+        let _guard = pm_store::faults::test_lock();
         let dir = std::env::temp_dir().join(format!("pm-cli-obs-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let data = dir.join("data.json").display().to_string();
@@ -469,6 +560,7 @@ mod tests {
 
     #[test]
     fn missing_rule_trace_degrades_instead_of_panicking() {
+        let _guard = pm_store::faults::test_lock();
         let dir = std::env::temp_dir().join(format!("pm-cli-trace-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let data = dir.join("data.json").display().to_string();
@@ -505,6 +597,7 @@ mod tests {
 
     #[test]
     fn csv_import_export_roundtrip() {
+        let _guard = pm_store::faults::test_lock();
         let dir = std::env::temp_dir().join(format!("pm-cli-csv-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let data = dir.join("d.json").display().to_string();
@@ -541,6 +634,7 @@ mod tests {
 
     #[test]
     fn missing_files_are_runtime_errors() {
+        let _guard = pm_store::faults::test_lock();
         assert!(matches!(
             run(&v(&[
                 "fit",
@@ -559,6 +653,7 @@ mod tests {
 
     #[test]
     fn missing_required_flags_are_usage_errors() {
+        let _guard = pm_store::faults::test_lock();
         assert!(matches!(run(&v(&["gen"])), Err(CliError::Usage(_))));
         assert!(matches!(run(&v(&["recommend"])), Err(CliError::Usage(_))));
         assert!(matches!(run(&v(&["ingest"])), Err(CliError::Usage(_))));
@@ -570,6 +665,7 @@ mod tests {
     /// bytes a cold `fit` writes on the full dataset.
     #[test]
     fn split_ingest_fit_log_matches_cold_fit_bytes() {
+        let _guard = pm_store::faults::test_lock();
         let dir = std::env::temp_dir().join(format!("pm-cli-stream-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let full = dir.join("full.json").display().to_string();
@@ -707,6 +803,7 @@ mod tests {
     /// --target`, which must never answer outside the target.
     #[test]
     fn target_flag_identity_and_filtered_recommend() {
+        let _guard = pm_store::faults::test_lock();
         let dir = std::env::temp_dir().join(format!("pm-cli-target-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let data = dir.join("data.json").display().to_string();
@@ -771,10 +868,10 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Uniform per-item floors are byte-identical to the scalar floor,
-    /// and the flag set composes with `--prune` without changing bytes.
+    /// Uniform per-item floors are byte-identical to the scalar floor.
     #[test]
     fn per_item_floor_flag_generalizes_scalar() {
+        let _guard = pm_store::faults::test_lock();
         let dir = std::env::temp_dir().join(format!("pm-cli-floor-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let data = dir.join("data.json").display().to_string();
@@ -805,16 +902,6 @@ mod tests {
             &["--min-profit-per-item", "target-1=5.0,target-2=5.0"],
         );
         assert_eq!(scalar, per_item, "uniform per-item floors ≠ scalar floor");
-        let per_item_off = fit_with(
-            "per-item-off",
-            &[
-                "--min-profit-per-item",
-                "target-1=5.0,target-2=5.0",
-                "--prune",
-                "off",
-            ],
-        );
-        assert_eq!(per_item, per_item_off, "floors must be prune-invariant");
         // Malformed floor specs are usage errors.
         let err = run(&v(&[
             "fit",
@@ -832,6 +919,7 @@ mod tests {
 
     #[test]
     fn assort_picks_distinct_pairs() {
+        let _guard = pm_store::faults::test_lock();
         let dir = std::env::temp_dir().join(format!("pm-cli-assort-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let data = dir.join("data.json").display().to_string();
@@ -884,6 +972,7 @@ mod tests {
 
     #[test]
     fn split_rejects_degenerate_cut_points() {
+        let _guard = pm_store::faults::test_lock();
         let dir = std::env::temp_dir().join(format!("pm-cli-split-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let full = dir.join("full.json").display().to_string();

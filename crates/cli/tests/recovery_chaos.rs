@@ -337,6 +337,7 @@ fn assert_serves(daemon: &Daemon, model: &RuleModel, customers: &[Vec<Sale>], at
 /// byte-identically to the model a never-crashed process would serve.
 #[test]
 fn sigkilled_daemon_recovers_byte_identically_at_every_stage() {
+    let _guard = pm_store::faults::test_lock();
     let dir = tmp_dir("sigkill");
     let full = dir.join("full.json").display().to_string();
     let head = dir.join("head.json").display().to_string();

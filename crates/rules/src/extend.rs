@@ -10,7 +10,7 @@
 //!   target sale, this list serves every rule that covers the transaction.
 
 use crate::interner::{GsId, GsInterner};
-use crate::tidset::{TidPolicy, TidSet};
+use crate::tidset::TidSet;
 use pm_txn::{CodeId, ItemId, Moa, QuantityModel, TransactionSet};
 use serde::{Deserialize, Serialize};
 
@@ -236,11 +236,11 @@ impl ExtendedData {
     }
 
     /// Build the per-generalized-sale tidsets (vertical layout), choosing
-    /// each set's representation by `policy`: a counting pass sizes every
+    /// each set's representation by density: a counting pass sizes every
     /// set exactly, then a fill pass pushes tids in ascending order — so
     /// rare generalized sales go straight to sorted sparse vectors without
     /// a dense detour.
-    pub fn tidsets(&self, policy: TidPolicy) -> Vec<TidSet> {
+    pub fn tidsets(&self) -> Vec<TidSet> {
         let n = self.n_transactions();
         let mut counts = vec![0usize; self.n_gs()];
         for gs in &self.txn_gs {
@@ -248,10 +248,7 @@ impl ExtendedData {
                 counts[g.index()] += 1;
             }
         }
-        let mut sets: Vec<TidSet> = counts
-            .iter()
-            .map(|&c| TidSet::for_expected(n, c, policy))
-            .collect();
+        let mut sets: Vec<TidSet> = counts.iter().map(|&c| TidSet::for_expected(n, c)).collect();
         for (tid, gs) in self.txn_gs.iter().enumerate() {
             for g in gs {
                 sets[g.index()].push(tid);
@@ -449,9 +446,7 @@ mod tests {
                 assert_eq!(inc.nonneg_margins, cold.nonneg_margins);
                 // And the vertical layout built from the extended form is
                 // structurally identical too.
-                for policy in [TidPolicy::Dense, TidPolicy::Sparse, TidPolicy::Adaptive] {
-                    assert_eq!(inc.tidsets(policy), cold.tidsets(policy));
-                }
+                assert_eq!(inc.tidsets(), cold.tidsets());
             }
         }
     }
@@ -461,7 +456,7 @@ mod tests {
         let ds = dataset();
         let moa = Moa::new(ds.catalog_arc(), ds.hierarchy_arc(), true);
         let ext = ExtendedData::build(&ds, &moa, QuantityModel::Saving);
-        let sets = ext.tidsets(TidPolicy::Adaptive);
+        let sets = ext.tidsets();
         for (tid, gs) in ext.txn_gs.iter().enumerate() {
             for (g, set) in sets.iter().enumerate() {
                 let id = GsId(g as u32);

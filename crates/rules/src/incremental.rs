@@ -35,11 +35,9 @@
 
 use crate::extend::{ExtendedData, HeadId};
 use crate::interner::GsId;
-use crate::miner::{
-    HeadGates, MinedRules, MoaMode, PairCounts, PrunePolicy, RuleEmitter, RuleMiner,
-};
+use crate::miner::{HeadGates, MinedRules, MoaMode, PairCounts, RuleEmitter, RuleMiner};
 use crate::rule::Rule;
-use crate::tidset::{TidPolicy, TidScratch, TidSet};
+use crate::tidset::{TidScratch, TidSet};
 use pm_txn::{Moa, TransactionSet};
 use serde::{Deserialize, Serialize};
 
@@ -54,10 +52,6 @@ struct MinerState {
     moa: Moa,
     extended: ExtendedData,
     tidsets: Vec<TidSet>,
-    /// Resolved once at fit time — `PM_TIDSET` / `PM_PRUNE` changes
-    /// between updates must not flip kernels mid-stream.
-    policy: TidPolicy,
-    prune: bool,
     /// Support count of the last (re)mine; only ever rises.
     minsup: u32,
     /// Per-head hit / profit accumulators over all transactions, patched
@@ -83,22 +77,16 @@ struct AnchorCache {
 /// serializable form — what a checkpoint must persist so a restarted
 /// process can resume streaming without re-running the DFS.
 ///
-/// Deliberately minimal: only the resolved execution policies, the
-/// support count (an integrity cross-check) and the warm anchor caches
-/// are carried. The extension, vertical layout and floor accumulators
-/// are **rebuilt** from the transaction data at
+/// Deliberately minimal: only the support count (an integrity
+/// cross-check) and the warm anchor caches are carried. The extension,
+/// vertical layout and floor accumulators are **rebuilt** from the
+/// transaction data at
 /// [`restore`](IncrementalMiner::restore) time with the exact loops of
 /// [`fit`](IncrementalMiner::fit) — cheaper to recompute than to store,
 /// and bit-identical by construction because the incremental paths patch
 /// them in the same left-to-right order a cold pass uses.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MinerSnapshot {
-    /// Resolved tidset policy, encoded (`0` dense, `1` sparse,
-    /// `2` adaptive) — env changes across a restart must not flip
-    /// kernels mid-stream.
-    policy: u8,
-    /// Whether upper-bound pruning was resolved on.
-    prune: bool,
     /// Support count at snapshot time; re-derived from the data at
     /// restore and required to agree.
     minsup: u32,
@@ -167,25 +155,6 @@ impl RuleSnapshot {
     }
 }
 
-fn encode_policy(p: TidPolicy) -> u8 {
-    match p {
-        TidPolicy::Dense => 0,
-        TidPolicy::Sparse => 1,
-        TidPolicy::Adaptive => 2,
-        // `fit` resolves `Auto` before it ever reaches the state.
-        TidPolicy::Auto => unreachable!("snapshot of an unresolved tidset policy"),
-    }
-}
-
-fn decode_policy(b: u8) -> Result<TidPolicy, String> {
-    match b {
-        0 => Ok(TidPolicy::Dense),
-        1 => Ok(TidPolicy::Sparse),
-        2 => Ok(TidPolicy::Adaptive),
-        other => Err(format!("snapshot holds unknown tidset policy code {other}")),
-    }
-}
-
 /// The floor value that disables the default-dominance filter: both
 /// comparisons in the emit predicate are against `-∞ + 1e-12 = -∞` and
 /// can never be true.
@@ -206,10 +175,7 @@ fn survives(r: &Rule, minsup: u32, floor: (f64, f64)) -> bool {
 }
 
 impl IncrementalMiner {
-    /// Wrap a configured [`RuleMiner`]. Thread count, tidset policy and
-    /// prune policy are taken from the wrapped miner; `Auto` policies
-    /// are resolved against the environment once, at [`fit`](Self::fit)
-    /// time.
+    /// Wrap a configured [`RuleMiner`].
     pub fn new(miner: RuleMiner) -> Self {
         Self { miner, state: None }
     }
@@ -243,9 +209,7 @@ impl IncrementalMiner {
             config.moa == MoaMode::Enabled,
         );
         let extended = ExtendedData::build(data, &moa, config.quantity);
-        let policy = self.miner.tidset().resolve();
-        let prune = self.miner.prune().resolve() == PrunePolicy::Upper;
-        let tidsets = extended.tidsets(policy);
+        let tidsets = extended.tidsets();
         let h = extended.n_heads();
         let mut head_hits = vec![0u64; h];
         let mut head_profit = vec![0.0f64; h];
@@ -261,8 +225,6 @@ impl IncrementalMiner {
             moa,
             extended,
             tidsets,
-            policy,
-            prune,
             minsup,
             head_hits,
             head_profit,
@@ -349,14 +311,12 @@ impl IncrementalMiner {
                 state.caches[gi] = None;
                 changed += 1;
             }
-            state.tidsets[gi].extend(new_n, ids, state.policy);
+            state.tidsets[gi].extend(new_n, ids);
         }
         // Brand-new generalized sales occur only in the delta: their
         // tidsets are built exactly as `ExtendedData::tidsets` would.
         for ids in delta.into_iter().skip(old_gs) {
-            state
-                .tidsets
-                .push(TidSet::from_sorted_ids(ids, new_n, state.policy));
+            state.tidsets.push(TidSet::from_sorted_ids(ids, new_n));
         }
         pm_obs::counter("incremental.anchors_changed").add(changed + (n_gs - old_gs) as u64);
 
@@ -391,8 +351,6 @@ impl IncrementalMiner {
             })
             .collect();
         Some(MinerSnapshot {
-            policy: encode_policy(state.policy),
-            prune: state.prune,
             minsup: state.minsup,
             caches,
         })
@@ -416,14 +374,13 @@ impl IncrementalMiner {
         snap: &MinerSnapshot,
     ) -> Result<Self, String> {
         let config = *miner.config();
-        let policy = decode_policy(snap.policy)?;
         let moa = Moa::new(
             data.catalog_arc(),
             data.hierarchy_arc(),
             config.moa == MoaMode::Enabled,
         );
         let extended = ExtendedData::build(data, &moa, config.quantity);
-        let tidsets = extended.tidsets(policy);
+        let tidsets = extended.tidsets();
         let h = extended.n_heads();
         let mut head_hits = vec![0u64; h];
         let mut head_profit = vec![0.0f64; h];
@@ -475,8 +432,6 @@ impl IncrementalMiner {
                 moa,
                 extended,
                 tidsets,
-                policy,
-                prune: snap.prune,
                 minsup,
                 head_hits,
                 head_profit,
@@ -518,8 +473,6 @@ impl IncrementalMiner {
             .collect();
         let extended = &state.extended;
         let tidsets = &state.tidsets;
-        let policy = state.policy;
-        let prune = state.prune;
         let scratch_levels = config.max_body_len.saturating_sub(1);
         let gates = HeadGates::resolve(
             miner.target(),
@@ -530,7 +483,7 @@ impl IncrementalMiner {
         );
         let new_state = || {
             (
-                RuleEmitter::new(extended, config, &gates, minsup, NO_FLOOR, prune),
+                RuleEmitter::new(extended, config, &gates, minsup, NO_FLOOR),
                 TidScratch::new(n, scratch_levels),
             )
         };
@@ -543,9 +496,7 @@ impl IncrementalMiner {
                 let level1 = emitter.take_rules();
                 let deeper = match &pairs {
                     Some(pairs) => {
-                        miner.process_anchor(
-                            emitter, scratch, &freq, tidsets, pairs, minsup, ai, policy,
-                        );
+                        miner.process_anchor(emitter, scratch, &freq, tidsets, pairs, minsup, ai);
                         emitter.take_rules()
                     }
                     None => Vec::new(),
@@ -617,7 +568,6 @@ impl IncrementalMiner {
             rules,
             state.extended.clone(),
             state.tidsets.clone(),
-            state.policy,
             state.moa.clone(),
             miner.target().cloned(),
         )
@@ -716,14 +666,7 @@ mod tests {
         }
     }
 
-    fn miner_with(
-        minsup: Support,
-        moa: MoaMode,
-        prune_dom: bool,
-        threads: usize,
-        policy: TidPolicy,
-        prune: PrunePolicy,
-    ) -> RuleMiner {
+    fn miner_with(minsup: Support, moa: MoaMode, prune_dom: bool, threads: usize) -> RuleMiner {
         RuleMiner::new(MinerConfig {
             min_support: minsup,
             max_body_len: 3,
@@ -734,48 +677,32 @@ mod tests {
             prune_default_dominated: prune_dom,
         })
         .with_threads(threads)
-        .with_tidset(policy)
-        .with_prune(prune)
     }
 
-    /// The heart of the tentpole: across the execution-policy matrix,
-    /// fit on a base then update through two delta batches, comparing
-    /// against a cold mine of each concatenated prefix.
+    /// The heart of the incremental miner: across MOA modes, dominance
+    /// filtering and thread counts, fit on a base then update through two
+    /// delta batches, comparing against a cold mine of each concatenated
+    /// prefix.
     #[test]
-    fn updates_match_cold_mining_across_the_policy_matrix() {
+    fn updates_match_cold_mining_across_the_matrix() {
         let all = stream(7, 60);
         let splits = [25usize, 40, 60];
         for moa in [MoaMode::Enabled, MoaMode::Disabled] {
             for prune_dom in [false, true] {
-                for policy in [TidPolicy::Dense, TidPolicy::Sparse, TidPolicy::Adaptive] {
-                    for prune in [PrunePolicy::Off, PrunePolicy::Upper] {
-                        for threads in [1usize, 4] {
-                            let mk = || {
-                                miner_with(
-                                    Support::Fraction(0.08),
-                                    moa,
-                                    prune_dom,
-                                    threads,
-                                    policy,
-                                    prune,
-                                )
-                            };
-                            let mut inc = IncrementalMiner::new(mk());
-                            let mut data = dataset(all[..splits[0]].to_vec());
-                            let mut got = inc.fit(&data);
-                            for (step, &split) in splits.iter().enumerate() {
-                                let ctx = format!(
-                                    "moa={moa:?} dom={prune_dom} policy={policy:?} \
-                                     prune={prune:?} threads={threads} step={step}"
-                                );
-                                if step > 0 {
-                                    data.extend_from(&all[splits[step - 1]..split]).unwrap();
-                                    got = inc.update(&data);
-                                }
-                                let cold = mk().mine(&data);
-                                assert_identical(&got, &cold, &ctx);
-                            }
+                for threads in [1usize, 4] {
+                    let mk = || miner_with(Support::Fraction(0.08), moa, prune_dom, threads);
+                    let mut inc = IncrementalMiner::new(mk());
+                    let mut data = dataset(all[..splits[0]].to_vec());
+                    let mut got = inc.fit(&data);
+                    for (step, &split) in splits.iter().enumerate() {
+                        let ctx =
+                            format!("moa={moa:?} dom={prune_dom} threads={threads} step={step}");
+                        if step > 0 {
+                            data.extend_from(&all[splits[step - 1]..split]).unwrap();
+                            got = inc.update(&data);
                         }
+                        let cold = mk().mine(&data);
+                        assert_identical(&got, &cold, &ctx);
                     }
                 }
             }
@@ -788,16 +715,7 @@ mod tests {
     #[test]
     fn support_count_rises_with_n_and_filters_caches() {
         let all = stream(11, 80);
-        let mk = || {
-            miner_with(
-                Support::Fraction(0.15),
-                MoaMode::Enabled,
-                true,
-                1,
-                TidPolicy::Adaptive,
-                PrunePolicy::Upper,
-            )
-        };
+        let mk = || miner_with(Support::Fraction(0.15), MoaMode::Enabled, true, 1);
         let mut inc = IncrementalMiner::new(mk());
         let mut data = dataset(all[..20].to_vec());
         let first = inc.fit(&data);
@@ -818,16 +736,7 @@ mod tests {
     #[test]
     fn empty_delta_is_identity() {
         let all = stream(3, 30);
-        let mk = || {
-            miner_with(
-                Support::Count(2),
-                MoaMode::Enabled,
-                true,
-                1,
-                TidPolicy::Adaptive,
-                PrunePolicy::Upper,
-            )
-        };
+        let mk = || miner_with(Support::Count(2), MoaMode::Enabled, true, 1);
         let mut inc = IncrementalMiner::new(mk());
         let data = dataset(all);
         let fitted = inc.fit(&data);
@@ -852,8 +761,6 @@ mod tests {
                 prune_default_dominated: true,
             })
             .with_threads(2)
-            .with_tidset(TidPolicy::Adaptive)
-            .with_prune(PrunePolicy::Upper)
         };
         let mut inc = IncrementalMiner::new(mk());
         let mut data = dataset(all[..30].to_vec());
@@ -916,30 +823,15 @@ mod tests {
                 Transaction::new(sales, target)
             })
             .collect();
-        for policy in [TidPolicy::Dense, TidPolicy::Sparse, TidPolicy::Adaptive] {
-            for prune_dom in [false, true] {
-                let mk = || {
-                    miner_with(
-                        Support::Count(2),
-                        MoaMode::Enabled,
-                        prune_dom,
-                        2,
-                        policy,
-                        PrunePolicy::Upper,
-                    )
-                };
-                let mut inc = IncrementalMiner::new(mk());
-                let mut data = dataset(all.clone());
-                inc.fit(&data);
-                data.apply_stream_record(Some(&delta), &tail).unwrap();
-                let got = inc.update(&data);
-                let cold = mk().mine(&data);
-                assert_identical(
-                    &got,
-                    &cold,
-                    &format!("growth policy={policy:?} dom={prune_dom}"),
-                );
-            }
+        for prune_dom in [false, true] {
+            let mk = || miner_with(Support::Count(2), MoaMode::Enabled, prune_dom, 2);
+            let mut inc = IncrementalMiner::new(mk());
+            let mut data = dataset(all.clone());
+            inc.fit(&data);
+            data.apply_stream_record(Some(&delta), &tail).unwrap();
+            let got = inc.update(&data);
+            let cold = mk().mine(&data);
+            assert_identical(&got, &cold, &format!("growth dom={prune_dom}"));
         }
     }
 
@@ -949,16 +841,7 @@ mod tests {
     #[test]
     fn snapshot_restore_round_trips_bit_identically() {
         let all = stream(9, 60);
-        let mk = || {
-            miner_with(
-                Support::Fraction(0.1),
-                MoaMode::Enabled,
-                true,
-                2,
-                TidPolicy::Adaptive,
-                PrunePolicy::Upper,
-            )
-        };
+        let mk = || miner_with(Support::Fraction(0.1), MoaMode::Enabled, true, 2);
         let mut inc = IncrementalMiner::new(mk());
         let mut data = dataset(all[..30].to_vec());
         inc.fit(&data);
@@ -987,16 +870,7 @@ mod tests {
     #[test]
     fn restore_rejects_mismatched_data() {
         let all = stream(13, 50);
-        let mk = || {
-            miner_with(
-                Support::Fraction(0.1),
-                MoaMode::Enabled,
-                true,
-                1,
-                TidPolicy::Adaptive,
-                PrunePolicy::Upper,
-            )
-        };
+        let mk = || miner_with(Support::Fraction(0.1), MoaMode::Enabled, true, 1);
         let mut inc = IncrementalMiner::new(mk());
         let data = dataset(all.clone());
         inc.fit(&data);
@@ -1017,7 +891,7 @@ mod tests {
         assert!(err.contains("anchor 9999"), "{err}");
 
         // A cached rule whose head the data does not have.
-        let mut bad = snap.clone();
+        let mut bad = snap;
         let with_rules = bad
             .caches
             .iter()
@@ -1028,14 +902,6 @@ mod tests {
             .err()
             .expect("unknown head must be refused");
         assert!(err.contains("head 200"), "{err}");
-
-        // An unknown policy byte.
-        let mut bad = snap;
-        bad.policy = 7;
-        let err = IncrementalMiner::restore(mk(), &data, &bad)
-            .err()
-            .expect("unknown policy must be refused");
-        assert!(err.contains("policy code 7"), "{err}");
     }
 
     #[test]
@@ -1049,14 +915,8 @@ mod tests {
     #[should_panic(expected = "must extend the fitted one")]
     fn shrinking_data_panics() {
         let all = stream(1, 10);
-        let mut inc = IncrementalMiner::new(miner_with(
-            Support::Count(1),
-            MoaMode::Enabled,
-            true,
-            1,
-            TidPolicy::Adaptive,
-            PrunePolicy::Upper,
-        ));
+        let mut inc =
+            IncrementalMiner::new(miner_with(Support::Count(1), MoaMode::Enabled, true, 1));
         inc.fit(&dataset(all[..8].to_vec()));
         inc.update(&dataset(all[..4].to_vec()));
     }

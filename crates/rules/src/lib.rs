@@ -49,8 +49,8 @@ pub use bitset::BitSet;
 pub use extend::{ExtendedData, HeadId};
 pub use incremental::{IncrementalMiner, MinerSnapshot};
 pub use interner::{GsId, GsInterner};
-pub use miner::{MinedRules, MinerConfig, MoaMode, PrunePolicy, RuleMiner, Support};
+pub use miner::{MinedRules, MinerConfig, MoaMode, RuleMiner, Support};
 pub use rule::{ProfitMode, Rule};
-pub use tidset::{intersect_into, TidBuf, TidPolicy, TidScratch, TidSet, TidView};
+pub use tidset::{intersect_into, TidBuf, TidScratch, TidSet, TidView};
 
 pub use pm_txn::moa::QuantityModel;

@@ -10,7 +10,7 @@
 use crate::extend::{pos_part, ExtendedData, HeadId};
 use crate::interner::{GsId, GsInterner};
 use crate::rule::{ProfitMode, Rule};
-use crate::tidset::{intersect_into, TidPolicy, TidScratch, TidSet, TidView};
+use crate::tidset::{intersect_into, TidScratch, TidSet, TidView};
 use pm_txn::{
     CodeId, GenSale, Hierarchy, ItemId, Moa, QuantityModel, TargetFilter, TransactionSet,
 };
@@ -77,42 +77,6 @@ pub enum MoaMode {
     Disabled,
 }
 
-/// Whether the DFS cuts subtrees with the anti-monotone profit/support
-/// upper bound (see DESIGN.md §14). An execution detail like
-/// [`TidPolicy`]: the bound only cuts subtrees that provably emit
-/// nothing, so mined output is byte-identical at every setting — the
-/// differential oracle matrix and the serialized-model `cmp` in CI lock
-/// this down.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PrunePolicy {
-    /// Resolve from the `PM_PRUNE` environment variable (`off` or
-    /// `upper`; anything else — including unset — means
-    /// [`PrunePolicy::Upper`], since the identity proof makes pruning
-    /// safe to default on).
-    #[default]
-    Auto,
-    /// Enumerate every frequent candidate body (the legacy behavior).
-    Off,
-    /// Cut DFS subtrees whose per-head hit counts and positive-part
-    /// profit sums prove that no descendant body can pass the emission
-    /// filters.
-    Upper,
-}
-
-impl PrunePolicy {
-    /// Resolve [`PrunePolicy::Auto`] against the `PM_PRUNE` environment
-    /// variable; concrete policies pass through unchanged.
-    pub fn resolve(self) -> PrunePolicy {
-        match self {
-            PrunePolicy::Auto => match std::env::var("PM_PRUNE").ok().as_deref() {
-                Some("off") => PrunePolicy::Off,
-                _ => PrunePolicy::Upper,
-            },
-            other => other,
-        }
-    }
-}
-
 /// Miner configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MinerConfig {
@@ -160,14 +124,6 @@ pub struct RuleMiner {
     /// count is an execution detail, never a modeling choice, and the
     /// output is bit-identical at every setting.
     threads: usize,
-    /// Tidset representation policy. Like `threads`, an execution detail
-    /// kept out of [`MinerConfig`]: mined output is byte-identical under
-    /// every policy, only the set-algebra kernels change.
-    tidset: TidPolicy,
-    /// Upper-bound pruning policy. A third execution detail: the bound
-    /// only cuts subtrees that provably emit nothing, so mined output is
-    /// byte-identical with pruning on or off.
-    prune: PrunePolicy,
     /// Targeted mining (TargetUM-flavored): restrict the head domain to
     /// this filter. Mining with a target is byte-identical to mining
     /// without one and dropping every rule whose head falls outside it
@@ -191,8 +147,6 @@ impl RuleMiner {
         Self {
             config,
             threads: 0,
-            tidset: TidPolicy::Auto,
-            prune: PrunePolicy::Auto,
             target: None,
             item_floors: Vec::new(),
         }
@@ -207,14 +161,6 @@ impl RuleMiner {
         self
     }
 
-    /// Set the tidset representation policy (default [`TidPolicy::Auto`],
-    /// which honors the `PM_TIDSET` environment variable). Mining output
-    /// is byte-identical under every policy.
-    pub fn with_tidset(mut self, tidset: TidPolicy) -> Self {
-        self.tidset = tidset;
-        self
-    }
-
     /// The configuration.
     pub fn config(&self) -> &MinerConfig {
         &self.config
@@ -223,24 +169,6 @@ impl RuleMiner {
     /// The configured worker thread count (`0` = all cores).
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The configured tidset policy.
-    pub fn tidset(&self) -> TidPolicy {
-        self.tidset
-    }
-
-    /// Set the upper-bound pruning policy (default [`PrunePolicy::Auto`],
-    /// which honors the `PM_PRUNE` environment variable). Mining output
-    /// is byte-identical under every policy.
-    pub fn with_prune(mut self, prune: PrunePolicy) -> Self {
-        self.prune = prune;
-        self
-    }
-
-    /// The configured pruning policy.
-    pub fn prune(&self) -> PrunePolicy {
-        self.prune
     }
 
     /// Restrict mining to rule heads inside `target` (`None` clears the
@@ -292,11 +220,9 @@ impl RuleMiner {
     pub fn mine_extended(&self, extended: ExtendedData, moa: Moa) -> MinedRules {
         let n = extended.n_transactions();
         let minsup = self.config.min_support.to_count(n);
-        let policy = self.tidset.resolve();
-        let prune = self.prune.resolve() == PrunePolicy::Upper;
         let tidsets = {
             let _span = pm_obs::span("mine.tidsets");
-            extended.tidsets(policy)
+            extended.tidsets()
         };
         let sparse_n = tidsets.iter().filter(|t| t.is_sparse()).count() as u64;
         let dense_n = tidsets.len() as u64 - sparse_n;
@@ -306,8 +232,7 @@ impl RuleMiner {
             "mine.tidsets",
             total = tidsets.len(),
             sparse = sparse_n,
-            dense = dense_n,
-            policy = format!("{policy:?}")
+            dense = dense_n
         );
         // Dominance pre-filter: a rule whose recommendation profit does
         // not exceed the default rule's — under BOTH profit modes — is
@@ -368,20 +293,12 @@ impl RuleMiner {
                 minsup,
                 default_floor,
                 threads,
-                policy,
-                prune,
             )
         } else {
             // Legacy sequential path: one global emitter, generation
             // indices assigned directly at emission.
-            let mut emitter = RuleEmitter::new(
-                &extended,
-                &self.config,
-                &gates,
-                minsup,
-                default_floor,
-                prune,
-            );
+            let mut emitter =
+                RuleEmitter::new(&extended, &self.config, &gates, minsup, default_floor);
             let mut scratch = TidScratch::new(n, self.config.max_body_len.saturating_sub(1));
             for &a in &freq {
                 let ts = &tidsets[a.index()];
@@ -397,7 +314,6 @@ impl RuleMiner {
                         pairs,
                         minsup,
                         ai,
-                        policy,
                     );
                 }
             }
@@ -410,8 +326,7 @@ impl RuleMiner {
             rules = rules.len(),
             minsup = minsup,
             threads = threads,
-            freq_singletons = freq.len(),
-            prune = prune
+            freq_singletons = freq.len()
         );
         MinedRules {
             config: self.config,
@@ -419,7 +334,6 @@ impl RuleMiner {
             rules,
             extended,
             tidsets,
-            tid_policy: policy,
             moa,
             target: self.target.clone(),
         }
@@ -442,7 +356,6 @@ impl RuleMiner {
         pairs: &PairCounts,
         minsup: u32,
         ai: usize,
-        policy: TidPolicy,
     ) {
         let interner = &emitter.extended.interner;
         let a = freq[ai];
@@ -456,7 +369,7 @@ impl RuleMiner {
         // contained in the anchor's, so one probe scan of the anchor's
         // tidset bounds all of them at once — an infeasible anchor skips
         // its entire pair loop without a single intersection.
-        if emitter.prune && !emitter.probe(tidsets[a.index()].view()) {
+        if !emitter.probe(tidsets[a.index()].view()) {
             return;
         }
         for (pos, &bi) in cands.iter().enumerate() {
@@ -468,7 +381,6 @@ impl RuleMiner {
                 tidsets[b.index()].view(),
                 scratch.pair_level(),
                 minsup,
-                policy,
             )
             .expect("pair candidates are pair-frequent");
             debug_assert_eq!(count, pairs.get(ai, bi));
@@ -478,7 +390,7 @@ impl RuleMiner {
             }
             emitter.emit(&[a, b], out_view, count);
             if self.config.max_body_len >= 3 {
-                if emitter.prune && !emitter.subtree_viable(2) {
+                if !emitter.subtree_viable(2) {
                     continue;
                 }
                 let interner = &emitter.extended.interner;
@@ -497,7 +409,6 @@ impl RuleMiner {
                     &mut vec![a, b],
                     1,
                     &deeper,
-                    policy,
                 );
             }
         }
@@ -523,8 +434,6 @@ impl RuleMiner {
         minsup: u32,
         default_floor: (f64, f64),
         threads: usize,
-        policy: TidPolicy,
-        prune: bool,
     ) -> Vec<Rule> {
         // Per-worker state: one emitter plus one intersection-scratch
         // pool; both persist across the work items a worker claims, so
@@ -533,7 +442,7 @@ impl RuleMiner {
         let scratch_levels = self.config.max_body_len.saturating_sub(1);
         let new_state = || {
             (
-                RuleEmitter::new(extended, &self.config, gates, minsup, default_floor, prune),
+                RuleEmitter::new(extended, &self.config, gates, minsup, default_floor),
                 TidScratch::new(n, scratch_levels),
             )
         };
@@ -555,7 +464,7 @@ impl RuleMiner {
             None => Vec::new(),
             Some(pairs) => {
                 pm_par::par_map_init(freq.len(), threads, new_state, |(emitter, scratch), ai| {
-                    self.process_anchor(emitter, scratch, freq, tidsets, pairs, minsup, ai, policy);
+                    self.process_anchor(emitter, scratch, freq, tidsets, pairs, minsup, ai);
                     emitter.take_rules()
                 })
             }
@@ -589,19 +498,13 @@ impl RuleMiner {
         body: &mut Vec<GsId>,
         depth: usize,
         cands: &[usize],
-        policy: TidPolicy,
     ) {
         for (pos, &ci) in cands.iter().enumerate() {
             let c = freq[ci];
             let (parent, out) = scratch.parent_and_out(depth);
             let parent_sparse = matches!(parent.view(), TidView::Sparse(_));
-            let Some(count) = intersect_into(
-                parent.view(),
-                tidsets[c.index()].view(),
-                out,
-                minsup,
-                policy,
-            ) else {
+            let Some(count) = intersect_into(parent.view(), tidsets[c.index()].view(), out, minsup)
+            else {
                 emitter.pruned += 1;
                 continue;
             };
@@ -611,9 +514,7 @@ impl RuleMiner {
                 emitter.switches += 1;
             }
             emitter.emit(body, out_view, count);
-            if body.len() < self.config.max_body_len
-                && (!emitter.prune || emitter.subtree_viable(body.len()))
-            {
+            if body.len() < self.config.max_body_len && emitter.subtree_viable(body.len()) {
                 let interner = &emitter.extended.interner;
                 let deeper: Vec<usize> = cands[pos + 1..]
                     .iter()
@@ -630,7 +531,6 @@ impl RuleMiner {
                     body,
                     depth + 1,
                     &deeper,
-                    policy,
                 );
             }
             body.pop();
@@ -775,13 +675,11 @@ pub(crate) struct RuleEmitter<'a> {
     /// `(Prof_re, confidence)` of the best default rule; rules at or
     /// below both floors are dominated and skipped.
     default_floor: (f64, f64),
-    /// Upper-bound pruning on (resolved [`PrunePolicy::Upper`]).
-    prune: bool,
     /// Pruning needs a dedicated positive-part accumulator: some margin
     /// is negative or NaN, so `head_profit` is not its own positive
     /// part. When clear (the common case — `ExtendedData::
-    /// nonneg_margins`), the scan loop stays byte-for-byte the unpruned
-    /// one and `viable` reads `head_profit` directly.
+    /// nonneg_margins`), the scan loop only accumulates hits and profit
+    /// and `viable` reads `head_profit` directly.
     track_pos: bool,
     /// Pruning needs the transaction-level margin bound: a
     /// `min_rule_profit` filter is configured, which is the only
@@ -792,14 +690,14 @@ pub(crate) struct RuleEmitter<'a> {
     head_hits: Vec<u32>,
     head_profit: Vec<f64>,
     /// Positive-part profit sums per head (same stamp discipline as
-    /// `head_profit`; only maintained when `prune`). For any descendant
+    /// `head_profit`; only maintained when `track_pos`). For any descendant
     /// body its per-head profit sum cannot exceed this, even at the f64
     /// bit level: the descendant sums a subsequence of term-wise smaller
     /// values, and round-to-nearest accumulation of nonnegative terms is
     /// monotone in both.
     head_pos: Vec<f64>,
     /// Σ `txn_max_margin` over the last scanned tidset (only when
-    /// `prune`): the transaction-level TWU-style bound dominating every
+    /// `track_ub`): the transaction-level TWU-style bound dominating every
     /// head's `head_pos`.
     node_ub: f64,
     touched: Vec<HeadId>,
@@ -854,18 +752,16 @@ impl<'a> RuleEmitter<'a> {
         gates: &'a HeadGates,
         minsup: u32,
         default_floor: (f64, f64),
-        prune: bool,
     ) -> Self {
         let h = extended.n_heads();
-        let track_pos = prune && !extended.nonneg_margins;
-        let track_ub = prune && gates.node_floor.is_some();
+        let track_pos = !extended.nonneg_margins;
+        let track_ub = gates.node_floor.is_some();
         Self {
             extended,
             config,
             gates,
             minsup,
             default_floor,
-            prune,
             track_pos,
             track_ub,
             stamp: 0,
@@ -1181,7 +1077,6 @@ pub struct MinedRules {
     rules: Vec<Rule>,
     extended: ExtendedData,
     tidsets: Vec<TidSet>,
-    tid_policy: TidPolicy,
     moa: Moa,
     /// The target filter the run mined under (`None` = untargeted). The
     /// default rule restricts its argmax to in-target heads.
@@ -1192,14 +1087,12 @@ impl MinedRules {
     /// Assemble a result from pre-computed parts — the incremental
     /// miner's exit, which maintains the extension, tidsets and rule
     /// caches itself and only needs the container.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         config: MinerConfig,
         min_support_count: u32,
         rules: Vec<Rule>,
         extended: ExtendedData,
         tidsets: Vec<TidSet>,
-        tid_policy: TidPolicy,
         moa: Moa,
         target: Option<TargetFilter>,
     ) -> Self {
@@ -1209,7 +1102,6 @@ impl MinedRules {
             rules,
             extended,
             tidsets,
-            tid_policy,
             moa,
             target,
         }
@@ -1291,11 +1183,6 @@ impl MinedRules {
         &self.tidsets[g.index()]
     }
 
-    /// The (resolved) tidset policy this run mined under.
-    pub fn tid_policy(&self) -> TidPolicy {
-        self.tid_policy
-    }
-
     /// Tidset of a body (AND of singleton tidsets; the empty body matches
     /// every transaction).
     pub fn body_tidset(&self, body: &[GsId]) -> TidSet {
@@ -1304,7 +1191,7 @@ impl MinedRules {
             Some((&first, rest)) => {
                 let mut ts = self.tidsets[first.index()].clone();
                 for g in rest {
-                    ts = ts.intersection(&self.tidsets[g.index()], self.tid_policy);
+                    ts = ts.intersection(&self.tidsets[g.index()]);
                 }
                 ts
             }
@@ -1745,51 +1632,14 @@ mod tests {
         }
     }
 
-    /// The adaptive-tidset guarantee: mining output is bit-identical
-    /// under every representation policy — forced all-dense, forced
-    /// all-sparse, and the adaptive threshold — at 1 and several threads.
-    #[test]
-    fn tidset_policy_does_not_change_output() {
-        let ds = dataset();
-        for moa in [MoaMode::Enabled, MoaMode::Disabled] {
-            for max_len in [2usize, 4] {
-                let config = MinerConfig {
-                    min_support: Support::Count(1),
-                    max_body_len: max_len,
-                    moa,
-                    prune_default_dominated: false,
-                    ..MinerConfig::default()
-                };
-                let base = RuleMiner::new(config)
-                    .with_threads(1)
-                    .with_tidset(TidPolicy::Dense)
-                    .mine(&ds);
-                assert!(!base.rules().is_empty());
-                for policy in [TidPolicy::Sparse, TidPolicy::Adaptive] {
-                    for threads in [1usize, 3] {
-                        let got = RuleMiner::new(config)
-                            .with_threads(threads)
-                            .with_tidset(policy)
-                            .mine(&ds);
-                        assert_eq!(
-                            base.rules(),
-                            got.rules(),
-                            "{moa:?} max_len {max_len} {policy:?} threads {threads}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
     /// The pruning guarantee: the upper bound only cuts subtrees that
-    /// provably emit nothing, so mining output — every rule, in order,
-    /// with exact profit bits — is identical with pruning off and on,
-    /// under every emission-filter combination feeding the viability
-    /// predicate (min-conf, min-profit, dominance floor) and at 1 and
-    /// several threads.
+    /// provably emit nothing, so the pruned miner emits exactly the
+    /// brute-force rule set filtered by the emission predicates of
+    /// [`RuleEmitter::emit`], under every filter combination feeding the
+    /// viability predicate (min-conf, min-profit, dominance floor) and at
+    /// 1 and several threads.
     #[test]
-    fn prune_policy_does_not_change_output() {
+    fn pruned_mining_matches_filtered_brute_force() {
         let ds = dataset();
         let filters = [
             (None, None, false),
@@ -1799,7 +1649,23 @@ mod tests {
         ];
         for moa in [MoaMode::Enabled, MoaMode::Disabled] {
             for min_count in [1u32, 2, 3] {
+                let all = mine(min_count, moa, 4);
+                let brute = brute_force_rules(&all, min_count, 4);
+                let n = all.n_transactions() as f64;
+                let dp = all.default_rule(ProfitMode::Profit).profit / n;
+                let dc = all.default_rule(ProfitMode::Confidence).hits as f64 / n;
                 for (min_confidence, min_rule_profit, dominated) in filters {
+                    let expect: Vec<Rule> = brute
+                        .iter()
+                        .filter(|r| {
+                            let bc = r.body_count as f64;
+                            let conf = r.hits as f64 / bc;
+                            !(dominated && r.profit / bc < dp + 1e-12 && conf < dc + 1e-12)
+                                && min_confidence.is_none_or(|mc| conf >= mc)
+                                && min_rule_profit.is_none_or(|mp| r.profit >= mp)
+                        })
+                        .cloned()
+                        .collect();
                     let config = MinerConfig {
                         min_support: Support::Count(min_count),
                         max_body_len: 4,
@@ -1809,17 +1675,11 @@ mod tests {
                         prune_default_dominated: dominated,
                         ..MinerConfig::default()
                     };
-                    let off = RuleMiner::new(config)
-                        .with_prune(PrunePolicy::Off)
-                        .mine(&ds);
                     for threads in [1usize, 3] {
-                        let on = RuleMiner::new(config)
-                            .with_threads(threads)
-                            .with_prune(PrunePolicy::Upper)
-                            .mine(&ds);
+                        let got = RuleMiner::new(config).with_threads(threads).mine(&ds);
                         assert_eq!(
-                            off.rules(),
-                            on.rules(),
+                            canon(got.rules()),
+                            canon(&expect),
                             "{moa:?} count {min_count} conf {min_confidence:?} \
                              profit {min_rule_profit:?} dom {dominated} threads {threads}"
                         );
@@ -1829,18 +1689,10 @@ mod tests {
         }
     }
 
-    /// Explicit policies resolve to themselves regardless of `PM_PRUNE`.
-    #[test]
-    fn explicit_prune_policy_ignores_env() {
-        assert_eq!(PrunePolicy::Off.resolve(), PrunePolicy::Off);
-        assert_eq!(PrunePolicy::Upper.resolve(), PrunePolicy::Upper);
-    }
-
     /// A `min_rule_profit` no dataset can meet lets the anchor probes cut
     /// the *entire* DFS: every emitter terminates early on the
     /// pruned-to-empty path, and the `Drop` flush must still publish the
-    /// upper-bound counters. Outputs stay identical to the unpruned run
-    /// (both empty). The pm-obs registry is global and tests run
+    /// upper-bound counters. The pm-obs registry is global and tests run
     /// concurrently, so counters are asserted as monotone deltas.
     #[test]
     fn fully_pruned_run_still_flushes_counters() {
@@ -1853,48 +1705,16 @@ mod tests {
             ..MinerConfig::default()
         };
         let ds = dataset();
-        let off = RuleMiner::new(config)
-            .with_prune(PrunePolicy::Off)
-            .mine(&ds);
-        assert!(off.rules().is_empty());
         let evaluated = pm_obs::counter("mine.ub_evaluated").get();
         let pruned = pm_obs::counter("mine.ub_pruned").get();
         let depth1 = pm_obs::counter("mine.ub_pruned.d1").get();
         for threads in [1usize, 3] {
-            let on = RuleMiner::new(config)
-                .with_threads(threads)
-                .with_prune(PrunePolicy::Upper)
-                .mine(&ds);
-            assert_eq!(off.rules(), on.rules(), "threads {threads}");
+            let mined = RuleMiner::new(config).with_threads(threads).mine(&ds);
+            assert!(mined.rules().is_empty(), "threads {threads}");
         }
         assert!(pm_obs::counter("mine.ub_evaluated").get() >= evaluated + 2);
         assert!(pm_obs::counter("mine.ub_pruned").get() >= pruned + 2);
         assert!(pm_obs::counter("mine.ub_pruned.d1").get() >= depth1 + 2);
-    }
-
-    /// `body_tidset` agrees across policies and with each rule's count.
-    #[test]
-    fn body_tidset_agrees_across_policies() {
-        let ds = dataset();
-        let config = MinerConfig {
-            min_support: Support::Count(1),
-            max_body_len: 3,
-            moa: MoaMode::Enabled,
-            prune_default_dominated: false,
-            ..MinerConfig::default()
-        };
-        let dense = RuleMiner::new(config)
-            .with_tidset(TidPolicy::Dense)
-            .mine(&ds);
-        let sparse = RuleMiner::new(config)
-            .with_tidset(TidPolicy::Sparse)
-            .mine(&ds);
-        for r in dense.rules() {
-            let td = dense.body_tidset(&r.body);
-            let ts = sparse.body_tidset(&r.body);
-            assert_eq!(td.count() as u32, r.body_count);
-            assert_eq!(td.iter().collect::<Vec<_>>(), ts.iter().collect::<Vec<_>>());
-        }
     }
 
     /// The parallel pair-count table is exactly the sequential one
@@ -1960,8 +1780,7 @@ mod tests {
 
     /// Targeted mining is byte-identical to post-filtering the full run,
     /// across MOA modes, emission filters (incl. dominance, whose floor
-    /// deliberately stays global under targeting), thread counts, and
-    /// prune policies.
+    /// deliberately stays global under targeting), and thread counts.
     #[test]
     fn targeted_mining_equals_post_filtering() {
         let ds = dataset();
@@ -1989,20 +1808,16 @@ mod tests {
                 for t in &targets {
                     let expect = post_filter(&full, t);
                     for threads in [1usize, 4] {
-                        for prune in [PrunePolicy::Off, PrunePolicy::Upper] {
-                            let mined = RuleMiner::new(config)
-                                .with_threads(threads)
-                                .with_prune(prune)
-                                .with_target(Some(t.clone()))
-                                .mine(&ds);
-                            assert_eq!(
-                                exact(mined.rules()),
-                                exact(&expect),
-                                "{t:?} {moa:?} conf {min_confidence:?} threads {threads} \
-                                 prune {prune:?}"
-                            );
-                            assert_eq!(mined.target(), Some(t));
-                        }
+                        let mined = RuleMiner::new(config)
+                            .with_threads(threads)
+                            .with_target(Some(t.clone()))
+                            .mine(&ds);
+                        assert_eq!(
+                            exact(mined.rules()),
+                            exact(&expect),
+                            "{t:?} {moa:?} conf {min_confidence:?} threads {threads}"
+                        );
+                        assert_eq!(mined.target(), Some(t));
                     }
                 }
             }
@@ -2086,49 +1901,43 @@ mod tests {
             prune_default_dominated: false,
             ..MinerConfig::default()
         };
-        for prune in [PrunePolicy::Off, PrunePolicy::Upper] {
-            let scalar = RuleMiner::new(MinerConfig {
-                min_rule_profit: Some(5.0),
-                ..base
-            })
-            .with_prune(prune)
-            .mine(&ds);
-            // Floor on the head item, no scalar.
-            let per_item = RuleMiner::new(base)
-                .with_prune(prune)
-                .with_item_floors(vec![(ItemId(2), 5.0)])
-                .mine(&ds);
-            assert_eq!(exact(scalar.rules()), exact(per_item.rules()));
-            // A listed item overrides an impossible scalar.
-            let overridden = RuleMiner::new(MinerConfig {
-                min_rule_profit: Some(1e18),
-                ..base
-            })
-            .with_prune(prune)
+        let scalar = RuleMiner::new(MinerConfig {
+            min_rule_profit: Some(5.0),
+            ..base
+        })
+        .mine(&ds);
+        // Floor on the head item, no scalar.
+        let per_item = RuleMiner::new(base)
             .with_item_floors(vec![(ItemId(2), 5.0)])
             .mine(&ds);
-            assert_eq!(exact(scalar.rules()), exact(overridden.rules()));
-            // Floors on items without heads filter nothing.
-            let unfiltered = RuleMiner::new(base).with_prune(prune).mine(&ds);
-            let inert = RuleMiner::new(base)
-                .with_prune(prune)
-                .with_item_floors(vec![(ItemId(0), 1e18)])
-                .mine(&ds);
-            assert_eq!(exact(unfiltered.rules()), exact(inert.rules()));
-            // Brute-force semantics: exactly the rules at or above the
-            // floor survive, in order, renumbered — and here every head
-            // is on the floored item.
-            let mut expect: Vec<Rule> = unfiltered
-                .rules()
-                .iter()
-                .filter(|r| !(r.profit < 5.0))
-                .cloned()
-                .collect();
-            for (i, r) in expect.iter_mut().enumerate() {
-                r.gen_index = i as u32;
-            }
-            assert_eq!(exact(per_item.rules()), exact(&expect));
+        assert_eq!(exact(scalar.rules()), exact(per_item.rules()));
+        // A listed item overrides an impossible scalar.
+        let overridden = RuleMiner::new(MinerConfig {
+            min_rule_profit: Some(1e18),
+            ..base
+        })
+        .with_item_floors(vec![(ItemId(2), 5.0)])
+        .mine(&ds);
+        assert_eq!(exact(scalar.rules()), exact(overridden.rules()));
+        // Floors on items without heads filter nothing.
+        let unfiltered = RuleMiner::new(base).mine(&ds);
+        let inert = RuleMiner::new(base)
+            .with_item_floors(vec![(ItemId(0), 1e18)])
+            .mine(&ds);
+        assert_eq!(exact(unfiltered.rules()), exact(inert.rules()));
+        // Brute-force semantics: exactly the rules at or above the
+        // floor survive, in order, renumbered — and here every head
+        // is on the floored item.
+        let mut expect: Vec<Rule> = unfiltered
+            .rules()
+            .iter()
+            .filter(|r| !(r.profit < 5.0))
+            .cloned()
+            .collect();
+        for (i, r) in expect.iter_mut().enumerate() {
+            r.gen_index = i as u32;
         }
+        assert_eq!(exact(per_item.rules()), exact(&expect));
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! node). This module provides:
 //!
 //! * [`TidSet`] — a stored tidset that is either `Dense` (a [`BitSet`])
-//!   or `Sparse` (a sorted `Vec<u32>`), chosen per set by a density
-//!   threshold ([`TidPolicy`]);
+//!   or `Sparse` (a sorted `Vec<u32>`), chosen per set by the density
+//!   threshold [`SPARSE_DENSITY_SHIFT`];
 //! * [`TidBuf`] — a reusable intersection output buffer owning storage
 //!   for *both* representations, so the mining hot loop does zero
 //!   per-node heap allocation after warm-up;
@@ -22,8 +22,9 @@
 //! Both representations describe identical id sets and iterate ids in
 //! ascending order, so swapping representations never changes mined
 //! output — candidate enumeration order, per-head f64 accumulation
-//! order, and every tie-break are representation-independent. The
-//! forced-threshold tests in `pm-rules` lock this byte-for-byte.
+//! order, and every tie-break are representation-independent. The kernel
+//! tests below build each representation directly and check every
+//! combination against a reference set.
 
 use crate::bitset::{BitSet, Ones};
 
@@ -35,53 +36,13 @@ use crate::bitset::{BitSet, Ones};
 /// strictly less, above it the branchless word AND wins.
 pub const SPARSE_DENSITY_SHIFT: u32 = 6;
 
-/// Which tidset representation the miner uses. An execution detail like
-/// the worker-thread count: mined output is byte-identical at every
-/// setting, only set algebra changes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TidPolicy {
-    /// Resolve from the `PM_TIDSET` environment variable (`dense`,
-    /// `adaptive`, or `sparse`; anything else — including unset — means
-    /// [`TidPolicy::Adaptive`]).
-    #[default]
-    Auto,
-    /// Always dense `u64`-word bitsets (the legacy representation).
-    Dense,
-    /// Dense above the [`SPARSE_DENSITY_SHIFT`] density threshold,
-    /// sorted-`u32` sparse at or below it.
-    Adaptive,
-    /// Always sorted-`u32` vectors (forced-threshold testing, or data
-    /// known to be uniformly sparse).
-    Sparse,
+/// Largest cardinality still stored sparse over a universe of
+/// `capacity` ids.
+fn sparse_max(capacity: usize) -> usize {
+    capacity >> SPARSE_DENSITY_SHIFT
 }
 
-impl TidPolicy {
-    /// Resolve [`TidPolicy::Auto`] against the `PM_TIDSET` environment
-    /// variable; concrete policies pass through unchanged.
-    pub fn resolve(self) -> TidPolicy {
-        match self {
-            TidPolicy::Auto => match std::env::var("PM_TIDSET").ok().as_deref() {
-                Some("dense") => TidPolicy::Dense,
-                Some("sparse") => TidPolicy::Sparse,
-                _ => TidPolicy::Adaptive,
-            },
-            other => other,
-        }
-    }
-
-    /// Largest cardinality still stored sparse over a universe of
-    /// `capacity` ids. `Auto` behaves like `Adaptive` here; callers on
-    /// hot paths should [`resolve`](Self::resolve) once up front.
-    pub fn sparse_max(self, capacity: usize) -> usize {
-        match self {
-            TidPolicy::Dense => 0,
-            TidPolicy::Sparse => capacity,
-            TidPolicy::Auto | TidPolicy::Adaptive => capacity >> SPARSE_DENSITY_SHIFT,
-        }
-    }
-}
-
-/// A stored tidset over `0..capacity`, dense or sparse by policy.
+/// A stored tidset over `0..capacity`, dense or sparse by density.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TidSet {
     capacity: usize,
@@ -96,10 +57,10 @@ enum TidRepr {
 
 impl TidSet {
     /// An empty set expecting `expected` elements: sparse (with reserved
-    /// capacity) when `expected` is within the policy's threshold, dense
+    /// capacity) when `expected` is within the density threshold, dense
     /// otherwise. Fill with ascending [`push`](Self::push) calls.
-    pub fn for_expected(capacity: usize, expected: usize, policy: TidPolicy) -> Self {
-        let repr = if expected <= policy.sparse_max(capacity) {
+    pub fn for_expected(capacity: usize, expected: usize) -> Self {
+        let repr = if expected <= sparse_max(capacity) {
             TidRepr::Sparse(Vec::with_capacity(expected))
         } else {
             TidRepr::Dense(BitSet::new(capacity))
@@ -117,12 +78,12 @@ impl TidSet {
     }
 
     /// Build from strictly ascending ids, choosing the representation by
-    /// policy.
+    /// density.
     ///
     /// # Panics
     ///
     /// Panics when ids are not strictly ascending or reach `capacity`.
-    pub fn from_sorted_ids(ids: Vec<u32>, capacity: usize, policy: TidPolicy) -> Self {
+    pub fn from_sorted_ids(ids: Vec<u32>, capacity: usize) -> Self {
         assert!(
             ids.windows(2).all(|w| w[0] < w[1]),
             "ids must be strictly ascending"
@@ -130,7 +91,7 @@ impl TidSet {
         if let Some(&last) = ids.last() {
             assert!((last as usize) < capacity, "id {last} out of capacity");
         }
-        if ids.len() <= policy.sparse_max(capacity) {
+        if ids.len() <= sparse_max(capacity) {
             Self {
                 capacity,
                 repr: TidRepr::Sparse(ids),
@@ -140,23 +101,6 @@ impl TidSet {
             for &id in &ids {
                 bs.insert(id as usize);
             }
-            Self {
-                capacity,
-                repr: TidRepr::Dense(bs),
-            }
-        }
-    }
-
-    /// Build from a dense bitset, compressing to sparse when the policy's
-    /// threshold allows.
-    pub fn from_bitset(bs: BitSet, policy: TidPolicy) -> Self {
-        let capacity = bs.capacity();
-        if bs.count() <= policy.sparse_max(capacity) {
-            Self {
-                capacity,
-                repr: TidRepr::Sparse(bs.iter().map(|t| t as u32).collect()),
-            }
-        } else {
             Self {
                 capacity,
                 repr: TidRepr::Dense(bs),
@@ -197,7 +141,7 @@ impl TidSet {
     /// Grow the universe to `new_capacity` and append `new_ids`
     /// (strictly ascending, all in `old_capacity..new_capacity` — delta
     /// transactions only ever add *later* tids), then re-pick the
-    /// representation against the policy threshold at the **new**
+    /// representation against the density threshold at the **new**
     /// capacity and cardinality.
     ///
     /// Re-picking matters in both directions: a delta can push a sparse
@@ -214,7 +158,7 @@ impl TidSet {
     /// Panics when the capacity shrinks, `new_ids` is not strictly
     /// ascending, or any new id falls outside
     /// `old_capacity..new_capacity`.
-    pub fn extend(&mut self, new_capacity: usize, new_ids: &[u32], policy: TidPolicy) {
+    pub fn extend(&mut self, new_capacity: usize, new_ids: &[u32]) {
         assert!(
             new_capacity >= self.capacity,
             "capacity can only grow ({} -> {new_capacity})",
@@ -235,7 +179,7 @@ impl TidSet {
             assert!((last as usize) < new_capacity, "id {last} out of capacity");
         }
         let new_count = self.count() + new_ids.len();
-        let stay_sparse = new_count <= policy.sparse_max(new_capacity);
+        let stay_sparse = new_count <= sparse_max(new_capacity);
         self.capacity = new_capacity;
         let repr = std::mem::replace(&mut self.repr, TidRepr::Sparse(Vec::new()));
         self.repr = match (repr, stay_sparse) {
@@ -315,14 +259,14 @@ impl TidSet {
         self.view().iter()
     }
 
-    /// `self ∩ other` as a new set whose representation follows `policy`.
+    /// `self ∩ other` as a new set, its representation chosen as in
+    /// [`intersect_into`].
     /// Allocates — meant for cold paths (coverage assignment, tests); the
     /// mining loop uses [`intersect_into`] with a [`TidBuf`].
-    pub fn intersection(&self, other: &TidSet, policy: TidPolicy) -> TidSet {
+    pub fn intersection(&self, other: &TidSet) -> TidSet {
         debug_assert_eq!(self.capacity, other.capacity);
         let mut out = TidBuf::new(self.capacity);
-        intersect_into(self.view(), other.view(), &mut out, 0, policy)
-            .expect("bound 0 never early-exits");
+        intersect_into(self.view(), other.view(), &mut out, 0).expect("bound 0 never early-exits");
         out.into_tidset()
     }
 }
@@ -459,22 +403,16 @@ impl TidBuf {
 ///
 /// The output representation is sparse whenever either input is sparse
 /// (the result is no larger than the smaller input); a dense∩dense
-/// result is compressed to sparse when its count falls within `policy`'s
-/// threshold, so descendant intersections in a DFS run the cheaper
-/// sparse kernels.
-pub fn intersect_into(
-    a: TidView<'_>,
-    b: TidView<'_>,
-    out: &mut TidBuf,
-    bound: u32,
-    policy: TidPolicy,
-) -> Option<u32> {
+/// result is compressed to sparse when its count falls within the
+/// density threshold, so descendant intersections in a DFS run the
+/// cheaper sparse kernels.
+pub fn intersect_into(a: TidView<'_>, b: TidView<'_>, out: &mut TidBuf, bound: u32) -> Option<u32> {
     match (a, b) {
         (TidView::Sparse(x), TidView::Sparse(y)) => sparse_sparse(x, y, out, bound),
         (TidView::Sparse(x), TidView::Dense(w)) | (TidView::Dense(w), TidView::Sparse(x)) => {
             sparse_dense(x, w, out, bound)
         }
-        (TidView::Dense(wa), TidView::Dense(wb)) => dense_dense(wa, wb, out, bound, policy),
+        (TidView::Dense(wa), TidView::Dense(wb)) => dense_dense(wa, wb, out, bound),
     }
 }
 
@@ -538,13 +476,7 @@ fn sparse_dense(ids: &[u32], words: &[u64], out: &mut TidBuf, bound: u32) -> Opt
 
 /// Word-AND dense∩dense with a running popcount; compresses a
 /// below-threshold result to sparse.
-fn dense_dense(
-    a: &[u64],
-    b: &[u64],
-    out: &mut TidBuf,
-    bound: u32,
-    policy: TidPolicy,
-) -> Option<u32> {
+fn dense_dense(a: &[u64], b: &[u64], out: &mut TidBuf, bound: u32) -> Option<u32> {
     debug_assert_eq!(a.len(), b.len());
     out.start_dense();
     debug_assert_eq!(out.words.len(), a.len());
@@ -561,7 +493,7 @@ fn dense_dense(
     if count < bound {
         return None;
     }
-    if (count as usize) <= policy.sparse_max(out.capacity) {
+    if (count as usize) <= sparse_max(out.capacity) {
         // Compress: every descendant intersection then runs a sparse
         // kernel. Take the words out to appease the borrow checker, put
         // them back so the allocation survives for reuse.
@@ -612,6 +544,23 @@ impl TidScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
+
+    /// `ids` stored in the named representation regardless of density,
+    /// so every kernel combination can be driven directly.
+    fn forced(ids: &[u32], capacity: usize, sparse: bool) -> TidSet {
+        let repr = if sparse {
+            TidRepr::Sparse(ids.to_vec())
+        } else {
+            let mut bs = BitSet::new(capacity);
+            for &id in ids {
+                bs.insert(id as usize);
+            }
+            TidRepr::Dense(bs)
+        };
+        TidSet { capacity, repr }
+    }
 
     fn xorshift(seed: u64) -> impl FnMut() -> u64 {
         let mut x = seed | 1;
@@ -625,58 +574,30 @@ mod tests {
 
     fn random_ids(cap: usize, approx: usize, seed: u64) -> Vec<u32> {
         let mut next = xorshift(seed);
-        let mut set = std::collections::BTreeSet::new();
+        let mut set = BTreeSet::new();
         for _ in 0..approx {
             set.insert((next() % cap as u64) as u32);
         }
         set.into_iter().collect()
     }
 
+    fn sorted_ids(raw: Vec<usize>, cap: usize) -> Vec<u32> {
+        let set: BTreeSet<u32> = raw.into_iter().map(|x| (x % cap) as u32).collect();
+        set.into_iter().collect()
+    }
+
     fn reference_intersection(a: &[u32], b: &[u32]) -> Vec<u32> {
-        let sb: std::collections::BTreeSet<u32> = b.iter().copied().collect();
+        let sb: BTreeSet<u32> = b.iter().copied().collect();
         a.iter().copied().filter(|x| sb.contains(x)).collect()
     }
 
     #[test]
-    fn policy_resolution_and_threshold() {
-        assert_eq!(TidPolicy::Dense.sparse_max(1000), 0);
-        assert_eq!(TidPolicy::Sparse.sparse_max(1000), 1000);
-        assert_eq!(TidPolicy::Adaptive.sparse_max(6400), 100);
-        assert_eq!(TidPolicy::Dense.resolve(), TidPolicy::Dense);
-        // Auto resolves to something concrete.
-        assert_ne!(TidPolicy::Auto.resolve(), TidPolicy::Auto);
-    }
-
-    #[test]
-    fn representation_follows_policy() {
-        let ids = vec![3u32, 70, 500];
-        let cap = 100_000;
-        assert!(TidSet::from_sorted_ids(ids.clone(), cap, TidPolicy::Adaptive).is_sparse());
-        assert!(!TidSet::from_sorted_ids(ids.clone(), cap, TidPolicy::Dense).is_sparse());
-        assert!(TidSet::from_sorted_ids(ids, cap, TidPolicy::Sparse).is_sparse());
-        // Above the adaptive threshold the set goes dense.
+    fn representation_follows_density() {
+        assert_eq!(sparse_max(6400), 100);
+        assert!(TidSet::from_sorted_ids(vec![3, 70, 500], 100_000).is_sparse());
+        // Above the threshold the set goes dense.
         let many = random_ids(1000, 600, 42);
-        assert!(!TidSet::from_sorted_ids(many, 1000, TidPolicy::Adaptive).is_sparse());
-    }
-
-    #[test]
-    fn roundtrip_between_representations() {
-        for seed in [1u64, 7, 99] {
-            let ids = random_ids(3000, 150, seed);
-            let sparse = TidSet::from_sorted_ids(ids.clone(), 3000, TidPolicy::Sparse);
-            let dense = TidSet::from_sorted_ids(ids.clone(), 3000, TidPolicy::Dense);
-            assert_eq!(sparse.to_bitset(), dense.to_bitset());
-            let back = TidSet::from_bitset(dense.to_bitset(), TidPolicy::Sparse);
-            assert!(back.is_sparse());
-            assert_eq!(
-                back.iter().collect::<Vec<_>>(),
-                sparse.iter().collect::<Vec<_>>()
-            );
-            assert_eq!(sparse.count(), ids.len());
-            for &id in &ids {
-                assert!(sparse.contains(id as usize) && dense.contains(id as usize));
-            }
-        }
+        assert!(!TidSet::from_sorted_ids(many, 1000).is_sparse());
     }
 
     #[test]
@@ -688,6 +609,8 @@ mod tests {
         assert_eq!(gallop_to(&[], 5), 0);
     }
 
+    /// Large skewed inputs, where galloping and the word loops take many
+    /// steps (the property tests below stay under 500 ids).
     #[test]
     fn all_kernel_combinations_agree() {
         let cap = 5000;
@@ -700,18 +623,11 @@ mod tests {
             let a = random_ids(cap, na, seed);
             let b = random_ids(cap, nb, seed.wrapping_mul(31));
             let expect = reference_intersection(&a, &b);
-            let reprs = |ids: &[u32]| {
-                vec![
-                    TidSet::from_sorted_ids(ids.to_vec(), cap, TidPolicy::Sparse),
-                    TidSet::from_sorted_ids(ids.to_vec(), cap, TidPolicy::Dense),
-                ]
-            };
-            for ra in reprs(&a) {
-                for rb in reprs(&b) {
+            for sa in [false, true] {
+                for sb in [false, true] {
+                    let (ta, tb) = (forced(&a, cap, sa), forced(&b, cap, sb));
                     let mut out = TidBuf::new(cap);
-                    let count =
-                        intersect_into(ra.view(), rb.view(), &mut out, 0, TidPolicy::Adaptive)
-                            .unwrap();
+                    let count = intersect_into(ta.view(), tb.view(), &mut out, 0).unwrap();
                     assert_eq!(count as usize, expect.len());
                     let got: Vec<u32> = out.view().iter().map(|t| t as u32).collect();
                     assert_eq!(got, expect);
@@ -721,75 +637,43 @@ mod tests {
     }
 
     #[test]
-    fn bound_early_exit_is_exact() {
-        let cap = 4000;
-        let a = random_ids(cap, 300, 11);
-        let b = random_ids(cap, 500, 13);
-        let expect = reference_intersection(&a, &b).len() as u32;
-        for policy in [TidPolicy::Dense, TidPolicy::Sparse, TidPolicy::Adaptive] {
-            let ta = TidSet::from_sorted_ids(a.clone(), cap, policy);
-            let tb = TidSet::from_sorted_ids(b.clone(), cap, policy);
-            let mut out = TidBuf::new(cap);
-            for bound in [0u32, 1, expect / 2, expect, expect + 1, expect + 100] {
-                let got = intersect_into(ta.view(), tb.view(), &mut out, bound, policy);
-                assert_eq!(
-                    got,
-                    (expect >= bound).then_some(expect),
-                    "{policy:?} {bound}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn dense_result_compresses_when_small() {
         let cap = 100_000;
         // Two dense sets with a tiny overlap.
-        let a = random_ids(cap, 40_000, 17);
-        let b = random_ids(cap, 200, 19);
-        let ta = TidSet::from_sorted_ids(a, cap, TidPolicy::Dense);
-        let tb = TidSet::from_sorted_ids(b, cap, TidPolicy::Dense);
-        let inter = ta.intersection(&tb, TidPolicy::Adaptive);
+        let ta = forced(&random_ids(cap, 40_000, 17), cap, false);
+        let tb = forced(&random_ids(cap, 200, 19), cap, false);
+        let inter = ta.intersection(&tb);
         assert!(inter.is_sparse(), "small result must compress");
         assert_eq!(
             inter.count(),
             ta.to_bitset().intersection_count(&tb.to_bitset())
         );
-        // Under the forced-dense policy it stays dense.
-        assert!(!ta.intersection(&tb, TidPolicy::Dense).is_sparse());
     }
 
     #[test]
     fn buffers_are_reusable_across_kinds() {
         let cap = 2000;
         let mut out = TidBuf::new(cap);
-        let d1 = TidSet::from_sorted_ids(random_ids(cap, 900, 23), cap, TidPolicy::Dense);
-        let d2 = TidSet::from_sorted_ids(random_ids(cap, 900, 29), cap, TidPolicy::Dense);
-        let s1 = TidSet::from_sorted_ids(random_ids(cap, 20, 31), cap, TidPolicy::Sparse);
+        let d1 = forced(&random_ids(cap, 900, 23), cap, false);
+        let d2 = forced(&random_ids(cap, 900, 29), cap, false);
+        let s1 = forced(&random_ids(cap, 20, 31), cap, true);
         // dense∩dense (dense out) → sparse∩dense (sparse out) → again dense.
-        let c1 = intersect_into(d1.view(), d2.view(), &mut out, 0, TidPolicy::Dense).unwrap();
+        let c1 = intersect_into(d1.view(), d2.view(), &mut out, 0).unwrap();
         assert_eq!(c1 as usize, out.view().count());
-        let c2 = intersect_into(s1.view(), d2.view(), &mut out, 0, TidPolicy::Dense).unwrap();
+        let c2 = intersect_into(s1.view(), d2.view(), &mut out, 0).unwrap();
         assert_eq!(c2 as usize, out.view().count());
-        let c3 = intersect_into(d1.view(), d2.view(), &mut out, 0, TidPolicy::Dense).unwrap();
+        let c3 = intersect_into(d1.view(), d2.view(), &mut out, 0).unwrap();
         assert_eq!(c1, c3);
     }
 
     #[test]
     fn scratch_split_borrows() {
         let mut scratch = TidScratch::new(100, 3);
-        let a = TidSet::from_sorted_ids(vec![1, 5, 9, 50], 100, TidPolicy::Sparse);
-        let b = TidSet::from_sorted_ids(vec![5, 9, 70], 100, TidPolicy::Sparse);
-        intersect_into(
-            a.view(),
-            b.view(),
-            scratch.pair_level(),
-            0,
-            TidPolicy::Adaptive,
-        )
-        .unwrap();
+        let a = forced(&[1, 5, 9, 50], 100, true);
+        let b = forced(&[5, 9, 70], 100, true);
+        intersect_into(a.view(), b.view(), scratch.pair_level(), 0).unwrap();
         let (parent, out) = scratch.parent_and_out(1);
-        let c = intersect_into(parent.view(), a.view(), out, 0, TidPolicy::Adaptive).unwrap();
+        let c = intersect_into(parent.view(), a.view(), out, 0).unwrap();
         assert_eq!(c, 2);
         assert_eq!(
             scratch.level(1).view().iter().collect::<Vec<_>>(),
@@ -799,9 +683,9 @@ mod tests {
 
     /// Incremental `extend` must be structurally indistinguishable from
     /// from-scratch construction — same representation, same ids — for
-    /// random delta splits across every policy. This is the property
-    /// the incremental miner's byte-identity rests on, so it is checked
-    /// over a randomized sweep, not a couple of hand cases.
+    /// random delta splits. This is the property the incremental miner's
+    /// byte-identity rests on, so it is checked over a randomized sweep,
+    /// not a couple of hand cases.
     #[test]
     fn extend_equals_from_scratch_for_random_delta_splits() {
         for seed in 1u64..40 {
@@ -818,35 +702,28 @@ mod tests {
                 .collect();
             let mut all = base.clone();
             all.extend_from_slice(&delta);
-            for policy in [TidPolicy::Dense, TidPolicy::Sparse, TidPolicy::Adaptive] {
-                let mut inc = TidSet::from_sorted_ids(base.clone(), base_cap, policy);
-                inc.extend(new_cap, &delta, policy);
-                let scratch = TidSet::from_sorted_ids(all.clone(), new_cap, policy);
-                // PartialEq covers capacity, representation, and ids —
-                // structural identity, not just set equality.
-                assert_eq!(
-                    inc, scratch,
-                    "seed {seed} policy {policy:?} base_cap {base_cap} new_cap {new_cap}"
-                );
-            }
+            let mut inc = TidSet::from_sorted_ids(base, base_cap);
+            inc.extend(new_cap, &delta);
+            // PartialEq covers capacity, representation, and ids —
+            // structural identity, not just set equality.
+            assert_eq!(
+                inc,
+                TidSet::from_sorted_ids(all, new_cap),
+                "seed {seed} base_cap {base_cap} new_cap {new_cap}"
+            );
         }
     }
 
-    /// The two density-boundary crossings the adaptive policy can take
-    /// under a delta: sparse→dense when the delta outruns the threshold,
-    /// and dense→sparse when capacity growth raises the threshold past
-    /// an unchanged count.
+    /// The two density-boundary crossings a delta can cause: sparse→dense
+    /// when the delta outruns the threshold, and dense→sparse when
+    /// capacity growth raises the threshold past an unchanged count.
     #[test]
     fn extend_repicks_representation_across_the_boundary() {
-        // 1000-capacity adaptive threshold is 15; 200 ids are dense.
+        // 1000-capacity threshold is 15; 200 ids are dense.
         let ids: Vec<u32> = (0..200u32).collect();
-        let mut densify = TidSet::from_sorted_ids(vec![1, 5, 9], 1000, TidPolicy::Adaptive);
+        let mut densify = TidSet::from_sorted_ids(vec![1, 5, 9], 1000);
         assert!(densify.is_sparse());
-        densify.extend(
-            1200,
-            &(1000..1180u32).collect::<Vec<_>>(),
-            TidPolicy::Adaptive,
-        );
+        densify.extend(1200, &(1000..1180u32).collect::<Vec<_>>());
         assert!(
             !densify.is_sparse(),
             "delta past the threshold must densify"
@@ -856,33 +733,21 @@ mod tests {
         // 200 ids at capacity 1000 are dense (threshold 15); growing the
         // universe to 100k lifts the threshold to 1562 — with no new
         // ids, the set must sparsify.
-        let mut sparsify = TidSet::from_sorted_ids(ids.clone(), 1000, TidPolicy::Adaptive);
+        let mut sparsify = TidSet::from_sorted_ids(ids.clone(), 1000);
         assert!(!sparsify.is_sparse());
-        sparsify.extend(100_000, &[], TidPolicy::Adaptive);
+        sparsify.extend(100_000, &[]);
         assert!(
             sparsify.is_sparse(),
             "threshold growth past the count must sparsify"
         );
-        assert_eq!(
-            sparsify,
-            TidSet::from_sorted_ids(ids, 100_000, TidPolicy::Adaptive)
-        );
-
-        // Forced policies never switch.
-        let mut dense = TidSet::from_sorted_ids(vec![2], 100, TidPolicy::Dense);
-        dense.extend(100_000, &[5000], TidPolicy::Dense);
-        assert!(!dense.is_sparse());
-        let mut sparse = TidSet::from_sorted_ids((0..90u32).collect(), 100, TidPolicy::Sparse);
-        sparse.extend(110, &[100, 105], TidPolicy::Sparse);
-        assert!(sparse.is_sparse());
-        assert_eq!(sparse.count(), 92);
+        assert_eq!(sparsify, TidSet::from_sorted_ids(ids, 100_000));
     }
 
     #[test]
     #[should_panic(expected = "collides with the old universe")]
     fn extend_rejects_ids_inside_the_old_universe() {
-        let mut s = TidSet::from_sorted_ids(vec![1, 7], 10, TidPolicy::Adaptive);
-        s.extend(20, &[9, 12], TidPolicy::Adaptive);
+        let mut s = TidSet::from_sorted_ids(vec![1, 7], 10);
+        s.extend(20, &[9, 12]);
     }
 
     #[test]
@@ -890,10 +755,64 @@ mod tests {
         let full = TidSet::full(70);
         assert_eq!(full.count(), 70);
         assert!(!full.is_sparse());
-        let empty = TidSet::for_expected(70, 0, TidPolicy::Adaptive);
+        let empty = TidSet::for_expected(70, 0);
         assert!(empty.is_empty() && empty.is_sparse());
-        let inter = full.intersection(&empty, TidPolicy::Adaptive);
-        assert!(inter.is_empty());
+        assert!(full.intersection(&empty).is_empty());
         assert_eq!(TidSet::full(0).count(), 0);
+    }
+
+    proptest! {
+        /// Both representations, and the density-chosen one, hold exactly
+        /// the reference id set under every accessor.
+        #[test]
+        fn tidset_roundtrip_matches_reference(
+            cap in 1usize..500,
+            raw in proptest::collection::vec(0usize..500, 0..150)
+        ) {
+            let ids = sorted_ids(raw, cap);
+            let expect: Vec<usize> = ids.iter().map(|&x| x as usize).collect();
+            for ts in [
+                forced(&ids, cap, false),
+                forced(&ids, cap, true),
+                TidSet::from_sorted_ids(ids.clone(), cap),
+            ] {
+                prop_assert_eq!(ts.count(), ids.len());
+                prop_assert_eq!(ts.is_empty(), ids.is_empty());
+                prop_assert_eq!(ts.iter().collect::<Vec<_>>(), expect.clone());
+                prop_assert_eq!(ts.to_bitset().iter().collect::<Vec<_>>(), expect.clone());
+                for id in 0..cap {
+                    prop_assert_eq!(ts.contains(id), ids.binary_search(&(id as u32)).is_ok());
+                }
+            }
+        }
+
+        /// Every intersection kernel — galloping sparse∩sparse,
+        /// word-masked sparse∩dense, dense∩dense — agrees with the
+        /// reference intersection for every input-representation
+        /// combination, and the `minsup` early exit returns `Some(count)`
+        /// exactly when the true cardinality reaches the bound.
+        #[test]
+        fn tidset_intersection_matches_reference(
+            cap in 1usize..500,
+            a in proptest::collection::vec(0usize..500, 0..150),
+            b in proptest::collection::vec(0usize..500, 0..150),
+            bound in 0u32..40
+        ) {
+            let (a, b) = (sorted_ids(a, cap), sorted_ids(b, cap));
+            let expect = reference_intersection(&a, &b);
+            let truth = expect.len() as u32;
+            for sa in [false, true] {
+                for sb in [false, true] {
+                    let (ta, tb) = (forced(&a, cap, sa), forced(&b, cap, sb));
+                    let mut out = TidBuf::new(cap);
+                    let count = intersect_into(ta.view(), tb.view(), &mut out, 0);
+                    prop_assert_eq!(count, Some(truth));
+                    let got: Vec<u32> = out.view().iter().map(|t| t as u32).collect();
+                    prop_assert_eq!(got, expect.clone());
+                    let got = intersect_into(ta.view(), tb.view(), &mut out, bound);
+                    prop_assert_eq!(got, (truth >= bound).then_some(truth));
+                }
+            }
+        }
     }
 }

@@ -1,9 +1,7 @@
 //! Property-based tests for the mining substrate.
 
-use pm_datagen::{DatasetConfig, TargetSpec};
-use pm_rules::{
-    intersect_into, BitSet, MinerConfig, PrunePolicy, RuleMiner, Support, TidBuf, TidPolicy, TidSet,
-};
+use pm_datagen::DatasetConfig;
+use pm_rules::{BitSet, MinerConfig, RuleMiner, Support};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -33,86 +31,6 @@ proptest! {
         let seq = RuleMiner::new(config).with_threads(1).mine(&ds);
         let par = RuleMiner::new(config).with_threads(threads).mine(&ds);
         prop_assert_eq!(seq.rules(), par.rules());
-    }
-
-    /// Companion invariant: the forced-threshold representations —
-    /// all-dense and all-sparse — and the adaptive switch mine
-    /// bit-identical rule sets on randomized data, sequential or not.
-    #[test]
-    fn mining_is_tidset_policy_invariant(
-        seed in 0u64..1_000_000,
-        threads in 1usize..5,
-        n_txn in 40usize..120,
-    ) {
-        let ds = DatasetConfig::dataset_i()
-            .with_transactions(n_txn)
-            .with_items(30)
-            .generate(&mut StdRng::seed_from_u64(seed));
-        let config = MinerConfig {
-            min_support: Support::Fraction(0.05),
-            max_body_len: 3,
-            ..MinerConfig::default()
-        };
-        let dense = RuleMiner::new(config)
-            .with_threads(1)
-            .with_tidset(TidPolicy::Dense)
-            .mine(&ds);
-        for policy in [TidPolicy::Sparse, TidPolicy::Adaptive] {
-            let got = RuleMiner::new(config)
-                .with_threads(threads)
-                .with_tidset(policy)
-                .mine(&ds);
-            prop_assert_eq!(dense.rules(), got.rules());
-        }
-    }
-
-    /// Pruning invariant: the profit upper bound cuts only subtrees that
-    /// provably emit nothing, so pruned and unpruned mining produce
-    /// identical `MinedRules` — rules, order, `gen_index`, f64 profit
-    /// bits — on randomized data across every tidset policy and {1, 4}
-    /// threads. `single_target` concentrates margin on one item (the
-    /// dominance floor then reduces to its profit arm — the regime the
-    /// bound prunes hardest in) and `floor_on` enables the CLI's default
-    /// confidence + dominance filters so every arm of the viability
-    /// predicate is exercised.
-    #[test]
-    fn mining_is_prune_policy_invariant(
-        seed in 0u64..1_000_000,
-        n_txn in 40usize..120,
-        single_target in proptest::bool::ANY,
-        floor_on in proptest::bool::ANY,
-    ) {
-        let mut cfg = DatasetConfig::dataset_i()
-            .with_transactions(n_txn)
-            .with_items(30);
-        if single_target {
-            cfg.targets = TargetSpec::custom(vec![5.0], vec![1.0]);
-        }
-        let ds = cfg.generate(&mut StdRng::seed_from_u64(seed));
-        let config = MinerConfig {
-            min_support: Support::Fraction(0.05),
-            max_body_len: 3,
-            min_confidence: floor_on.then_some(0.5),
-            min_rule_profit: floor_on.then_some(2.0),
-            prune_default_dominated: floor_on,
-            ..MinerConfig::default()
-        };
-        for policy in [TidPolicy::Dense, TidPolicy::Sparse, TidPolicy::Adaptive] {
-            for threads in [1usize, 4] {
-                let mine = |prune| RuleMiner::new(config)
-                    .with_threads(threads)
-                    .with_tidset(policy)
-                    .with_prune(prune)
-                    .mine(&ds);
-                let off = mine(PrunePolicy::Off);
-                let on = mine(PrunePolicy::Upper);
-                prop_assert_eq!(off.rules(), on.rules());
-                for (a, b) in off.rules().iter().zip(on.rules().iter()) {
-                    prop_assert_eq!(a.profit.to_bits(), b.profit.to_bits());
-                    prop_assert_eq!(a.gen_index, b.gen_index);
-                }
-            }
-        }
     }
 }
 
@@ -172,93 +90,6 @@ proptest! {
         // AND is idempotent and commutative.
         prop_assert_eq!(inter.intersection(&sa), inter.clone());
         prop_assert_eq!(sb.intersection(&sa), inter);
-    }
-
-    /// Sparse ↔ dense round-trip: a tidset built under any policy holds
-    /// exactly the reference id set, under every accessor.
-    #[test]
-    fn tidset_roundtrip_matches_reference(
-        cap in 1usize..500,
-        raw in proptest::collection::vec(0usize..500, 0..150)
-    ) {
-        let model: BTreeSet<usize> = raw.into_iter().map(|x| x % cap).collect();
-        let ids: Vec<u32> = model.iter().map(|&x| x as u32).collect();
-        for policy in [TidPolicy::Dense, TidPolicy::Sparse, TidPolicy::Adaptive] {
-            let ts = TidSet::from_sorted_ids(ids.clone(), cap, policy);
-            prop_assert_eq!(ts.count(), model.len());
-            prop_assert_eq!(ts.is_empty(), model.is_empty());
-            prop_assert_eq!(
-                ts.iter().collect::<Vec<_>>(),
-                model.iter().cloned().collect::<Vec<_>>()
-            );
-            for id in 0..cap {
-                prop_assert_eq!(ts.contains(id), model.contains(&id));
-            }
-            // Through the dense representation and back.
-            let back = TidSet::from_bitset(ts.to_bitset(), TidPolicy::Sparse);
-            prop_assert_eq!(
-                back.iter().collect::<Vec<_>>(),
-                model.iter().cloned().collect::<Vec<_>>()
-            );
-        }
-    }
-
-    /// Every intersection kernel — galloping sparse∩sparse, word-masked
-    /// sparse∩dense, dense∩dense — agrees with the reference `BitSet`
-    /// intersection, for every input-representation combination.
-    #[test]
-    fn tidset_intersection_matches_reference(
-        cap in 1usize..500,
-        a in proptest::collection::vec(0usize..500, 0..150),
-        b in proptest::collection::vec(0usize..500, 0..150)
-    ) {
-        let ma: BTreeSet<usize> = a.into_iter().map(|x| x % cap).collect();
-        let mb: BTreeSet<usize> = b.into_iter().map(|x| x % cap).collect();
-        let mut sa = BitSet::new(cap);
-        let mut sb = BitSet::new(cap);
-        for &x in &ma { sa.insert(x); }
-        for &x in &mb { sb.insert(x); }
-        let expect: Vec<usize> = sa.intersection(&sb).iter().collect();
-
-        let a_ids: Vec<u32> = ma.iter().map(|&x| x as u32).collect();
-        let b_ids: Vec<u32> = mb.iter().map(|&x| x as u32).collect();
-        for pa in [TidPolicy::Dense, TidPolicy::Sparse] {
-            for pb in [TidPolicy::Dense, TidPolicy::Sparse] {
-                let ta = TidSet::from_sorted_ids(a_ids.clone(), cap, pa);
-                let tb = TidSet::from_sorted_ids(b_ids.clone(), cap, pb);
-                let mut out = TidBuf::new(cap);
-                let count = intersect_into(ta.view(), tb.view(), &mut out, 0, TidPolicy::Adaptive)
-                    .expect("bound 0 never exits early");
-                prop_assert_eq!(count as usize, expect.len());
-                prop_assert_eq!(out.view().iter().collect::<Vec<_>>(), expect.clone());
-            }
-        }
-    }
-
-    /// The minsup-early-exit contract: `Some(count)` exactly when the
-    /// true intersection cardinality reaches the bound, with the exact
-    /// count — under every representation combination.
-    #[test]
-    fn tidset_bounded_count_matches_reference(
-        cap in 1usize..500,
-        a in proptest::collection::vec(0usize..500, 0..150),
-        b in proptest::collection::vec(0usize..500, 0..150),
-        bound in 0u32..40
-    ) {
-        let ma: BTreeSet<u32> = a.into_iter().map(|x| (x % cap) as u32).collect();
-        let mb: BTreeSet<u32> = b.into_iter().map(|x| (x % cap) as u32).collect();
-        let truth = ma.intersection(&mb).count() as u32;
-        let a_ids: Vec<u32> = ma.into_iter().collect();
-        let b_ids: Vec<u32> = mb.into_iter().collect();
-        for pa in [TidPolicy::Dense, TidPolicy::Sparse] {
-            for pb in [TidPolicy::Dense, TidPolicy::Sparse] {
-                let ta = TidSet::from_sorted_ids(a_ids.clone(), cap, pa);
-                let tb = TidSet::from_sorted_ids(b_ids.clone(), cap, pb);
-                let mut out = TidBuf::new(cap);
-                let got = intersect_into(ta.view(), tb.view(), &mut out, bound, TidPolicy::Adaptive);
-                prop_assert_eq!(got, (truth >= bound).then_some(truth));
-            }
-        }
     }
 
     /// Support resolution: at least 1, monotone in the fraction, exact on

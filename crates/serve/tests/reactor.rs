@@ -350,6 +350,34 @@ fn non_utf8_request_bytes_get_an_error_line_and_are_counted() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A 20 KB line of `[` used to recurse the JSON parser once per bracket
+/// and overflow the reactor thread's stack — an abort that took the
+/// whole daemon down. The parser now refuses nesting past 128 levels,
+/// so the client gets an error line, the event is counted, and the same
+/// connection keeps being served.
+#[test]
+fn deeply_nested_request_gets_an_error_line_not_a_crash() {
+    let _guard = faults::test_lock();
+    let fix = fixture();
+    let dir = tmp_dir("nested");
+    let path = sealed_model_file(&dir, "model.pm", fix);
+    let server = Server::start("127.0.0.1:0", &path, ServeConfig::default()).unwrap();
+    let mut c = Client::connect(server.addr());
+
+    let resp = c.send(&"[".repeat(20_000));
+    assert!(resp.starts_with(r#"{"ok":false,"error":"#), "{resp}");
+    assert!(resp.contains("nesting deeper than 128"), "{resp}");
+    let pong = c.send(r#"{"op":"ping"}"#);
+    assert!(pong.contains(r#""op":"pong""#), "{pong}");
+    let stats = c.send(r#"{"op":"stats"}"#);
+    assert_eq!(json_u64(&stats, "parse_errors"), 1, "{stats}");
+    assert_eq!(json_u64(&stats, "worker_panics"), 0, "{stats}");
+
+    assert!(c.send(r#"{"op":"shutdown"}"#).contains("bye"));
+    server.join();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Pipelined clients get responses strictly in request order, even when
 /// inline ops (ping) interleave with pool-computed recommendations.
 #[test]

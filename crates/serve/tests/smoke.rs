@@ -4,8 +4,9 @@
 //! blown deadlines, corrupt reloads — asserting the daemon stays up and
 //! every answer is either correct or explicitly flagged degraded.
 //!
-//! Fault-injecting tests serialize on `pm_store::faults::test_lock()`;
-//! the rest run concurrently, each against its own daemon.
+//! The fault hooks are process-global, so every test holds
+//! `pm_store::faults::test_lock()` for its whole body: an armed hook
+//! never leaks into a concurrently scheduled test in this binary.
 
 use pm_datagen::DatasetConfig;
 use pm_rules::{MinerConfig, Support};
@@ -133,6 +134,7 @@ fn assert_ok(line: &str) {
 
 #[test]
 fn concurrent_recommends_match_the_offline_matcher_byte_for_byte() {
+    let _guard = faults::test_lock();
     let fix = fixture();
     let dir = tmp_dir("conc");
     let path = sealed_model_file(&dir, "model.pm", fix);
@@ -164,6 +166,7 @@ fn concurrent_recommends_match_the_offline_matcher_byte_for_byte() {
 
 #[test]
 fn ping_stats_and_protocol_errors_leave_the_connection_usable() {
+    let _guard = faults::test_lock();
     let fix = fixture();
     let dir = tmp_dir("ping");
     let path = sealed_model_file(&dir, "model.pm", fix);
@@ -201,6 +204,7 @@ fn ping_stats_and_protocol_errors_leave_the_connection_usable() {
 
 #[test]
 fn hot_reload_swaps_the_model_atomically() {
+    let _guard = faults::test_lock();
     let fix_a = fixture();
     let fix_b = fixture_b();
     let dir = tmp_dir("reload");
@@ -381,6 +385,7 @@ fn overload_sheds_with_an_error_line_instead_of_queueing_forever() {
 
 #[test]
 fn slow_and_oversized_clients_are_disconnected_not_leaked() {
+    let _guard = faults::test_lock();
     let fix = fixture();
     let dir = tmp_dir("slow");
     let path = sealed_model_file(&dir, "model.pm", fix);
@@ -425,6 +430,7 @@ fn slow_and_oversized_clients_are_disconnected_not_leaked() {
 
 #[test]
 fn legacy_raw_json_model_files_still_serve() {
+    let _guard = faults::test_lock();
     let fix = fixture();
     let dir = tmp_dir("legacy");
     let path = dir.join("legacy-model.json");
@@ -444,6 +450,7 @@ fn legacy_raw_json_model_files_still_serve() {
 
 #[test]
 fn top_k_recommendations_match_the_offline_model() {
+    let _guard = faults::test_lock();
     let fix = fixture();
     let dir = tmp_dir("topk");
     let path = sealed_model_file(&dir, "model.pm", fix);
@@ -477,6 +484,7 @@ fn top_k_recommendations_match_the_offline_model() {
 
 #[test]
 fn targeted_recommends_match_the_offline_model_and_bad_specs_error() {
+    let _guard = faults::test_lock();
     let fix = fixture();
     let dir = tmp_dir("target");
     let path = sealed_model_file(&dir, "model.pm", fix);

@@ -4,7 +4,8 @@
 //! that leave the stream untouched, and the control-plane admission
 //! cap that bounds overlapping reloads deterministically.
 //!
-//! Fault-injecting tests serialize on `pm_store::faults::test_lock()`.
+//! The fault hooks are process-global, so every test holds
+//! `pm_store::faults::test_lock()` for its whole body.
 
 use pm_datagen::DatasetConfig;
 use pm_rules::{MinerConfig, Support};
@@ -119,6 +120,7 @@ fn expected_line(model: &RuleModel, customer: &[Sale]) -> String {
 /// same model again from replay alone.
 #[test]
 fn wire_ingests_hot_swap_to_the_concatenated_batch_fit() {
+    let _guard = faults::test_lock();
     let s = stream(7);
     let full_model = pipeline().fit(&s.full);
     let head_model = pipeline().fit(&s.head);
@@ -199,6 +201,7 @@ fn wire_ingests_hot_swap_to_the_concatenated_batch_fit() {
 
 #[test]
 fn ingest_on_a_model_file_daemon_is_refused_and_harmless() {
+    let _guard = faults::test_lock();
     let s = stream(11);
     let model = pipeline().fit(&s.head);
     let dir = tmp_dir("nostream");
@@ -231,6 +234,7 @@ fn ingest_on_a_model_file_daemon_is_refused_and_harmless() {
 
 #[test]
 fn rejected_batches_leave_stream_log_and_model_untouched() {
+    let _guard = faults::test_lock();
     let s = stream(23);
     let dir = tmp_dir("reject");
     let log = dir.join("sales.log");
@@ -345,119 +349,109 @@ fn overlapping_reloads_cap_deterministically_at_the_queue_depth() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// One full checkpoint lifecycle per (tidset, prune) combination: ingest,
-/// checkpoint (which compacts the log), ingest a tail, restart — and
+/// One full checkpoint lifecycle: ingest, checkpoint (which compacts
+/// the log), ingest a tail, restart — and
 /// answer `recommend` and `stats` byte-identically to a daemon that
 /// recovered the same stream by replaying its whole (uncompacted) log.
 #[test]
 fn checkpoint_restart_matches_full_log_replay_byte_for_byte() {
-    use pm_rules::{PrunePolicy, TidPolicy};
-    for (tag, tidset, prune) in [
-        ("sparse-upper", TidPolicy::Sparse, PrunePolicy::Upper),
-        ("dense-off", TidPolicy::Dense, PrunePolicy::Off),
-    ] {
-        let pipe = || pipeline().with_tidset(tidset).with_prune(prune);
-        let s = stream(43);
-        let full_model = pipe().fit(&s.full);
-        let customers: Vec<Vec<Sale>> = s
-            .full
-            .transactions()
-            .iter()
-            .skip(320)
-            .take(10)
-            .map(|t| t.non_target_sales().to_vec())
-            .collect();
+    let _guard = faults::test_lock();
+    let s = stream(43);
+    let full_model = pipeline().fit(&s.full);
+    let customers: Vec<Vec<Sale>> = s
+        .full
+        .transactions()
+        .iter()
+        .skip(320)
+        .take(10)
+        .map(|t| t.non_target_sales().to_vec())
+        .collect();
 
-        let dir = tmp_dir(&format!("ck-{tag}"));
-        let (log_a, log_b, ck) = (dir.join("a.log"), dir.join("b.log"), dir.join("ck.pmck"));
-        let cfg_a = || ServeConfig {
-            checkpoint: Some(ck.clone()),
-            ..ServeConfig::default()
-        };
+    let dir = tmp_dir("ck");
+    let (log_a, log_b, ck) = (dir.join("a.log"), dir.join("b.log"), dir.join("ck.pmck"));
+    let cfg_a = || ServeConfig {
+        checkpoint: Some(ck.clone()),
+        ..ServeConfig::default()
+    };
 
-        // Daemon A: ingest, checkpoint (compacting the log), ingest.
-        let server =
-            Server::start_streaming("127.0.0.1:0", s.head.clone(), &log_a, pipe(), cfg_a())
-                .unwrap();
-        let mut c = Client::connect(server.addr());
-        assert!(c
-            .send(&ingest_line(&s.batches[0]))
-            .contains(r#""generation":2"#));
-        let resp = c.send(r#"{"op":"checkpoint"}"#);
-        assert!(resp.contains(r#""op":"checkpointed""#), "{resp}");
-        assert!(resp.contains(r#""stream_pos":1"#), "{resp}");
-        assert!(resp.contains(r#""dropped":1"#), "{resp}");
-        assert!(resp.contains(r#""retained":0"#), "{resp}");
-        assert!(c
-            .send(&ingest_line(&s.batches[1]))
-            .contains(r#""generation":3"#));
-        assert!(c.send(r#"{"op":"shutdown"}"#).starts_with(r#"{"ok":true"#));
-        assert_eq!(server.join().ingests, 2);
-
-        // Daemon B: the same stream, never checkpointed.
-        let server = Server::start_streaming(
-            "127.0.0.1:0",
-            s.head.clone(),
-            &log_b,
-            pipe(),
-            ServeConfig::default(),
-        )
-        .unwrap();
-        let mut c = Client::connect(server.addr());
-        for b in &s.batches {
-            assert!(c.send(&ingest_line(b)).contains(r#""op":"ingested""#));
-        }
-        assert!(c.send(r#"{"op":"shutdown"}"#).starts_with(r#"{"ok":true"#));
-        server.join();
-
-        // A compacted log alone cannot rebuild the stream: restarting
-        // without the checkpoint is a typed refusal, not silent data loss.
-        let err = Server::start_streaming(
-            "127.0.0.1:0",
-            s.head.clone(),
-            &log_a,
-            pipe(),
-            ServeConfig::default(),
-        )
-        .err()
-        .expect("compacted log without checkpoint must refuse to start");
-        assert!(err.to_string().contains("compacted to base 1"), "{err}");
-
-        // Restart both recovery paths and interrogate them identically.
-        let a = Server::start_streaming("127.0.0.1:0", s.head.clone(), &log_a, pipe(), cfg_a())
+    // Daemon A: ingest, checkpoint (compacting the log), ingest.
+    let server =
+        Server::start_streaming("127.0.0.1:0", s.head.clone(), &log_a, pipeline(), cfg_a())
             .unwrap();
-        let b = Server::start_streaming(
-            "127.0.0.1:0",
-            s.head.clone(),
-            &log_b,
-            pipe(),
-            ServeConfig::default(),
-        )
-        .unwrap();
-        let mut ca = Client::connect(a.addr());
-        let mut cb = Client::connect(b.addr());
-        for customer in &customers {
-            let line = recommend_line(customer);
-            let (ra, rb) = (ca.send(&line), cb.send(&line));
-            assert_eq!(ra, rb, "{tag}: checkpoint+tail vs full replay");
-            assert_eq!(
-                ra,
-                expected_line(&full_model, customer),
-                "{tag}: vs cold fit"
-            );
-        }
-        assert_eq!(
-            ca.send(r#"{"op":"stats"}"#),
-            cb.send(r#"{"op":"stats"}"#),
-            "{tag}: stats must be byte-identical across recovery paths"
-        );
-        for c in [&mut ca, &mut cb] {
-            assert!(c.send(r#"{"op":"shutdown"}"#).starts_with(r#"{"ok":true"#));
-        }
-        a.join();
-        b.join();
-        std::fs::remove_dir_all(&dir).ok();
+    let mut c = Client::connect(server.addr());
+    assert!(c
+        .send(&ingest_line(&s.batches[0]))
+        .contains(r#""generation":2"#));
+    let resp = c.send(r#"{"op":"checkpoint"}"#);
+    assert!(resp.contains(r#""op":"checkpointed""#), "{resp}");
+    assert!(resp.contains(r#""stream_pos":1"#), "{resp}");
+    assert!(resp.contains(r#""dropped":1"#), "{resp}");
+    assert!(resp.contains(r#""retained":0"#), "{resp}");
+    assert!(c
+        .send(&ingest_line(&s.batches[1]))
+        .contains(r#""generation":3"#));
+    assert!(c.send(r#"{"op":"shutdown"}"#).starts_with(r#"{"ok":true"#));
+    assert_eq!(server.join().ingests, 2);
+
+    // Daemon B: the same stream, never checkpointed.
+    let server = Server::start_streaming(
+        "127.0.0.1:0",
+        s.head.clone(),
+        &log_b,
+        pipeline(),
+        ServeConfig::default(),
+    )
+    .unwrap();
+    let mut c = Client::connect(server.addr());
+    for b in &s.batches {
+        assert!(c.send(&ingest_line(b)).contains(r#""op":"ingested""#));
     }
+    assert!(c.send(r#"{"op":"shutdown"}"#).starts_with(r#"{"ok":true"#));
+    server.join();
+
+    // A compacted log alone cannot rebuild the stream: restarting
+    // without the checkpoint is a typed refusal, not silent data loss.
+    let err = Server::start_streaming(
+        "127.0.0.1:0",
+        s.head.clone(),
+        &log_a,
+        pipeline(),
+        ServeConfig::default(),
+    )
+    .err()
+    .expect("compacted log without checkpoint must refuse to start");
+    assert!(err.to_string().contains("compacted to base 1"), "{err}");
+
+    // Restart both recovery paths and interrogate them identically.
+    let a = Server::start_streaming("127.0.0.1:0", s.head.clone(), &log_a, pipeline(), cfg_a())
+        .unwrap();
+    let b = Server::start_streaming(
+        "127.0.0.1:0",
+        s.head.clone(),
+        &log_b,
+        pipeline(),
+        ServeConfig::default(),
+    )
+    .unwrap();
+    let mut ca = Client::connect(a.addr());
+    let mut cb = Client::connect(b.addr());
+    for customer in &customers {
+        let line = recommend_line(customer);
+        let (ra, rb) = (ca.send(&line), cb.send(&line));
+        assert_eq!(ra, rb, "checkpoint+tail vs full replay");
+        assert_eq!(ra, expected_line(&full_model, customer), "vs cold fit");
+    }
+    assert_eq!(
+        ca.send(r#"{"op":"stats"}"#),
+        cb.send(r#"{"op":"stats"}"#),
+        "stats must be byte-identical across recovery paths"
+    );
+    for c in [&mut ca, &mut cb] {
+        assert!(c.send(r#"{"op":"shutdown"}"#).starts_with(r#"{"ok":true"#));
+    }
+    a.join();
+    b.join();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A corrupt checkpoint degrades, never lies: with the whole stream
@@ -465,6 +459,7 @@ fn checkpoint_restart_matches_full_log_replay_byte_for_byte() {
 /// compacted log it refuses to start (the stream is unrecoverable).
 #[test]
 fn corrupt_checkpoint_falls_back_only_while_the_log_is_complete() {
+    let _guard = faults::test_lock();
     let s = stream(47);
     let full_model = pipeline().fit(&s.full);
     let dir = tmp_dir("ck-corrupt");
@@ -515,6 +510,7 @@ fn corrupt_checkpoint_falls_back_only_while_the_log_is_complete() {
 /// log: an oversized batch costs a parse, nothing else.
 #[test]
 fn oversized_ingest_batches_are_refused_before_admission() {
+    let _guard = faults::test_lock();
     let s = stream(53);
     let dir = tmp_dir("caps");
 
@@ -571,6 +567,7 @@ fn oversized_ingest_batches_are_refused_before_admission() {
 /// from the log.
 #[test]
 fn catalog_growth_over_the_wire_matches_the_cold_fit() {
+    let _guard = faults::test_lock();
     use pm_txn::{CatalogDelta, CodeId, ItemDef, ItemId, Money, NewItem, PromotionCode};
     let s = stream(59);
     let base_items = s.head.catalog().len() as u32;

@@ -48,6 +48,7 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -147,9 +148,17 @@ fn write_str(out: &mut String, s: &str) {
 
 // ---- parser ----
 
+/// Deepest array/object nesting [`from_str`] accepts. The parser recurses
+/// once per level, so without a cap a short line of `[` (a 20 KB one is
+/// enough) overflows the thread's stack — an abort no `catch_unwind`
+/// can stop. Nothing this workspace writes nests more than a few levels.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -191,8 +200,19 @@ impl<'a> Parser<'a> {
             Some(b't') => self.eat_lit("true", Value::Bool(true)),
             Some(b'f') => self.eat_lit("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(c @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if c == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(self.err(&format!("unexpected {:?}", c as char))),
             None => Err(self.err("unexpected end of input")),
@@ -467,6 +487,20 @@ mod tests {
         let original = format!("{plain}\"quote\\slash\n{plain}🦀");
         let v = round_trip(&Value::Str(original.clone()));
         assert_eq!(v, Value::Str(original));
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |open: &str, close: &str, n: usize| open.repeat(n) + &close.repeat(n);
+        assert!(from_str::<Value>(&nested("[", "]", MAX_DEPTH)).is_ok());
+        let deep = from_str::<Value>(&nested("[", "]", MAX_DEPTH + 1)).unwrap_err();
+        assert!(
+            deep.to_string().contains("nesting deeper than 128"),
+            "{deep}"
+        );
+        assert!(from_str::<Value>(&nested("{\"k\":", "}", MAX_DEPTH + 1)).is_err());
+        // A megabyte of `[` is refused after 128 levels, not by the stack.
+        assert!(from_str::<Value>(&"[".repeat(1 << 20)).is_err());
     }
 
     #[test]

@@ -87,6 +87,7 @@ mod tests {
 
     #[test]
     fn save_load_round_trips_and_is_byte_deterministic() {
+        let _guard = crate::faults::test_lock();
         let dir = tmp_dir("rt");
         let p = dir.join("state.ckpt");
         save(&p, b"{\"stream_pos\":7}").unwrap();
@@ -104,6 +105,7 @@ mod tests {
 
     #[test]
     fn checkpoint_reuses_envelope_validation_not_a_fork() {
+        let _guard = crate::faults::test_lock();
         let dir = tmp_dir("reuse");
         let p = dir.join("state.ckpt");
         save(&p, b"payload").unwrap();
@@ -149,6 +151,7 @@ mod tests {
 
     #[test]
     fn replay_decision_table() {
+        let _guard = crate::faults::test_lock();
         // (checkpoint_pos, log_base, log_records) → skip or typed error.
         assert_eq!(plan_replay(0, 0, 0).unwrap(), 0); // fresh everything
         assert_eq!(plan_replay(0, 0, 5).unwrap(), 0); // full replay

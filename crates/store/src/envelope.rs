@@ -145,6 +145,7 @@ mod tests {
 
     #[test]
     fn crc32_known_vectors() {
+        let _guard = crate::faults::test_lock();
         // Standard IEEE check values.
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
@@ -156,6 +157,7 @@ mod tests {
 
     #[test]
     fn seal_open_round_trip_is_byte_deterministic() {
+        let _guard = crate::faults::test_lock();
         for payload in [b"".as_slice(), b"x", b"{\"rules\":[1,2,3]}"] {
             let sealed = seal(payload);
             assert_eq!(sealed, seal(payload), "sealing must be deterministic");
@@ -165,6 +167,7 @@ mod tests {
 
     #[test]
     fn header_layout_is_stable() {
+        let _guard = crate::faults::test_lock();
         let sealed = seal(b"abc");
         assert_eq!(&sealed[0..4], b"PMDL");
         assert_eq!(u32::from_le_bytes(sealed[4..8].try_into().unwrap()), 1);
@@ -174,6 +177,7 @@ mod tests {
 
     #[test]
     fn rejects_every_header_corruption() {
+        let _guard = crate::faults::test_lock();
         let sealed = seal(b"payload-bytes");
         // Too short to even hold a header.
         assert_eq!(
@@ -235,6 +239,7 @@ mod tests {
 
     #[test]
     fn future_version_error_names_both_versions() {
+        let _guard = crate::faults::test_lock();
         // A v1 reader handed v2 bytes must say what it found *and* what
         // it can read, so the operator knows which side to upgrade.
         let mut v2 = seal(b"future payload");
@@ -257,6 +262,7 @@ mod tests {
 
     #[test]
     fn magic_parameterized_seal_open_round_trips_and_cross_rejects() {
+        let _guard = crate::faults::test_lock();
         let ck = *b"PMCK";
         let sealed = seal_with_magic(ck, b"checkpoint payload");
         // Same header layout, different magic, same payload validation.

@@ -31,11 +31,12 @@
 //!   that a panic there is unwind-isolated (counted, logged, connection
 //!   dropped) instead of killing the worker thread.
 //!
-//! Because the hooks are process-global, tests that use them must not
-//! run concurrently with each other: take [`test_lock`] first (it also
-//! recovers from a poisoned lock, so one failing test cannot cascade)
-//! and hold the [`FaultGuard`] it returns — all hooks reset when the
-//! guard drops.
+//! Because the hooks are process-global, an armed hook is visible to
+//! every test running concurrently in the same binary. So every test in
+//! a binary that arms a hook — not only the ones that arm it — takes
+//! [`test_lock`] first (it also recovers from a poisoned lock, so one
+//! failing test cannot cascade) and holds the [`FaultGuard`] it returns
+//! for its whole body; all hooks reset when the guard drops.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -258,6 +259,7 @@ mod tests {
 
     #[test]
     fn guard_resets_on_drop() {
+        // Takes the lock twice in turn, to watch the first guard's drop.
         {
             let _guard = test_lock();
             set_short_read_at(Some(1));

@@ -387,6 +387,7 @@ mod tests {
 
     #[test]
     fn atomic_write_round_trips() {
+        let _guard = crate::faults::test_lock();
         let dir = tmp_dir("rt");
         let p = dir.join("file.bin");
         write_atomic(&p, b"hello").unwrap();
@@ -399,6 +400,7 @@ mod tests {
 
     #[test]
     fn atomic_write_leaves_no_temp_litter() {
+        let _guard = crate::faults::test_lock();
         let dir = tmp_dir("litter");
         write_atomic(dir.join("a.json"), b"{}").unwrap();
         let names: Vec<String> = std::fs::read_dir(&dir)
@@ -441,12 +443,14 @@ mod tests {
 
     #[test]
     fn write_to_missing_directory_is_io_error() {
+        let _guard = crate::faults::test_lock();
         let err = write_atomic("/nonexistent-dir-pm/file.bin", b"x").unwrap_err();
         assert!(matches!(err, StoreError::Io { .. }), "{err}");
     }
 
     #[test]
     fn sealed_save_and_load() {
+        let _guard = crate::faults::test_lock();
         let dir = tmp_dir("sealed");
         let p = dir.join("model.pm");
         save_sealed(&p, b"{\"rules\":[]}").unwrap();
@@ -458,6 +462,7 @@ mod tests {
 
     #[test]
     fn legacy_raw_json_still_loads() {
+        let _guard = crate::faults::test_lock();
         let dir = tmp_dir("legacy");
         let p = dir.join("old-model.json");
         std::fs::write(&p, b"{\"catalog\":{}}").unwrap();
@@ -469,6 +474,7 @@ mod tests {
 
     #[test]
     fn error_messages_name_the_failure() {
+        let _guard = crate::faults::test_lock();
         let e = StoreError::Truncated {
             expected: 100,
             found: 7,

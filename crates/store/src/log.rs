@@ -322,6 +322,7 @@ mod tests {
 
     #[test]
     fn create_append_replay_round_trip() {
+        let _guard = crate::faults::test_lock();
         let dir = tmp_dir("rt");
         let p = dir.join("sales.log");
         let (log, rec) = SalesLog::open(&p).unwrap();
@@ -345,6 +346,7 @@ mod tests {
 
     #[test]
     fn header_layout_is_stable() {
+        let _guard = crate::faults::test_lock();
         let dir = tmp_dir("hdr");
         let p = dir.join("sales.log");
         SalesLog::open(&p).unwrap();
@@ -357,6 +359,7 @@ mod tests {
 
     #[test]
     fn wrong_magic_and_version_are_typed_errors() {
+        let _guard = crate::faults::test_lock();
         let dir = tmp_dir("magic");
         let p = dir.join("sales.log");
         SalesLog::open(&p).unwrap();
@@ -382,6 +385,7 @@ mod tests {
 
     #[test]
     fn compaction_drops_covered_records_and_records_the_base() {
+        let _guard = crate::faults::test_lock();
         let dir = tmp_dir("compact");
         let p = dir.join("sales.log");
         let (log, _) = SalesLog::open(&p).unwrap();
@@ -427,6 +431,7 @@ mod tests {
 
     #[test]
     fn compaction_bounds_are_typed_errors() {
+        let _guard = crate::faults::test_lock();
         let dir = tmp_dir("compact-bounds");
         let p = dir.join("sales.log");
         let (log, _) = SalesLog::open(&p).unwrap();
@@ -518,6 +523,7 @@ mod tests {
 
     #[test]
     fn empty_file_is_a_typed_error() {
+        let _guard = crate::faults::test_lock();
         let dir = tmp_dir("empty");
         let p = dir.join("sales.log");
         std::fs::write(&p, b"").unwrap();

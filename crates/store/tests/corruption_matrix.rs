@@ -4,7 +4,8 @@
 //!
 //! Fault injection is deterministic (`pm_store::faults` fires at exact
 //! byte offsets), so each row of the matrix is a fixed, reproducible
-//! scenario, not a fuzz roll.
+//! scenario, not a fuzz roll. The hooks are process-global, so every
+//! test holds `faults::test_lock()` for its whole body.
 
 use pm_store::envelope::{self, FORMAT_VERSION, HEADER_LEN};
 use pm_store::{faults, load_model_file, read_file, save_sealed, write_atomic, StoreError};
@@ -21,6 +22,7 @@ const PAYLOAD: &[u8] = br#"{"rules":[{"item":3,"code":0}],"note":"corruption mat
 
 #[test]
 fn good_file_round_trips_byte_identically() {
+    let _guard = faults::test_lock();
     let dir = tmp_dir("good");
     let p = dir.join("model.pm");
     save_sealed(&p, PAYLOAD).unwrap();
@@ -119,6 +121,7 @@ fn flipped_payload_byte_is_a_checksum_mismatch() {
 
 #[test]
 fn wrong_version_and_wrong_magic_are_typed_errors() {
+    let _guard = faults::test_lock();
     let dir = tmp_dir("header");
     let sealed = envelope::seal(PAYLOAD);
 
@@ -162,6 +165,7 @@ fn wrong_version_and_wrong_magic_are_typed_errors() {
 
 #[test]
 fn trailing_garbage_is_rejected() {
+    let _guard = faults::test_lock();
     let dir = tmp_dir("trailing");
     let mut doubled = envelope::seal(PAYLOAD);
     doubled.extend_from_slice(b"junk after the payload");
@@ -215,6 +219,7 @@ fn torn_write_never_damages_the_previous_file() {
 /// variants, not generic I/O noise.
 #[test]
 fn empty_file_and_directory_have_typed_errors() {
+    let _guard = faults::test_lock();
     let dir = tmp_dir("typed");
     let p = dir.join("empty.pm");
     std::fs::write(&p, b"").unwrap();

@@ -2,7 +2,8 @@
 //! `corruption_matrix.rs`: torn final records at exact byte offsets,
 //! bit-flipped CRCs, truncation at every interesting offset, and
 //! replay-after-crash idempotence — all driven through the
-//! deterministic `pm_store::faults` hooks.
+//! deterministic `pm_store::faults` hooks. The hooks are process-global,
+//! so every test holds `faults::test_lock()` for its whole body.
 
 use pm_store::log::{Recovery, SalesLog, HEADER_LEN, RECORD_HEADER_LEN};
 use pm_store::{faults, StoreError};
@@ -93,6 +94,7 @@ fn torn_final_record_recovers_to_the_previous_batch() {
 /// by truncation.
 #[test]
 fn truncation_at_every_offset() {
+    let _guard = faults::test_lock();
     let dir = tmp_dir("trunc");
     let p = seeded_log(&dir);
     let full = std::fs::read(&p).unwrap();

@@ -71,8 +71,8 @@ pub mod prelude {
         EvalOptions, EvalOutcome, Table,
     };
     pub use pm_rules::{
-        IncrementalMiner, MinedRules, MinerConfig, MoaMode, ProfitMode, PrunePolicy, QuantityModel,
-        Rule, RuleMiner, Support, TidPolicy,
+        IncrementalMiner, MinedRules, MinerConfig, MoaMode, ProfitMode, QuantityModel, Rule,
+        RuleMiner, Support,
     };
     pub use pm_txn::{
         Catalog, CatalogBuilder, CodeId, ConceptId, GenSale, Hierarchy, ItemDef, ItemId, Moa,

@@ -2,9 +2,9 @@
 //!
 //! Each comparison returns `Err(String)` instead of panicking so that the
 //! caller can shrink a diverging dataset before reporting. The engine runs
-//! the *entire* optimized matrix — `MoaMode × QuantityModel × TidPolicy ×
-//! {1, 4} threads × ProfitMode` — against one `pm-oracle` build per
-//! `(moa, quantity)` pair, comparing:
+//! the *entire* optimized matrix — `MoaMode × QuantityModel × {1, 4}
+//! threads × ProfitMode`, always with the miner's upper-bound pruning on —
+//! against one `pm-oracle` build per `(moa, quantity)` pair, comparing:
 //!
 //! * the mined rule set: same rules, same order, same `gen_index`, same
 //!   counts, bit-identical `f64` profits;
@@ -15,20 +15,12 @@
 #![allow(dead_code)]
 
 use pm_oracle::{Oracle, OracleConfig, OracleProfitMode, OracleRule};
-use pm_rules::{
-    MinedRules, MinerConfig, MoaMode, ProfitMode, PrunePolicy, RuleMiner, Support, TidPolicy,
-};
+use pm_rules::{MinedRules, MinerConfig, MoaMode, ProfitMode, RuleMiner, Support};
 use pm_txn::{QuantityModel, Sale, TransactionSet};
 use profit_core::{CutConfig, Matcher, RuleModel};
 
-/// The tidset policies the optimized stack is exercised under.
-pub const POLICIES: [TidPolicy; 3] = [TidPolicy::Dense, TidPolicy::Sparse, TidPolicy::Adaptive];
-
 /// Worker-thread counts (sequential and parallel paths).
 pub const THREADS: [usize; 2] = [1, 4];
-
-/// The upper-bound pruning policies the matrix proves equivalent.
-pub const PRUNES: [PrunePolicy; 2] = [PrunePolicy::Off, PrunePolicy::Upper];
 
 /// The profit modes, paired with their oracle-side mirror.
 pub const MODES: [(ProfitMode, OracleProfitMode); 2] = [
@@ -73,29 +65,17 @@ pub fn compare_dataset(
                     ..OracleConfig::new(minsup, max_body_len)
                 },
             );
-            for policy in POLICIES {
-                for threads in THREADS {
-                    let ctx = format!("moa={moa_on} qm={qm:?} policy={policy:?} threads={threads}");
-                    let mine_with = |prune: PrunePolicy| {
-                        RuleMiner::new(miner_config(minsup, max_body_len, moa_on, qm))
-                            .with_threads(threads)
-                            .with_tidset(policy)
-                            .with_prune(prune)
-                            .mine(data)
-                    };
-                    let mined = mine_with(PrunePolicy::Off);
-                    compare_rule_sets(&oracle, &mined).map_err(|e| format!("[{ctx}] {e}"))?;
-                    // The PrunePolicy axis: the upper-bound pruner must be
-                    // invisible down to the serialized model bytes.
-                    let pruned = mine_with(PrunePolicy::Upper);
-                    compare_prune_axis(&mined, &pruned)
-                        .map_err(|e| format!("[{ctx} prune=upper] {e}"))?;
-                    for (mode, omode) in MODES {
-                        compare_ranked(&oracle, &mined, mode, omode)
-                            .map_err(|e| format!("[{ctx} mode={mode:?}] {e}"))?;
-                        compare_recommendations(data, &oracle, &mined, mode, omode)
-                            .map_err(|e| format!("[{ctx} mode={mode:?}] {e}"))?;
-                    }
+            for threads in THREADS {
+                let ctx = format!("moa={moa_on} qm={qm:?} threads={threads}");
+                let mined = RuleMiner::new(miner_config(minsup, max_body_len, moa_on, qm))
+                    .with_threads(threads)
+                    .mine(data);
+                compare_rule_sets(&oracle, &mined).map_err(|e| format!("[{ctx}] {e}"))?;
+                for (mode, omode) in MODES {
+                    compare_ranked(&oracle, &mined, mode, omode)
+                        .map_err(|e| format!("[{ctx} mode={mode:?}] {e}"))?;
+                    compare_recommendations(data, &oracle, &mined, mode, omode)
+                        .map_err(|e| format!("[{ctx} mode={mode:?}] {e}"))?;
                 }
             }
         }
@@ -106,7 +86,7 @@ pub fn compare_dataset(
 /// The PR-9 workload axes over one dataset: targeted mining (item and
 /// code-class filters), per-item profit floors (alone and overriding a
 /// scalar floor), and top-N assortment selection — each against the
-/// brute-force oracle, across `TidPolicy × {1,4} threads × PrunePolicy`.
+/// brute-force oracle, at {1,4} threads.
 /// `Ok(())` when every cell matches; `Err` names the diverging cell.
 pub fn compare_workloads(
     data: &TransactionSet,
@@ -139,29 +119,22 @@ pub fn compare_workloads(
                     ..OracleConfig::new(minsup, max_body_len)
                 },
             );
-            for policy in [TidPolicy::Dense, TidPolicy::Adaptive] {
-                for threads in THREADS {
-                    for prune in PRUNES {
-                        let ctx = format!(
-                            "workload target={target:?} scalar={scalar:?} per_item={per_item:?} \
-                             policy={policy:?} threads={threads} prune={prune:?}"
-                        );
-                        let mut cfg =
-                            miner_config(minsup, max_body_len, true, QuantityModel::Saving);
-                        cfg.min_rule_profit = *scalar;
-                        let mined = RuleMiner::new(cfg)
-                            .with_threads(threads)
-                            .with_tidset(policy)
-                            .with_prune(prune)
-                            .with_target(target.clone())
-                            .with_item_floors(per_item.clone())
-                            .mine(data);
-                        compare_rule_sets(&oracle, &mined).map_err(|e| format!("[{ctx}] {e}"))?;
-                        for (mode, omode) in MODES {
-                            compare_ranked(&oracle, &mined, mode, omode)
-                                .map_err(|e| format!("[{ctx} mode={mode:?}] {e}"))?;
-                        }
-                    }
+            for threads in THREADS {
+                let ctx = format!(
+                    "workload target={target:?} scalar={scalar:?} per_item={per_item:?} \
+                     threads={threads}"
+                );
+                let mut cfg = miner_config(minsup, max_body_len, true, QuantityModel::Saving);
+                cfg.min_rule_profit = *scalar;
+                let mined = RuleMiner::new(cfg)
+                    .with_threads(threads)
+                    .with_target(target.clone())
+                    .with_item_floors(per_item.clone())
+                    .mine(data);
+                compare_rule_sets(&oracle, &mined).map_err(|e| format!("[{ctx}] {e}"))?;
+                for (mode, omode) in MODES {
+                    compare_ranked(&oracle, &mined, mode, omode)
+                        .map_err(|e| format!("[{ctx} mode={mode:?}] {e}"))?;
                 }
             }
         }
@@ -210,40 +183,6 @@ fn compare_assortments(
                     greedy.expected_profit, exact.expected_profit
                 ));
             }
-        }
-    }
-    Ok(())
-}
-
-/// The pruned miner must reproduce the unpruned run exactly: same rules
-/// in the same order with bit-identical profits, and — through the model
-/// builder — byte-identical serialized `RuleModel`s in both profit modes.
-fn compare_prune_axis(off: &MinedRules, on: &MinedRules) -> Result<(), String> {
-    if off.rules().len() != on.rules().len() {
-        return Err(format!(
-            "rule count under pruning: {} vs {} unpruned",
-            on.rules().len(),
-            off.rules().len()
-        ));
-    }
-    for (i, (a, b)) in off.rules().iter().zip(on.rules().iter()).enumerate() {
-        if a != b || a.profit.to_bits() != b.profit.to_bits() {
-            return Err(format!("rule {i} diverges under pruning: {a:?} vs {b:?}"));
-        }
-    }
-    for (mode, _) in MODES {
-        let cut = CutConfig {
-            profit_mode: mode,
-            prune: false,
-            ..CutConfig::default()
-        };
-        let bytes = |mined: &MinedRules| {
-            serde_json::to_string(&RuleModel::build(mined, &cut).save()).map_err(|e| e.to_string())
-        };
-        if bytes(off)? != bytes(on)? {
-            return Err(format!(
-                "serialized model bytes differ under pruning (mode {mode:?})"
-            ));
         }
     }
     Ok(())

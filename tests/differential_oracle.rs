@@ -10,6 +10,7 @@
 mod common;
 
 use pm_datagen::{DatasetConfig, HierarchyConfig};
+use pm_rules::{GsId, MinerConfig, RuleMiner, Support};
 use pm_txn::TransactionSet;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -42,8 +43,8 @@ fn check(seed: u64, max_body_len: usize) {
 }
 
 /// The acceptance sweep: 50 seeded datasets, each through the full
-/// `MoaMode × QuantityModel × TidPolicy × {1,4} threads × ProfitMode`
-/// matrix, compared rule-for-rule, rank-for-rank and per-customer.
+/// `MoaMode × QuantityModel × {1,4} threads × ProfitMode` matrix,
+/// compared rule-for-rule, rank-for-rank and per-customer.
 #[test]
 fn differential_fifty_seeded_datasets() {
     for seed in 0..50 {
@@ -76,7 +77,7 @@ fn check_workloads(seed: u64, max_body_len: usize) {
 /// The PR-9 workload axes — targeted mining (item and code-class
 /// filters), per-item profit floors (alone and overriding a scalar
 /// floor), and top-N assortments — against the oracle over seeded tiny
-/// datasets, across `TidPolicy × {1,4} threads × PrunePolicy`.
+/// datasets, at {1,4} threads.
 #[test]
 fn workload_differential_twenty_seeded_datasets() {
     for seed in 0..20 {
@@ -90,6 +91,36 @@ fn workload_differential_twenty_seeded_datasets() {
 fn workload_body_len_three() {
     for seed in [2, 7, 11] {
         check_workloads(seed, 3);
+    }
+}
+
+/// A stored tidset goes sparse only at or below `n >> 6` elements, so the
+/// tiny datasets above (≤ 30 transactions) mine on dense tidsets alone.
+/// One dataset of 320 transactions whose level-1 tidsets hold both
+/// representations puts the sparse and mixed intersection kernels
+/// under the oracle too.
+#[test]
+fn differential_mixed_tidset_representations() {
+    let data = DatasetConfig::tiny(64, 10, 3)
+        .with_transactions(320)
+        .generate(&mut StdRng::seed_from_u64(0xD1FF_0140));
+    let (minsup, max_body_len) = (3, 2);
+    let mined = RuleMiner::new(MinerConfig {
+        min_support: Support::Count(minsup),
+        max_body_len,
+        ..MinerConfig::default()
+    })
+    .mine(&data);
+    let n_gs = mined.extended().n_gs();
+    let sparse = (0..n_gs as u32)
+        .filter(|&g| mined.gs_tidset(GsId(g)).is_sparse())
+        .count();
+    assert!(
+        0 < sparse && sparse < n_gs,
+        "{sparse} of {n_gs} level-1 tidsets are sparse; both representations must occur"
+    );
+    if let Err(msg) = common::compare_dataset(&data, minsup, max_body_len) {
+        common::report_divergence(&data, minsup, max_body_len, &msg);
     }
 }
 

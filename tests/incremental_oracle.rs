@@ -6,15 +6,14 @@
 //! `differential_oracle.rs` proves the batch miner equals the
 //! paper-literal `pm-oracle`; this suite closes the loop by proving the
 //! incremental miner equals the batch miner, rule-for-rule and
-//! byte-for-byte, across the same tidset-policy × prune-policy ×
-//! thread-count matrix and across many seeded split points — including
-//! no-op deltas and single-transaction trickles.
+//! byte-for-byte, at the same thread counts and across many seeded split
+//! points — including no-op deltas and single-transaction trickles.
 
 mod common;
 
-use common::{POLICIES, PRUNES, THREADS};
+use common::THREADS;
 use pm_datagen::{DatasetConfig, HierarchyConfig};
-use pm_rules::{IncrementalMiner, MinerConfig, PrunePolicy, RuleMiner, Support, TidPolicy};
+use pm_rules::{IncrementalMiner, MinerConfig, RuleMiner, Support};
 use pm_txn::TransactionSet;
 use profit_core::{CutConfig, ProfitMiner, RuleModel};
 use rand::rngs::StdRng;
@@ -31,21 +30,12 @@ fn model_bytes(model: &RuleModel) -> String {
 /// Fit `full` cold, then again as head + deltas through the incremental
 /// pipeline, asserting byte-identical serialized models after every
 /// update along the way (each prefix is itself a complete stream state).
-fn check_stream(
-    full: &TransactionSet,
-    cuts: &[usize],
-    config: MinerConfig,
-    policy: TidPolicy,
-    prune: PrunePolicy,
-    threads: usize,
-) {
-    let ctx = format!("policy={policy:?} prune={prune:?} threads={threads} cuts={cuts:?}");
+fn check_stream(full: &TransactionSet, cuts: &[usize], config: MinerConfig, threads: usize) {
+    let ctx = format!("threads={threads} cuts={cuts:?}");
     let pipeline = || {
         ProfitMiner::new(config)
             .with_cut(CutConfig::default())
             .with_threads(threads)
-            .with_tidset(policy)
-            .with_prune(prune)
     };
     let mut inc = pipeline().into_incremental();
     inc.fit(&prefix(full, cuts[0]));
@@ -61,8 +51,7 @@ fn check_stream(
     }
 }
 
-/// Dataset I through the full policy matrix: every tidset policy, both
-/// prune policies, sequential and parallel, two delta schedules.
+/// Dataset I, sequential and parallel, two delta schedules.
 #[test]
 fn incremental_models_match_batch_fits_across_the_matrix() {
     let full: TransactionSet = DatasetConfig::dataset_i()
@@ -74,14 +63,10 @@ fn incremental_models_match_batch_fits_across_the_matrix() {
         max_body_len: 2,
         ..MinerConfig::default()
     };
-    for policy in POLICIES {
-        for prune in PRUNES {
-            for threads in THREADS {
-                // Two coarse deltas, then a single-transaction trickle.
-                check_stream(&full, &[180, 270, 360], config, policy, prune, threads);
-                check_stream(&full, &[357, 358, 359, 360], config, policy, prune, threads);
-            }
-        }
+    for threads in THREADS {
+        // Two coarse deltas, then a single-transaction trickle.
+        check_stream(&full, &[180, 270, 360], config, threads);
+        check_stream(&full, &[357, 358, 359, 360], config, threads);
     }
 }
 
@@ -98,22 +83,8 @@ fn incremental_models_match_batch_on_dataset_ii_with_deep_bodies() {
         max_body_len: 3,
         ..MinerConfig::default()
     };
-    check_stream(
-        &full,
-        &[120, 240],
-        config,
-        TidPolicy::Dense,
-        PrunePolicy::Off,
-        1,
-    );
-    check_stream(
-        &full,
-        &[120, 180, 240],
-        config,
-        TidPolicy::Adaptive,
-        PrunePolicy::Upper,
-        4,
-    );
+    check_stream(&full, &[120, 240], config, 1);
+    check_stream(&full, &[120, 180, 240], config, 4);
 }
 
 /// The growing-catalog axis: a mid-stream [`pm_txn::CatalogDelta`]
@@ -195,34 +166,27 @@ fn growing_catalog_deltas_match_cold_fits_on_the_grown_stream() {
         max_body_len: 2,
         ..MinerConfig::default()
     };
-    for policy in POLICIES {
-        for prune in PRUNES {
-            for threads in THREADS {
-                let ctx = format!("policy={policy:?} prune={prune:?} threads={threads}");
-                let pipeline = || {
-                    ProfitMiner::new(config)
-                        .with_cut(CutConfig::default())
-                        .with_threads(threads)
-                        .with_tidset(policy)
-                        .with_prune(prune)
-                };
-                let mut inc = pipeline().into_incremental();
-                inc.fit(&head);
-                let mut grown = head.clone();
-                grown.apply_stream_record(Some(&delta), &batch1).unwrap();
-                assert_eq!(
-                    model_bytes(&pipeline().fit(&grown)),
-                    model_bytes(&inc.update(&grown)),
-                    "[{ctx}] growth delta diverged from the cold fit on the grown stream"
-                );
-                grown.apply_stream_record(None, &batch2).unwrap();
-                assert_eq!(
-                    model_bytes(&pipeline().fit(&grown)),
-                    model_bytes(&inc.update(&grown)),
-                    "[{ctx}] post-growth delta diverged from the cold fit"
-                );
-            }
-        }
+    for threads in THREADS {
+        let pipeline = || {
+            ProfitMiner::new(config)
+                .with_cut(CutConfig::default())
+                .with_threads(threads)
+        };
+        let mut inc = pipeline().into_incremental();
+        inc.fit(&head);
+        let mut grown = head.clone();
+        grown.apply_stream_record(Some(&delta), &batch1).unwrap();
+        assert_eq!(
+            model_bytes(&pipeline().fit(&grown)),
+            model_bytes(&inc.update(&grown)),
+            "[threads={threads}] growth delta diverged from the cold fit on the grown stream"
+        );
+        grown.apply_stream_record(None, &batch2).unwrap();
+        assert_eq!(
+            model_bytes(&pipeline().fit(&grown)),
+            model_bytes(&inc.update(&grown)),
+            "[threads={threads}] post-growth delta diverged from the cold fit"
+        );
     }
 }
 

@@ -16,7 +16,6 @@ fn fit_bytes(ds: &TransactionSet, threads: usize) -> String {
         ..MinerConfig::default()
     })
     .with_threads(threads)
-    .with_tidset(TidPolicy::Adaptive)
     .fit(ds);
     serde_json::to_string(&model.save()).unwrap()
 }

@@ -4,15 +4,14 @@
 //! 1. the targeted DFS (head-domain restriction composed with the upper
 //!    bound) emits exactly the post-filtered untargeted rule stream —
 //!    same rules, same order, bit-identical profits, renumbered
-//!    generation indices — across `TidPolicy × PrunePolicy × {1, 4}`
-//!    threads; and
+//!    generation indices — at {1, 4} threads; and
 //! 2. the identity path is byte-clean: with no target and no per-item
 //!    floors the builders must not perturb the serialized model — the
 //!    same bytes as a miner that never heard of PR 9's knobs, with and
 //!    without a scalar `min_rule_profit` floor.
 
 use pm_datagen::DatasetConfig;
-use pm_rules::{GsId, MinedRules, MinerConfig, PrunePolicy, Rule, RuleMiner, Support, TidPolicy};
+use pm_rules::{GsId, MinedRules, MinerConfig, Rule, RuleMiner, Support};
 use pm_txn::{CodeId, TargetFilter, TransactionSet};
 use profit_core::{CutConfig, RuleModel};
 use proptest::prelude::*;
@@ -86,22 +85,16 @@ fn check_targeted(seed: u64) {
     ];
     for t in &targets {
         let expect = post_filter(&full, t);
-        for policy in [TidPolicy::Dense, TidPolicy::Sparse, TidPolicy::Adaptive] {
-            for threads in [1usize, 4] {
-                for prune in [PrunePolicy::Off, PrunePolicy::Upper] {
-                    let mined = RuleMiner::new(cfg)
-                        .with_threads(threads)
-                        .with_tidset(policy)
-                        .with_prune(prune)
-                        .with_target(Some(t.clone()))
-                        .mine(&data);
-                    assert_eq!(
-                        exact(mined.rules()),
-                        exact(&expect),
-                        "seed {seed} {t:?} {policy:?} threads {threads} {prune:?}"
-                    );
-                }
-            }
+        for threads in [1usize, 4] {
+            let mined = RuleMiner::new(cfg)
+                .with_threads(threads)
+                .with_target(Some(t.clone()))
+                .mine(&data);
+            assert_eq!(
+                exact(mined.rules()),
+                exact(&expect),
+                "seed {seed} {t:?} threads {threads}"
+            );
         }
     }
 }
