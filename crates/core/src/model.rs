@@ -141,11 +141,12 @@ impl RuleModel {
             optimal_cut(&cut_input, eval)
         } else {
             // No pruning: every node kept with its own coverage.
+            let node_profit: Vec<f64> = (0..tree.len()).map(|i| eval(i, &tree.cover[i])).collect();
             crate::cut::CutResult {
                 retained: vec![true; tree.len()],
-                node_profit: (0..tree.len()).map(|i| eval(i, &tree.cover[i])).collect(),
+                total_profit: node_profit.iter().sum(),
+                node_profit,
                 final_cover: tree.cover.clone(),
-                total_profit: (0..tree.len()).map(|i| eval(i, &tree.cover[i])).sum(),
             }
         };
 

@@ -20,7 +20,12 @@
 //! specialized body, and vice versa any such subset generalizes.
 
 use crate::rank::mpf_cmp;
-use pm_rules::{BitSet, GsId, MinedRules, ProfitMode, Rule, Support};
+use pm_rules::{
+    intersect_into, BitSet, GsId, GsInterner, MinedRules, ProfitMode, Rule, Support, TidBuf,
+    TidView,
+};
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// The covering tree over the surviving (non-dominated) rules.
 #[derive(Debug, Clone)]
@@ -39,182 +44,192 @@ pub struct CoveringTree {
     pub mode: ProfitMode,
 }
 
-/// Incremental subset index: survivors keyed by their body elements, with
-/// stamped counting for "is some survivor's body ⊆ this closure?" queries.
-struct SubsetIndex {
-    postings: std::collections::HashMap<GsId, Vec<u32>>,
-    body_len: Vec<u32>,
-    count: Vec<u32>,
-    stamp_val: Vec<u32>,
-    stamp: u32,
+/// FxHash-style multiply-rotate hashing for keys of interner ids: small
+/// integers this process assigned, so SipHash's resistance to chosen keys
+/// buys nothing here and would cost most of the dominance scan.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+    }
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(u64::from(x));
+    }
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
+    /// Moves the well-mixed high bits down to the bucket-index bits.
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
 }
 
-impl SubsetIndex {
+type IdBuildHasher = BuildHasherDefault<IdHasher>;
+
+/// Every prefix of every survivor body, as a trie: node 0 is the empty
+/// prefix, and the edge `(node, g)` leads to that prefix extended by `g`.
+/// Bodies are sorted, so a survivor body is a subset of a sorted closure
+/// iff [`walk`](Self::walk) reaches the node the body ends at.
+struct PrefixMap {
+    edges: HashMap<(u32, GsId), u32, IdBuildHasher>,
+    /// Per node: the survivor whose body ends there, if any.
+    owner: Vec<Option<u32>>,
+    /// Per node: bit `g % 64` is set for each child edge `g` (zero for a
+    /// leaf). Most closure ids extend no given prefix, and a clear bit
+    /// skips their hash lookup.
+    kids: Vec<u64>,
+}
+
+impl PrefixMap {
+    /// The map holding only the empty prefix.
     fn new() -> Self {
         Self {
-            postings: std::collections::HashMap::new(),
-            body_len: Vec::new(),
-            count: Vec::new(),
-            stamp_val: Vec::new(),
-            stamp: 0,
+            edges: HashMap::default(),
+            owner: vec![None],
+            kids: vec![0],
         }
     }
 
-    /// Register a survivor with the given body; returns its local id.
-    fn push(&mut self, body: &[GsId]) -> u32 {
-        let id = self.body_len.len() as u32;
-        self.body_len.push(body.len() as u32);
-        self.count.push(0);
-        self.stamp_val.push(0);
+    /// Register survivor `id` with the (sorted, non-empty) `body`.
+    fn insert(&mut self, body: &[GsId], id: u32) {
+        let mut node = 0;
         for &g in body {
-            self.postings.entry(g).or_default().push(id);
-        }
-        id
-    }
-
-    /// Local ids of registered survivors whose body is a subset of
-    /// `closure` (i.e. whose rule generalizes the closure's rule). Does
-    /// not report empty-body survivors (they match trivially; callers
-    /// handle the default rule separately).
-    fn generalizers(&mut self, closure: &[GsId], out: &mut Vec<u32>) {
-        self.stamp += 1;
-        out.clear();
-        for g in closure {
-            if let Some(list) = self.postings.get(g) {
-                for &id in list {
-                    let i = id as usize;
-                    if self.stamp_val[i] != self.stamp {
-                        self.stamp_val[i] = self.stamp;
-                        self.count[i] = 0;
-                    }
-                    self.count[i] += 1;
-                    if self.count[i] == self.body_len[i] {
-                        out.push(id);
-                    }
-                }
+            self.kids[node as usize] |= 1 << (g.0 % 64);
+            let next = self.owner.len() as u32;
+            node = *self.edges.entry((node, g)).or_insert(next);
+            if node == next {
+                self.owner.push(None);
+                self.kids.push(0);
             }
         }
+        self.owner[node as usize] = Some(id);
+    }
+
+    /// Report each survivor whose body is a subset of the sorted
+    /// `closure`, extending only the prefixes present in the map, until
+    /// `hit` returns true (then so does the walk).
+    fn walk(&self, node: u32, closure: &[GsId], hit: &mut impl FnMut(u32) -> bool) -> bool {
+        let kids = self.kids[node as usize];
+        closure.iter().enumerate().any(|(k, &g)| {
+            kids & (1 << (g.0 % 64)) != 0
+                && self.edges.get(&(node, g)).is_some_and(|&child| {
+                    self.owner[child as usize].is_some_and(&mut *hit)
+                        || self.walk(child, &closure[k + 1..], hit)
+                })
+        })
     }
 }
 
 /// Closure of a body: every element plus all its strict ancestors,
-/// deduplicated and sorted.
-fn closure(mined: &MinedRules, body: &[GsId]) -> Vec<GsId> {
-    let interner = mined.interner();
-    let mut out: Vec<GsId> = Vec::with_capacity(body.len() * 4);
+/// deduplicated and sorted into `out`.
+fn closure_into(interner: &GsInterner, body: &[GsId], out: &mut Vec<GsId>) {
+    out.clear();
     for &g in body {
         out.push(g);
         out.extend_from_slice(interner.ancestors(g));
     }
     out.sort_unstable();
     out.dedup();
-    out
 }
 
 impl CoveringTree {
     /// Build the covering tree from mined rules under `mode`, optionally
     /// filtering to a higher minimum support first.
     pub fn build(mined: &MinedRules, mode: ProfitMode, min_support: Option<Support>) -> Self {
-        // 1. Collect rules + the default rule, sort by rank descending.
-        let mut rules: Vec<Rule> = match min_support {
-            Some(s) => mined
-                .rule_indices_at(s)
-                .into_iter()
-                .map(|i| mined.rules()[i].clone())
-                .collect(),
-            None => mined.rules().to_vec(),
+        // 1. Rank: everything ranked below the default rule is dominated
+        //    by it, so only the rules above it are sorted.
+        let default = mined.default_rule(mode);
+        let all = mined.rules();
+        let pool = match min_support {
+            Some(s) => mined.rule_indices_at(s),
+            None => (0..all.len()).collect(),
         };
-        rules.push(mined.default_rule(mode));
-        rules.sort_by(|a, b| mpf_cmp(b, a, mode));
+        let n_pool = pool.len();
+        let mut ranked: Vec<&Rule> = pool
+            .into_iter()
+            .map(|i| &all[i])
+            .filter(|r| mpf_cmp(r, &default, mode).is_gt())
+            .collect();
+        ranked.sort_by(|a, b| mpf_cmp(b, a, mode));
 
-        // 2. Everything ranked below the default rule is dominated by it.
-        let default_pos = rules
-            .iter()
-            .position(|r| r.body.is_empty())
-            .expect("default rule present");
-        let below_default = rules.len() - default_pos - 1;
-        rules.truncate(default_pos + 1);
-
-        // 3. Dominance scan in rank-descending order.
-        let mut index = SubsetIndex::new();
-        let mut survivors: Vec<Rule> = Vec::with_capacity(rules.len());
-        let mut hits: Vec<u32> = Vec::new();
-        let mut dominated_above = 0usize;
-        for rule in rules {
-            if rule.body.is_empty() {
-                // The default rule: nothing ranked higher can have an
-                // empty body (there is exactly one default), and only an
-                // empty body generalizes an empty body.
-                survivors.push(rule);
+        // 2. Dominance scan in rank-descending order, once per body: a
+        //    repeated body is dominated by the earlier rule with that
+        //    body or by whatever dominated it; a new body survives iff no
+        //    survivor body is a subset of its closure.
+        let interner = mined.interner();
+        let mut decided: HashSet<&[GsId], IdBuildHasher> = HashSet::default();
+        let mut map = PrefixMap::new();
+        let mut closure: Vec<GsId> = Vec::new();
+        let mut survivors: Vec<Rule> = Vec::new();
+        for rule in ranked {
+            if !decided.insert(rule.body.as_slice()) {
                 continue;
             }
-            let cl = closure(mined, &rule.body);
-            index.generalizers(&cl, &mut hits);
-            if hits.is_empty() {
-                index.push(&rule.body);
-                survivors.push(rule);
-            } else {
-                dominated_above += 1;
+            closure_into(interner, &rule.body, &mut closure);
+            if !map.walk(0, &closure, &mut |_| true) {
+                map.insert(&rule.body, survivors.len() as u32);
+                survivors.push(rule.clone());
             }
         }
-        let n_dominated = below_default + dominated_above;
-
-        // 4. Parents: scan in rank-ascending order so that the candidates
-        //    (more-general ⇒ lower-ranked) are already registered; pick
-        //    the highest-ranked (smallest survivor index distance… i.e.
-        //    the maximum-rank = minimum-index one).
+        survivors.push(default);
         let m = survivors.len();
-        let default_idx = m - 1;
-        let mut parent: Vec<Option<usize>> = vec![None; m];
-        let mut index = SubsetIndex::new();
-        // Local id ↦ survivor index, in ascending processing order.
-        let mut registered: Vec<usize> = Vec::with_capacity(m);
-        for i in (0..m).rev() {
-            if i != default_idx {
-                let cl = closure(mined, &survivors[i].body);
-                index.generalizers(&cl, &mut hits);
-                let best = hits
-                    .iter()
-                    .map(|&id| registered[id as usize])
-                    .min()
-                    .unwrap_or(default_idx)
-                    .min(default_idx);
-                parent[i] = Some(best);
-            }
-            if !survivors[i].body.is_empty() {
-                let id = index.push(&survivors[i].body);
-                debug_assert_eq!(id as usize, registered.len());
-                registered.push(i);
-            }
-        }
+        let n_dominated = n_pool + 1 - m;
 
-        // 5. Coverage: highest-ranked matching rule per transaction.
+        // 3. Parents: a survivor generalizing survivor `i` ranks below it
+        //    (else `i` would be dominated), so the parent is the
+        //    highest-ranked (smallest-index) generalizer other than `i`
+        //    itself, falling back to the default rule.
+        let root = m - 1;
+        let parent: Vec<Option<usize>> = (0..m)
+            .map(|i| {
+                if i == root {
+                    return None;
+                }
+                closure_into(interner, &survivors[i].body, &mut closure);
+                let mut best = root as u32;
+                map.walk(0, &closure, &mut |j| {
+                    if j as usize != i {
+                        best = best.min(j);
+                    }
+                    false
+                });
+                Some(best as usize)
+            })
+            .collect();
+
+        // 4. Coverage: highest-ranked matching rule per transaction, as
+        //    `uncovered ∩ tidset(g₁) ∩ tidset(g₂) …` through the
+        //    intersection kernel and two reused buffers.
         let n = mined.n_transactions();
         let mut uncovered = BitSet::full(n);
+        let (mut acc, mut tmp) = (TidBuf::new(n), TidBuf::new(n));
         let mut cover: Vec<Vec<u32>> = Vec::with_capacity(m);
         for rule in &survivors {
             if uncovered.is_empty() {
                 cover.push(Vec::new());
                 continue;
             }
-            if rule.body.is_empty() {
-                cover.push(uncovered.iter().map(|t| t as u32).collect());
-                uncovered = BitSet::new(n);
-            } else {
-                // Walk the (possibly sparse) body tidset directly: the
-                // claim-and-remove pass is the intersection with
-                // `uncovered` and its subtraction in one sweep, touching
-                // only the tids the body actually matches.
-                let ts = mined.body_tidset(&rule.body);
-                let mut mine: Vec<u32> = Vec::new();
-                for t in ts.iter() {
-                    if uncovered.contains(t) {
-                        uncovered.remove(t);
-                        mine.push(t as u32);
+            let mine: Vec<u32> = match rule.body.split_first() {
+                None => uncovered.iter().map(|t| t as u32).collect(),
+                Some((&first, rest)) => {
+                    let words = TidView::Dense(uncovered.words());
+                    intersect_into(words, mined.gs_tidset(first).view(), &mut acc, 0);
+                    for &g in rest {
+                        intersect_into(acc.view(), mined.gs_tidset(g).view(), &mut tmp, 0);
+                        std::mem::swap(&mut acc, &mut tmp);
                     }
+                    acc.view().iter().map(|t| t as u32).collect()
                 }
-                cover.push(mine);
+            };
+            for &t in &mine {
+                uncovered.remove(t as usize);
             }
+            cover.push(mine);
         }
 
         CoveringTree {
@@ -245,11 +260,14 @@ impl CoveringTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pm_datagen::{DatasetConfig, HierarchyConfig};
     use pm_rules::{MinerConfig, MoaMode, RuleMiner};
     use pm_txn::{
-        Catalog, CodeId, Hierarchy, ItemDef, ItemId, Money, PromotionCode, Sale, Transaction,
-        TransactionSet,
+        Catalog, CodeId, GenSale, Hierarchy, ItemDef, ItemId, Money, PromotionCode, Sale,
+        Transaction, TransactionSet,
     };
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn dataset() -> TransactionSet {
         let mut cat = Catalog::new();
@@ -306,9 +324,129 @@ mod tests {
         (mined, tree)
     }
 
+    /// Generated fits the toy fixture cannot reach: Dataset I and
+    /// Dataset II (ten targets, so several heads per body) under concept
+    /// hierarchies of two and three levels, `+MOA` code lattices and
+    /// bodies of up to four elements.
+    fn generated_mined() -> Vec<MinedRules> {
+        let datasets = [
+            (DatasetConfig::dataset_i(), 6, 2, 0.16),
+            (DatasetConfig::dataset_ii(), 10, 3, 0.12),
+        ];
+        datasets
+            .into_iter()
+            .map(|(cfg, items, levels, minsup)| {
+                let ds = cfg
+                    .with_transactions(200)
+                    .with_items(items)
+                    .with_hierarchy(HierarchyConfig {
+                        branching: 3,
+                        levels,
+                    })
+                    .generate(&mut StdRng::seed_from_u64(5));
+                RuleMiner::new(MinerConfig {
+                    min_support: Support::Fraction(minsup),
+                    max_body_len: 4,
+                    moa: MoaMode::Enabled,
+                    ..MinerConfig::default()
+                })
+                .with_threads(1)
+                .mine(&ds)
+            })
+            .collect()
+    }
+
     /// Slow reference for "is r more general than r'".
     fn more_general(mined: &MinedRules, r: &Rule, rp: &Rule) -> bool {
         mined.interner().body_generalizes(&r.body, &rp.body)
+    }
+
+    /// The rules a build ranks: the mined rules at `min_support`.
+    fn pool(mined: &MinedRules, min_support: Option<Support>) -> Vec<Rule> {
+        let floor = min_support.map_or(0, |s| s.to_count(mined.n_transactions()));
+        mined
+            .rules()
+            .iter()
+            .filter(|r| r.hits >= floor)
+            .cloned()
+            .collect()
+    }
+
+    /// Survivors by brute force: rank every pooled rule plus the default
+    /// and keep each rule no earlier survivor generalizes.
+    fn check_dominance(
+        mined: &MinedRules,
+        tree: &CoveringTree,
+        mode: ProfitMode,
+        min_support: Option<Support>,
+    ) {
+        let mut all = pool(mined, min_support);
+        let n_pool = all.len();
+        all.push(mined.default_rule(mode));
+        all.sort_by(|a, b| mpf_cmp(b, a, mode));
+        let mut survivors: Vec<Rule> = Vec::new();
+        for r in &all {
+            if !survivors.iter().any(|s| more_general(mined, s, r)) {
+                survivors.push(r.clone());
+            }
+        }
+        assert_eq!(survivors, tree.rules);
+        assert_eq!(tree.n_dominated + tree.len(), n_pool + 1);
+    }
+
+    fn check_parents(mined: &MinedRules, tree: &CoveringTree) {
+        for i in 0..tree.len() {
+            let Some(p) = tree.parent[i] else {
+                assert_eq!(i, tree.root(), "only the root lacks a parent");
+                continue;
+            };
+            assert!(p > i, "parents rank lower (higher index)");
+            assert!(
+                more_general(mined, &tree.rules[p], &tree.rules[i]),
+                "parent must generalize"
+            );
+            // No generalizer strictly between i and p.
+            for j in (i + 1)..p {
+                assert!(
+                    !more_general(mined, &tree.rules[j], &tree.rules[i]),
+                    "rule {j} outranks parent {p} of {i}"
+                );
+            }
+        }
+    }
+
+    /// Each transaction appears in exactly one cover — that of its first
+    /// matching rule in rank order — and every rule's body matches
+    /// `body_count` transactions (all of them for the default rule).
+    fn check_coverage(mined: &MinedRules, tree: &CoveringTree) {
+        let ext = mined.extended();
+        let n = ext.n_transactions();
+        let matches = |i: usize, tid: usize| {
+            tree.rules[i]
+                .body
+                .iter()
+                .all(|g| ext.txn_gs[tid].contains(g))
+        };
+        let mut owner = vec![usize::MAX; n];
+        for (i, cov) in tree.cover.iter().enumerate() {
+            assert!(cov.windows(2).all(|w| w[0] < w[1]), "cover {i} ascends");
+            for &t in cov {
+                assert_eq!(owner[t as usize], usize::MAX, "covered twice");
+                owner[t as usize] = i;
+            }
+        }
+        for (tid, &own) in owner.iter().enumerate() {
+            assert_ne!(own, usize::MAX, "transaction {tid} uncovered");
+            let first_match = (0..tree.len())
+                .find(|&i| matches(i, tid))
+                .expect("default matches");
+            assert_eq!(own, first_match, "transaction {tid}");
+        }
+        for (i, r) in tree.rules.iter().enumerate() {
+            let matched = (0..n).filter(|&tid| matches(i, tid)).count();
+            assert_eq!(matched as u32, r.body_count, "rule {i}");
+        }
+        assert_eq!(tree.rules[tree.root()].body_count as usize, n);
     }
 
     #[test]
@@ -352,67 +490,88 @@ mod tests {
     #[test]
     fn dominance_matches_brute_force() {
         let (mined, tree) = tree(1, ProfitMode::Profit);
-        // Recompute survivors by brute force over the full ranked list.
-        let mut all: Vec<Rule> = mined.rules().to_vec();
-        all.push(mined.default_rule(ProfitMode::Profit));
-        all.sort_by(|a, b| mpf_cmp(b, a, ProfitMode::Profit));
-        let mut survivors: Vec<Rule> = Vec::new();
-        for r in &all {
-            if !survivors.iter().any(|s| more_general(&mined, s, r)) {
-                survivors.push(r.clone());
-            }
-        }
-        assert_eq!(survivors.len(), tree.len());
-        for (a, b) in survivors.iter().zip(&tree.rules) {
-            assert_eq!(a.body, b.body);
-            assert_eq!(a.head, b.head);
-        }
+        check_dominance(&mined, &tree, ProfitMode::Profit, None);
     }
 
     #[test]
     fn parent_is_highest_ranked_generalizer() {
         let (mined, tree) = tree(1, ProfitMode::Profit);
-        for i in 0..tree.len() {
-            let Some(p) = tree.parent[i] else { continue };
-            assert!(p > i, "parents rank lower (higher index)");
-            assert!(
-                more_general(&mined, &tree.rules[p], &tree.rules[i]),
-                "parent must generalize"
-            );
-            // No generalizer strictly between i and p.
-            for j in (i + 1)..p {
-                assert!(
-                    !more_general(&mined, &tree.rules[j], &tree.rules[i]),
-                    "rule {j} outranks parent {p} of {i}"
-                );
-            }
-        }
+        check_parents(&mined, &tree);
     }
 
     #[test]
     fn coverage_is_highest_ranked_match() {
         let (mined, tree) = tree(1, ProfitMode::Profit);
-        let ext = mined.extended();
-        // Each transaction appears in exactly one cover — that of its
-        // first matching rule in rank order.
-        let mut owner = vec![usize::MAX; ext.n_transactions()];
-        for (i, cov) in tree.cover.iter().enumerate() {
-            for &t in cov {
-                assert_eq!(owner[t as usize], usize::MAX, "covered twice");
-                owner[t as usize] = i;
+        check_coverage(&mined, &tree);
+    }
+
+    /// The `min_support` each generated fit is built at: the mined one,
+    /// and a refilter above it.
+    const REFILTERS: [Option<Support>; 2] = [None, Some(Support::Fraction(0.25))];
+
+    /// Build every generated tree (both datasets, both refilters, both
+    /// profit modes) and hand it to `check`.
+    fn for_each_generated_tree(
+        check: impl Fn(&MinedRules, &CoveringTree, ProfitMode, Option<Support>),
+    ) {
+        for mined in generated_mined() {
+            for min_support in REFILTERS {
+                for mode in [ProfitMode::Profit, ProfitMode::Confidence] {
+                    let tree = CoveringTree::build(&mined, mode, min_support);
+                    assert!(tree.len() > 1, "{mode:?} {min_support:?}");
+                    check(&mined, &tree, mode, min_support);
+                }
             }
         }
-        for (tid, &own) in owner.iter().enumerate() {
-            assert_ne!(own, usize::MAX, "transaction {tid} uncovered");
-            let first_match = (0..tree.len())
-                .find(|&i| {
-                    tree.rules[i]
-                        .body
+    }
+
+    #[test]
+    fn dominance_matches_brute_force_on_generated_data() {
+        for_each_generated_tree(check_dominance);
+    }
+
+    #[test]
+    fn parent_is_highest_ranked_generalizer_on_generated_data() {
+        for_each_generated_tree(|mined, tree, _, _| check_parents(mined, tree));
+    }
+
+    #[test]
+    fn coverage_is_highest_ranked_match_on_generated_data() {
+        for_each_generated_tree(|mined, tree, _, _| check_coverage(mined, tree));
+    }
+
+    /// The generated fits carry what the toy fixture lacks: a body with
+    /// several heads, a body of four elements, and body elements that are
+    /// a concept or a code with a more favorable code above it.
+    #[test]
+    fn generated_data_reaches_what_the_fixture_lacks() {
+        for mined in generated_mined() {
+            let interner = mined.interner();
+            for min_support in REFILTERS {
+                let rules = pool(&mined, min_support);
+                let shared_body = rules.iter().enumerate().any(|(i, r)| {
+                    rules[..i]
                         .iter()
-                        .all(|g| ext.txn_gs[tid].contains(g))
-                })
-                .expect("default matches");
-            assert_eq!(own, first_match, "transaction {tid}");
+                        .any(|q| q.body == r.body && q.head != r.head)
+                });
+                assert!(shared_body, "a body with several heads");
+                if min_support.is_none() {
+                    assert!(rules.iter().any(|r| r.body.len() == 4), "a 4-body");
+                }
+                let elements = || rules.iter().flat_map(|r| r.body.iter().copied());
+                assert!(
+                    elements().any(|g| matches!(interner.resolve(g), GenSale::Concept(_))),
+                    "a concept in a body"
+                );
+                assert!(
+                    elements().any(|g| matches!(interner.resolve(g), GenSale::ItemCode(..))
+                        && interner
+                            .ancestors(g)
+                            .iter()
+                            .any(|&a| matches!(interner.resolve(a), GenSale::ItemCode(..)))),
+                    "a code below a more favorable code"
+                );
+            }
         }
     }
 

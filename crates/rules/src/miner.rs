@@ -1183,21 +1183,6 @@ impl MinedRules {
         &self.tidsets[g.index()]
     }
 
-    /// Tidset of a body (AND of singleton tidsets; the empty body matches
-    /// every transaction).
-    pub fn body_tidset(&self, body: &[GsId]) -> TidSet {
-        match body.split_first() {
-            None => TidSet::full(self.n_transactions()),
-            Some((&first, rest)) => {
-                let mut ts = self.tidsets[first.index()].clone();
-                for g in rest {
-                    ts = ts.intersection(&self.tidsets[g.index()]);
-                }
-                ts
-            }
-        }
-    }
-
     /// Indices of the rules that survive a (higher) minimum support. By
     /// Apriori monotonicity this equals re-mining at that support.
     pub fn rule_indices_at(&self, sup: Support) -> Vec<usize> {
@@ -1555,16 +1540,6 @@ mod tests {
                 .filter(|&t| ext.head_profit_on(t, h).is_some())
                 .count();
             assert!(dc.hits as usize >= hits);
-        }
-    }
-
-    #[test]
-    fn body_tidset_of_empty_is_full() {
-        let mined = mine(2, MoaMode::Enabled, 2);
-        assert_eq!(mined.body_tidset(&[]).count(), 8);
-        // Consistency: each rule's body tidset has body_count elements.
-        for r in mined.rules() {
-            assert_eq!(mined.body_tidset(&r.body).count() as u32, r.body_count);
         }
     }
 

@@ -68,15 +68,6 @@ impl TidSet {
         Self { capacity, repr }
     }
 
-    /// The set containing all of `0..capacity` (always dense — the full
-    /// set is maximally above any sparse threshold).
-    pub fn full(capacity: usize) -> Self {
-        Self {
-            capacity,
-            repr: TidRepr::Dense(BitSet::full(capacity)),
-        }
-    }
-
     /// Build from strictly ascending ids, choosing the representation by
     /// density.
     ///
@@ -261,8 +252,8 @@ impl TidSet {
 
     /// `self ∩ other` as a new set, its representation chosen as in
     /// [`intersect_into`].
-    /// Allocates — meant for cold paths (coverage assignment, tests); the
-    /// mining loop uses [`intersect_into`] with a [`TidBuf`].
+    /// Allocates — meant for cold paths and tests; the mining loop and the
+    /// coverage pass use [`intersect_into`] with reused [`TidBuf`]s.
     pub fn intersection(&self, other: &TidSet) -> TidSet {
         debug_assert_eq!(self.capacity, other.capacity);
         let mut out = TidBuf::new(self.capacity);
@@ -752,13 +743,13 @@ mod tests {
 
     #[test]
     fn full_and_empty() {
-        let full = TidSet::full(70);
+        let full = TidSet::from_sorted_ids((0..70).collect(), 70);
         assert_eq!(full.count(), 70);
         assert!(!full.is_sparse());
         let empty = TidSet::for_expected(70, 0);
         assert!(empty.is_empty() && empty.is_sparse());
         assert!(full.intersection(&empty).is_empty());
-        assert_eq!(TidSet::full(0).count(), 0);
+        assert_eq!(TidSet::from_sorted_ids(Vec::new(), 0).count(), 0);
     }
 
     proptest! {
