@@ -5,16 +5,15 @@ use pm_baselines::MostProfitableItem;
 use pm_datagen::DatasetConfig;
 use pm_eval::runner::{run_sweep, EvalConfig};
 use pm_rules::{MinerConfig, MoaMode, ProfitMode, RuleMiner, Support};
-use pm_store::log::SalesLog;
+use pm_serve::stream::{Recovered, Stream, StreamError};
 use pm_txn::{
-    decode_stream_record, encode_stream_record, parse_item_floors, Catalog, CatalogDelta,
-    Hierarchy, ItemId, QuantityModel, Sale, TargetFilter, Transaction, TransactionSet,
+    parse_item_floors, Catalog, CatalogDelta, Hierarchy, ItemId, QuantityModel, Sale, TargetFilter,
+    Transaction, TransactionSet,
 };
-use profit_core::{
-    Checkpoint, CutConfig, Matcher, ProfitMiner, Recommendation, Recommender, RuleModel,
-};
+use profit_core::{CutConfig, Matcher, ProfitMiner, Recommendation, Recommender, RuleModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::path::Path;
 
 fn read(path: &str) -> Result<String, CliError> {
     std::fs::read_to_string(path).map_err(|e| CliError::Runtime(format!("{path}: {e}")))
@@ -183,47 +182,26 @@ fn build_pipeline(args: &ArgMap, data: &TransactionSet) -> Result<ProfitMiner, C
         .with_item_floors(item_floors(args, data.catalog())?))
 }
 
-/// Decode one batch file: a JSON array of [`Transaction`]s, exactly
-/// what `ingest --batch` accepts.
-fn decode_batch(payload: &[u8]) -> Result<Vec<Transaction>, String> {
-    let text = std::str::from_utf8(payload).map_err(|e| e.to_string())?;
-    serde_json::from_str(text).map_err(|e| e.to_string())
-}
-
-/// Decode one sales-log record: either a legacy bare transaction array
-/// or an object record carrying a catalog delta alongside the batch.
-fn decode_record(payload: &[u8]) -> Result<(Option<CatalogDelta>, Vec<Transaction>), String> {
-    let text = std::str::from_utf8(payload).map_err(|e| e.to_string())?;
-    decode_stream_record(text)
-}
-
-/// Replay every retained log record onto `data`, growing the catalog
-/// where a record carries a delta. Record indices in errors are
-/// absolute stream positions (`first_abs` = the log's compaction base).
-fn replay_log(
-    data: &mut TransactionSet,
-    records: &[Vec<u8>],
-    first_abs: u64,
-    log_path: &str,
-) -> Result<(), CliError> {
-    for (i, payload) in records.iter().enumerate() {
-        let abs = first_abs + i as u64;
-        let (delta, batch) = decode_record(payload)
-            .map_err(|e| CliError::Runtime(format!("{log_path}: record {abs}: {e}")))?;
-        data.apply_stream_record(delta.as_ref(), &batch)
-            .map_err(|e| CliError::Runtime(format!("{log_path}: record {abs}: {e}")))?;
-    }
-    Ok(())
+/// Recover the stream in `log` on top of `base` (and the checkpoint,
+/// when given and present) exactly as a restarting daemon does.
+fn recover(
+    base: TransactionSet,
+    log: &str,
+    checkpoint: Option<&str>,
+    pipeline: ProfitMiner,
+) -> Result<(Stream, Recovered), CliError> {
+    Stream::recover(base, Path::new(log), checkpoint.map(Path::new), pipeline)
+        .map_err(|e| CliError::Runtime(e.to_string()))
 }
 
 /// `fit`: train and save a recommender.
 ///
-/// With `--log`, the cold fit on `--data` is followed by one
-/// *incremental* update per sales-log record — the delta-refit path.
-/// The written model is byte-identical to a cold fit on the
-/// concatenated stream.
+/// With `--log`, the log is replayed onto `--data` first — the recovery
+/// a restarted daemon runs, so a compacted log is refused — and the
+/// whole stream is fitted once. The written model is byte-identical to
+/// a cold fit on the concatenated stream.
 pub fn fit(args: &ArgMap) -> Result<String, CliError> {
-    let mut data = load_data(args)?;
+    let data = load_data(args)?;
     if data.is_empty() {
         return Err(CliError::Runtime(
             "dataset is empty — nothing to fit".into(),
@@ -231,32 +209,17 @@ pub fn fit(args: &ArgMap) -> Result<String, CliError> {
     }
     let out = args.require("--out")?;
     let pipeline = build_pipeline(args, &data)?;
-    let (model, replayed) = match args.get("--log") {
-        None => (pipeline.fit(&data), 0usize),
-        Some(log_path) => {
-            let (_log, recovery) = SalesLog::open(log_path)
-                .map_err(|e| CliError::Runtime(format!("{log_path}: {e}")))?;
-            if recovery.base != 0 {
-                return Err(CliError::Runtime(format!(
-                    "{log_path}: log was compacted to base {} — records before the base \
-                     live only in its checkpoint; use `checkpoint --out` to refit from it",
-                    recovery.base
-                )));
-            }
-            let mut inc = pipeline.into_incremental();
-            let mut model = inc.fit(&data);
-            for (i, payload) in recovery.records.iter().enumerate() {
-                let abs = recovery.base + i as u64;
-                let (delta, batch) = decode_record(payload)
-                    .map_err(|e| CliError::Runtime(format!("{log_path}: record {abs}: {e}")))?;
-                if batch.is_empty() && delta.as_ref().is_none_or(|d| d.is_empty()) {
-                    continue;
-                }
-                data.apply_stream_record(delta.as_ref(), &batch)
-                    .map_err(|e| CliError::Runtime(format!("{log_path}: record {abs}: {e}")))?;
-                model = inc.update(&data);
-            }
-            (model, recovery.records.len())
+    let (model, replay_note) = match args.get("--log") {
+        None => (pipeline.fit(&data), String::new()),
+        Some(log) => {
+            let (mut stream, recovered) = recover(data, log, None, pipeline)?;
+            let note = format!(
+                "; replayed {} log record{} into {} transactions",
+                recovered.replayed,
+                if recovered.replayed == 1 { "" } else { "s" },
+                stream.data().len()
+            );
+            (stream.model(), note)
         }
     };
     let stats = *model.stats();
@@ -268,15 +231,6 @@ pub fn fit(args: &ArgMap) -> Result<String, CliError> {
     // into a silently-wrong recommender.
     pm_store::save_sealed(out, payload.as_bytes()).map_err(|e| CliError::Runtime(e.to_string()))?;
     dump_metrics(args)?;
-    let replay_note = if args.get("--log").is_some() {
-        format!(
-            "; replayed {replayed} log record{} into {} transactions",
-            if replayed == 1 { "" } else { "s" },
-            data.len()
-        )
-    } else {
-        String::new()
-    };
     Ok(format!(
         "wrote {} — {} ({} rules; mined {}, after dominance {}, projected profit {:.2}{})",
         out,
@@ -302,20 +256,8 @@ pub fn fit(args: &ArgMap) -> Result<String, CliError> {
 pub fn ingest(args: &ArgMap) -> Result<String, CliError> {
     let log_path = args.require("--log")?;
     let batch_path = args.require("--batch")?;
-    let mut data = load_data(args)?;
-    let (log, recovery) =
-        SalesLog::open(log_path).map_err(|e| CliError::Runtime(format!("{log_path}: {e}")))?;
-    if recovery.base != 0 {
-        return Err(CliError::Runtime(format!(
-            "{log_path}: log was compacted to base {} — only the serving daemon (which \
-             holds the checkpointed stream) can validate ingests against it",
-            recovery.base
-        )));
-    }
-    // Replay what the log already holds so the new batch is validated at
-    // its actual stream position, not against the base dataset alone.
-    replay_log(&mut data, &recovery.records, recovery.base, log_path)?;
-    let batch: Vec<Transaction> = decode_batch(read(batch_path)?.as_bytes())
+    let data = load_data(args)?;
+    let batch: Vec<Transaction> = serde_json::from_str(&read(batch_path)?)
         .map_err(|e| CliError::Runtime(format!("{batch_path}: {e}")))?;
     let delta: Option<CatalogDelta> =
         match args.get("--catalog-delta") {
@@ -329,18 +271,18 @@ pub fn ingest(args: &ArgMap) -> Result<String, CliError> {
             "{batch_path}: batch is empty — nothing to ingest"
         )));
     }
-    data.apply_stream_record(delta.as_ref(), &batch)
-        .map_err(|e| CliError::Runtime(format!("{batch_path}: {e}")))?;
-    // Append the canonical re-serialization of the *validated* record, so
-    // replay parses exactly what was checked here. Delta-less batches
-    // keep the legacy bare-array bytes.
-    let payload = encode_stream_record(delta.as_ref(), &batch);
-    log.append(payload.as_bytes())
-        .map_err(|e| CliError::Runtime(e.to_string()))?;
-    let torn = if recovery.truncated_bytes > 0 {
+    // Without a checkpoint recovery mines nothing, so the default
+    // pipeline never runs: ingest takes no fit flags.
+    let (mut stream, recovered) = recover(data, log_path, None, ProfitMiner::default())?;
+    let record = stream.position();
+    stream.append(delta.as_ref(), &batch).map_err(|e| match e {
+        StreamError::Invalid(e) => CliError::Runtime(format!("{batch_path}: {e}")),
+        e => CliError::Runtime(e.to_string()),
+    })?;
+    let torn = if recovered.truncated_bytes > 0 {
         format!(
             "; recovered a torn tail of {} bytes",
-            recovery.truncated_bytes
+            recovered.truncated_bytes
         )
     } else {
         String::new()
@@ -354,11 +296,10 @@ pub fn ingest(args: &ArgMap) -> Result<String, CliError> {
         _ => String::new(),
     };
     Ok(format!(
-        "appended {} transactions to {} as record {} (stream now {} transactions{}{})",
+        "appended {} transactions to {} as record {record} (stream now {} transactions{}{})",
         batch.len(),
         log_path,
-        recovery.records.len(),
-        data.len(),
+        stream.data().len(),
         grown,
         torn
     ))
@@ -368,10 +309,10 @@ pub fn ingest(args: &ArgMap) -> Result<String, CliError> {
 /// miner caches, and log position — into an atomic `PMCK` envelope,
 /// then compact the sales log behind it (unless `--no-compact`).
 ///
-/// When `--out` already holds a checkpoint, the state is *resumed* from
-/// it and only the log tail is replayed; otherwise the stream is rebuilt
-/// by a cold fit on `--data` plus a full log replay. Either way the
-/// sealed model is byte-identical to a cold fit on the whole stream.
+/// `--out` is also where recovery looks for the previous checkpoint, so
+/// the stream is recovered exactly as a daemon started with
+/// `--checkpoint` at the same path would recover it — and the sealed
+/// bytes are the ones that daemon's `checkpoint` op would seal.
 pub fn checkpoint(args: &ArgMap) -> Result<String, CliError> {
     let log_path = args.require("--log")?;
     let out = args.require("--out")?;
@@ -382,71 +323,29 @@ pub fn checkpoint(args: &ArgMap) -> Result<String, CliError> {
         ));
     }
     let pipeline = build_pipeline(args, &base)?;
-    let (log, recovery) =
-        SalesLog::open(log_path).map_err(|e| CliError::Runtime(format!("{log_path}: {e}")))?;
-    let (mut data, mut inc, skip, how) = if std::path::Path::new(out).exists() {
-        let bytes = pm_store::checkpoint::load(out)
-            .map_err(|e| CliError::Runtime(format!("{out}: {e}")))?;
-        let ck =
-            Checkpoint::decode(&bytes).map_err(|e| CliError::Runtime(format!("{out}: {e}")))?;
-        let skip = pm_store::checkpoint::plan_replay(
-            ck.stream_pos,
-            recovery.base,
-            recovery.records.len() as u64,
-        )
+    let (mut stream, recovered) = recover(base, log_path, Some(out), pipeline)?;
+    let (model, compaction) = stream
+        .checkpoint(Path::new(out), !args.switch("--no-compact"))
         .map_err(|e| CliError::Runtime(e.to_string()))?;
-        let (data, inc, _model) = ck
-            .resume(pipeline)
-            .map_err(|e| CliError::Runtime(format!("{out}: {e}")))?;
-        (data, inc, skip, "resumed from the existing checkpoint")
-    } else {
-        if recovery.base != 0 {
-            return Err(CliError::Runtime(format!(
-                "{log_path}: log was compacted to base {} but {out} does not exist — \
-                 the records before the base are gone, the stream cannot be rebuilt",
-                recovery.base
-            )));
-        }
-        let mut inc = pipeline.into_incremental();
-        let data = base;
-        inc.fit(&data);
-        (data, inc, 0, "cold-fitted the base dataset")
-    };
-    let first_abs = recovery.base + skip as u64;
-    let tail = &recovery.records[skip..];
-    replay_log(&mut data, tail, first_abs, log_path)?;
-    // One update brings model and caches to the full stream; with an
-    // empty tail it just re-assembles from the warm caches.
-    let model = inc.update(&data);
-    let miner = inc
-        .snapshot()
-        .ok_or_else(|| CliError::Runtime("the miner has no fitted state to checkpoint".into()))?;
-    let stream_pos = recovery.base + recovery.records.len() as u64;
-    let ck = Checkpoint {
-        stream_pos,
-        data_json: data.to_json(),
-        model: model.save(),
-        miner,
-    };
-    pm_store::checkpoint::save(out, &ck.encode())
-        .map_err(|e| CliError::Runtime(format!("{out}: {e}")))?;
-    let compacted = if args.switch("--no-compact") {
-        "; log left uncompacted".to_string()
-    } else {
-        let c = log
-            .compact_to(stream_pos)
-            .map_err(|e| CliError::Runtime(format!("{log_path}: {e}")))?;
-        format!(
+    let compacted = match compaction {
+        None => "; log left uncompacted".to_string(),
+        Some(c) => format!(
             "; compacted the log (dropped {} records, retained {})",
             c.dropped, c.retained
-        )
+        ),
+    };
+    let how = if recovered.resumed {
+        "resumed from the existing checkpoint"
+    } else {
+        "cold-fitted the base dataset and the replayed log"
     };
     Ok(format!(
-        "wrote checkpoint {out} at stream position {stream_pos} — {} transactions, {} rules \
+        "wrote checkpoint {out} at stream position {} — {} transactions, {} rules \
          ({how}, replayed {} tail records{compacted})",
-        data.len(),
+        stream.position(),
+        stream.data().len(),
         model.rules().len(),
-        tail.len(),
+        recovered.replayed,
     ))
 }
 

@@ -200,10 +200,10 @@ USAGE
   --catalog-delta attaches an append-only catalog/hierarchy extension
   ({\"concepts\":[...],\"items\":[...]}) to the same record, so new
   items enter the stream atomically with their first sales. fit --log
-  replays the log after the cold fit as incremental updates — the
-  written model is byte-identical to a cold fit on the concatenated
-  stream. split cuts a dataset into a head dataset and a tail batch for
-  exercising exactly that pipeline.
+  replays the log onto the base dataset and fits the whole stream once
+  — the written model is byte-identical to a cold fit on the
+  concatenated stream. split cuts a dataset into a head dataset and a
+  tail batch for exercising exactly that pipeline.
 
   Checkpointing & recovery: checkpoint seals the whole streaming state
   (data, model, warm miner caches, log position) into an atomic,
@@ -214,11 +214,15 @@ USAGE
   {\"op\":\"checkpoint\"} (optionally with \"path\") checkpoints and
   compacts online, and on startup the daemon restores the envelope,
   replays the log tail, and serves a model byte-identical to a full
-  replay. A corrupt envelope falls back to full-log replay while the
-  log is complete, and is a hard error once the log was compacted. The
-  ingest batch caps (--max-ingest-txns, --max-ingest-bytes; 0 disables
-  one axis) bound the cost any single {\"op\":\"ingest\"} line can
-  impose; oversized batches are refused before touching the log.
+  replay. The CLI verbs recover exactly as the daemon does, so for the
+  same data, log and fit flags checkpoint seals the same bytes as the
+  daemon's op. A corrupt envelope falls back to full-log replay while
+  the log is complete, and is a hard error once the log was compacted;
+  fit --log and ingest take no checkpoint, so they refuse a compacted
+  log. The ingest batch caps (--max-ingest-txns, --max-ingest-bytes;
+  0 disables one axis) bound the cost any single {\"op\":\"ingest\"}
+  line can impose; oversized batches are refused before touching the
+  log.
 
   recommend --all serves every customer in --data through the indexed
   rule matcher and prints a per-(item, code) summary plus the serving
@@ -794,6 +798,89 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.to_string().contains("batch is empty"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Malformed hierarchy tables in a data or model file are runtime
+    /// errors naming the hierarchy — `fit`, `stats`, `rules` and `serve`
+    /// used to abort with an index panic (exit 101) instead.
+    #[test]
+    fn malformed_hierarchies_are_runtime_errors_not_aborts() {
+        let _guard = pm_store::faults::test_lock();
+        let dir = std::env::temp_dir().join(format!("pm-cli-badhier-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = |name: &str| dir.join(name).display().to_string();
+        let (data, model) = (path("data.json"), path("model.pm"));
+        run(&v(&[
+            "gen", "--out", &data, "--txns", "200", "--items", "40", "--seed", "3",
+        ]))
+        .unwrap();
+        run(&v(&[
+            "fit",
+            "--data",
+            &data,
+            "--out",
+            &model,
+            "--minsup",
+            "0.05",
+            "--max-body",
+            "2",
+        ]))
+        .unwrap();
+        let set =
+            pm_txn::TransactionSet::from_json(&std::fs::read_to_string(&data).unwrap()).unwrap();
+        let n = set.catalog().len();
+        let lists = |k: usize| serde_json::to_string(&vec![Vec::<u32>::new(); k]).unwrap();
+        // One item parent list short; and a concept whose parent is out of range.
+        let short = format!(
+            r#"{{"n_items":{n},"concept_names":[],"item_parents":{},"concept_parents":[]}}"#,
+            lists(n - 1)
+        );
+        let dangling = format!(
+            r#"{{"n_items":{n},"concept_names":["c"],"item_parents":{},"concept_parents":[[9]]}}"#,
+            lists(n)
+        );
+        let with_hierarchy = |name: &str, h: &str| {
+            let json = format!(
+                r#"{{"catalog":{},"hierarchy":{h},"transactions":{}}}"#,
+                serde_json::to_string(set.catalog()).unwrap(),
+                serde_json::to_string(set.transactions()).unwrap()
+            );
+            std::fs::write(path(name), json).unwrap();
+            path(name)
+        };
+        let (short_data, dangling_data) = (
+            with_hierarchy("short.json", &short),
+            with_hierarchy("dangling.json", &dangling),
+        );
+        let (payload, _) = pm_store::load_model_file(&model).unwrap();
+        let mut saved: profit_core::SavedModel =
+            serde_json::from_str(std::str::from_utf8(&payload).unwrap()).unwrap();
+        saved.hierarchy = serde_json::from_str(&short).unwrap();
+        let short_model = path("short.pm");
+        pm_store::save_sealed(
+            &short_model,
+            serde_json::to_string(&saved).unwrap().as_bytes(),
+        )
+        .unwrap();
+
+        for (argv, needle) in [
+            (
+                v(&["fit", "--data", &short_data, "--out", &path("x.pm")]),
+                "hierarchy",
+            ),
+            (v(&["stats", "--data", &dangling_data]), "unknown concept#9"),
+            (v(&["rules", "--model", &short_model]), "hierarchy"),
+            (
+                v(&["serve", "--model", &short_model, "--addr", "127.0.0.1:0"]),
+                "hierarchy",
+            ),
+        ] {
+            match run(&argv) {
+                Err(CliError::Runtime(msg)) => assert!(msg.contains(needle), "{argv:?}: {msg}"),
+                other => panic!("{argv:?}: expected a runtime error, got {other:?}"),
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

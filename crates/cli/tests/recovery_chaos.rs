@@ -233,6 +233,14 @@ struct Daemon {
     addr: String,
 }
 
+impl Drop for Daemon {
+    /// A failed assertion must not leave the spawned daemon running.
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
 impl Daemon {
     fn start(data: &str, log: &str, ck: &str, addr_file: &Path) -> Daemon {
         let _ = std::fs::remove_file(addr_file);
@@ -423,5 +431,122 @@ fn sigkilled_daemon_recovers_byte_identically_at_every_stage() {
     let resp = c.send(r#"{"op":"checkpoint"}"#);
     assert!(resp.contains(r#""op":"checkpointed""#), "{resp}");
     daemon.shutdown(&mut c);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Generate a dataset, split it at `at`, and cut the tail into two batch
+/// files; returns the head path and the two batch paths.
+fn split_stream(dir: &Path, txns: &str, at: &str, seed: &str) -> (String, String, String) {
+    let path = |name: &str| dir.join(name).display().to_string();
+    let (full, head, tail) = (path("full.json"), path("head.json"), path("tail.json"));
+    cli_ok(&[
+        "gen", "--out", &full, "--txns", txns, "--items", "60", "--seed", seed,
+    ]);
+    cli_ok(&[
+        "split", "--data", &full, "--at", at, "--head", &head, "--tail", &tail,
+    ]);
+    let tail_txns: Vec<Transaction> =
+        serde_json::from_str(&std::fs::read_to_string(&tail).unwrap()).unwrap();
+    let (a, b) = tail_txns.split_at(tail_txns.len() / 2);
+    let (b1, b2) = (path("b1.json"), path("b2.json"));
+    std::fs::write(&b1, serde_json::to_string(&a).unwrap()).unwrap();
+    std::fs::write(&b2, serde_json::to_string(&b).unwrap()).unwrap();
+    (head, b1, b2)
+}
+
+fn assert_same_bytes(cli_ck: &str, daemon_ck: &str, at: &str) {
+    let (a, b) = (
+        std::fs::read(cli_ck).unwrap(),
+        std::fs::read(daemon_ck).unwrap(),
+    );
+    assert!(
+        a == b,
+        "{at}: the CLI sealed {} bytes, the daemon {} bytes",
+        a.len(),
+        b.len()
+    );
+}
+
+/// The CLI verb and the daemon recover through the same code, so for the
+/// same base, log and fit flags they seal the same envelope — on the
+/// cold path (replay, then one fit) and again on the resume path
+/// (checkpoint plus a one-record tail).
+#[test]
+fn cli_and_daemon_seal_identical_checkpoints() {
+    let _guard = pm_store::faults::test_lock();
+    let dir = tmp_dir("same-seal");
+    let path = |name: &str| dir.join(name).display().to_string();
+    let (head, b1, b2) = split_stream(&dir, "300", "200", "97");
+    let (log, daemon_log) = (path("cli.log"), path("daemon.log"));
+    let (ck, daemon_ck) = (path("cli.pmck"), path("daemon.pmck"));
+    cli_ok(&["ingest", "--data", &head, "--log", &log, "--batch", &b1]);
+    std::fs::copy(&log, &daemon_log).unwrap();
+    let mut ck_args = vec!["checkpoint", "--data", &head, "--log", &log, "--out", &ck];
+    ck_args.extend_from_slice(&FIT_FLAGS);
+
+    // The CLI leaves its log uncompacted so `ingest` can extend it below.
+    let out = cli_ok(&[ck_args.as_slice(), &["--no-compact"]].concat());
+    assert!(out.contains("cold-fitted the base dataset"), "{out}");
+    let daemon = Daemon::start(&head, &daemon_log, &daemon_ck, &dir.join("addr.txt"));
+    let mut c = daemon.connect();
+    let resp = c.send(r#"{"op":"checkpoint"}"#);
+    assert!(resp.contains(r#""op":"checkpointed""#), "{resp}");
+    assert_same_bytes(&ck, &daemon_ck, "cold path");
+
+    cli_ok(&["ingest", "--data", &head, "--log", &log, "--batch", &b2]);
+    let out = cli_ok(&ck_args);
+    assert!(
+        out.contains("resumed from the existing checkpoint"),
+        "{out}"
+    );
+    let batch: Vec<Transaction> =
+        serde_json::from_str(&std::fs::read_to_string(&b2).unwrap()).unwrap();
+    let resp = c.send(&pm_serve::protocol::ingest_line(None, &batch));
+    assert!(resp.contains(r#""op":"ingested""#), "{resp}");
+    let resp = c.send(r#"{"op":"checkpoint"}"#);
+    assert!(resp.contains(r#""op":"checkpointed""#), "{resp}");
+    daemon.shutdown(&mut c);
+    assert_same_bytes(&ck, &daemon_ck, "resume path");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The CLI verb recovers like a restarting daemon: a corrupt `--out`
+/// falls back to full-log replay while the log's base is 0, and is a
+/// typed refusal once the log was compacted.
+#[test]
+fn checkpoint_verb_falls_back_on_a_corrupt_out_only_while_the_log_is_whole() {
+    let _guard = pm_store::faults::test_lock();
+    let dir = tmp_dir("corrupt-out");
+    let path = |name: &str| dir.join(name).display().to_string();
+    let (head, b1, _) = split_stream(&dir, "300", "200", "91");
+    let (log, ck) = (path("sales.log"), path("ck.pmck"));
+    cli_ok(&["ingest", "--data", &head, "--log", &log, "--batch", &b1]);
+    let mut ck_args = vec!["checkpoint", "--data", &head, "--log", &log, "--out", &ck];
+    ck_args.extend_from_slice(&FIT_FLAGS);
+
+    std::fs::write(&ck, b"not a checkpoint").unwrap();
+    let out = cli_ok(&ck_args);
+    assert!(out.contains("cold-fitted the base dataset"), "{out}");
+    assert!(out.contains("dropped 1 records, retained 0"), "{out}");
+    let mut stream = TransactionSet::from_json(&std::fs::read_to_string(&head).unwrap()).unwrap();
+    let batch: Vec<Transaction> =
+        serde_json::from_str(&std::fs::read_to_string(&b1).unwrap()).unwrap();
+    stream.extend_from(&batch).unwrap();
+    assert_eq!(
+        serde_json::to_string(&checkpointed_model(Path::new(&ck)).model).unwrap(),
+        model_json(&cli_pipeline().fit(&stream)),
+        "the fallback must seal the cold fit on the whole stream"
+    );
+    let log_bytes = std::fs::read(&log).unwrap();
+
+    std::fs::write(&ck, b"still not a checkpoint").unwrap();
+    let err = cli(&ck_args).unwrap_err().to_string();
+    assert!(err.contains("compacted to base 1"), "{err}");
+    assert!(err.contains("cannot be rebuilt"), "{err}");
+    assert_eq!(
+        std::fs::read(&log).unwrap(),
+        log_bytes,
+        "a refusal leaves the log"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -7,21 +7,20 @@
 //! * the **stream position** — the absolute log record index the
 //!   checkpoint covers, so replay resumes exactly at the next record;
 //! * the **training data** up to that position, embedded as JSON and
-//!   re-validated on decode;
+//!   re-validated on restore;
 //! * the fitted **model**, for tools that want to serve or inspect it
 //!   without resuming the stream at all;
-//! * the incremental miner's [`MinerSnapshot`] — the warm anchor caches
-//!   and resolved execution policies, so [`resume`](Checkpoint::resume)
+//! * the incremental miner's [`MinerSnapshot`] — the warm anchor
+//!   caches, so a restored miner
+//!   ([`IncrementalProfitMiner::restore`](crate::IncrementalProfitMiner::restore))
 //!   rebuilds the model without re-running the DFS.
 //!
 //! The payload is format-agnostic bytes: `pm-store`'s checkpoint module
 //! wraps it in the checksummed, versioned envelope and writes it
-//! atomically.
+//! atomically; `pm_serve::stream` restores it.
 
-use crate::model::{RuleModel, SavedModel};
-use crate::pipeline::{IncrementalProfitMiner, ProfitMiner};
+use crate::model::SavedModel;
 use pm_rules::MinerSnapshot;
-use pm_txn::TransactionSet;
 use serde::{Deserialize, Serialize};
 
 /// A complete streaming checkpoint: data, model and miner state as of
@@ -32,8 +31,8 @@ pub struct Checkpoint {
     /// created) this checkpoint covers; replay resumes at this record.
     pub stream_pos: u64,
     /// The training data as embedded JSON — produced by
-    /// [`TransactionSet::to_json`], re-validated on
-    /// [`resume`](Self::resume) via [`TransactionSet::from_json`].
+    /// [`pm_txn::TransactionSet::to_json`], re-validated on restore via
+    /// [`pm_txn::TransactionSet::from_json`].
     pub data_json: String,
     /// The fitted model at `stream_pos`.
     pub model: SavedModel,
@@ -55,31 +54,15 @@ impl Checkpoint {
             .map_err(|e| format!("checkpoint payload is not UTF-8: {e}"))?;
         serde_json::from_str(s).map_err(|e| format!("checkpoint payload does not parse: {e}"))
     }
-
-    /// Rebuild the streaming state: the dataset, a fitted incremental
-    /// pipeline with every cache warm, and the model — bit-identical to
-    /// the one that was snapshotted, but re-derived from the caches
-    /// rather than trusted from the file. `pipeline` must carry the
-    /// same configuration the checkpointing process ran with.
-    pub fn resume(
-        &self,
-        pipeline: ProfitMiner,
-    ) -> Result<(TransactionSet, IncrementalProfitMiner, RuleModel), String> {
-        let data = TransactionSet::from_json(&self.data_json)
-            .map_err(|e| format!("checkpoint data does not validate: {e}"))?;
-        let mut inc = IncrementalProfitMiner::restore(pipeline, &data, &self.miner)?;
-        // An empty delta assembles the model from the warm caches
-        // without mining a single anchor.
-        let model = inc.update(&data);
-        Ok((data, inc, model))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::{IncrementalProfitMiner, ProfitMiner};
     use pm_datagen::DatasetConfig;
     use pm_rules::{MinerConfig, Support};
+    use pm_txn::TransactionSet;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -90,6 +73,14 @@ mod tests {
             ..MinerConfig::default()
         })
         .with_threads(2)
+    }
+
+    /// What a restart does with a checkpoint: re-validate its data and
+    /// restore the miner with every cache warm.
+    fn restore(ck: &Checkpoint) -> Result<(TransactionSet, IncrementalProfitMiner), String> {
+        let data = TransactionSet::from_json(&ck.data_json)?;
+        let inc = IncrementalProfitMiner::restore(pipeline(), &data, &ck.miner)?;
+        Ok((data, inc))
     }
 
     #[test]
@@ -111,8 +102,10 @@ mod tests {
         let back = Checkpoint::decode(&bytes).unwrap();
         assert_eq!(back.stream_pos, 300);
 
-        let (data, mut resumed, got) = back.resume(pipeline()).unwrap();
+        let (data, mut resumed) = restore(&back).unwrap();
         assert_eq!(data.len(), 300);
+        // An empty delta assembles the model from the warm caches.
+        let got = resumed.update(&data);
         assert_eq!(
             serde_json::to_string(&got.save()).unwrap(),
             serde_json::to_string(&model.save()).unwrap(),
@@ -166,7 +159,7 @@ mod tests {
             .with_items(60)
             .generate(&mut StdRng::seed_from_u64(31));
         ck.data_json = other.to_json();
-        let err = match ck.resume(pipeline()) {
+        let err = match restore(&ck) {
             Ok(_) => panic!("tampered data must be refused"),
             Err(e) => e,
         };

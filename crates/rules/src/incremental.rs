@@ -155,6 +155,43 @@ impl RuleSnapshot {
     }
 }
 
+impl MinerState {
+    /// The cold-pass state over `data`: MOA tables, extension, tidsets,
+    /// per-head floor accumulators in tid order, today's support count,
+    /// and no caches yet. `fit` mines on top of it; `restore` fills the
+    /// caches from a snapshot instead.
+    fn build(miner: &RuleMiner, data: &TransactionSet) -> MinerState {
+        let config = miner.config();
+        let moa = Moa::new(
+            data.catalog_arc(),
+            data.hierarchy_arc(),
+            config.moa == MoaMode::Enabled,
+        );
+        let extended = ExtendedData::build(data, &moa, config.quantity);
+        let tidsets = extended.tidsets();
+        let h = extended.n_heads();
+        let mut head_hits = vec![0u64; h];
+        let mut head_profit = vec![0.0f64; h];
+        for heads in &extended.txn_heads {
+            for &(hd, p) in heads {
+                head_hits[hd.index()] += 1;
+                head_profit[hd.index()] += p;
+            }
+        }
+        let minsup = config.min_support.to_count(extended.n_transactions());
+        let caches = (0..extended.n_gs()).map(|_| None).collect();
+        MinerState {
+            moa,
+            extended,
+            tidsets,
+            minsup,
+            head_hits,
+            head_profit,
+            caches,
+        }
+    }
+}
+
 /// The floor value that disables the default-dominance filter: both
 /// comparisons in the emit predicate are against `-∞ + 1e-12 = -∞` and
 /// can never be true.
@@ -202,34 +239,7 @@ impl IncrementalMiner {
     /// state retained for [`update`](Self::update). Calling `fit` again
     /// discards all previous state.
     pub fn fit(&mut self, data: &TransactionSet) -> MinedRules {
-        let config = *self.miner.config();
-        let moa = Moa::new(
-            data.catalog_arc(),
-            data.hierarchy_arc(),
-            config.moa == MoaMode::Enabled,
-        );
-        let extended = ExtendedData::build(data, &moa, config.quantity);
-        let tidsets = extended.tidsets();
-        let h = extended.n_heads();
-        let mut head_hits = vec![0u64; h];
-        let mut head_profit = vec![0.0f64; h];
-        for heads in &extended.txn_heads {
-            for &(hd, p) in heads {
-                head_hits[hd.index()] += 1;
-                head_profit[hd.index()] += p;
-            }
-        }
-        let minsup = config.min_support.to_count(extended.n_transactions());
-        let caches = (0..extended.n_gs()).map(|_| None).collect();
-        let mut state = MinerState {
-            moa,
-            extended,
-            tidsets,
-            minsup,
-            head_hits,
-            head_profit,
-            caches,
-        };
+        let mut state = MinerState::build(&self.miner, data);
         let out = Self::remine(&self.miner, &mut state);
         self.state = Some(state);
         out
@@ -362,8 +372,8 @@ impl IncrementalMiner {
     /// snapshot's, and every cached anchor and head must exist in the
     /// rebuilt extension.
     ///
-    /// The extension, tidsets and floor accumulators are recomputed with
-    /// the same loops as [`fit`](Self::fit); the DFS is skipped entirely
+    /// The extension, tidsets and floor accumulators are rebuilt by the
+    /// same setup [`fit`](Self::fit) runs; the DFS is skipped entirely
     /// because the caches come back warm. Call [`update`](Self::update)
     /// afterwards — with the restored data, or with the replayed log
     /// tail appended — to obtain the model; an empty delta assembles
@@ -373,24 +383,8 @@ impl IncrementalMiner {
         data: &TransactionSet,
         snap: &MinerSnapshot,
     ) -> Result<Self, String> {
-        let config = *miner.config();
-        let moa = Moa::new(
-            data.catalog_arc(),
-            data.hierarchy_arc(),
-            config.moa == MoaMode::Enabled,
-        );
-        let extended = ExtendedData::build(data, &moa, config.quantity);
-        let tidsets = extended.tidsets();
-        let h = extended.n_heads();
-        let mut head_hits = vec![0u64; h];
-        let mut head_profit = vec![0.0f64; h];
-        for heads in &extended.txn_heads {
-            for &(hd, p) in heads {
-                head_hits[hd.index()] += 1;
-                head_profit[hd.index()] += p;
-            }
-        }
-        let minsup = config.min_support.to_count(extended.n_transactions());
+        let mut state = MinerState::build(&miner, data);
+        let minsup = state.minsup;
         if minsup != snap.minsup {
             return Err(format!(
                 "snapshot support count {} disagrees with the data's {minsup} — \
@@ -398,8 +392,8 @@ impl IncrementalMiner {
                 snap.minsup
             ));
         }
-        let n_gs = extended.n_gs();
-        let mut caches: Vec<Option<AnchorCache>> = (0..n_gs).map(|_| None).collect();
+        let (n_gs, h) = (state.extended.n_gs(), state.extended.n_heads());
+        let caches = &mut state.caches;
         for c in &snap.caches {
             let gi = c.anchor as usize;
             if gi >= n_gs {
@@ -428,15 +422,7 @@ impl IncrementalMiner {
         }
         Ok(Self {
             miner,
-            state: Some(MinerState {
-                moa,
-                extended,
-                tidsets,
-                minsup,
-                head_hits,
-                head_profit,
-                caches,
-            }),
+            state: Some(state),
         })
     }
 

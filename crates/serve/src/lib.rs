@@ -40,27 +40,20 @@
 //!   degrades one answer (counted under `serve.worker_panics`), it
 //!   never kills a serving thread;
 //! * **hot reload** — the `reload` op validates a new model envelope
-//!   off the serving path (a dedicated executor thread,
+//!   off the serving path (on the control-plane executor,
 //!   unwind-isolated) and atomically swaps it into the shared
 //!   [`ModelHandle`]; on any failure — missing file, torn envelope,
 //!   checksum mismatch, parse error, rule-less model, panic — the old
-//!   model keeps serving. Overlapping reloads queue serially up to
-//!   [`EXECUTOR_QUEUE_CAP`] jobs, then reject deterministically with
-//!   [`ServeError::ReloadInFlight`];
-//! * **streaming ingestion** — a daemon started with
-//!   [`Server::start_streaming`] owns a transaction stream and its
-//!   crash-safe append-only sales log (`pm_store::log`); the `ingest`
-//!   op validates a batch (optionally carrying an append-only catalog
-//!   delta) against the stream, fsyncs it into the log *before* it
-//!   becomes visible, refits the model incrementally (byte-identical to
-//!   a cold fit on the concatenated stream), and hot-swaps it in with a
-//!   generation bump; batch size is bounded by configurable record and
-//!   byte caps;
-//! * **checkpointing & recovery** — the `checkpoint` op seals the whole
-//!   streaming state (data, model, warm miner caches, log position)
-//!   into an atomic `PMCK` envelope, then compacts the sales log behind
-//!   it; restart restores the checkpoint and replays only the log tail,
-//!   arriving at the same bytes as a full replay (DESIGN.md §17).
+//!   model keeps serving. Control-plane jobs (reload, ingest,
+//!   checkpoint) queue serially up to [`EXECUTOR_QUEUE_CAP`] jobs, then
+//!   reject deterministically with [`ServeError::ReloadInFlight`];
+//! * **streaming ingestion & checkpoints** — a daemon started with
+//!   [`Server::start_streaming`] owns a [`stream::Stream`]: the `ingest`
+//!   op makes a size-capped batch durable in the sales log before it is
+//!   visible, refits incrementally (byte-identical to a cold fit on the
+//!   concatenated stream) and hot-swaps the model; the `checkpoint` op
+//!   seals the stream into a `PMCK` envelope and compacts the log behind
+//!   it, so a restart replays only the tail (DESIGN.md §15, §17).
 //!
 //! Fault injection for all of the above lives in `pm_store::faults`;
 //! the integration tests drive every fault class through a live daemon.
@@ -69,17 +62,13 @@
 #![deny(unsafe_code)]
 
 pub mod protocol;
+pub mod stream;
 
-use pm_store::log::SalesLog;
 use pm_store::StoreError;
-use pm_txn::{
-    decode_stream_record, encode_stream_record, CatalogDelta, TargetFilter, Transaction,
-    TransactionSet,
-};
+use pm_txn::{CatalogDelta, TargetFilter, Transaction, TransactionSet};
 use polling::{Event, Events, Poller};
 use profit_core::{
-    Checkpoint, IncrementalProfitMiner, Matcher, ModelHandle, ProfitMiner, Recommendation,
-    Recommender, RuleModel, SavedModel,
+    Matcher, ModelHandle, ProfitMiner, Recommendation, Recommender, RuleModel, SavedModel,
 };
 use protocol::{error_line, obj, parse_request, rec_value, render, validate_sales, Request};
 use serde::Value;
@@ -90,8 +79,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
+use stream::Stream;
 
 /// Tuning knobs for the daemon. The defaults suit tests and small
 /// deployments; the CLI exposes each as a flag.
@@ -161,6 +151,14 @@ pub enum ServeError {
         /// The parse failure.
         err: String,
     },
+    /// The transaction stream could not be recovered from its base data,
+    /// sales log and checkpoint.
+    Stream {
+        /// The file (or log record) involved.
+        path: String,
+        /// Why recovery refused.
+        err: String,
+    },
     /// The model parsed but cannot be served: the degraded path and the
     /// matcher both rely on the §3.2 default rule `∅ → g` being the
     /// last rule, and this model does not have one.
@@ -177,12 +175,12 @@ pub enum ServeError {
         /// The OS error text.
         err: String,
     },
-    /// The control-plane executor (reloads and ingests run serially on
-    /// one thread) already has [`EXECUTOR_QUEUE_CAP`] jobs queued or
-    /// running; the request is rejected instead of queueing unboundedly
-    /// behind a slow validation.
+    /// The control-plane executor (reloads, ingests and checkpoints run
+    /// serially on one thread) already has [`EXECUTOR_QUEUE_CAP`] jobs
+    /// queued or running; the request is rejected instead of queueing
+    /// unboundedly behind a slow validation.
     ReloadInFlight {
-        /// Reload/ingest jobs queued or running when the request
+        /// Control-plane jobs queued or running when the request
         /// arrived.
         pending: usize,
     },
@@ -208,6 +206,7 @@ impl std::fmt::Display for ServeError {
         match self {
             ServeError::Store(e) => write!(f, "{e}"),
             ServeError::Model { path, err } => write!(f, "{path}: invalid model payload: {err}"),
+            ServeError::Stream { path, err } => write!(f, "{path}: {err}"),
             ServeError::Degenerate { path, why } => {
                 write!(f, "{path}: unservable model: {why}")
             }
@@ -259,22 +258,24 @@ fn validate_servable(model: &RuleModel) -> Result<(), String> {
 
 /// Load a model file through the crash-safe store: enveloped files are
 /// checksum-verified, legacy raw-JSON files still load. Every failure —
-/// I/O, torn envelope, bit flip, version skew, JSON parse, a model with
-/// no servable default rule — comes back as a typed, printable
-/// [`ServeError`]; corrupt bytes are never deserialized into a
-/// partially-built model, and an unservable model is rejected here
-/// instead of panicking the degraded path at serve time.
+/// I/O, torn envelope, bit flip, version skew, JSON parse, malformed
+/// catalog or hierarchy tables, a model with no servable default rule —
+/// comes back as a typed, printable [`ServeError`]; corrupt bytes are
+/// never deserialized into a partially-built model, and an unservable
+/// model is rejected here instead of panicking at index build or serve
+/// time.
 pub fn load_model(path: impl AsRef<Path>) -> Result<RuleModel, ServeError> {
     let path = path.as_ref();
+    let invalid = |err: String| ServeError::Model {
+        path: path.display().to_string(),
+        err,
+    };
     let (payload, provenance) = pm_store::load_model_file(path)?;
-    let text = String::from_utf8(payload).map_err(|e| ServeError::Model {
-        path: path.display().to_string(),
-        err: format!("payload is not UTF-8: {e}"),
-    })?;
-    let saved: SavedModel = serde_json::from_str(&text).map_err(|e| ServeError::Model {
-        path: path.display().to_string(),
-        err: e.to_string(),
-    })?;
+    let text =
+        String::from_utf8(payload).map_err(|e| invalid(format!("payload is not UTF-8: {e}")))?;
+    let saved: SavedModel = serde_json::from_str(&text).map_err(|e| invalid(e.to_string()))?;
+    TransactionSet::validate_tables(&saved.catalog, &saved.hierarchy)
+        .map_err(|e| invalid(e.to_string()))?;
     if provenance == pm_store::Provenance::LegacyRaw {
         pm_obs::counter("serve.legacy_model_loads").inc();
         pm_obs::info!("serve.legacy_model", path = path.display());
@@ -366,9 +367,9 @@ impl Metrics {
 }
 
 /// One reactor's mailboxes: the acceptor pushes admitted connections
-/// into `inbox`, compute workers and the reload executor push finished
-/// responses into `completions`; both wake the reactor through its
-/// poller's notify pipe.
+/// into `inbox`, compute workers and the control-plane executor push
+/// finished responses into `completions`; both wake the reactor through
+/// its poller's notify pipe.
 struct ReactorShared {
     poller: Poller,
     inbox: Mutex<Vec<TcpStream>>,
@@ -381,31 +382,16 @@ impl ReactorShared {
     }
 }
 
-/// How many reload/ingest jobs may be queued or running on the
-/// control-plane executor before further ones are rejected with
-/// [`ServeError::ReloadInFlight`]. Overlapping reloads up to this depth
-/// queue and run serially in arrival order; beyond it the daemon answers
+/// How many control-plane jobs (reload, ingest, checkpoint) may be
+/// queued or running on the executor before further ones are rejected
+/// with [`ServeError::ReloadInFlight`]. Up to this depth they queue and
+/// run serially in arrival order; beyond it the daemon answers
 /// deterministically instead of building an unbounded backlog behind a
 /// slow model validation.
 pub const EXECUTOR_QUEUE_CAP: usize = 8;
 
-/// The streaming-ingestion state: the authoritative transaction stream,
-/// its write-ahead sales log, and the incremental miner whose refits
-/// are byte-identical to cold fits on the concatenated stream. Touched
-/// only by the control-plane executor thread (the mutex makes it
-/// `Sync`, it is never contended).
-struct IngestState {
-    data: TransactionSet,
-    log: SalesLog,
-    inc: IncrementalProfitMiner,
-    /// Absolute stream position: sales-log records ingested since the
-    /// log was created (compaction moves the log's base, not this).
-    /// Checkpoints record it; restart replay resumes from it.
-    stream_pos: u64,
-}
-
 /// State shared by the acceptor, the reactors, the compute workers, the
-/// reload executor, and the [`Server`] handle.
+/// control-plane executor, and the [`Server`] handle.
 struct Shared {
     cfg: ServeConfig,
     handle: ModelHandle,
@@ -415,11 +401,13 @@ struct Shared {
     live_conns: AtomicI64,
     /// Requests in flight between a reactor and a worker/executor.
     queue_depth: AtomicI64,
-    /// Reload/ingest jobs queued or running on the executor, for the
+    /// Control-plane jobs queued or running on the executor, for the
     /// [`EXECUTOR_QUEUE_CAP`] admission check.
     executor_pending: AtomicI64,
-    /// `Some` iff the daemon was started in streaming mode.
-    ingest: Option<Mutex<IngestState>>,
+    /// `Some` iff the daemon was started in streaming mode. Touched only
+    /// by the control-plane executor (the mutex makes it `Sync`; it is
+    /// never contended).
+    stream: Option<Mutex<Stream>>,
     metrics: Metrics,
     reactors: Vec<Arc<ReactorShared>>,
 }
@@ -435,14 +423,21 @@ impl Shared {
             r.wake();
         }
     }
+
+    /// The stream, for a control job the reactor admitted in streaming
+    /// mode (outside it the reactor answers stream ops inline).
+    fn stream(&self) -> MutexGuard<'_, Stream> {
+        self.stream
+            .as_ref()
+            .expect("stream ops are admitted only in streaming mode")
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+    }
 }
 
 /// A recommendation request in flight to a compute worker.
 struct Job {
-    reactor: usize,
-    slot: usize,
-    token: u64,
-    seq: u64,
+    reply: Reply,
     sales: Vec<pm_txn::Sale>,
     top: usize,
     /// Raw target spec, resolved by the worker against the model
@@ -450,48 +445,76 @@ struct Job {
     target: Option<String>,
 }
 
-/// A reload request in flight to the control-plane executor.
-struct ReloadJob {
+/// Where an answer goes: the requester's reserved response slot.
+struct Reply {
     reactor: usize,
     slot: usize,
     token: u64,
     seq: u64,
-    path: Option<String>,
 }
 
-/// An ingest request in flight to the control-plane executor.
-struct IngestJob {
-    reactor: usize,
-    slot: usize,
-    token: u64,
-    seq: u64,
-    catalog: Option<CatalogDelta>,
-    txns: Vec<Transaction>,
+impl Reply {
+    /// Queue the answer on its reactor, and return that reactor (the
+    /// caller wakes it).
+    fn complete(self, shared: &Shared, line: String) -> &ReactorShared {
+        let reactor = &shared.reactors[self.reactor];
+        let mut done = reactor
+            .completions
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        done.push(Completion { reply: self, line });
+        reactor
+    }
 }
 
-/// A checkpoint request in flight to the control-plane executor.
-struct CheckpointJob {
-    reactor: usize,
-    slot: usize,
-    token: u64,
-    seq: u64,
-    path: Option<String>,
-}
-
-/// One control-plane job: reloads, ingests and checkpoints share the
+/// A control-plane op. Reloads, ingests and checkpoints share the
 /// executor thread, so model swaps and stream mutations of every kind
 /// are serialized.
-enum ExecJob {
-    Reload(ReloadJob),
-    Ingest(IngestJob),
-    Checkpoint(CheckpointJob),
+enum ControlOp {
+    Reload(Option<String>),
+    Ingest(Option<CatalogDelta>, Vec<Transaction>),
+    Checkpoint(Option<String>),
+}
+
+/// A control-plane op in flight to the executor, with its reply address.
+struct ControlJob {
+    reply: Reply,
+    op: ControlOp,
+}
+
+/// One op's side of the shared fail path.
+struct FailPath<'m> {
+    failures: &'m ServeCounter,
+    event: &'static str,
+    /// The error line's prefix.
+    prefix: &'static str,
+}
+
+impl ControlOp {
+    fn fail_path<'m>(&self, m: &'m Metrics) -> FailPath<'m> {
+        match self {
+            ControlOp::Reload(_) => FailPath {
+                failures: &m.reload_failures,
+                event: "serve.reload_failed",
+                prefix: "reload failed, keeping current model",
+            },
+            ControlOp::Ingest(..) => FailPath {
+                failures: &m.ingest_failures,
+                event: "serve.ingest_failed",
+                prefix: "ingest rejected, keeping current model",
+            },
+            ControlOp::Checkpoint(_) => FailPath {
+                failures: &m.checkpoint_failures,
+                event: "serve.checkpoint_failed",
+                prefix: "checkpoint failed",
+            },
+        }
+    }
 }
 
 /// A finished response heading back to a reactor.
 struct Completion {
-    slot: usize,
-    token: u64,
-    seq: u64,
+    reply: Reply,
     line: String,
 }
 
@@ -555,172 +578,23 @@ impl Server {
         Server::start_inner(addr, model, model_path, cfg, None)
     }
 
-    /// Start in **streaming mode**: recover the stream, fit (or
-    /// restore) a model, then serve it — and accept
-    /// `{"op":"ingest",...}` requests that append a validated batch to
-    /// the crash-safe sales log, refit incrementally, and hot-swap the
-    /// refitted model in (one generation bump per batch), plus
-    /// `{"op":"checkpoint"}` requests that snapshot the stream and
-    /// compact the log behind it.
-    ///
-    /// Recovery decides between two equivalent paths:
-    ///
-    /// * a valid checkpoint at [`ServeConfig::checkpoint`] restores the
-    ///   stream and the miner's warm caches, and only the log records
-    ///   *after* the checkpoint position are replayed;
-    /// * otherwise the whole log is replayed on top of `data` (`data`
-    ///   is ignored when a checkpoint is used — the checkpoint embeds
-    ///   the full stream). A corrupt checkpoint falls back to this path
-    ///   when the log still holds the whole stream, and refuses to
-    ///   start when the log was compacted past record 0 (the stream
-    ///   cannot be rebuilt). A checkpoint older than the log's
-    ///   compaction base or ahead of its end is a typed
-    ///   [`StoreError`].
-    ///
-    /// The served model is always byte-identical to what a cold
-    /// `pipeline.fit` on the concatenated stream would build — at
-    /// startup (either recovery path), and after every ingest.
+    /// Start in **streaming mode**: recover the stream from `data`, the
+    /// sales log and [`ServeConfig::checkpoint`] ([`Stream::recover`]),
+    /// build its model, and serve it — accepting `ingest` ops (one
+    /// generation bump per batch) and `checkpoint` ops. The served model
+    /// is always byte-identical to a cold `pipeline.fit` on the
+    /// concatenated stream, at startup and after every ingest.
     pub fn start_streaming(
         addr: &str,
-        mut data: TransactionSet,
+        data: TransactionSet,
         log_path: impl AsRef<Path>,
         pipeline: ProfitMiner,
         cfg: ServeConfig,
     ) -> Result<Server, ServeError> {
         let log_path = log_path.as_ref();
-        let (log, recovery) = SalesLog::open(log_path)?;
-        if recovery.truncated_bytes > 0 {
-            pm_obs::info!(
-                "serve.log_recovered",
-                path = log_path.display(),
-                truncated_bytes = recovery.truncated_bytes
-            );
-        }
-
-        // Replay `records` (absolute indices from `first_abs`) onto `data`.
-        let replay = |data: &mut TransactionSet,
-                      records: &[Vec<u8>],
-                      first_abs: u64|
-         -> Result<(), ServeError> {
-            for (i, payload) in records.iter().enumerate() {
-                let abs = first_abs + i as u64;
-                let at = || format!("{} record {abs}", log_path.display());
-                let (delta, batch) = std::str::from_utf8(payload)
-                    .map_err(|e| e.to_string())
-                    .and_then(decode_stream_record)
-                    .map_err(|err| ServeError::Model { path: at(), err })?;
-                data.apply_stream_record(delta.as_ref(), &batch)
-                    .map_err(|e| ServeError::Model {
-                        path: at(),
-                        err: e.to_string(),
-                    })?;
-            }
-            Ok(())
-        };
-
-        // Try the checkpoint. Corruption (unreadable file, bad payload)
-        // falls back to full-log replay when the log still starts at
-        // record 0; position mismatches (stale / ahead of log) are real
-        // inconsistencies and surface as typed errors.
-        let mut resumed = None;
-        if let Some(ck_path) = cfg.checkpoint.as_ref().filter(|p| p.exists()) {
-            let corrupt = |err: String| -> Result<(), ServeError> {
-                if recovery.base == 0 {
-                    pm_obs::error!(
-                        "serve.checkpoint_ignored",
-                        path = ck_path.display(),
-                        err = err
-                    );
-                    Ok(())
-                } else {
-                    Err(ServeError::Model {
-                        path: ck_path.display().to_string(),
-                        err: format!(
-                            "checkpoint is unreadable and the sales log was compacted to \
-                             base {} — the full stream cannot be rebuilt: {err}",
-                            recovery.base
-                        ),
-                    })
-                }
-            };
-            match pm_store::checkpoint::load(ck_path)
-                .map_err(|e| e.to_string())
-                .and_then(|bytes| Checkpoint::decode(&bytes))
-            {
-                Ok(ck) => {
-                    let skip = pm_store::checkpoint::plan_replay(
-                        ck.stream_pos,
-                        recovery.base,
-                        recovery.records.len() as u64,
-                    )?;
-                    match ck.resume(pipeline.clone()) {
-                        Ok((d, i, m)) => resumed = Some((d, i, m, ck.stream_pos, skip)),
-                        Err(e) => corrupt(e)?,
-                    }
-                }
-                Err(e) => corrupt(e)?,
-            }
-        }
-
-        let (state, model) = match resumed {
-            Some((mut ck_data, mut inc, model, ck_pos, skip)) => {
-                let tail = &recovery.records[skip..];
-                let model = if tail.is_empty() {
-                    model
-                } else {
-                    replay(&mut ck_data, tail, ck_pos)?;
-                    inc.update(&ck_data)
-                };
-                let stream_pos = ck_pos + tail.len() as u64;
-                pm_obs::info!(
-                    "serve.checkpoint_resumed",
-                    stream_pos = stream_pos,
-                    replayed = tail.len(),
-                    transactions = ck_data.len()
-                );
-                (
-                    IngestState {
-                        data: ck_data,
-                        log,
-                        inc,
-                        stream_pos,
-                    },
-                    model,
-                )
-            }
-            None => {
-                if recovery.base != 0 {
-                    return Err(ServeError::Model {
-                        path: log_path.display().to_string(),
-                        err: format!(
-                            "sales log was compacted to base {} but no checkpoint is \
-                             available — records before the base are gone, the stream \
-                             cannot be rebuilt",
-                            recovery.base
-                        ),
-                    });
-                }
-                replay(&mut data, &recovery.records, 0)?;
-                pm_obs::info!(
-                    "serve.streaming_fit",
-                    records = recovery.records.len(),
-                    transactions = data.len()
-                );
-                let mut inc = pipeline.into_incremental();
-                let model = inc.fit(&data);
-                let stream_pos = recovery.records.len() as u64;
-                (
-                    IngestState {
-                        data,
-                        log,
-                        inc,
-                        stream_pos,
-                    },
-                    model,
-                )
-            }
-        };
-        Server::start_inner(addr, model, log_path.to_path_buf(), cfg, Some(state))
+        let (mut stream, _) = Stream::recover(data, log_path, cfg.checkpoint.as_deref(), pipeline)?;
+        let model = stream.model();
+        Server::start_inner(addr, model, log_path.to_path_buf(), cfg, Some(stream))
     }
 
     fn start_inner(
@@ -728,7 +602,7 @@ impl Server {
         model: RuleModel,
         model_path: PathBuf,
         cfg: ServeConfig,
-        ingest: Option<IngestState>,
+        stream: Option<Stream>,
     ) -> Result<Server, ServeError> {
         validate_servable(&model).map_err(|why| ServeError::Degenerate {
             path: model_path.display().to_string(),
@@ -772,7 +646,7 @@ impl Server {
             live_conns: AtomicI64::new(0),
             queue_depth: AtomicI64::new(0),
             executor_pending: AtomicI64::new(0),
-            ingest: ingest.map(Mutex::new),
+            stream: stream.map(Mutex::new),
             metrics,
             reactors,
         });
@@ -800,33 +674,33 @@ impl Server {
             );
         }
 
-        // Control-plane executor: validates replacement models and runs
-        // streaming ingests off the serving path, one job at a time.
-        let (reload_tx, reload_rx) = std::sync::mpsc::channel::<ExecJob>();
+        // Control-plane executor: reloads, ingests and checkpoints run off
+        // the serving path, one job at a time.
+        let (control_tx, control_rx) = std::sync::mpsc::channel::<ControlJob>();
         {
             let shared = Arc::clone(&shared);
             threads.push(
                 std::thread::Builder::new()
-                    .name("pm-serve-reload".into())
-                    .spawn(move || control_executor_loop(&shared, &reload_rx))
-                    .map_err(|e| spawn_err(e, "spawn reload executor"))?,
+                    .name("pm-serve-control".into())
+                    .spawn(move || control_executor_loop(&shared, &control_rx))
+                    .map_err(|e| spawn_err(e, "spawn control executor"))?,
             );
         }
 
         for id in 0..io_threads {
             let shared = Arc::clone(&shared);
             let worker_txs = worker_txs.clone();
-            let reload_tx = reload_tx.clone();
+            let control_tx = control_tx.clone();
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("pm-serve-io-{id}"))
-                    .spawn(move || Reactor::new(shared, id, worker_txs, reload_tx).run())
+                    .spawn(move || Reactor::new(shared, id, worker_txs, control_tx).run())
                     .map_err(|e| spawn_err(e, "spawn reactor"))?,
             );
         }
         // The reactors now hold the only long-lived senders.
         drop(worker_txs);
-        drop(reload_tx);
+        drop(control_tx);
 
         {
             let shared = Arc::clone(&shared);
@@ -1026,7 +900,7 @@ struct Reactor {
     workers: Vec<Sender<Vec<Job>>>,
     /// Per-worker batch under construction during this wakeup.
     staged: Vec<Vec<Job>>,
-    reload_tx: Sender<ExecJob>,
+    control_tx: Sender<ControlJob>,
     events: Events,
     last_sweep: Instant,
 }
@@ -1036,7 +910,7 @@ impl Reactor {
         shared: Arc<Shared>,
         id: usize,
         workers: Vec<Sender<Vec<Job>>>,
-        reload_tx: Sender<ExecJob>,
+        control_tx: Sender<ControlJob>,
     ) -> Reactor {
         let rs = Arc::clone(&shared.reactors[id]);
         let staged = workers.iter().map(|_| Vec::new()).collect();
@@ -1049,7 +923,7 @@ impl Reactor {
             next_token: 0,
             workers,
             staged,
-            reload_tx,
+            control_tx,
             events: Events::new(),
             last_sweep: Instant::now(),
         }
@@ -1132,19 +1006,19 @@ impl Reactor {
                 .unwrap_or_else(|e| e.into_inner());
             std::mem::take(&mut *c)
         };
-        for c in done {
+        for Completion { reply, line } in done {
             self.shared.note_queue_depth(-1);
-            let Some(conn) = self.conns.get_mut(c.slot).and_then(Option::as_mut) else {
+            let Some(conn) = self.conns.get_mut(reply.slot).and_then(Option::as_mut) else {
                 continue;
             };
-            if conn.token != c.token {
+            if conn.token != reply.token {
                 continue; // the slot was reused; the requester is gone
             }
-            let idx = (c.seq - conn.base_seq) as usize;
+            let idx = (reply.seq - conn.base_seq) as usize;
             if let Some(s) = conn.slots.get_mut(idx) {
-                *s = Some(c.line);
+                *s = Some(line);
             }
-            self.pump(c.slot);
+            self.pump(reply.slot);
         }
     }
 
@@ -1357,43 +1231,19 @@ impl Reactor {
                 self.shared.shutdown.store(true, Ordering::Release);
                 self.shared.wake_all_reactors();
             }
-            Request::Reload { path } => {
-                let Some(()) = self.admit_exec_job(slot) else {
-                    return;
+            Request::Reload { path } => self.submit_control(slot, ControlOp::Reload(path)),
+            Request::Ingest { .. } | Request::Checkpoint { .. } if self.shared.stream.is_none() => {
+                // A daemon without a stream answers immediately — no
+                // executor round-trip for a request that cannot work.
+                let why = match request {
+                    Request::Ingest { .. } => ServeError::IngestUnavailable.to_string(),
+                    _ => "checkpoint unavailable: daemon is not in streaming mode — start \
+                          with --log to enable the sales log and checkpointing"
+                        .into(),
                 };
-                let Some((token, seq)) = self.reserve_slot(slot) else {
-                    self.release_exec_slot();
-                    return;
-                };
-                self.shared.note_queue_depth(1);
-                let job = ExecJob::Reload(ReloadJob {
-                    reactor: self.id,
-                    slot,
-                    token,
-                    seq,
-                    path,
-                });
-                if self.reload_tx.send(job).is_err() {
-                    self.shared.note_queue_depth(-1);
-                    self.release_exec_slot();
-                    self.fill_slot(
-                        slot,
-                        seq,
-                        error_line("reload failed, keeping current model: daemon is stopping"),
-                    );
-                }
+                self.enqueue_inline(slot, error_line(&why), false);
             }
             Request::Ingest { catalog, txns } => {
-                // A daemon without streaming state answers immediately —
-                // no executor round-trip for a request that cannot work.
-                if self.shared.ingest.is_none() {
-                    self.enqueue_inline(
-                        slot,
-                        error_line(&ServeError::IngestUnavailable.to_string()),
-                        false,
-                    );
-                    return;
-                }
                 // Enforce the batch caps before admission: an oversized
                 // batch never occupies an executor slot. A cap of 0
                 // disables that axis.
@@ -1419,69 +1269,9 @@ impl Reactor {
                     self.enqueue_inline(slot, error_line(&err.to_string()), false);
                     return;
                 }
-                let Some(()) = self.admit_exec_job(slot) else {
-                    return;
-                };
-                let Some((token, seq)) = self.reserve_slot(slot) else {
-                    self.release_exec_slot();
-                    return;
-                };
-                self.shared.note_queue_depth(1);
-                let job = ExecJob::Ingest(IngestJob {
-                    reactor: self.id,
-                    slot,
-                    token,
-                    seq,
-                    catalog,
-                    txns,
-                });
-                if self.reload_tx.send(job).is_err() {
-                    self.shared.note_queue_depth(-1);
-                    self.release_exec_slot();
-                    self.fill_slot(
-                        slot,
-                        seq,
-                        error_line("ingest failed, keeping current model: daemon is stopping"),
-                    );
-                }
+                self.submit_control(slot, ControlOp::Ingest(catalog, txns));
             }
-            Request::Checkpoint { path } => {
-                if self.shared.ingest.is_none() {
-                    self.enqueue_inline(
-                        slot,
-                        error_line(
-                            "checkpoint unavailable: daemon is not in streaming mode — \
-                             start with --log to enable the sales log and checkpointing",
-                        ),
-                        false,
-                    );
-                    return;
-                }
-                let Some(()) = self.admit_exec_job(slot) else {
-                    return;
-                };
-                let Some((token, seq)) = self.reserve_slot(slot) else {
-                    self.release_exec_slot();
-                    return;
-                };
-                self.shared.note_queue_depth(1);
-                let job = ExecJob::Checkpoint(CheckpointJob {
-                    reactor: self.id,
-                    slot,
-                    token,
-                    seq,
-                    path,
-                });
-                if self.reload_tx.send(job).is_err() {
-                    self.shared.note_queue_depth(-1);
-                    self.release_exec_slot();
-                    self.fill_slot(
-                        slot,
-                        seq,
-                        error_line("checkpoint failed: daemon is stopping"),
-                    );
-                }
-            }
+            Request::Checkpoint { path } => self.submit_control(slot, ControlOp::Checkpoint(path)),
             Request::Recommend { sales, top, target } => {
                 self.shared.metrics.recommends.inc();
                 let Some((token, seq)) = self.reserve_slot(slot) else {
@@ -1490,10 +1280,12 @@ impl Reactor {
                 self.shared.note_queue_depth(1);
                 let shard = (customer_shard(&sales) % self.workers.len() as u64) as usize;
                 self.staged[shard].push(Job {
-                    reactor: self.id,
-                    slot,
-                    token,
-                    seq,
+                    reply: Reply {
+                        reactor: self.id,
+                        slot,
+                        token,
+                        seq,
+                    },
                     sales,
                     top,
                     target,
@@ -1505,13 +1297,35 @@ impl Reactor {
         }
     }
 
-    /// Admit one control-plane job (reload or ingest) against
-    /// [`EXECUTOR_QUEUE_CAP`]. On rejection the deterministic
-    /// [`ServeError::ReloadInFlight`] error line is enqueued and `None`
-    /// returned; on admission the pending count is already incremented
-    /// (undo with [`Self::release_exec_slot`] if the job cannot be
-    /// sent after all).
-    fn admit_exec_job(&mut self, slot: usize) -> Option<()> {
+    /// Hand a control-plane op to the executor: admit it, reserve its
+    /// response slot (releasing the admission if the connection is
+    /// gone), and send it.
+    fn submit_control(&mut self, slot: usize, op: ControlOp) {
+        if !self.admit_exec_job(slot) {
+            return;
+        }
+        let Some((token, seq)) = self.reserve_slot(slot) else {
+            self.release_exec_slot();
+            return;
+        };
+        self.shared.note_queue_depth(1);
+        let reply = Reply {
+            reactor: self.id,
+            slot,
+            token,
+            seq,
+        };
+        self.control_tx
+            .send(ControlJob { reply, op })
+            .expect("the executor runs until every reactor has exited");
+    }
+
+    /// Admit one control-plane job against [`EXECUTOR_QUEUE_CAP`]. On
+    /// rejection the deterministic [`ServeError::ReloadInFlight`] error
+    /// line is enqueued and `false` returned; on admission the pending
+    /// count is already incremented (undo with
+    /// [`Self::release_exec_slot`] if the job cannot be sent after all).
+    fn admit_exec_job(&mut self, slot: usize) -> bool {
         // One reactor thread admits at a time per connection, but
         // several reactors race here; `fetch_add` + rollback keeps the
         // cap exact without a lock.
@@ -1524,9 +1338,9 @@ impl Reactor {
                 pending: pending as usize,
             };
             self.enqueue_inline(slot, error_line(&err.to_string()), false);
-            return None;
+            return false;
         }
-        Some(())
+        true
     }
 
     /// Undo an [`Self::admit_exec_job`] admission.
@@ -1552,16 +1366,6 @@ impl Reactor {
         conn.next_seq += 1;
         conn.slots.push_back(None);
         Some((conn.token, seq))
-    }
-
-    /// Fill a reserved slot locally (used when a channel is gone).
-    fn fill_slot(&mut self, slot: usize, seq: u64, line: String) {
-        if let Some(conn) = self.conns[slot].as_mut() {
-            let idx = (seq - conn.base_seq) as usize;
-            if let Some(s) = conn.slots.get_mut(idx) {
-                *s = Some(line);
-            }
-        }
     }
 
     /// Ship one staged batch to its worker.
@@ -1773,18 +1577,8 @@ fn run_job(
             true,
         )
     });
-    let reactor = &shared.reactors[job.reactor];
-    reactor
-        .completions
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .push(Completion {
-            slot: job.slot,
-            token: job.token,
-            seq: job.seq,
-            line,
-        });
-    touched[job.reactor] = true;
+    touched[job.reply.reactor] = true;
+    job.reply.complete(shared, line);
     rebuild
 }
 
@@ -1867,262 +1661,137 @@ fn default_rule_recs(model: &RuleModel) -> Vec<Recommendation> {
     }]
 }
 
-/// Control-plane executor: validates replacement models and runs
-/// streaming ingests off the serving path, serially in arrival order,
-/// swapping each resulting model into the shared handle.
-fn control_executor_loop(shared: &Arc<Shared>, rx: &Receiver<ExecJob>) {
-    loop {
-        match rx.recv_timeout(Duration::from_millis(50)) {
-            Ok(job) => {
-                let (reactor_id, slot, token, seq, line) = match job {
-                    ExecJob::Reload(j) => {
-                        let line = handle_reload(shared, j.path);
-                        (j.reactor, j.slot, j.token, j.seq, line)
-                    }
-                    ExecJob::Ingest(j) => {
-                        let line = handle_ingest(shared, j.catalog.as_ref(), &j.txns);
-                        (j.reactor, j.slot, j.token, j.seq, line)
-                    }
-                    ExecJob::Checkpoint(j) => {
-                        let line = handle_checkpoint(shared, j.path);
-                        (j.reactor, j.slot, j.token, j.seq, line)
-                    }
-                };
-                shared.executor_pending.fetch_sub(1, Ordering::AcqRel);
-                let reactor = &shared.reactors[reactor_id];
-                reactor
-                    .completions
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .push(Completion {
-                        slot,
-                        token,
-                        seq,
-                        line,
-                    });
-                reactor.wake();
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                if shared.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => return,
+/// Control-plane executor: runs reloads, ingests and checkpoints off
+/// the serving path, serially in arrival order. The reactors hold the
+/// only senders, and no job can end this loop (each runs under
+/// [`run_control`]'s unwind boundary), so every submitted job runs; the
+/// loop ends once the last reactor has exited at shutdown.
+fn control_executor_loop(shared: &Shared, rx: &Receiver<ControlJob>) {
+    for ControlJob { reply, op } in rx {
+        let line = run_control(shared, op);
+        shared.executor_pending.fetch_sub(1, Ordering::AcqRel);
+        reply.complete(shared, line).wake();
+    }
+}
+
+/// A failed control op: the stage that failed, and why.
+type Failure = (&'static str, String);
+
+/// Run one control op under one unwind boundary and one fail path: a
+/// failure or a panic keeps the current model serving, counts as the
+/// op's failure, is logged, and answers an error line.
+fn run_control(shared: &Shared, op: ControlOp) -> String {
+    let fail = op.fail_path(&shared.metrics);
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        pm_store::faults::apply_control_panic();
+        match op {
+            ControlOp::Reload(path) => reload(shared, path),
+            ControlOp::Ingest(catalog, txns) => ingest(shared, catalog.as_ref(), &txns),
+            ControlOp::Checkpoint(path) => checkpoint(shared, path),
+        }
+    }));
+    match outcome.unwrap_or_else(|_| Err(("panic", "the control job panicked".into()))) {
+        Ok(line) => line,
+        Err((what, err)) => {
+            fail.failures.inc();
+            pm_obs::error!(fail.event, what = what, err = err);
+            error_line(&format!("{}: {err}", fail.prefix))
         }
     }
 }
 
-/// Run one streaming ingest: validate the batch (and any catalog
-/// delta) against the stream, make it durable in the sales log, extend
-/// the in-memory stream, refit incrementally, and swap the refitted
-/// model in. Any failure leaves the old model serving and — because
-/// the log is only appended after validation — never leaves the log
-/// holding a record a replay would reject.
-fn handle_ingest(shared: &Shared, catalog: Option<&CatalogDelta>, txns: &[Transaction]) -> String {
-    let Some(ingest) = &shared.ingest else {
-        // Normally answered inline by the reactor; kept for safety.
-        return error_line(&ServeError::IngestUnavailable.to_string());
-    };
-    let fail = |what: &str, err: &str| {
-        shared.metrics.ingest_failures.inc();
-        pm_obs::error!("serve.ingest_failed", what = what, err = err);
-        error_line(&format!("ingest rejected, keeping current model: {err}"))
-    };
-    let mut guard = ingest.lock().unwrap_or_else(|e| e.into_inner());
-    let IngestState {
-        data,
-        log,
-        inc,
-        stream_pos,
-    } = &mut *guard;
-    if let Err(e) = data.validate_stream_record(catalog, txns) {
-        return fail("validate", &e.to_string());
-    }
-    // Durability before visibility: the batch reaches the fsynced log
-    // before it can influence any served answer. A crash after this
-    // append replays the batch on restart; a crash during it leaves a
-    // torn tail the next open truncates away. Batches without a catalog
-    // delta keep the legacy bare-array record bytes, so logs written by
-    // older builds and this one stay mutually replayable.
-    let payload = encode_stream_record(catalog, txns);
-    if let Err(e) = log.append(payload.as_bytes()) {
-        return fail("append", &e.to_string());
-    }
-    data.apply_stream_record(catalog, txns)
-        .expect("record validated just above this append");
-    *stream_pos += 1;
-    // The incremental refit is unwind-isolated like reload validation:
-    // a panicking miner degrades to a failed ingest (with the batch
-    // already durable in the log), not a dead executor.
-    let model = match catch_unwind(AssertUnwindSafe(|| inc.update(data))) {
-        Ok(m) => m,
-        Err(_) => return fail("refit", "incremental refit panicked"),
-    };
-    if let Err(why) = validate_servable(&model) {
-        return fail("validate_model", &why);
-    }
+/// The swap path reload and ingest share: check the model is servable,
+/// swap it in under a new generation, count, move the gauge, log, and
+/// answer with the generation, the `extra` field and the rule count.
+fn swap_in(
+    shared: &Shared,
+    op: &'static str,
+    swaps: &ServeCounter,
+    model: RuleModel,
+    extra: Option<(&'static str, Value)>,
+) -> Result<String, Failure> {
+    validate_servable(&model).map_err(|why| ("validate_model", why))?;
     let rules = model.rules().len() as u64;
-    let n = data.len() as u64;
     let generation = shared.handle.swap(model);
-    shared.metrics.ingests.inc();
+    swaps.inc();
     shared.metrics.generation_gauge.set(generation as i64);
     pm_obs::info!(
-        "serve.ingested",
-        txns = txns.len(),
-        transactions = n,
-        generation = generation
+        "serve.swapped",
+        op = op,
+        generation = generation,
+        rules = rules
     );
-    render(&obj(vec![
+    let mut fields = vec![
         ("ok", Value::Bool(true)),
-        ("op", Value::Str("ingested".into())),
+        ("op", Value::Str(op.into())),
         ("generation", Value::U64(generation)),
-        ("transactions", Value::U64(n)),
-        ("rules", Value::U64(rules)),
-    ]))
+    ];
+    fields.extend(extra);
+    fields.push(("rules", Value::U64(rules)));
+    Ok(render(&obj(fields)))
 }
 
-/// Write a checkpoint of the streaming state and compact the sales log
-/// behind it. The checkpoint is sealed atomically *first*; only then is
-/// the log compacted, so a crash between the two leaves a valid
-/// checkpoint plus an over-complete log — `plan_replay` skips the
-/// duplicate prefix on restart. A compaction failure after a sealed
-/// checkpoint is reported but leaves nothing inconsistent.
-fn handle_checkpoint(shared: &Shared, path: Option<String>) -> String {
-    let Some(ingest) = &shared.ingest else {
-        // Normally answered inline by the reactor; kept for safety.
-        return error_line(
-            "checkpoint unavailable: daemon is not in streaming mode — \
-             start with --log to enable the sales log and checkpointing",
-        );
-    };
-    let fail = |what: &str, err: &str| {
-        shared.metrics.checkpoint_failures.inc();
-        pm_obs::error!("serve.checkpoint_failed", what = what, err = err);
-        error_line(&format!("checkpoint failed: {err}"))
-    };
-    let target: PathBuf = match path
+/// Load a replacement model and swap it in.
+fn reload(shared: &Shared, path: Option<String>) -> Result<String, Failure> {
+    let mut model_path = shared.model_path.lock().unwrap_or_else(|e| e.into_inner());
+    let target = path.map_or_else(|| model_path.clone(), PathBuf::from);
+    pm_obs::info!("serve.reload_start", path = target.display());
+    let model = load_model(&target).map_err(|e| ("load", e.to_string()))?;
+    let line = swap_in(shared, "reloaded", &shared.metrics.reloads, model, None)?;
+    *model_path = target;
+    Ok(line)
+}
+
+/// Append a batch to the stream (durable before visible), refit
+/// incrementally, and swap the refitted model in.
+fn ingest(
+    shared: &Shared,
+    catalog: Option<&CatalogDelta>,
+    txns: &[Transaction],
+) -> Result<String, Failure> {
+    let mut stream = shared.stream();
+    stream
+        .append(catalog, txns)
+        .map_err(|e| (e.stage(), e.to_string()))?;
+    let model = stream.model();
+    let n = stream.data().len() as u64;
+    swap_in(
+        shared,
+        "ingested",
+        &shared.metrics.ingests,
+        model,
+        Some(("transactions", Value::U64(n))),
+    )
+}
+
+/// Seal the stream into a checkpoint, then compact the log behind it.
+fn checkpoint(shared: &Shared, path: Option<String>) -> Result<String, Failure> {
+    let target = path
         .map(PathBuf::from)
         .or_else(|| shared.cfg.checkpoint.clone())
-    {
-        Some(p) => p,
-        None => {
-            return fail(
-                "target",
-                "no checkpoint path configured — start with --checkpoint or pass \"path\"",
-            )
-        }
-    };
-    let mut guard = ingest.lock().unwrap_or_else(|e| e.into_inner());
-    let IngestState {
-        data,
-        log,
-        inc,
-        stream_pos,
-    } = &mut *guard;
-    let Some(miner) = inc.snapshot() else {
-        return fail("snapshot", "the incremental miner has not fitted yet");
-    };
-    // Re-assemble the model from the warm caches (an empty delta — no
-    // mining) rather than trusting the served handle: a manual reload
-    // may have swapped in a model unrelated to the stream, and the
-    // checkpoint must stay self-consistent.
-    let model = inc.update(data);
-    let ck = Checkpoint {
-        stream_pos: *stream_pos,
-        data_json: data.to_json(),
-        model: model.save(),
-        miner,
-    };
-    if let Err(e) = pm_store::checkpoint::save(&target, &ck.encode()) {
-        return fail("save", &e.to_string());
-    }
-    // The checkpoint now owns records [0, stream_pos); drop them from
-    // the log so restart replays only the tail.
-    let compaction = match log.compact_to(*stream_pos) {
-        Ok(c) => c,
-        Err(e) => {
-            return fail(
-                "compact",
-                &format!(
-                    "checkpoint sealed at {} but log compaction failed (the log still \
-                     replays correctly, just from further back): {e}",
-                    target.display()
-                ),
-            )
-        }
-    };
-    let (generation, _) = shared.handle.snapshot();
+        .ok_or((
+            "target",
+            "no checkpoint path configured — start with --checkpoint or pass \"path\"".into(),
+        ))?;
+    let mut stream = shared.stream();
+    let (_, compaction) = stream
+        .checkpoint(&target, true)
+        .map_err(|e| (e.stage(), e.to_string()))?;
+    let (dropped, retained) = compaction.map_or((0, 0), |c| (c.dropped, c.retained));
     shared.metrics.checkpoints.inc();
     pm_obs::info!(
         "serve.checkpointed",
         path = target.display(),
-        stream_pos = *stream_pos,
-        dropped = compaction.dropped,
-        retained = compaction.retained
+        dropped = dropped
     );
-    render(&obj(vec![
+    Ok(render(&obj(vec![
         ("ok", Value::Bool(true)),
         ("op", Value::Str("checkpointed".into())),
-        ("generation", Value::U64(generation)),
-        ("stream_pos", Value::U64(*stream_pos)),
-        ("dropped", Value::U64(compaction.dropped)),
-        ("retained", Value::U64(compaction.retained)),
-    ]))
-}
-
-/// Validate a replacement model off the serving path and swap it in;
-/// any failure keeps the old model.
-fn handle_reload(shared: &Shared, path: Option<String>) -> String {
-    let target: PathBuf = match &path {
-        Some(p) => PathBuf::from(p),
-        None => shared
-            .model_path
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone(),
-    };
-    pm_obs::info!("serve.reload_start", path = target.display());
-    // Dedicated thread: model validation is unwind-isolated, so a
-    // panicking deserializer degrades to a reload failure, not a dead
-    // executor.
-    let loaded = std::thread::Builder::new()
-        .name("pm-serve-reload-validate".into())
-        .spawn({
-            let target = target.clone();
-            move || load_model(&target)
-        })
-        .map(|h| h.join());
-
-    match loaded {
-        Ok(Ok(Ok(model))) => {
-            let rules = model.rules().len() as u64;
-            let generation = shared.handle.swap(model);
-            *shared.model_path.lock().unwrap_or_else(|e| e.into_inner()) = target.clone();
-            shared.metrics.reloads.inc();
-            shared.metrics.generation_gauge.set(generation as i64);
-            pm_obs::info!(
-                "serve.reloaded",
-                path = target.display(),
-                generation = generation
-            );
-            render(&obj(vec![
-                ("ok", Value::Bool(true)),
-                ("op", Value::Str("reloaded".into())),
-                ("generation", Value::U64(generation)),
-                ("rules", Value::U64(rules)),
-            ]))
-        }
-        Ok(Ok(Err(e))) => {
-            shared.metrics.reload_failures.inc();
-            pm_obs::error!("serve.reload_failed", path = target.display(), err = e);
-            error_line(&format!("reload failed, keeping current model: {e}"))
-        }
-        Ok(Err(_)) | Err(_) => {
-            shared.metrics.reload_failures.inc();
-            pm_obs::error!("serve.reload_panicked", path = target.display());
-            error_line("reload failed, keeping current model: validation panicked")
-        }
-    }
+        ("generation", Value::U64(shared.handle.generation())),
+        ("stream_pos", Value::U64(stream.position())),
+        ("dropped", Value::U64(dropped)),
+        ("retained", Value::U64(retained)),
+    ])))
 }
 
 fn stats_value(shared: &Shared) -> Value {

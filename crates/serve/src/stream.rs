@@ -1,0 +1,305 @@
+//! The transaction stream behind streaming mode (DESIGN.md §15, §17):
+//! the base dataset grown by every sales-log record, the log itself, the
+//! incremental miner, and the stream position.
+//!
+//! The daemon (startup, `ingest`, `checkpoint`) and the CLI (`fit --log`,
+//! `ingest`, `checkpoint`) both go through [`Stream`], so the CLI
+//! recovers, appends and seals exactly as a restarted daemon does. It is
+//! the only code that knows recovery ([`Stream::recover`]), the durable
+//! append ([`Stream::append`]), and seal-then-compact
+//! ([`Stream::checkpoint`]).
+
+use crate::ServeError;
+use pm_store::checkpoint::plan_replay;
+use pm_store::log::{Compaction, SalesLog};
+use pm_store::StoreError;
+use pm_txn::{
+    decode_stream_record, encode_stream_record, CatalogDelta, Transaction, TransactionSet, TxnError,
+};
+use profit_core::{Checkpoint, IncrementalProfitMiner, ProfitMiner, RuleModel};
+use std::path::{Path, PathBuf};
+
+/// A recovered transaction stream and its write-ahead sales log.
+pub struct Stream {
+    data: TransactionSet,
+    log: SalesLog,
+    miner: IncrementalProfitMiner,
+    /// Absolute stream position: sales-log records ingested since the
+    /// log was created (compaction moves the log's base, not this).
+    pos: u64,
+}
+
+/// What [`Stream::recover`] found on disk.
+#[derive(Debug, Clone, Copy)]
+pub struct Recovered {
+    /// A checkpoint was restored (otherwise the whole log was replayed
+    /// onto the base data).
+    pub resumed: bool,
+    /// Log records replayed on top of the checkpoint or the base data.
+    pub replayed: usize,
+    /// Bytes of torn log tail a crash left behind, truncated on open.
+    pub truncated_bytes: u64,
+}
+
+/// Why [`Stream::append`] or [`Stream::checkpoint`] failed. Either way
+/// the stream and its log stay consistent.
+#[derive(Debug)]
+pub enum StreamError {
+    /// The record does not validate against the stream; the log was not
+    /// touched.
+    Invalid(TxnError),
+    /// The log append failed; a torn tail is truncated on the next open.
+    Append(StoreError),
+    /// Sealing failed; the previous checkpoint and the log are intact.
+    Seal(StoreError),
+    /// The checkpoint at the path was sealed, but compacting the log
+    /// behind it failed; the log still replays, from further back.
+    Compact(PathBuf, StoreError),
+}
+
+impl StreamError {
+    /// The stage that failed, for logs.
+    pub fn stage(&self) -> &'static str {
+        match self {
+            StreamError::Invalid(_) => "validate",
+            StreamError::Append(_) => "append",
+            StreamError::Seal(_) => "save",
+            StreamError::Compact(..) => "compact",
+        }
+    }
+}
+
+impl std::fmt::Display for StreamError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            StreamError::Invalid(e) => write!(f, "{e}"),
+            StreamError::Append(e) | StreamError::Seal(e) => write!(f, "{e}"),
+            StreamError::Compact(path, e) => write!(
+                f,
+                "checkpoint sealed at {} but log compaction failed (the log still \
+                 replays correctly, just from further back): {e}",
+                path.display()
+            ),
+        }
+    }
+}
+
+impl Stream {
+    /// Rebuild the stream from `base`, the sales log at `log_path`, and
+    /// — when the file exists — the checkpoint at `checkpoint`.
+    ///
+    /// A usable checkpoint replaces `base` (it embeds the stream up to
+    /// its position) and restores the miner's warm caches; only the log
+    /// records after its position ([`plan_replay`]) are replayed.
+    /// Otherwise the whole log is replayed onto `base`. A checkpoint that
+    /// cannot be loaded or restored is ignored while the log's base is
+    /// 0; once the log was compacted it is fatal, as is having no
+    /// checkpoint. A checkpoint older than the log's base or ahead of its
+    /// end is a typed [`StoreError`].
+    ///
+    /// Recovery mines nothing: `pipeline` (the configuration the stream
+    /// is fitted with) first runs when [`Self::model`] is called.
+    pub fn recover(
+        base: TransactionSet,
+        log_path: &Path,
+        checkpoint: Option<&Path>,
+        pipeline: ProfitMiner,
+    ) -> Result<(Stream, Recovered), ServeError> {
+        let (log, recovery) = SalesLog::open(log_path)?;
+        if recovery.truncated_bytes > 0 {
+            pm_obs::info!(
+                "stream.log_recovered",
+                path = log_path.display(),
+                truncated_bytes = recovery.truncated_bytes
+            );
+        }
+        let lost = |why: String| ServeError::Stream {
+            path: log_path.display().to_string(),
+            err: format!(
+                "sales log was compacted to base {} and {why} — the records before the \
+                 base are gone, the stream cannot be rebuilt",
+                recovery.base
+            ),
+        };
+
+        let mut resumed = None;
+        if let Some(ck_path) = checkpoint.filter(|p| p.exists()) {
+            let restored = match pm_store::checkpoint::load(ck_path)
+                .map_err(|e| e.to_string())
+                .and_then(|bytes| Checkpoint::decode(&bytes))
+            {
+                Ok(ck) => {
+                    let skip =
+                        plan_replay(ck.stream_pos, recovery.base, recovery.records.len() as u64)?;
+                    restore(&ck, pipeline.clone()).map(|(data, miner)| (data, miner, skip))
+                }
+                Err(e) => Err(e),
+            };
+            match restored {
+                Ok(r) => resumed = Some(r),
+                Err(err) if recovery.base == 0 => {
+                    pm_obs::error!(
+                        "stream.checkpoint_ignored",
+                        path = ck_path.display(),
+                        err = err
+                    );
+                }
+                Err(err) => {
+                    return Err(lost(format!(
+                        "checkpoint {} is unusable ({err})",
+                        ck_path.display()
+                    )))
+                }
+            }
+        }
+        let is_resumed = resumed.is_some();
+        let (mut data, miner, skip) = match resumed {
+            Some(r) => r,
+            None if recovery.base != 0 => {
+                return Err(lost(match checkpoint {
+                    Some(p) => format!("checkpoint {} does not exist", p.display()),
+                    None => "no checkpoint was given".into(),
+                }))
+            }
+            None => (base, pipeline.into_incremental(), 0),
+        };
+
+        let first = recovery.base + skip as u64;
+        let tail = &recovery.records[skip..];
+        for (i, payload) in tail.iter().enumerate() {
+            std::str::from_utf8(payload)
+                .map_err(|e| e.to_string())
+                .and_then(decode_stream_record)
+                .and_then(|(delta, txns)| {
+                    data.apply_stream_record(delta.as_ref(), &txns)
+                        .map_err(|e| e.to_string())
+                })
+                .map_err(|err| ServeError::Stream {
+                    path: format!("{} record {}", log_path.display(), first + i as u64),
+                    err,
+                })?;
+        }
+        let pos = first + tail.len() as u64;
+        pm_obs::info!(
+            "stream.recovered",
+            resumed = is_resumed,
+            stream_pos = pos,
+            replayed = tail.len(),
+            transactions = data.len()
+        );
+        let recovered = Recovered {
+            resumed: is_resumed,
+            replayed: tail.len(),
+            truncated_bytes: recovery.truncated_bytes,
+        };
+        Ok((
+            Stream {
+                data,
+                log,
+                miner,
+                pos,
+            },
+            recovered,
+        ))
+    }
+
+    /// The stream's transactions, over its (possibly grown) catalog.
+    pub fn data(&self) -> &TransactionSet {
+        &self.data
+    }
+
+    /// The absolute stream position: records ingested since the log was
+    /// created.
+    pub fn position(&self) -> u64 {
+        self.pos
+    }
+
+    /// Durability before visibility: validate the record against the
+    /// stream, append it to the fsynced log, and only then extend the
+    /// stream. A crash after the append replays the record on restart; a
+    /// crash during it leaves a torn tail the next open truncates away;
+    /// a refused record never reaches the log.
+    pub fn append(
+        &mut self,
+        catalog: Option<&CatalogDelta>,
+        txns: &[Transaction],
+    ) -> Result<(), StreamError> {
+        self.data
+            .validate_stream_record(catalog, txns)
+            .map_err(StreamError::Invalid)?;
+        // The canonical re-serialization of the validated record, so a
+        // replay parses exactly what was checked. Batches without a
+        // catalog delta keep the bare-array record bytes.
+        let payload = encode_stream_record(catalog, txns);
+        self.log
+            .append(payload.as_bytes())
+            .map_err(StreamError::Append)?;
+        self.data
+            .apply_stream_record(catalog, txns)
+            .expect("record validated just above this append");
+        self.pos += 1;
+        Ok(())
+    }
+
+    /// The model at the current position, byte-identical to a cold fit
+    /// on the whole stream: one delta update of the warm miner, or one
+    /// cold fit when nothing is mined yet.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty stream — there is nothing to learn from.
+    pub fn model(&mut self) -> RuleModel {
+        if self.miner.is_fitted() {
+            self.miner.update(&self.data)
+        } else {
+            self.miner.fit(&self.data)
+        }
+    }
+
+    /// Seal the stream — data, model, warm miner caches and position —
+    /// into a `PMCK` checkpoint at `path`, then (with `compact`) drop the
+    /// log records it covers. The seal comes first, so a crash between
+    /// the two leaves a valid checkpoint plus an over-complete log, whose
+    /// duplicate prefix [`plan_replay`] skips on recovery.
+    ///
+    /// The model is rebuilt from the miner rather than taken from a
+    /// server's handle, which a manual reload may have swapped for an
+    /// unrelated file: the checkpoint stays consistent with its stream.
+    pub fn checkpoint(
+        &mut self,
+        path: &Path,
+        compact: bool,
+    ) -> Result<(RuleModel, Option<Compaction>), StreamError> {
+        let model = self.model();
+        let ck = Checkpoint {
+            stream_pos: self.pos,
+            data_json: self.data.to_json(),
+            model: model.save(),
+            miner: self
+                .miner
+                .snapshot()
+                .expect("model() leaves the miner fitted"),
+        };
+        pm_store::checkpoint::save(path, &ck.encode()).map_err(StreamError::Seal)?;
+        if !compact {
+            return Ok((model, None));
+        }
+        let compaction = self
+            .log
+            .compact_to(self.pos)
+            .map_err(|e| StreamError::Compact(path.to_path_buf(), e))?;
+        Ok((model, Some(compaction)))
+    }
+}
+
+/// The state a checkpoint sealed: its dataset, re-validated, and the
+/// miner restored with every cache warm — no model is built.
+fn restore(
+    ck: &Checkpoint,
+    pipeline: ProfitMiner,
+) -> Result<(TransactionSet, IncrementalProfitMiner), String> {
+    let data = TransactionSet::from_json(&ck.data_json)
+        .map_err(|e| format!("checkpoint data does not validate: {e}"))?;
+    let miner = IncrementalProfitMiner::restore(pipeline, &data, &ck.miner)?;
+    Ok((data, miner))
+}

@@ -196,6 +196,59 @@ fn rule_less_models_are_rejected_at_startup_and_reload() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A saved model's hierarchy bypasses `Hierarchy`'s constructors on
+/// deserialization. One with fewer item parent lists than the catalog has
+/// items used to panic in `Moa::new` while loading — aborting `serve
+/// --model` at startup and a `reload` on the executor. Now load checks
+/// the tables like `TransactionSet::new` does: a typed error, a failed
+/// reload, and no panic anywhere.
+#[test]
+fn malformed_hierarchy_models_are_typed_errors_at_startup_and_reload() {
+    let _guard = faults::test_lock();
+    let fix = fixture();
+    let dir = tmp_dir("badhier");
+    let mut saved: profit_core::SavedModel = serde_json::from_str(&fix.json).unwrap();
+    let n = saved.catalog.len();
+    let short = format!(
+        r#"{{"n_items":{n},"concept_names":[],"item_parents":{},"concept_parents":[]}}"#,
+        serde_json::to_string(&vec![Vec::<u32>::new(); n - 1]).unwrap()
+    );
+    saved.hierarchy = serde_json::from_str(&short).unwrap();
+    let bad = dir.join("bad-hierarchy.pm");
+    pm_store::save_sealed(&bad, serde_json::to_string(&saved).unwrap().as_bytes()).unwrap();
+
+    let err = pm_serve::load_model(&bad).expect_err("malformed hierarchy must not load");
+    assert!(matches!(err, pm_serve::ServeError::Model { .. }), "{err}");
+    assert!(err.to_string().contains("hierarchy"), "{err}");
+    let err = Server::start("127.0.0.1:0", &bad, ServeConfig::default())
+        .err()
+        .expect("malformed hierarchy must not serve");
+    assert!(err.to_string().contains("hierarchy"), "{err}");
+
+    let good = sealed_model_file(&dir, "good.pm", fix);
+    let server = Server::start("127.0.0.1:0", &good, ServeConfig::default()).unwrap();
+    let mut c = Client::connect(server.addr());
+    let resp = c.send(&format!(
+        r#"{{"op":"reload","model":{}}}"#,
+        serde_json::to_string(&Value::Str(bad.display().to_string())).unwrap()
+    ));
+    assert!(resp.contains("reload failed"), "{resp}");
+    assert!(resp.contains("hierarchy"), "{resp}");
+    assert!(!resp.contains("panicked"), "{resp}");
+    let stats = c.send(r#"{"op":"stats"}"#);
+    assert_eq!(json_u64(&stats, "worker_panics"), 0, "{stats}");
+    assert_eq!(json_u64(&stats, "reload_failures"), 1, "{stats}");
+    assert_eq!(server.generation(), 1);
+    let customer = &fix.customers[0];
+    assert_eq!(
+        c.send(&recommend_line(customer)),
+        expected_line(&fix.model, customer)
+    );
+    assert!(c.send(r#"{"op":"shutdown"}"#).contains("bye"));
+    server.join();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A panic in per-connection handling outside the compute section used
 /// to unwind through `worker_loop` and kill the thread silently,
 /// permanently shrinking capacity. Now it costs the one connection, is

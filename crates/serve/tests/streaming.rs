@@ -716,3 +716,64 @@ fn failed_checkpoint_write_leaves_log_and_model_untouched() {
     server.join();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Every control op runs under the executor's one unwind boundary. A
+/// panic at the start of a reload, an ingest or a checkpoint answers an
+/// error line and counts as that op's failure, and the next op of the
+/// same kind is admitted and succeeds. (A checkpoint panic used to end
+/// the executor thread: every later control op then answered "daemon is
+/// stopping" and the panicking request never got its reply.)
+#[test]
+fn control_job_panics_fail_that_op_and_the_executor_keeps_running() {
+    let _guard = faults::test_lock();
+    let s = stream(67);
+    let dir = tmp_dir("ctl-panic");
+    let (log, ck, model) = (
+        dir.join("sales.log"),
+        dir.join("ck.pmck"),
+        dir.join("model.pm"),
+    );
+    let saved = serde_json::to_string(&pipeline().fit(&s.full).save()).unwrap();
+    pm_store::save_sealed(&model, saved.as_bytes()).unwrap();
+    let cfg = ServeConfig {
+        checkpoint: Some(ck.clone()),
+        ..ServeConfig::default()
+    };
+    let server =
+        Server::start_streaming("127.0.0.1:0", s.head.clone(), &log, pipeline(), cfg).unwrap();
+    let mut c = Client::connect(server.addr());
+    let reload = render(&obj(vec![
+        ("op", Value::Str("reload".into())),
+        ("model", Value::Str(model.display().to_string())),
+    ]));
+    let ops = [
+        (
+            ingest_line(&s.batches[0]),
+            r#""generation":2"#,
+            "ingest_failures",
+        ),
+        (
+            r#"{"op":"checkpoint"}"#.to_string(),
+            r#""op":"checkpointed""#,
+            "checkpoint_failures",
+        ),
+        (reload, r#""generation":3"#, "reload_failures"),
+    ];
+    for (line, ok, failures) in &ops {
+        faults::set_control_panic(true);
+        let resp = c.send(line);
+        assert!(resp.starts_with(r#"{"ok":false"#), "{resp}");
+        assert!(resp.contains("panicked"), "{resp}");
+        let stats = c.send(r#"{"op":"stats"}"#);
+        assert!(stats.contains(&format!(r#""{failures}":1"#)), "{stats}");
+        let resp = c.send(line);
+        assert!(resp.contains(ok), "{resp}");
+    }
+    let stats = c.send(r#"{"op":"stats"}"#);
+    for count in [r#""ingests":1"#, r#""checkpoints":1"#, r#""reloads":1"#] {
+        assert!(stats.contains(count), "{stats}");
+    }
+    assert!(c.send(r#"{"op":"shutdown"}"#).starts_with(r#"{"ok":true"#));
+    server.join();
+    std::fs::remove_dir_all(&dir).ok();
+}

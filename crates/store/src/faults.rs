@@ -29,7 +29,11 @@
 //! * [`set_handle_panic`] — consulted by `pm-serve` in its
 //!   per-connection handling *outside* the compute section, to prove
 //!   that a panic there is unwind-isolated (counted, logged, connection
-//!   dropped) instead of killing the worker thread.
+//!   dropped) instead of killing the worker thread;
+//! * [`set_control_panic`] — consulted by `pm-serve` at the start of
+//!   every control-plane job (reload, ingest, checkpoint), to prove the
+//!   executor's one unwind boundary turns a panic into that op's
+//!   failure and keeps running.
 //!
 //! Because the hooks are process-global, an armed hook is visible to
 //! every test running concurrently in the same binary. So every test in
@@ -54,6 +58,7 @@ static READ_DELAY_MS: AtomicU64 = AtomicU64::new(0);
 static COMPUTE_DELAY_MS: AtomicU64 = AtomicU64::new(0);
 static COMPUTE_PANIC: AtomicBool = AtomicBool::new(false);
 static HANDLE_PANIC: AtomicBool = AtomicBool::new(false);
+static CONTROL_PANIC: AtomicBool = AtomicBool::new(false);
 
 /// Make the next writes crash after persisting `k` payload bytes.
 pub fn set_torn_write_at(k: Option<usize>) {
@@ -184,6 +189,22 @@ pub fn apply_handle_panic() {
     }
 }
 
+/// Make the next `pm-serve` control-plane job panic as it starts — a
+/// stand-in for a bug in any reload, ingest or checkpoint. One-shot,
+/// like [`set_handle_panic`], so the next job of the same kind can be
+/// shown to succeed.
+pub fn set_control_panic(on: bool) {
+    CONTROL_PANIC.store(on, Ordering::Relaxed);
+}
+
+/// Panic (once) if the control-panic fault is armed. Called by
+/// `pm-serve` at the start of every control-plane job.
+pub fn apply_control_panic() {
+    if CONTROL_PANIC.swap(false, Ordering::Relaxed) {
+        panic!("injected control-job panic (pm_store::faults::set_control_panic)");
+    }
+}
+
 /// Reset every hook to off.
 pub fn reset() {
     set_torn_write_at(None);
@@ -195,6 +216,7 @@ pub fn reset() {
     set_compute_delay_ms(0);
     set_compute_panic(false);
     set_handle_panic(false);
+    set_control_panic(false);
 }
 
 /// Drop guard from [`test_lock`]: resets all hooks and releases the
@@ -237,6 +259,7 @@ mod tests {
         set_compute_delay_ms(5);
         set_compute_panic(true);
         set_handle_panic(true);
+        set_control_panic(true);
         assert_eq!(torn_write_at(), Some(7));
         assert_eq!(disk_full_at(), Some(9));
         reset();
@@ -246,6 +269,7 @@ mod tests {
         assert_eq!(corrupt_byte_at(), None);
         apply_compute_panic(); // must not panic after reset
         apply_handle_panic(); // must not panic after reset
+        apply_control_panic();
     }
 
     #[test]
@@ -255,6 +279,14 @@ mod tests {
         assert!(std::panic::catch_unwind(apply_handle_panic).is_err());
         // The hook disarmed itself on firing.
         apply_handle_panic();
+    }
+
+    #[test]
+    fn control_panic_is_one_shot() {
+        let _guard = test_lock();
+        set_control_panic(true);
+        assert!(std::panic::catch_unwind(apply_control_panic).is_err());
+        apply_control_panic();
     }
 
     #[test]

@@ -35,14 +35,7 @@ impl TransactionSet {
         hierarchy: Hierarchy,
         transactions: Vec<Transaction>,
     ) -> Result<Self, TxnError> {
-        catalog.validate()?;
-        hierarchy.validate()?;
-        if hierarchy.n_items() != catalog.len() {
-            return Err(TxnError::ItemCountMismatch {
-                catalog: catalog.len(),
-                hierarchy: hierarchy.n_items(),
-            });
-        }
+        Self::validate_tables(&catalog, &hierarchy)?;
         for t in &transactions {
             validate_transaction(&catalog, t)?;
         }
@@ -51,6 +44,23 @@ impl TransactionSet {
             hierarchy: Arc::new(hierarchy),
             transactions,
         })
+    }
+
+    /// The checks [`Self::new`] runs on the tables before any
+    /// transaction: a consistent catalog, a well-formed hierarchy, and
+    /// the same item count in both. Whatever deserializes a catalog and
+    /// hierarchy outside `new` (a saved model) runs them too, so
+    /// malformed tables are a typed error instead of an index panic.
+    pub fn validate_tables(catalog: &Catalog, hierarchy: &Hierarchy) -> Result<(), TxnError> {
+        catalog.validate()?;
+        hierarchy.validate()?;
+        if hierarchy.n_items() != catalog.len() {
+            return Err(TxnError::ItemCountMismatch {
+                catalog: catalog.len(),
+                hierarchy: hierarchy.n_items(),
+            });
+        }
+        Ok(())
     }
 
     /// Shared handle to the catalog.

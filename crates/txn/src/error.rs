@@ -15,6 +15,15 @@ pub enum TxnError {
     UnknownConcept(ConceptId),
     /// The concept hierarchy contains a cycle through the given concept.
     HierarchyCycle(ConceptId),
+    /// The hierarchy's parent table for `table` has the wrong length.
+    HierarchyShape {
+        /// `"items"` or `"concepts"`.
+        table: &'static str,
+        /// Entries the hierarchy declares.
+        expected: usize,
+        /// Parent lists it carries.
+        found: usize,
+    },
     /// A transaction's target sale uses a non-target item.
     TargetSaleOnNonTarget(ItemId),
     /// A transaction's non-target sale uses a target item.
@@ -46,6 +55,14 @@ impl fmt::Display for TxnError {
             TxnError::UnknownCode(i, c) => write!(f, "{i} has no {c}"),
             TxnError::UnknownConcept(c) => write!(f, "unknown {c}"),
             TxnError::HierarchyCycle(c) => write!(f, "hierarchy cycle through {c}"),
+            TxnError::HierarchyShape {
+                table,
+                expected,
+                found,
+            } => write!(
+                f,
+                "hierarchy carries parent lists for {found} {table} but declares {expected}"
+            ),
             TxnError::TargetSaleOnNonTarget(i) => {
                 write!(f, "target sale uses non-target {i}")
             }

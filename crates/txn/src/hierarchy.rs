@@ -149,11 +149,28 @@ impl Hierarchy {
         self.item_ancestors(item).binary_search(&concept).is_ok()
     }
 
-    /// Validate: all edges in range (guaranteed by construction) and the
-    /// concept graph is acyclic.
+    /// Validate: one parent list per item and per concept, every parent
+    /// id in range, and an acyclic concept graph. Construction keeps all
+    /// of this, but deserialization bypasses construction.
     pub fn validate(&self) -> Result<(), TxnError> {
-        // Kahn's algorithm over concept → parent edges.
         let n = self.concept_names.len();
+        for (table, expected, found) in [
+            ("items", self.n_items, self.item_parents.len()),
+            ("concepts", n, self.concept_parents.len()),
+        ] {
+            if found != expected {
+                return Err(TxnError::HierarchyShape {
+                    table,
+                    expected,
+                    found,
+                });
+            }
+        }
+        let edges = self.item_parents.iter().chain(&self.concept_parents);
+        if let Some(&c) = edges.flatten().find(|c| c.index() >= n) {
+            return Err(TxnError::UnknownConcept(c));
+        }
+        // Kahn's algorithm over concept → parent edges.
         let mut out_degree = vec![0usize; n]; // edges child→parent
         let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
         for (child, parents) in self.concept_parents.iter().enumerate() {
@@ -269,6 +286,56 @@ mod tests {
             h.link_concept(c, ConceptId(9)),
             Err(TxnError::UnknownConcept(ConceptId(9)))
         );
+    }
+
+    /// Deserialization bypasses `add_concept`/`link_*`, so `validate`
+    /// must catch every malformed table as a typed error — these used to
+    /// index out of bounds in `validate` itself or later in `Moa::new`.
+    #[test]
+    fn malformed_deserialized_tables_are_typed_errors() {
+        let parse = |json: &str| serde_json::from_str::<Hierarchy>(json).unwrap();
+        let err = parse(
+            r#"{"n_items":3,"concept_names":[],"item_parents":[[],[]],"concept_parents":[]}"#,
+        )
+        .validate()
+        .unwrap_err();
+        assert_eq!(
+            err,
+            TxnError::HierarchyShape {
+                table: "items",
+                expected: 3,
+                found: 2
+            }
+        );
+        assert!(
+            err.to_string().contains("parent lists for 2 items"),
+            "{err}"
+        );
+        let err = parse(
+            r#"{"n_items":0,"concept_names":["a","b"],"item_parents":[],"concept_parents":[[]]}"#,
+        )
+        .validate()
+        .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                TxnError::HierarchyShape {
+                    table: "concepts",
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        for json in [
+            r#"{"n_items":0,"concept_names":["a"],"item_parents":[],"concept_parents":[[7]]}"#,
+            r#"{"n_items":1,"concept_names":["a"],"item_parents":[[7]],"concept_parents":[[]]}"#,
+        ] {
+            assert_eq!(
+                parse(json).validate(),
+                Err(TxnError::UnknownConcept(ConceptId(7))),
+                "{json}"
+            );
+        }
     }
 
     #[test]
