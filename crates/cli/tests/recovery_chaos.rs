@@ -182,7 +182,10 @@ fn crash_point_matrix_recovers_byte_identically() {
         model_json(&cli_pipeline().fit(&full_data)),
         "recovered checkpoint must hold the cold full-stream fit"
     );
-    assert_eq!(sealed_full.data_json, full_data.to_json());
+    assert_eq!(
+        sealed_full.data_json,
+        serde_json::to_string(&full_data).unwrap()
+    );
 
     // Checkpointing the (now compacted, empty-tail) stream again is a
     // byte-stable no-op: resume, replay nothing, seal the same bytes.

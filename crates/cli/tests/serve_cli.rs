@@ -149,3 +149,68 @@ fn serve_daemon_end_to_end_over_the_wire() {
     assert!(stdout.contains("1 reloads"), "{stdout}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A re-sealed, checksum-valid model whose rules point outside its own
+/// catalog used to make `rules --model` and `recommend --model` exit 101
+/// from an index panic. Load now refuses it: a runtime error, exit 1.
+#[test]
+fn models_with_rules_outside_their_catalog_exit_1_not_101() {
+    let dir = tmp_dir("badrules");
+    let path = |name: &str| dir.join(name).display().to_string();
+    let (data, model) = (path("data.json"), path("model.pm"));
+    run_ok(&[
+        "gen", "--out", &data, "--txns", "400", "--items", "80", "--seed", "5",
+    ]);
+    run_ok(&[
+        "fit",
+        "--data",
+        &data,
+        "--out",
+        &model,
+        "--minsup",
+        "0.03",
+        "--max-body",
+        "2",
+    ]);
+    let (payload, _) = pm_store::load_model_file(&model).unwrap();
+    let saved: profit_core::SavedModel =
+        serde_json::from_str(std::str::from_utf8(&payload).unwrap()).unwrap();
+    let last = saved.rules.len() - 1;
+    type Edit<'a> = &'a dyn Fn(&mut profit_core::SavedModel);
+    let edits: [(&str, Edit); 3] = [
+        ("head-item", &|m| m.rules[last].item = pm_txn::ItemId(9999)),
+        ("head-code", &|m| m.rules[last].code = pm_txn::CodeId(77)),
+        // A rule above the default one with a body naming item 9999.
+        ("body-item", &|m| {
+            let mut rule = m.rules[last].clone();
+            rule.body = vec![pm_txn::GenSale::Item(pm_txn::ItemId(9999))];
+            rule.is_default = false;
+            m.rules.insert(0, rule);
+        }),
+    ];
+    for (name, edit) in edits {
+        let mut bad = saved.clone();
+        edit(&mut bad);
+        let bad_path = path(&format!("{name}.pm"));
+        pm_store::save_sealed(&bad_path, serde_json::to_string(&bad).unwrap().as_bytes()).unwrap();
+        for argv in [
+            vec!["rules", "--model", &bad_path],
+            vec![
+                "recommend",
+                "--data",
+                &data,
+                "--model",
+                &bad_path,
+                "--txn",
+                "0",
+            ],
+        ] {
+            let out = Command::new(bin()).args(&argv).output().expect("spawn CLI");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{name} {argv:?}: {stderr}");
+            assert!(stderr.contains("rule "), "{name} {argv:?}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{name} {argv:?}: {stderr}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -6,8 +6,8 @@
 //!
 //! * the **stream position** — the absolute log record index the
 //!   checkpoint covers, so replay resumes exactly at the next record;
-//! * the **training data** up to that position, embedded as JSON and
-//!   re-validated on restore;
+//! * the **training data** up to that position, embedded as compact
+//!   JSON and re-validated on restore;
 //! * the fitted **model**, for tools that want to serve or inspect it
 //!   without resuming the stream at all;
 //! * the incremental miner's [`MinerSnapshot`] — the warm anchor
@@ -30,9 +30,12 @@ pub struct Checkpoint {
     /// Absolute sales-log position (records ingested since the log was
     /// created) this checkpoint covers; replay resumes at this record.
     pub stream_pos: u64,
-    /// The training data as embedded JSON — produced by
-    /// [`pm_txn::TransactionSet::to_json`], re-validated on restore via
-    /// [`pm_txn::TransactionSet::from_json`].
+    /// The training data as embedded compact JSON —
+    /// `serde_json::to_string` of the [`pm_txn::TransactionSet`],
+    /// re-validated on restore via
+    /// [`pm_txn::TransactionSet::from_json`], which reads the pretty
+    /// [`pm_txn::TransactionSet::to_json`] form of older checkpoints as
+    /// well.
     pub data_json: String,
     /// The fitted model at `stream_pos`.
     pub model: SavedModel,

@@ -65,7 +65,7 @@ pub mod protocol;
 pub mod stream;
 
 use pm_store::StoreError;
-use pm_txn::{CatalogDelta, TargetFilter, Transaction, TransactionSet};
+use pm_txn::{CatalogDelta, GenSale, TargetFilter, Transaction, TransactionSet};
 use polling::{Event, Events, Poller};
 use profit_core::{
     Matcher, ModelHandle, ProfitMiner, Recommendation, Recommender, RuleModel, SavedModel,
@@ -256,10 +256,52 @@ fn validate_servable(model: &RuleModel) -> Result<(), String> {
     }
 }
 
+/// Every rule must point inside the model's own tables: its head an
+/// in-range code of an in-range target item, its body in-range concepts,
+/// items and codes of non-target items. Recommending, rendering and the
+/// degraded answer index the catalog with these ids, so one rule out of
+/// range would panic every request that reaches it.
+fn validate_rules(saved: &SavedModel) -> Result<(), String> {
+    let (catalog, n_concepts) = (&saved.catalog, saved.hierarchy.n_concepts());
+    for (i, rule) in saved.rules.iter().enumerate() {
+        let bad = |why: String| Err(format!("rule {i}: {why}"));
+        let Some(head) = catalog.get(rule.item) else {
+            return bad(format!("head {} is not in the catalog", rule.item));
+        };
+        if !head.is_target {
+            return bad(format!("head {} is not a target item", rule.item));
+        }
+        if rule.code.index() >= head.codes.len() {
+            return bad(format!("head {} has no {}", rule.item, rule.code));
+        }
+        for g in &rule.body {
+            let (item, code) = match *g {
+                GenSale::Concept(c) if c.index() >= n_concepts => {
+                    return bad(format!("body {c} is not in the hierarchy"))
+                }
+                GenSale::Concept(_) => continue,
+                GenSale::Item(item) => (item, None),
+                GenSale::ItemCode(item, code) => (item, Some(code)),
+            };
+            let Some(def) = catalog.get(item) else {
+                return bad(format!("body {item} is not in the catalog"));
+            };
+            if def.is_target {
+                return bad(format!("body {item} is a target item"));
+            }
+            if let Some(code) = code.filter(|c| c.index() >= def.codes.len()) {
+                return bad(format!("body {item} has no {code}"));
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Load a model file through the crash-safe store: enveloped files are
 /// checksum-verified, legacy raw-JSON files still load. Every failure —
 /// I/O, torn envelope, bit flip, version skew, JSON parse, malformed
-/// catalog or hierarchy tables, a model with no servable default rule —
+/// catalog or hierarchy tables, a rule naming an item, code or concept
+/// outside them, a model with no servable default rule —
 /// comes back as a typed, printable [`ServeError`]; corrupt bytes are
 /// never deserialized into a partially-built model, and an unservable
 /// model is rejected here instead of panicking at index build or serve
@@ -276,6 +318,7 @@ pub fn load_model(path: impl AsRef<Path>) -> Result<RuleModel, ServeError> {
     let saved: SavedModel = serde_json::from_str(&text).map_err(|e| invalid(e.to_string()))?;
     TransactionSet::validate_tables(&saved.catalog, &saved.hierarchy)
         .map_err(|e| invalid(e.to_string()))?;
+    validate_rules(&saved).map_err(invalid)?;
     if provenance == pm_store::Provenance::LegacyRaw {
         pm_obs::counter("serve.legacy_model_loads").inc();
         pm_obs::info!("serve.legacy_model", path = path.display());

@@ -273,7 +273,7 @@ impl Stream {
         let model = self.model();
         let ck = Checkpoint {
             stream_pos: self.pos,
-            data_json: self.data.to_json(),
+            data_json: serde_json::to_string(&self.data).expect("dataset serializes"),
             model: model.save(),
             miner: self
                 .miner

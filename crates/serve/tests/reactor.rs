@@ -249,6 +249,115 @@ fn malformed_hierarchy_models_are_typed_errors_at_startup_and_reload() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A checksum-valid model whose rules point outside its own catalog used
+/// to load, then panic: `Catalog::item`/`code` indexed out of range on
+/// every `recommend` that reached the bad rule, and the degraded
+/// default-rule fallback panicked too. Now `load_model` checks every
+/// rule's head and body against the tables: a typed error at load, a
+/// failed reload, and no panic anywhere.
+#[test]
+fn rules_outside_the_catalog_are_typed_errors_at_load_and_reload() {
+    use pm_txn::{CodeId, ConceptId, GenSale, ItemId};
+    let _guard = faults::test_lock();
+    let fix = fixture();
+    let dir = tmp_dir("badrules");
+    let saved: profit_core::SavedModel = serde_json::from_str(&fix.json).unwrap();
+    let last = saved.rules.len() - 1;
+    // A rule above the default one whose body is the single element `g`.
+    let body_rule = move |m: &mut profit_core::SavedModel, g: GenSale| {
+        let mut rule = m.rules[last].clone();
+        rule.body = vec![g];
+        rule.is_default = false;
+        m.rules.insert(0, rule);
+    };
+    let non_target = saved.catalog.non_target_items()[0];
+    let target = saved.catalog.target_items()[0];
+    let n_concepts = saved.hierarchy.n_concepts() as u32;
+    type Edit = Box<dyn Fn(&mut profit_core::SavedModel)>;
+    let cases: Vec<(&str, Edit, &str)> = vec![
+        (
+            "head-item",
+            Box::new(move |m| m.rules[last].item = ItemId(9999)),
+            "head item#9999 is not in the catalog",
+        ),
+        (
+            "head-code",
+            Box::new(move |m| m.rules[last].code = CodeId(77)),
+            "has no code#77",
+        ),
+        (
+            "head-non-target",
+            Box::new(move |m| m.rules[last].item = non_target),
+            "is not a target item",
+        ),
+        (
+            "body-item",
+            Box::new(move |m| body_rule(m, GenSale::Item(ItemId(9999)))),
+            "body item#9999 is not in the catalog",
+        ),
+        (
+            "body-code",
+            Box::new(move |m| body_rule(m, GenSale::ItemCode(non_target, CodeId(77)))),
+            "has no code#77",
+        ),
+        (
+            "body-target",
+            Box::new(move |m| body_rule(m, GenSale::Item(target))),
+            "is a target item",
+        ),
+        (
+            "body-concept",
+            Box::new(move |m| body_rule(m, GenSale::Concept(ConceptId(n_concepts)))),
+            "is not in the hierarchy",
+        ),
+    ];
+
+    // The same rule shape with in-range ids loads.
+    let mut fine = saved.clone();
+    body_rule(&mut fine, GenSale::ItemCode(non_target, CodeId(0)));
+    let fine_path = dir.join("fine.pm");
+    pm_store::save_sealed(&fine_path, serde_json::to_string(&fine).unwrap().as_bytes()).unwrap();
+    pm_serve::load_model(&fine_path).expect("in-range body rule loads");
+
+    let good = sealed_model_file(&dir, "good.pm", fix);
+    let server = Server::start("127.0.0.1:0", &good, ServeConfig::default()).unwrap();
+    let mut c = Client::connect(server.addr());
+    for (i, (name, edit, needle)) in cases.iter().enumerate() {
+        let mut bad_model = saved.clone();
+        edit(&mut bad_model);
+        let bad = dir.join(format!("{name}.pm"));
+        let payload = serde_json::to_string(&bad_model).unwrap();
+        pm_store::save_sealed(&bad, payload.as_bytes()).unwrap();
+
+        let err = pm_serve::load_model(&bad).expect_err(name);
+        assert!(
+            matches!(err, pm_serve::ServeError::Model { .. }),
+            "{name}: {err}"
+        );
+        assert!(err.to_string().contains(needle), "{name}: {err}");
+
+        let resp = c.send(&format!(
+            r#"{{"op":"reload","model":{}}}"#,
+            serde_json::to_string(&Value::Str(bad.display().to_string())).unwrap()
+        ));
+        assert!(resp.contains("reload failed"), "{name}: {resp}");
+        assert!(resp.contains(needle), "{name}: {resp}");
+        let stats = c.send(r#"{"op":"stats"}"#);
+        assert_eq!(json_u64(&stats, "worker_panics"), 0, "{name}: {stats}");
+        assert_eq!(json_u64(&stats, "reload_failures"), i as u64 + 1, "{stats}");
+    }
+    assert_eq!(server.generation(), 1);
+    for customer in &fix.customers {
+        assert_eq!(
+            c.send(&recommend_line(customer)),
+            expected_line(&fix.model, customer)
+        );
+    }
+    assert!(c.send(r#"{"op":"shutdown"}"#).contains("bye"));
+    server.join();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A panic in per-connection handling outside the compute section used
 /// to unwind through `worker_loop` and kill the thread silently,
 /// permanently shrinking capacity. Now it costs the one connection, is

@@ -454,6 +454,51 @@ fn checkpoint_restart_matches_full_log_replay_byte_for_byte() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Checkpoints embed their data as compact JSON; older builds embedded
+/// the pretty `TransactionSet::to_json` form. A checkpoint re-sealed
+/// with pretty data, as the previous build wrote it, still resumes: the
+/// warm miner restores and the tail replays to the cold fit's bytes.
+#[test]
+fn checkpoints_with_pretty_embedded_data_still_resume() {
+    use pm_serve::stream::Stream as LiveStream;
+    let _guard = faults::test_lock();
+    let s = stream(53);
+    let dir = tmp_dir("ck-pretty");
+    let (log, ck) = (dir.join("sales.log"), dir.join("ck.pmck"));
+
+    let (mut live, _) = LiveStream::recover(s.head.clone(), &log, None, pipeline()).unwrap();
+    live.append(None, &s.batches[0]).unwrap();
+    live.checkpoint(&ck, true).unwrap();
+    live.append(None, &s.batches[1]).unwrap();
+    drop(live);
+
+    let sealed = pm_store::checkpoint::load(&ck).unwrap();
+    let mut checkpoint = profit_core::Checkpoint::decode(&sealed).unwrap();
+    let data = TransactionSet::from_json(&checkpoint.data_json).unwrap();
+    assert_eq!(
+        checkpoint.data_json,
+        serde_json::to_string(&data).unwrap(),
+        "checkpoints embed compact data"
+    );
+    checkpoint.data_json = data.to_json();
+    let pretty = checkpoint.encode();
+    assert!(
+        pretty.len() > sealed.len(),
+        "the pretty form is the larger one"
+    );
+    pm_store::checkpoint::save(&ck, &pretty).unwrap();
+
+    let (mut resumed, recovered) =
+        LiveStream::recover(s.head.clone(), &log, Some(&ck), pipeline()).unwrap();
+    assert!(recovered.resumed, "the pretty checkpoint must be used");
+    assert_eq!(recovered.replayed, 1);
+    assert_eq!(
+        serde_json::to_string(&resumed.model().save()).unwrap(),
+        serde_json::to_string(&pipeline().fit(&s.full).save()).unwrap()
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A corrupt checkpoint degrades, never lies: with the whole stream
 /// still in the log the daemon falls back to full replay; with a
 /// compacted log it refuses to start (the stream is unrecoverable).

@@ -1,6 +1,7 @@
 //! Offline shim for `serde_derive`: implements
 //! `#[derive(Serialize, Deserialize)]` against the workspace's `serde`
-//! shim (the `ser_value`/`de_value` traits over `serde::Value`).
+//! shim: `ser_value` builds a `serde::Value`, and `deserialize` reads
+//! keys and values straight off the `serde::Deserializer` pull parser.
 //!
 //! Built without `syn`/`quote` (unavailable offline): the input is
 //! parsed directly from the `proc_macro` token stream and the output is
@@ -298,43 +299,74 @@ fn gen_deserialize(input: &Input) -> String {
     let name = &input.name;
     let body = match &input.shape {
         Shape::Named(fields) => {
+            // One slot per decoded field, filled by the first occurrence
+            // of its key; later duplicates and unknown keys are skipped.
+            let decoded: Vec<&str> = fields
+                .iter()
+                .filter(|f| !f.skip)
+                .map(|f| f.name.as_str())
+                .collect();
+            let slots: String = (0..decoded.len())
+                .map(|i| format!("let mut f{i} = ::std::option::Option::None;\n"))
+                .collect();
+            let walk = if decoded.is_empty() {
+                "while d.next_key()?.is_some() { d.skip_value()?; }".to_string()
+            } else {
+                let arms: String = decoded
+                    .iter()
+                    .enumerate()
+                    .map(|(i, f)| {
+                        format!(
+                            "{f:?} if f{i}.is_none() => \
+                             f{i} = ::std::option::Option::Some(d.field({f:?})?),\n"
+                        )
+                    })
+                    .collect();
+                format!(
+                    "while let ::std::option::Option::Some(k) = d.next_key()? {{\n\
+                     match &*k {{\n{arms}_ => d.skip_value()?,\n}}\n\
+                     }}"
+                )
+            };
+            let mut slot = 0;
             let inits: Vec<String> = fields
                 .iter()
                 .map(|f| {
                     if f.skip {
-                        format!("{}: ::std::default::Default::default()", f.name)
-                    } else {
-                        format!("{}: ::serde::field(m, {:?})?", f.name, f.name)
+                        return format!("{}: ::std::default::Default::default()", f.name);
                     }
+                    let i = slot;
+                    slot += 1;
+                    format!(
+                        "{}: match f{i} {{\n\
+                         ::std::option::Option::Some(v) => v,\n\
+                         ::std::option::Option::None => ::serde::Deserializer::missing({:?})?,\n\
+                         }}",
+                        f.name, f.name
+                    )
                 })
                 .collect();
             format!(
-                "let m = ::serde::as_map(v, {name:?})?;\n\
+                "{slots}d.begin_map({name:?})?;\n{walk}\n\
                  ::std::result::Result::Ok({name} {{ {} }})",
-                inits.join(", ")
+                inits.join(",\n")
             )
         }
         Shape::Tuple(1) => {
-            format!("::std::result::Result::Ok({name}(::serde::Deserialize::de_value(v)?))")
+            format!("::std::result::Result::Ok({name}(::serde::Deserialize::deserialize(d)?))")
         }
-        Shape::Tuple(n) => {
-            let inits: Vec<String> = (0..*n)
-                .map(|i| format!("::serde::Deserialize::de_value(&s[{i}])?"))
-                .collect();
-            format!(
-                "let s = ::serde::as_seq_n(v, {n}, {name:?})?;\n\
-                 ::std::result::Result::Ok({name}({}))",
-                inits.join(", ")
-            )
-        }
-        Shape::Unit => format!(
-            "match v {{\n\
-             ::serde::Value::Null => ::std::result::Result::Ok({name}),\n\
-             other => ::std::result::Result::Err(::serde::Error::custom(\
-             format!(\"{name}: expected null, got {{other:?}}\"))),\n\
-             }}"
+        Shape::Tuple(n) => format!(
+            "::std::result::Result::Ok({})",
+            gen_tuple(name, &format!("{name:?}"), *n)
         ),
+        Shape::Unit => format!("d.unit({name:?})?;\n::std::result::Result::Ok({name})"),
         Shape::Enum(variants) => {
+            let unknown = |unit: bool| {
+                format!(
+                    "::std::result::Result::Err(\
+                     ::serde::Deserializer::unknown_variant(&v, {unit}, {name:?}))"
+                )
+            };
             let unit_arms: Vec<String> = variants
                 .iter()
                 .filter(|(_, a)| *a == 0)
@@ -344,54 +376,65 @@ fn gen_deserialize(input: &Input) -> String {
                 .iter()
                 .filter(|(_, a)| *a > 0)
                 .map(|(v, arity)| {
-                    if *arity == 1 {
-                        format!(
-                            "{v:?} => ::std::result::Result::Ok({name}::{v}(\
-                             ::serde::Deserialize::de_value(val)?)),"
-                        )
+                    let value = if *arity == 1 {
+                        format!("{name}::{v}(::serde::Deserialize::deserialize(d)?)")
                     } else {
-                        let inits: Vec<String> = (0..*arity)
-                            .map(|i| format!("::serde::Deserialize::de_value(&s[{i}])?"))
-                            .collect();
-                        format!(
-                            "{v:?} => {{\n\
-                             let s = ::serde::as_seq_n(val, {arity}, \"{name}::{v}\")?;\n\
-                             ::std::result::Result::Ok({name}::{v}({}))\n\
-                             }},",
-                            inits.join(", ")
-                        )
-                    }
+                        gen_tuple(&format!("{name}::{v}"), &format!("\"{name}::{v}\""), *arity)
+                    };
+                    format!("{v:?} => {value},")
                 })
                 .collect();
+            // An empty arm list gets the error directly: a match whose
+            // only arm returns would leave the code after it unreachable.
+            let unit = if unit_arms.is_empty() {
+                unknown(true)
+            } else {
+                format!(
+                    "match &*v {{\n{}\n_ => {},\n}}",
+                    unit_arms.join("\n"),
+                    unknown(true)
+                )
+            };
+            let payload = if data_arms.is_empty() {
+                unknown(false)
+            } else {
+                format!(
+                    "{{\nlet value = match &*v {{\n{}\n_ => return {},\n}};\n\
+                     d.end_variant({name:?})?;\n\
+                     ::std::result::Result::Ok(value)\n}}",
+                    data_arms.join("\n"),
+                    unknown(false)
+                )
+            };
             format!(
-                "match v {{\n\
-                 ::serde::Value::Str(s) => match s.as_str() {{\n\
-                 {}\n\
-                 other => ::std::result::Result::Err(::serde::Error::custom(\
-                 format!(\"unknown unit variant {{other:?}} for {name}\"))),\n\
-                 }},\n\
-                 ::serde::Value::Map(m) if m.len() == 1 => {{\n\
-                 let (k, val) = &m[0];\n\
-                 let _ = val;\n\
-                 match k.as_str() {{\n\
-                 {}\n\
-                 other => ::std::result::Result::Err(::serde::Error::custom(\
-                 format!(\"unknown variant {{other:?}} for {name}\"))),\n\
-                 }}\n\
-                 }},\n\
-                 other => ::std::result::Result::Err(::serde::Error::custom(\
-                 format!(\"{name}: expected variant string or single-key map, got {{other:?}}\"))),\n\
-                 }}",
-                unit_arms.join("\n"),
-                data_arms.join("\n")
+                "match d.variant({name:?})? {{\n\
+                 ::serde::Variant::Unit(v) => {unit},\n\
+                 ::serde::Variant::Payload(v) => {payload},\n\
+                 }}"
             )
         }
     };
     format!(
         "impl ::serde::Deserialize for {name} {{\n\
-         fn de_value(v: &::serde::Value) -> ::std::result::Result<Self, ::serde::Error> {{\n\
+         fn deserialize(d: &mut ::serde::Deserializer<'_>) \
+         -> ::std::result::Result<Self, ::serde::Error> {{\n\
          {body}\n\
          }}\n\
          }}"
+    )
+}
+
+/// An expression reading `ctor(..)` from an array of exactly `n`
+/// elements; `what` is the string literal its errors name.
+fn gen_tuple(ctor: &str, what: &str, n: usize) -> String {
+    let elems: Vec<String> = (0..n)
+        .map(|i| format!("d.tuple_element({i}, {n}, {what})?"))
+        .collect();
+    format!(
+        "{{\nd.begin_seq({what})?;\n\
+         let t = {ctor}({});\n\
+         d.end_tuple({n}, {what})?;\n\
+         t\n}}",
+        elems.join(", ")
     )
 }

@@ -1,6 +1,7 @@
 //! Offline shim for the `serde_json` 1 API surface used by this
-//! workspace: [`to_string`], [`to_string_pretty`], and [`from_str`],
-//! bridged through the `serde` shim's `Value` tree.
+//! workspace: [`to_string`], [`to_string_pretty`], and [`from_str`].
+//! Serializing prints the `serde` shim's `Value` tree; deserializing
+//! reads straight off its pull parser, [`serde::Deserializer`].
 //!
 //! Formatting matches real serde_json where it is observable here:
 //! compact output has no whitespace, pretty output indents by two
@@ -8,8 +9,12 @@
 //! float `Display`) with a trailing `.0` forced onto integral floats,
 //! and non-finite floats serialize as `null`.
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Deserializer, Serialize, Value};
 use std::fmt;
+
+/// Deepest array/object nesting [`from_str`] accepts (see
+/// [`serde::MAX_DEPTH`]).
+pub use serde::MAX_DEPTH;
 
 /// JSON (de)serialization failure.
 #[derive(Debug, Clone)]
@@ -43,20 +48,13 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Erro
     Ok(out)
 }
 
-/// Deserialize a `T` from JSON text.
+/// Deserialize a `T` from JSON text: read one value, then refuse
+/// anything but whitespace after it.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
-    let mut p = Parser {
-        bytes: s.as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters"));
-    }
-    Ok(T::de_value(&v)?)
+    let mut d = Deserializer::new(s);
+    let value = T::deserialize(&mut d)?;
+    d.end()?;
+    Ok(value)
 }
 
 // ---- printer ----
@@ -146,266 +144,13 @@ fn write_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
-// ---- parser ----
-
-/// Deepest array/object nesting [`from_str`] accepts. The parser recurses
-/// once per level, so without a cap a short line of `[` (a 20 KB one is
-/// enough) overflows the thread's stack — an abort no `catch_unwind`
-/// can stop. Nothing this workspace writes nests more than a few levels.
-pub const MAX_DEPTH: usize = 128;
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    /// Arrays and objects currently open.
-    depth: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, msg: &str) -> Error {
-        Error(format!("JSON parse error at byte {}: {}", self.pos, msg))
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), Error> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected {:?}", b as char)))
-        }
-    }
-
-    fn eat_lit(&mut self, lit: &str, v: Value) -> Result<Value, Error> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(v)
-        } else {
-            Err(self.err(&format!("expected `{lit}`")))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, Error> {
-        match self.peek() {
-            Some(b'n') => self.eat_lit("null", Value::Null),
-            Some(b't') => self.eat_lit("true", Value::Bool(true)),
-            Some(b'f') => self.eat_lit("false", Value::Bool(false)),
-            Some(b'"') => self.string().map(Value::Str),
-            Some(c @ (b'[' | b'{')) => {
-                if self.depth == MAX_DEPTH {
-                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
-                }
-                self.depth += 1;
-                let v = if c == b'[' {
-                    self.array()
-                } else {
-                    self.object()
-                };
-                self.depth -= 1;
-                v
-            }
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            Some(c) => Err(self.err(&format!("unexpected {:?}", c as char))),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, Error> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Seq(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Seq(items));
-                }
-                _ => return Err(self.err("expected `,` or `]`")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, Error> {
-        self.eat(b'{')?;
-        let mut entries = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Map(entries));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            self.skip_ws();
-            let val = self.value()?;
-            entries.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Map(entries));
-                }
-                _ => return Err(self.err("expected `,` or `}`")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, Error> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{08}'),
-                        Some(b'f') => out.push('\u{0c}'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let hi = self.hex4()?;
-                            let c = if (0xd800..0xdc00).contains(&hi) {
-                                // Surrogate pair: expect \uXXXX low half.
-                                self.eat(b'\\')?;
-                                self.eat(b'u')?;
-                                let lo = self.hex4()?;
-                                if !(0xdc00..0xe000).contains(&lo) {
-                                    return Err(self.err("invalid low surrogate"));
-                                }
-                                let cp = 0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00);
-                                char::from_u32(cp)
-                            } else {
-                                char::from_u32(hi)
-                            };
-                            out.push(c.ok_or_else(|| self.err("invalid \\u escape"))?);
-                            // hex4 advanced past the digits already.
-                            continue;
-                        }
-                        _ => return Err(self.err("invalid escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume the maximal run of plain bytes in one
-                    // chunk. The stop bytes (`"` and `\`) are ASCII, so
-                    // they can never split a multi-byte scalar and the
-                    // chunk boundaries are always char boundaries;
-                    // validating only the chunk keeps the whole parse
-                    // linear even for multi-megabyte strings.
-                    let start = self.pos;
-                    while let Some(b) = self.peek() {
-                        if b == b'"' || b == b'\\' {
-                            break;
-                        }
-                        self.pos += 1;
-                    }
-                    let chunk = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    out.push_str(chunk);
-                }
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, Error> {
-        let end = self.pos + 4;
-        if end > self.bytes.len() {
-            return Err(self.err("truncated \\u escape"));
-        }
-        let s = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| self.err("invalid \\u escape"))?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| self.err("invalid \\u escape"))?;
-        self.pos = end;
-        Ok(v)
-    }
-
-    fn number(&mut self) -> Result<Value, Error> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut float = false;
-        while let Some(c) = self.peek() {
-            match c {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
-        if !float {
-            if let Some(stripped) = text.strip_prefix('-') {
-                if let Ok(i) = stripped.parse::<i64>() {
-                    return Ok(if i == 0 {
-                        Value::U64(0)
-                    } else {
-                        Value::I64(-i)
-                    });
-                }
-            } else if let Ok(u) = text.parse::<u64>() {
-                return Ok(Value::U64(u));
-            }
-        }
-        text.parse::<f64>()
-            .map(Value::F64)
-            .map_err(|_| self.err(&format!("invalid number `{text}`")))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use serde::Value;
 
     fn round_trip(v: &Value) -> Value {
-        #[derive(Debug)]
-        struct Raw(Value);
-        impl Serialize for Raw {
-            fn ser_value(&self) -> Value {
-                self.0.clone()
-            }
-        }
-        impl Deserialize for Raw {
-            fn de_value(v: &Value) -> Result<Self, serde::Error> {
-                Ok(Raw(v.clone()))
-            }
-        }
-        let s = to_string(&Raw(v.clone())).unwrap();
-        from_str::<Raw>(&s).unwrap().0
+        from_str::<Value>(&to_string(v).unwrap()).unwrap()
     }
 
     #[test]
@@ -509,5 +254,251 @@ mod tests {
         assert!(from_str::<Vec<u32>>("[1,]").is_err());
         assert!(from_str::<u32>("1 2").is_err());
         assert!(from_str::<String>("\"unterminated").is_err());
+    }
+
+    // ---- the decode contract, one rule per test ----
+
+    #[derive(Debug, PartialEq, serde::Deserialize)]
+    struct Rec {
+        id: u32,
+        tag: Option<String>,
+        #[serde(skip)]
+        cache: Vec<u32>,
+    }
+
+    #[derive(Debug, PartialEq, serde::Deserialize)]
+    struct Pair(u32, bool);
+
+    #[derive(Debug, PartialEq, serde::Deserialize)]
+    struct Id(u64);
+
+    #[derive(Debug, PartialEq, serde::Deserialize)]
+    struct Marker;
+
+    #[derive(Debug, PartialEq, serde::Deserialize)]
+    enum Shape {
+        Dot,
+        Circle(f64),
+        Rect(u32, u32),
+    }
+
+    #[derive(Debug, PartialEq, serde::Deserialize)]
+    enum Only {
+        A,
+        B,
+    }
+
+    #[derive(Debug, PartialEq, serde::Deserialize)]
+    enum Wrapped {
+        One(Marker),
+    }
+
+    #[test]
+    fn missing_fields_decode_from_null() {
+        let r: Rec = from_str(r#"{"id":7}"#).unwrap();
+        assert_eq!(r.tag, None);
+        let err = from_str::<Rec>(r#"{"tag":"x"}"#).unwrap_err();
+        assert_eq!(err.to_string(), "missing field id");
+        // A unit struct decodes from `null`, so a missing one is present.
+        #[derive(Debug, serde::Deserialize)]
+        struct HasMarker {
+            m: Marker,
+        }
+        assert_eq!(from_str::<HasMarker>("{}").unwrap().m, Marker);
+    }
+
+    #[test]
+    fn unknown_keys_are_skipped() {
+        let doc = r#"{"x":[1,{"y":["\u00e9",null,-0.5e3]}],"id":3,"z":{},"w":"\""}"#;
+        let r: Rec = from_str(doc).unwrap();
+        assert_eq!(r.id, 3);
+        // Skipped values are still checked: bad syntax under an unknown
+        // key fails the whole decode.
+        assert!(from_str::<Rec>(r#"{"x":[1,],"id":3}"#).is_err());
+        assert!(from_str::<Rec>(r#"{"x":1-2,"id":3}"#).is_err());
+    }
+
+    #[test]
+    fn first_duplicate_key_wins() {
+        let r: Rec = from_str(r#"{"id":1,"id":2,"tag":"a","tag":null}"#).unwrap();
+        assert_eq!((r.id, r.tag.as_deref()), (1, Some("a")));
+        // A later duplicate is skipped, so its type does not matter.
+        let r: Rec = from_str(r#"{"id":1,"id":"two"}"#).unwrap();
+        assert_eq!(r.id, 1);
+        // Keys with escapes match their decoded text.
+        let r: Rec = from_str(r#"{"\u0069d":5}"#).unwrap();
+        assert_eq!(r.id, 5);
+    }
+
+    #[test]
+    fn skipped_fields_take_default() {
+        let r: Rec = from_str(r#"{"id":1,"cache":[9,9]}"#).unwrap();
+        assert_eq!(r.cache, Vec::<u32>::new());
+        let r: Rec = from_str(r#"{"id":1,"cache":"not a list"}"#).unwrap();
+        assert!(r.cache.is_empty());
+    }
+
+    #[test]
+    fn integer_fields_accept_integral_floats_only() {
+        assert_eq!(from_str::<Rec>(r#"{"id":3.0}"#).unwrap().id, 3);
+        assert_eq!(from_str::<Rec>(r#"{"id":3e2}"#).unwrap().id, 300);
+        for bad in ["3.5", "-1", "4294967296", "1e19", "\"3\"", "true"] {
+            let doc = format!(r#"{{"id":{bad}}}"#);
+            assert!(from_str::<Rec>(&doc).is_err(), "{doc}");
+        }
+        let err = from_str::<Rec>(r#"{"id":3.5}"#).unwrap_err().to_string();
+        assert_eq!(err, "field id: u32: expected integer, got F64(3.5)");
+    }
+
+    #[test]
+    fn number_classification_is_unchanged() {
+        let cases: [(&str, Value); 12] = [
+            ("-0", Value::U64(0)),
+            ("-00", Value::U64(0)),
+            ("007", Value::U64(7)),
+            ("-007", Value::I64(-7)),
+            ("-9223372036854775807", Value::I64(-i64::MAX)),
+            ("-9223372036854775808", Value::F64(-9.223372036854776e18)),
+            ("18446744073709551615", Value::U64(u64::MAX)),
+            ("18446744073709551616", Value::F64(1.8446744073709552e19)),
+            ("1e2", Value::F64(100.0)),
+            ("1E-2", Value::F64(0.01)),
+            ("-1.5e+3", Value::F64(-1500.0)),
+            ("-0.0", Value::F64(-0.0)),
+        ];
+        for (text, want) in cases {
+            let got: Value = from_str(text).unwrap();
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "{text}");
+        }
+        for bad in ["1-2", "-", "1e", "--1", "1.2.3"] {
+            assert!(from_str::<Value>(bad).is_err(), "{bad}");
+        }
+        // Integer targets see the same classes: i64::MIN is a float too
+        // large to be integral, u64::MAX + 1 likewise.
+        assert!(from_str::<i64>("-9223372036854775808").is_err());
+        assert!(from_str::<u64>("18446744073709551616").is_err());
+        assert_eq!(from_str::<u64>("18446744073709551615").unwrap(), u64::MAX);
+        assert_eq!(from_str::<i64>("-0").unwrap(), 0);
+        // Floats go through `str::parse::<f64>` on the same text.
+        for text in [
+            "0.1",
+            "2.2250738585072014e-308",
+            "1.7976931348623157e308",
+            "5e-324",
+        ] {
+            let f: f64 = from_str(text).unwrap();
+            assert_eq!(
+                f.to_bits(),
+                text.parse::<f64>().unwrap().to_bits(),
+                "{text}"
+            );
+        }
+    }
+
+    #[test]
+    fn float_fields_refuse_overflow_to_infinity() {
+        // The tree keeps the parsed float, but a typed `f64` refuses it:
+        // it would print as `null`, which no `f64` reads back.
+        assert_eq!(
+            from_str::<Value>("1e999").unwrap(),
+            Value::F64(f64::INFINITY)
+        );
+        for text in ["1e999", "-1e999", "[1e400]"] {
+            let doc = if text.starts_with('[') {
+                text.to_string()
+            } else {
+                format!("[{text}]")
+            };
+            assert!(from_str::<Vec<f64>>(&doc).is_err(), "{doc}");
+        }
+        assert_eq!(from_str::<f64>("1e-400").unwrap(), 0.0);
+        assert_eq!(from_str::<f64>("1.7976931348623157e308").unwrap(), f64::MAX);
+    }
+
+    #[test]
+    fn tuples_need_their_exact_length() {
+        assert_eq!(from_str::<Pair>("[1,true]").unwrap(), Pair(1, true));
+        for bad in ["[1]", "[1,true,2]", "[]", "{}", "1"] {
+            assert!(from_str::<Pair>(bad).is_err(), "{bad}");
+        }
+        let err = from_str::<Pair>("[1,true,2]").unwrap_err().to_string();
+        assert_eq!(err, "Pair: expected 2 elements, got 3");
+        assert_eq!(from_str::<Id>("5").unwrap(), Id(5));
+        assert_eq!(
+            from_str::<Shape>(r#"{"Rect":[2,3]}"#).unwrap(),
+            Shape::Rect(2, 3)
+        );
+        for bad in [r#"{"Rect":[2]}"#, r#"{"Rect":[2,3,4]}"#, r#"{"Rect":2}"#] {
+            assert!(from_str::<Shape>(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn enums_are_unit_strings_or_single_key_maps() {
+        assert_eq!(from_str::<Shape>(r#""Dot""#).unwrap(), Shape::Dot);
+        assert_eq!(
+            from_str::<Shape>(r#" { "Circle" : 1.5 } "#).unwrap(),
+            Shape::Circle(1.5)
+        );
+        assert_eq!(from_str::<Only>(r#""B""#).unwrap(), Only::B);
+        assert_eq!(
+            from_str::<Wrapped>(r#"{"One":null}"#).unwrap(),
+            Wrapped::One(Marker)
+        );
+        for bad in [
+            r#""Circle""#,
+            r#"{"Dot":null}"#,
+            r#""Square""#,
+            r#"{"Square":1}"#,
+            r#"{"Circle":1.5,"Dot":null}"#,
+            r#"{}"#,
+            "[]",
+            "3",
+        ] {
+            assert!(from_str::<Shape>(bad).is_err(), "{bad}");
+        }
+        for bad in [r#"{"A":null}"#, r#""C""#, "{}"] {
+            assert!(from_str::<Only>(bad).is_err(), "{bad}");
+        }
+        assert!(from_str::<Wrapped>(r#""One""#).is_err());
+        let err = from_str::<Shape>(r#""Square""#).unwrap_err().to_string();
+        assert_eq!(err, "unknown unit variant \"Square\" for Shape");
+    }
+
+    #[test]
+    fn depth_cap_stops_typed_and_tree_decodes_on_a_small_stack() {
+        // 256 KiB of stack: a megabyte of `[` would overflow it long
+        // before the end, so only the cap can make these errors.
+        let deep = "[".repeat(1 << 20);
+        let typed = format!(r#"{{"junk":{deep}"#);
+        let outcome = std::thread::Builder::new()
+            .stack_size(256 << 10)
+            .spawn(move || {
+                let typed = from_str::<Rec>(&typed).unwrap_err().to_string();
+                let tree = from_str::<Value>(&deep).unwrap_err().to_string();
+                (typed, tree)
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        for err in [outcome.0, outcome.1] {
+            assert!(err.contains("nesting deeper than 128"), "{err}");
+        }
+        // Exactly at the cap, a skipped value still decodes.
+        let doc = format!(
+            r#"{{"junk":{}{},"id":1}}"#,
+            "[".repeat(MAX_DEPTH - 1),
+            "]".repeat(MAX_DEPTH - 1)
+        );
+        assert_eq!(from_str::<Rec>(&doc).unwrap().id, 1);
+        let doc = doc.replacen('[', "[[", 1).replacen(']', "]]", 1);
+        assert!(from_str::<Rec>(&doc).is_err());
+    }
+
+    #[test]
+    fn trailing_bytes_are_refused_after_typed_values() {
+        assert!(from_str::<Rec>(r#"{"id":1} x"#).is_err());
+        assert!(from_str::<Rec>("{\"id\":1}\n ").is_ok());
+        assert!(from_str::<Vec<u32>>("[1] [2]").is_err());
     }
 }

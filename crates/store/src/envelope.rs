@@ -33,15 +33,47 @@ pub const FORMAT_VERSION: u32 = 1;
 /// Total header size in bytes (magic + version + length + CRC).
 pub const HEADER_LEN: usize = 20;
 
-/// CRC-32 (IEEE 802.3, the `cksum`/zlib polynomial), bitwise-reflected
-/// table implementation. Computed over the payload only.
+/// CRC-32 (IEEE 802.3, the `cksum`/zlib polynomial), bitwise-reflected,
+/// computed over the payload only. Slicing-by-8: each step folds eight
+/// bytes through eight tables, where `TABLES[k][b]` is the CRC state
+/// after byte `b` and then `k` zero bytes; the last `len % 8` bytes go
+/// one at a time through `TABLES[0]`, the bytewise definition.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = crc32_table();
+    const TABLES: [[u32; 256]; 8] = crc32_tables();
+    let t = &TABLES;
     let mut crc = 0xffff_ffffu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xff) as usize];
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xff) as usize]
+            ^ t[2][((hi >> 8) & 0xff) as usize]
+            ^ t[1][((hi >> 16) & 0xff) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xff) as usize];
     }
     !crc
+}
+
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [crc32_table(); 8];
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 const fn crc32_table() -> [u32; 256] {
@@ -153,6 +185,30 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414f_a339
         );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(4))]
+
+        /// Every length 0–4,096 at every start offset mod 8 (so every
+        /// split between 8-byte steps and the bytewise tail) agrees with
+        /// the bytewise definition, one byte per table lookup.
+        #[test]
+        fn slicing_by_8_matches_the_bytewise_definition(
+            buf in proptest::collection::vec(proptest::num::u8::ANY, 4096 + 8),
+        ) {
+            let table = crc32_table();
+            for start in 0..8 {
+                let mut state = 0xffff_ffffu32;
+                for len in 0..=4096 {
+                    let bytes = &buf[start..start + len];
+                    let (got, want) = (crc32(bytes), !state);
+                    proptest::prop_assert!(got == want, "start {start} len {len}: {got:#x} != {want:#x}");
+                    let b = buf[start + len];
+                    state = (state >> 8) ^ table[((state ^ b as u32) & 0xff) as usize];
+                }
+            }
+        }
     }
 
     #[test]

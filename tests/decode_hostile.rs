@@ -1,0 +1,253 @@
+//! Hostile input for every decoder that reads untrusted bytes through
+//! the JSON pull parser: data files, sealed models, checkpoints, miner
+//! snapshots, sales-log records (both forms) and wire requests.
+//!
+//! The inputs are every truncation of a small valid document, plus
+//! random byte flips, splices and deep-nesting inserts. Each input must
+//! decode or return an error — never panic, never hang — and every
+//! success must re-encode to bytes that decode to the same value (the
+//! same bytes again). `PROPTEST_CASES` scales the random part.
+
+use pm_datagen::{DatasetConfig, HierarchyConfig};
+use pm_rules::{MinerConfig, MinerSnapshot, Support};
+use pm_serve::protocol::{ingest_line, parse_request, Request};
+use pm_txn::{
+    decode_stream_record, encode_stream_record, CatalogDelta, ItemId, NewConcept, NewItem,
+    TransactionSet,
+};
+use profit_core::{Checkpoint, ProfitMiner, Recommender};
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::sync::OnceLock;
+
+/// A decoder under test: `Some(re-encoded bytes)` on success, `None` on
+/// a typed error.
+type Decode = fn(&[u8]) -> Option<Vec<u8>>;
+
+struct Target {
+    name: &'static str,
+    doc: Vec<u8>,
+    decode: Decode,
+}
+
+fn text(bytes: &[u8]) -> std::borrow::Cow<'_, str> {
+    String::from_utf8_lossy(bytes)
+}
+
+fn dataset(b: &[u8]) -> Option<Vec<u8>> {
+    let data = TransactionSet::from_json(&text(b)).ok()?;
+    Some(data.to_json().into_bytes())
+}
+
+/// The payload sealed into a valid envelope, then loaded as a daemon
+/// loads a model file. A model that loads must also answer.
+fn sealed_model(b: &[u8]) -> Option<Vec<u8>> {
+    let path = std::env::temp_dir().join(format!(
+        "pm-decode-hostile-{}-{:?}.pm",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    std::fs::write(&path, pm_store::envelope::seal(b)).unwrap();
+    let loaded = pm_serve::load_model(&path);
+    std::fs::remove_file(&path).unwrap();
+    let model = loaded.ok()?;
+    model.recommend(&[]);
+    Some(serde_json::to_string(&model.save()).unwrap().into_bytes())
+}
+
+fn checkpoint(b: &[u8]) -> Option<Vec<u8>> {
+    Checkpoint::decode(b).ok().map(|c| c.encode())
+}
+
+fn miner_snapshot(b: &[u8]) -> Option<Vec<u8>> {
+    let s: MinerSnapshot = serde_json::from_str(&text(b)).ok()?;
+    Some(serde_json::to_string(&s).unwrap().into_bytes())
+}
+
+fn stream_record(b: &[u8]) -> Option<Vec<u8>> {
+    let (delta, txns) = decode_stream_record(&text(b)).ok()?;
+    Some(encode_stream_record(delta.as_ref(), &txns).into_bytes())
+}
+
+fn request(b: &[u8]) -> Option<Vec<u8>> {
+    let quoted = |s: &str| serde_json::to_string(s).unwrap();
+    let optional = |key: &str, s: &Option<String>| match s {
+        Some(s) => format!(r#","{key}":{}"#, quoted(s)),
+        None => String::new(),
+    };
+    let line = match parse_request(&text(b)).ok()? {
+        Request::Ping => r#"{"op":"ping"}"#.to_string(),
+        Request::Stats => r#"{"op":"stats"}"#.to_string(),
+        Request::Shutdown => r#"{"op":"shutdown"}"#.to_string(),
+        Request::Reload { path } => format!(r#"{{"op":"reload"{}}}"#, optional("model", &path)),
+        Request::Checkpoint { path } => {
+            format!(r#"{{"op":"checkpoint"{}}}"#, optional("path", &path))
+        }
+        Request::Recommend { sales, top, target } => {
+            let sales: Vec<String> = sales
+                .iter()
+                .map(|s| format!("[{},{},{}]", s.item.0, s.code.0, s.qty))
+                .collect();
+            format!(
+                r#"{{"op":"recommend","sales":[{}],"top":{top}{}}}"#,
+                sales.join(","),
+                optional("target", &target)
+            )
+        }
+        Request::Ingest { catalog, txns } => ingest_line(catalog.as_ref(), &txns),
+    };
+    Some(line.into_bytes())
+}
+
+fn pipeline() -> ProfitMiner {
+    ProfitMiner::new(MinerConfig {
+        min_support: Support::Fraction(0.5),
+        max_body_len: 1,
+        ..MinerConfig::default()
+    })
+}
+
+/// One small valid document per decoder.
+fn targets() -> &'static [Target] {
+    static TARGETS: OnceLock<Vec<Target>> = OnceLock::new();
+    TARGETS.get_or_init(|| {
+        let data = DatasetConfig::dataset_i()
+            .with_transactions(10)
+            .with_items(6)
+            .with_hierarchy(HierarchyConfig {
+                branching: 2,
+                levels: 2,
+            })
+            .generate(&mut StdRng::seed_from_u64(5));
+        let mut miner = pipeline().into_incremental();
+        let model = miner.fit(&data);
+        let snapshot = miner.snapshot().unwrap();
+        let ck = Checkpoint {
+            stream_pos: 3,
+            data_json: serde_json::to_string(&data).unwrap(),
+            model: model.save(),
+            miner: snapshot.clone(),
+        };
+        let txns = &data.transactions()[..3];
+        let delta = CatalogDelta {
+            concepts: vec![NewConcept {
+                name: "grown".into(),
+                parents: vec![],
+            }],
+            items: vec![NewItem {
+                def: data.catalog().item(ItemId(0)).clone(),
+                parents: vec![],
+            }],
+        };
+        let json = |v: String| v.into_bytes();
+        vec![
+            Target {
+                name: "TransactionSet::from_json",
+                doc: json(data.to_json()),
+                decode: dataset,
+            },
+            Target {
+                name: "load_model",
+                doc: json(serde_json::to_string(&model.save()).unwrap()),
+                decode: sealed_model,
+            },
+            Target {
+                name: "Checkpoint::decode",
+                doc: ck.encode(),
+                decode: checkpoint,
+            },
+            Target {
+                name: "MinerSnapshot",
+                doc: json(serde_json::to_string(&snapshot).unwrap()),
+                decode: miner_snapshot,
+            },
+            Target {
+                name: "decode_stream_record (array)",
+                doc: json(encode_stream_record(None, txns)),
+                decode: stream_record,
+            },
+            Target {
+                name: "decode_stream_record (catalog)",
+                doc: json(encode_stream_record(Some(&delta), txns)),
+                decode: stream_record,
+            },
+            Target {
+                name: "parse_request",
+                doc: json(ingest_line(Some(&delta), txns)),
+                decode: request,
+            },
+            Target {
+                name: "parse_request (recommend)",
+                doc: json(
+                    r#"{"op":"recommend","sales":[[3,0,2],[5,1,1]],"top":2,"target":"codes:0"}"#
+                        .into(),
+                ),
+                decode: request,
+            },
+        ]
+    })
+}
+
+/// Decode `input`; on success, the re-encoding must decode to itself.
+fn check(t: &Target, input: &[u8], what: &str) -> Result<(), String> {
+    let Some(first) = (t.decode)(input) else {
+        return Ok(());
+    };
+    match (t.decode)(&first) {
+        Some(second) if second == first => Ok(()),
+        Some(_) => Err(format!("{}: {what}: re-encoding is not stable", t.name)),
+        None => Err(format!("{}: {what}: re-encoding does not decode", t.name)),
+    }
+}
+
+#[test]
+fn valid_documents_decode_and_re_encode_to_themselves() {
+    for t in targets() {
+        let first = (t.decode)(&t.doc).unwrap_or_else(|| panic!("{} must decode", t.name));
+        check(t, &first, "valid").unwrap();
+    }
+}
+
+#[test]
+fn every_truncation_decodes_or_errors() {
+    for t in targets() {
+        for end in 0..t.doc.len() {
+            check(t, &t.doc[..end], &format!("truncated at {end}")).unwrap();
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn flips_splices_and_deep_nesting_decode_or_error(
+        flip in (0usize..1 << 20, 0u8..255),
+        splice in (0usize..1 << 20, 0usize..64, 0usize..1 << 20),
+        nest in (0usize..1 << 20, 1usize..4096, 0usize..3),
+    ) {
+        for t in targets() {
+            let doc = &t.doc;
+            let n = doc.len();
+
+            let mut flipped = doc.clone();
+            flipped[flip.0 % n] = flip.1;
+            check(t, &flipped, &format!("byte {} set to {}", flip.0 % n, flip.1))?;
+
+            let (from, len, at) = (splice.0 % n, splice.1, splice.2 % n);
+            let piece = &doc[from..(from + len).min(n)];
+            let mut spliced = doc[..at].to_vec();
+            spliced.extend_from_slice(piece);
+            spliced.extend_from_slice(&doc[at..]);
+            check(t, &spliced, &format!("{len} bytes from {from} spliced at {at}"))?;
+
+            let opener = ["[", "{\"k\":", "[{\"k\":"][nest.2];
+            let at = nest.0 % (n + 1);
+            let mut nested = doc[..at].to_vec();
+            nested.extend_from_slice(opener.repeat(nest.1).as_bytes());
+            nested.extend_from_slice(&doc[at..]);
+            check(t, &nested, &format!("{} x {opener:?} at {at}", nest.1))?;
+        }
+    }
+}
