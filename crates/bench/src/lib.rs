@@ -1,14 +1,13 @@
-//! Shared fixtures for the criterion benches and the `experiments`
-//! figure-regeneration binary.
+//! The `experiments` figure-regeneration binary, plus the dataset
+//! fixture perfbench's `fit-build` workload generates its data with.
 
 use pm_datagen::DatasetConfig;
 use pm_txn::TransactionSet;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-pub mod serveload;
-
-/// A deterministic bench-sized Dataset-I workload.
+/// A deterministic Dataset-I workload with one Quest pattern per 50
+/// transactions (clamped to 20–2000).
 pub fn bench_dataset(transactions: usize, items: usize, seed: u64) -> TransactionSet {
     let mut cfg = DatasetConfig::dataset_i()
         .with_transactions(transactions)

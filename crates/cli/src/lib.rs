@@ -211,10 +211,9 @@ USAGE
   so restarts replay only the records after the checkpoint. Rerunning
   checkpoint resumes from the previous envelope instead of refitting
   from scratch. serve --checkpoint points the daemon at its envelope:
-  {\"op\":\"checkpoint\"} (optionally with \"path\") checkpoints and
-  compacts online, and on startup the daemon restores the envelope,
-  replays the log tail, and serves a model byte-identical to a full
-  replay. The CLI verbs recover exactly as the daemon does, so for the
+  {\"op\":\"checkpoint\"} seals to that file and compacts online, and
+  on startup the daemon restores the envelope, replays the log tail,
+  and serves a model byte-identical to a full replay. The CLI verbs recover exactly as the daemon does, so for the
   same data, log and fit flags checkpoint seals the same bytes as the
   daemon's op. A corrupt envelope falls back to full-log replay while
   the log is complete, and is a hard error once the log was compacted;
@@ -234,13 +233,16 @@ USAGE
   of up to --batch requests per model snapshot, bounded admission with
   load shedding, per-request timeouts with a flagged degraded mode (the
   §3.2 default rule) when the matcher errors or blows the deadline, and
-  {\"op\":\"reload\"} hot model swaps that keep the old model on any
-  validation failure. With --data and --log instead of --model the
-  daemon runs in streaming mode: it replays the sales log, fits
-  in-process with the usual fit flags, and accepts {\"op\":\"ingest\"}
-  requests that append a batch to the log (durability first), refit
-  incrementally, and hot-swap the model — byte-identical to a cold fit
-  on the concatenated stream. --addr HOST:0 picks an ephemeral port;
+  {\"op\":\"reload\"} hot model swaps: rewrite the --model file (fit
+  --out writes atomically), then send reload; the old model keeps
+  serving on any validation failure. No request names a file, so a
+  reload or checkpoint line carrying \"model\" or \"path\" is refused.
+  With --data and --log instead of --model the daemon runs in streaming
+  mode: it replays the sales log, fits in-process with the usual fit
+  flags, and accepts {\"op\":\"ingest\"} requests that append a batch
+  to the log (durability first), refit incrementally, and hot-swap the
+  model — byte-identical to a cold fit on the concatenated stream; it
+  refuses reload. --addr HOST:0 picks an ephemeral port;
   --addr-file publishes the bound address. fit writes models in a
   checksummed envelope, so torn or bit-flipped files are rejected at
   load (legacy raw-JSON models still load).

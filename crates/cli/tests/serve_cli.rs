@@ -31,6 +31,28 @@ fn run_ok(args: &[&str]) -> String {
     String::from_utf8(out.stdout).unwrap()
 }
 
+/// Generate `data.json` in `dir` and fit `model.pm` on it; returns both
+/// paths.
+fn gen_and_fit(dir: &std::path::Path, txns: &str, items: &str, seed: &str) -> (String, String) {
+    let data = dir.join("data.json").display().to_string();
+    let model = dir.join("model.pm").display().to_string();
+    run_ok(&[
+        "gen", "--out", &data, "--txns", txns, "--items", items, "--seed", seed,
+    ]);
+    run_ok(&[
+        "fit",
+        "--data",
+        &data,
+        "--out",
+        &model,
+        "--minsup",
+        "0.03",
+        "--max-body",
+        "2",
+    ]);
+    (data, model)
+}
+
 /// Poll for the daemon's `--addr-file` (written atomically once bound).
 fn wait_for_addr(path: &std::path::Path, child: &mut Child) -> String {
     let deadline = Instant::now() + Duration::from_secs(30);
@@ -52,24 +74,8 @@ fn wait_for_addr(path: &std::path::Path, child: &mut Child) -> String {
 #[test]
 fn serve_daemon_end_to_end_over_the_wire() {
     let dir = tmp_dir("e2e");
-    let data = dir.join("data.json").display().to_string();
-    let model = dir.join("model.pm").display().to_string();
+    let (data, model) = gen_and_fit(&dir, "300", "60", "21");
     let addr_file = dir.join("addr.txt");
-
-    run_ok(&[
-        "gen", "--out", &data, "--txns", "300", "--items", "60", "--seed", "21",
-    ]);
-    run_ok(&[
-        "fit",
-        "--data",
-        &data,
-        "--out",
-        &model,
-        "--minsup",
-        "0.03",
-        "--max-body",
-        "2",
-    ]);
     // The offline answer for customer 0 (same model file the daemon loads).
     let offline = run_ok(&[
         "recommend",
@@ -157,21 +163,7 @@ fn serve_daemon_end_to_end_over_the_wire() {
 fn models_with_rules_outside_their_catalog_exit_1_not_101() {
     let dir = tmp_dir("badrules");
     let path = |name: &str| dir.join(name).display().to_string();
-    let (data, model) = (path("data.json"), path("model.pm"));
-    run_ok(&[
-        "gen", "--out", &data, "--txns", "400", "--items", "80", "--seed", "5",
-    ]);
-    run_ok(&[
-        "fit",
-        "--data",
-        &data,
-        "--out",
-        &model,
-        "--minsup",
-        "0.03",
-        "--max-body",
-        "2",
-    ]);
+    let (data, model) = gen_and_fit(&dir, "400", "80", "5");
     let (payload, _) = pm_store::load_model_file(&model).unwrap();
     let saved: profit_core::SavedModel =
         serde_json::from_str(std::str::from_utf8(&payload).unwrap()).unwrap();
@@ -212,5 +204,151 @@ fn models_with_rules_outside_their_catalog_exit_1_not_101() {
             assert!(!stderr.contains("panicked"), "{name} {argv:?}: {stderr}");
         }
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Open fds of process `pid`.
+#[cfg(target_os = "linux")]
+fn fd_count(pid: u32) -> usize {
+    std::fs::read_dir(format!("/proc/{pid}/fd"))
+        .expect("read the daemon's fd table")
+        .count()
+}
+
+/// A daemon admitting exactly a fleet of 96 plus one control connection:
+/// every fleet connection gets the exact offline answer (before and
+/// after a reload taken with the fleet open), the connections beyond the
+/// cap are shed with `overloaded`, no worker panics, the daemon's fd
+/// table returns to its pre-fleet size once the fleet closes, and
+/// `shutdown` exits 0.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_full_fleet_is_served_exactly_extras_are_shed_and_no_fd_leaks() {
+    use pm_serve::protocol::{obj, rec_value, render};
+    use profit_core::{Matcher, Recommender};
+    use serde::Value;
+
+    const FLEET: usize = 96;
+    const EXTRA: usize = 8;
+    let dir = tmp_dir("fleet");
+    let (data, model) = gen_and_fit(&dir, "300", "60", "21");
+    let addr_file = dir.join("addr.txt");
+
+    // The offline answers, from the same model file the daemon loads.
+    let fitted = pm_serve::load_model(&model).unwrap();
+    let matcher = Matcher::new(&fitted);
+    let txns = pm_txn::TransactionSet::from_json(&std::fs::read_to_string(&data).unwrap())
+        .unwrap()
+        .transactions()
+        .to_vec();
+    let request = |i: usize| {
+        let sales: Vec<String> = txns[i % txns.len()]
+            .non_target_sales()
+            .iter()
+            .map(|s| format!("[{},{},{}]", s.item.0, s.code.0, s.qty))
+            .collect();
+        format!(r#"{{"op":"recommend","sales":[{}]}}"#, sales.join(","))
+    };
+    let expected = |i: usize| {
+        let rec = matcher.recommend(txns[i % txns.len()].non_target_sales());
+        render(&obj(vec![
+            ("ok", Value::Bool(true)),
+            ("degraded", Value::Bool(false)),
+            ("recs", Value::Seq(vec![rec_value(&fitted, &rec)])),
+        ]))
+    };
+
+    // Admission cap = workers + queue = the fleet plus the control line.
+    let mut child = Command::new(bin())
+        .args([
+            "serve",
+            "--model",
+            &model,
+            "--addr",
+            "127.0.0.1:0",
+            "--addr-file",
+            addr_file.to_str().unwrap(),
+            "--workers",
+            "2",
+            "--queue",
+            &(FLEET + 1 - 2).to_string(),
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn daemon");
+    let addr = wait_for_addr(&addr_file, &mut child);
+    let connect = || {
+        let stream = TcpStream::connect(&addr).expect("connect to daemon");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(20)))
+            .unwrap();
+        (BufReader::new(stream.try_clone().unwrap()), stream)
+    };
+    let recv = |reader: &mut BufReader<TcpStream>| {
+        let mut buf = String::new();
+        reader.read_line(&mut buf).expect("read response");
+        buf.trim_end().to_string()
+    };
+
+    let (mut ctl_reader, mut ctl) = connect();
+    let mut control = |line: &str| {
+        writeln!(ctl, "{line}").unwrap();
+        recv(&mut ctl_reader)
+    };
+    assert!(control(r#"{"op":"ping"}"#).contains(r#""op":"pong""#));
+    let fds_before = fd_count(child.id());
+
+    // Every request is written before any answer is read, so the
+    // workers see the whole fleet's load at once.
+    let mut fleet: Vec<_> = (0..FLEET).map(|_| connect()).collect();
+    let round = |fleet: &mut [(BufReader<TcpStream>, TcpStream)]| {
+        for (i, (_, w)) in fleet.iter_mut().enumerate() {
+            writeln!(w, "{}", request(i)).unwrap();
+        }
+        for (i, (r, _)) in fleet.iter_mut().enumerate() {
+            assert_eq!(recv(r), expected(i), "fleet connection {i}");
+        }
+    };
+    round(&mut fleet);
+
+    for _ in 0..EXTRA {
+        let (mut r, _w) = connect();
+        let line = recv(&mut r);
+        assert!(line.contains("overloaded"), "{line}");
+    }
+
+    let resp = control(r#"{"op":"reload"}"#);
+    assert!(resp.contains(r#""generation":2"#), "{resp}");
+    round(&mut fleet);
+
+    let stats = control(r#"{"op":"stats"}"#);
+    let Value::Map(stats) = serde_json::from_str(&stats).unwrap() else {
+        panic!("stats is not an object: {stats}");
+    };
+    let counter = |key: &str| match stats.iter().find(|(k, _)| k == key) {
+        Some((_, Value::U64(n))) => *n,
+        other => panic!("stats {key}: {other:?}"),
+    };
+    assert!(counter("shed") >= EXTRA as u64, "shed {}", counter("shed"));
+    assert_eq!(counter("worker_panics"), 0);
+
+    drop(fleet);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let now = fd_count(child.id());
+        if now == fds_before {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "daemon holds {now} fds, {fds_before} before the fleet"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+
+    assert!(control(r#"{"op":"shutdown"}"#).contains("bye"));
+    let out = child.wait_with_output().expect("daemon exit");
+    assert!(out.status.success(), "{out:?}");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -16,10 +16,8 @@
 //!   inside the bucket). All cells are atomics, so recording from the
 //!   parallel miners and the serving path needs no locks;
 //! * **RAII span timers** — [`span`] returns a guard that accumulates
-//!   its elapsed wall time into a named phase on drop; phases dump in
-//!   the same `{"phase": .., "millis": ..}` shape as the
-//!   `BENCH_mining.json` per-phase panel so the experiments harness can
-//!   consume either.
+//!   its elapsed wall time into a named phase on drop; phases dump as
+//!   `{"phase": .., "millis": ..}` elements.
 //!
 //! Determinism guarantee: nothing in this crate influences control
 //! flow, iteration order, or floating-point accumulation in the code
@@ -462,8 +460,7 @@ impl Registry {
 
     /// Serialize the whole registry as JSON.
     ///
-    /// The `phases` array uses the same `{"phase": .., "millis": ..}`
-    /// element shape as the `BENCH_mining.json` per-phase panel;
+    /// The `phases` array holds `{"phase": .., "millis": ..}` elements;
     /// counters and gauges are flat name→value maps; histograms report
     /// `count`, `mean_ns`, and `p50_ns`/`p95_ns`/`p99_ns`.
     pub fn dump_json(&self) -> String {

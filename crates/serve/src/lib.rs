@@ -4,7 +4,7 @@
 //! customer, recommend one (target item, promotion code) pair" (§3.2,
 //! §4.1); this crate serves that question over TCP, std-only (plus the
 //! vendored `polling` readiness shim), built to degrade instead of
-//! crash and to hold tens of thousands of concurrent connections:
+//! crash, with connection count decoupled from thread count:
 //!
 //! * **line-delimited JSON protocol** ([`protocol`]) — one request
 //!   object per line, one response object per line, over plain TCP, so
@@ -39,21 +39,25 @@
 //!   compute are both unwind-isolated; a panic closes one connection or
 //!   degrades one answer (counted under `serve.worker_panics`), it
 //!   never kills a serving thread;
-//! * **hot reload** — the `reload` op validates a new model envelope
-//!   off the serving path (on the control-plane executor,
-//!   unwind-isolated) and atomically swaps it into the shared
-//!   [`ModelHandle`]; on any failure — missing file, torn envelope,
-//!   checksum mismatch, parse error, rule-less model, panic — the old
-//!   model keeps serving. Control-plane jobs (reload, ingest,
-//!   checkpoint) queue serially up to [`EXECUTOR_QUEUE_CAP`] jobs, then
-//!   reject deterministically with [`ServeError::ReloadInFlight`];
+//! * **hot reload** — the `reload` op re-reads the model file the daemon
+//!   started with, validates the envelope off the serving path (on the
+//!   control-plane executor, unwind-isolated) and atomically swaps it
+//!   into the shared [`ModelHandle`]; on any failure — missing file,
+//!   torn envelope, checksum mismatch, parse error, rule-less model,
+//!   panic — the old model keeps serving. No request names a file: to
+//!   swap models, rewrite the model file, then send `reload`.
+//!   Control-plane jobs (reload, ingest, checkpoint) queue serially up
+//!   to [`EXECUTOR_QUEUE_CAP`] jobs, then reject deterministically with
+//!   [`ServeError::ReloadInFlight`];
 //! * **streaming ingestion & checkpoints** — a daemon started with
 //!   [`Server::start_streaming`] owns a [`stream::Stream`]: the `ingest`
 //!   op makes a size-capped batch durable in the sales log before it is
 //!   visible, refits incrementally (byte-identical to a cold fit on the
 //!   concatenated stream) and hot-swaps the model; the `checkpoint` op
-//!   seals the stream into a `PMCK` envelope and compacts the log behind
-//!   it, so a restart replays only the tail (DESIGN.md §15, §17).
+//!   seals the stream into the configured `PMCK` file and compacts the
+//!   log behind it, so a restart replays only the tail (DESIGN.md §15,
+//!   §17). The stream owns the model, so a streaming daemon refuses
+//!   `reload`.
 //!
 //! Fault injection for all of the above lives in `pm_store::faults`;
 //! the integration tests drive every fault class through a live daemon.
@@ -109,8 +113,8 @@ pub struct ServeConfig {
     pub batch: usize,
     /// Streaming mode only: the checkpoint file. At startup a valid
     /// checkpoint here short-circuits log replay (open checkpoint,
-    /// replay only the tail); the `checkpoint` op writes here when the
-    /// request names no path.
+    /// replay only the tail); the `checkpoint` op writes here and
+    /// nowhere else.
     pub checkpoint: Option<PathBuf>,
     /// Maximum transactions per `ingest` batch (`0` = unbounded).
     /// Oversized batches are rejected with a typed error before they
@@ -433,12 +437,22 @@ impl ReactorShared {
 /// slow model validation.
 pub const EXECUTOR_QUEUE_CAP: usize = 8;
 
+/// Where the served model comes from, fixed at startup.
+enum Mode {
+    /// Loaded from this file; `reload` re-reads it.
+    File(PathBuf),
+    /// Fitted from the stream; `ingest` and `checkpoint` mutate it.
+    /// Touched only by the control-plane executor (the mutex makes it
+    /// `Sync`; it is never contended).
+    Streaming(Box<Mutex<Stream>>),
+}
+
 /// State shared by the acceptor, the reactors, the compute workers, the
 /// control-plane executor, and the [`Server`] handle.
 struct Shared {
     cfg: ServeConfig,
     handle: ModelHandle,
-    model_path: Mutex<PathBuf>,
+    mode: Mode,
     shutdown: AtomicBool,
     /// Admitted (not yet closed) connections, for admission control.
     live_conns: AtomicI64,
@@ -447,10 +461,6 @@ struct Shared {
     /// Control-plane jobs queued or running on the executor, for the
     /// [`EXECUTOR_QUEUE_CAP`] admission check.
     executor_pending: AtomicI64,
-    /// `Some` iff the daemon was started in streaming mode. Touched only
-    /// by the control-plane executor (the mutex makes it `Sync`; it is
-    /// never contended).
-    stream: Option<Mutex<Stream>>,
     metrics: Metrics,
     reactors: Vec<Arc<ReactorShared>>,
 }
@@ -470,11 +480,10 @@ impl Shared {
     /// The stream, for a control job the reactor admitted in streaming
     /// mode (outside it the reactor answers stream ops inline).
     fn stream(&self) -> MutexGuard<'_, Stream> {
-        self.stream
-            .as_ref()
-            .expect("stream ops are admitted only in streaming mode")
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
+        match &self.mode {
+            Mode::Streaming(stream) => stream.lock().unwrap_or_else(|e| e.into_inner()),
+            Mode::File(_) => unreachable!("stream ops are admitted only in streaming mode"),
+        }
     }
 }
 
@@ -514,9 +523,9 @@ impl Reply {
 /// executor thread, so model swaps and stream mutations of every kind
 /// are serialized.
 enum ControlOp {
-    Reload(Option<String>),
+    Reload,
     Ingest(Option<CatalogDelta>, Vec<Transaction>),
-    Checkpoint(Option<String>),
+    Checkpoint,
 }
 
 /// A control-plane op in flight to the executor, with its reply address.
@@ -536,7 +545,7 @@ struct FailPath<'m> {
 impl ControlOp {
     fn fail_path<'m>(&self, m: &'m Metrics) -> FailPath<'m> {
         match self {
-            ControlOp::Reload(_) => FailPath {
+            ControlOp::Reload => FailPath {
                 failures: &m.reload_failures,
                 event: "serve.reload_failed",
                 prefix: "reload failed, keeping current model",
@@ -546,7 +555,7 @@ impl ControlOp {
                 event: "serve.ingest_failed",
                 prefix: "ingest rejected, keeping current model",
             },
-            ControlOp::Checkpoint(_) => FailPath {
+            ControlOp::Checkpoint => FailPath {
                 failures: &m.checkpoint_failures,
                 event: "serve.checkpoint_failed",
                 prefix: "checkpoint failed",
@@ -600,33 +609,25 @@ pub struct Server {
 
 impl Server {
     /// Load the model at `model_path` and start serving on `addr`
-    /// (e.g. `127.0.0.1:0` for an ephemeral port).
+    /// (e.g. `127.0.0.1:0` for an ephemeral port). `reload` re-reads
+    /// `model_path`.
     pub fn start(
         addr: &str,
         model_path: impl AsRef<Path>,
         cfg: ServeConfig,
     ) -> Result<Server, ServeError> {
-        let model = load_model(model_path.as_ref())?;
-        Server::start_with_model(addr, model, model_path.as_ref().to_path_buf(), cfg)
-    }
-
-    /// Start serving an already-built model. `model_path` is what a
-    /// parameterless `reload` re-reads.
-    pub fn start_with_model(
-        addr: &str,
-        model: RuleModel,
-        model_path: PathBuf,
-        cfg: ServeConfig,
-    ) -> Result<Server, ServeError> {
-        Server::start_inner(addr, model, model_path, cfg, None)
+        let model_path = model_path.as_ref();
+        let model = load_model(model_path)?;
+        Server::start_inner(addr, model, Mode::File(model_path.to_path_buf()), cfg)
     }
 
     /// Start in **streaming mode**: recover the stream from `data`, the
     /// sales log and [`ServeConfig::checkpoint`] ([`Stream::recover`]),
     /// build its model, and serve it — accepting `ingest` ops (one
-    /// generation bump per batch) and `checkpoint` ops. The served model
-    /// is always byte-identical to a cold `pipeline.fit` on the
-    /// concatenated stream, at startup and after every ingest.
+    /// generation bump per batch) and `checkpoint` ops, and refusing
+    /// `reload`. The served model is always byte-identical to a cold
+    /// `pipeline.fit` on the concatenated stream, at startup and after
+    /// every ingest.
     pub fn start_streaming(
         addr: &str,
         data: TransactionSet,
@@ -637,20 +638,24 @@ impl Server {
         let log_path = log_path.as_ref();
         let (mut stream, _) = Stream::recover(data, log_path, cfg.checkpoint.as_deref(), pipeline)?;
         let model = stream.model();
-        Server::start_inner(addr, model, log_path.to_path_buf(), cfg, Some(stream))
+        validate_servable(&model).map_err(|why| ServeError::Degenerate {
+            path: log_path.display().to_string(),
+            why,
+        })?;
+        Server::start_inner(
+            addr,
+            model,
+            Mode::Streaming(Box::new(Mutex::new(stream))),
+            cfg,
+        )
     }
 
     fn start_inner(
         addr: &str,
         model: RuleModel,
-        model_path: PathBuf,
+        mode: Mode,
         cfg: ServeConfig,
-        stream: Option<Stream>,
     ) -> Result<Server, ServeError> {
-        validate_servable(&model).map_err(|why| ServeError::Degenerate {
-            path: model_path.display().to_string(),
-            why,
-        })?;
         let listener = TcpListener::bind(addr).map_err(|e| ServeError::Net {
             what: format!("bind {addr}"),
             err: e.to_string(),
@@ -684,12 +689,11 @@ impl Server {
         let shared = Arc::new(Shared {
             cfg,
             handle: ModelHandle::new(model),
-            model_path: Mutex::new(model_path),
+            mode,
             shutdown: AtomicBool::new(false),
             live_conns: AtomicI64::new(0),
             queue_depth: AtomicI64::new(0),
             executor_pending: AtomicI64::new(0),
-            stream: stream.map(Mutex::new),
             metrics,
             reactors,
         });
@@ -1274,10 +1278,17 @@ impl Reactor {
                 self.shared.shutdown.store(true, Ordering::Release);
                 self.shared.wake_all_reactors();
             }
-            Request::Reload { path } => self.submit_control(slot, ControlOp::Reload(path)),
-            Request::Ingest { .. } | Request::Checkpoint { .. } if self.shared.stream.is_none() => {
-                // A daemon without a stream answers immediately — no
-                // executor round-trip for a request that cannot work.
+            // An op the daemon's mode cannot serve is answered
+            // immediately — no executor round-trip for a request that
+            // cannot work.
+            Request::Reload if matches!(self.shared.mode, Mode::Streaming(_)) => {
+                let why = "reload unavailable: daemon is in streaming mode — its model is \
+                           refit from the stream; send ingest instead";
+                self.enqueue_inline(slot, error_line(why), false);
+            }
+            Request::Ingest { .. } | Request::Checkpoint
+                if matches!(self.shared.mode, Mode::File(_)) =>
+            {
                 let why = match request {
                     Request::Ingest { .. } => ServeError::IngestUnavailable.to_string(),
                     _ => "checkpoint unavailable: daemon is not in streaming mode — start \
@@ -1286,6 +1297,7 @@ impl Reactor {
                 };
                 self.enqueue_inline(slot, error_line(&why), false);
             }
+            Request::Reload => self.submit_control(slot, ControlOp::Reload),
             Request::Ingest { catalog, txns } => {
                 // Enforce the batch caps before admission: an oversized
                 // batch never occupies an executor slot. A cap of 0
@@ -1314,7 +1326,7 @@ impl Reactor {
                 }
                 self.submit_control(slot, ControlOp::Ingest(catalog, txns));
             }
-            Request::Checkpoint { path } => self.submit_control(slot, ControlOp::Checkpoint(path)),
+            Request::Checkpoint => self.submit_control(slot, ControlOp::Checkpoint),
             Request::Recommend { sales, top, target } => {
                 self.shared.metrics.recommends.inc();
                 let Some((token, seq)) = self.reserve_slot(slot) else {
@@ -1728,9 +1740,9 @@ fn run_control(shared: &Shared, op: ControlOp) -> String {
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         pm_store::faults::apply_control_panic();
         match op {
-            ControlOp::Reload(path) => reload(shared, path),
+            ControlOp::Reload => reload(shared),
             ControlOp::Ingest(catalog, txns) => ingest(shared, catalog.as_ref(), &txns),
-            ControlOp::Checkpoint(path) => checkpoint(shared, path),
+            ControlOp::Checkpoint => checkpoint(shared),
         }
     }));
     match outcome.unwrap_or_else(|_| Err(("panic", "the control job panicked".into()))) {
@@ -1774,15 +1786,14 @@ fn swap_in(
     Ok(render(&obj(fields)))
 }
 
-/// Load a replacement model and swap it in.
-fn reload(shared: &Shared, path: Option<String>) -> Result<String, Failure> {
-    let mut model_path = shared.model_path.lock().unwrap_or_else(|e| e.into_inner());
-    let target = path.map_or_else(|| model_path.clone(), PathBuf::from);
-    pm_obs::info!("serve.reload_start", path = target.display());
-    let model = load_model(&target).map_err(|e| ("load", e.to_string()))?;
-    let line = swap_in(shared, "reloaded", &shared.metrics.reloads, model, None)?;
-    *model_path = target;
-    Ok(line)
+/// Re-read the daemon's model file and swap it in.
+fn reload(shared: &Shared) -> Result<String, Failure> {
+    let Mode::File(path) = &shared.mode else {
+        unreachable!("reload is admitted only in file mode");
+    };
+    pm_obs::info!("serve.reload_start", path = path.display());
+    let model = load_model(path).map_err(|e| ("load", e.to_string()))?;
+    swap_in(shared, "reloaded", &shared.metrics.reloads, model, None)
 }
 
 /// Append a batch to the stream (durable before visible), refit
@@ -1807,18 +1818,16 @@ fn ingest(
     )
 }
 
-/// Seal the stream into a checkpoint, then compact the log behind it.
-fn checkpoint(shared: &Shared, path: Option<String>) -> Result<String, Failure> {
-    let target = path
-        .map(PathBuf::from)
-        .or_else(|| shared.cfg.checkpoint.clone())
-        .ok_or((
-            "target",
-            "no checkpoint path configured — start with --checkpoint or pass \"path\"".into(),
-        ))?;
+/// Seal the stream into the configured checkpoint file, then compact the
+/// log behind it.
+fn checkpoint(shared: &Shared) -> Result<String, Failure> {
+    let target = shared.cfg.checkpoint.as_deref().ok_or((
+        "target",
+        "no checkpoint path configured — start with --checkpoint".into(),
+    ))?;
     let mut stream = shared.stream();
     let (_, compaction) = stream
-        .checkpoint(&target, true)
+        .checkpoint(target, true)
         .map_err(|e| (e.stage(), e.to_string()))?;
     let (dropped, retained) = compaction.map_or((0, 0), |c| (c.dropped, c.retained));
     shared.metrics.checkpoints.inc();

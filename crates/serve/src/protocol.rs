@@ -5,13 +5,18 @@
 //! ```text
 //! {"op":"ping"}
 //! {"op":"recommend","sales":[[item,code,qty],...],"top":K,"target":"codes:0"}  // all fields optional
-//! {"op":"reload","model":"/path/to/model.pm"}                // path optional
+//! {"op":"reload"}
 //! {"op":"ingest","txns":[{"sales":[[item,code,qty],...],"target":[item,code,qty]},...],
 //!  "catalog":{...}}                                          // catalog delta optional
-//! {"op":"checkpoint","path":"/path/to/ck.pmck"}              // path optional
+//! {"op":"checkpoint"}
 //! {"op":"stats"}
 //! {"op":"shutdown"}
 //! ```
+//!
+//! No request names a file. `reload` re-reads the model file the daemon
+//! started with and `checkpoint` writes the file it was configured with;
+//! a `reload` or `checkpoint` line that carries `"model"` or `"path"` is
+//! refused before anything touches the disk.
 //!
 //! Responses always carry `"ok"`; errors carry `"error"` with a
 //! human-readable message. Recommendation responses carry `"degraded"`
@@ -42,12 +47,9 @@ pub enum Request {
         /// resolves it against the snapshot it answers from.
         target: Option<String>,
     },
-    /// Validate and swap in a new model.
-    Reload {
-        /// Path to load; `None` re-reads the path served at startup (or
-        /// the last successful reload).
-        path: Option<String>,
-    },
+    /// Re-read the daemon's model file, validate it, and swap it in.
+    /// Only served by daemons started from a model file.
+    Reload,
     /// Append a batch of sales transactions to the daemon's stream:
     /// validate, persist to the crash-safe sales log, refit
     /// incrementally, and hot-swap the refitted model in. Only served
@@ -61,13 +63,10 @@ pub enum Request {
         txns: Vec<Transaction>,
     },
     /// Write a crash-recovery checkpoint (model + miner state + stream
-    /// position) and compact the sales log behind it. Only served by
-    /// daemons started in streaming mode.
-    Checkpoint {
-        /// Where to write; `None` uses the path the daemon was
-        /// configured with at startup.
-        path: Option<String>,
-    },
+    /// position) to the daemon's configured checkpoint file and compact
+    /// the sales log behind it. Only served by daemons started in
+    /// streaming mode.
+    Checkpoint,
     /// Serving counters snapshot.
     Stats,
     /// Stop the daemon.
@@ -108,6 +107,21 @@ fn parse_sale(v: &Value, what: &str) -> Result<Sale, String> {
     ))
 }
 
+/// Refuse a `reload` or `checkpoint` that names a file: the daemon only
+/// ever reads and writes the files it was started with.
+fn names_no_file(map: &[(String, Value)], op: &str) -> Result<(), String> {
+    match ["model", "path"]
+        .into_iter()
+        .find(|k| get(map, k).is_some())
+    {
+        Some(key) => Err(format!(
+            "bad request: {op} takes no {key:?} — the daemon reads and writes only the \
+             files it was started with"
+        )),
+        None => Ok(()),
+    }
+}
+
 /// Parse one request line. Errors are complete human-readable messages
 /// (they go straight into the `"error"` field of the response).
 pub fn parse_request(line: &str) -> Result<Request, String> {
@@ -125,14 +139,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         "ping" => Ok(Request::Ping),
         "stats" => Ok(Request::Stats),
         "shutdown" => Ok(Request::Shutdown),
-        "reload" => {
-            let path = match get(map, "model") {
-                None | Some(Value::Null) => None,
-                Some(Value::Str(s)) => Some(s.clone()),
-                Some(_) => return Err("bad request: \"model\" must be a string path".into()),
-            };
-            Ok(Request::Reload { path })
-        }
+        "reload" => names_no_file(map, op).map(|()| Request::Reload),
         "recommend" => {
             let top = match get(map, "top") {
                 None => 1,
@@ -212,14 +219,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             };
             Ok(Request::Ingest { catalog, txns })
         }
-        "checkpoint" => {
-            let path = match get(map, "path") {
-                None | Some(Value::Null) => None,
-                Some(Value::Str(s)) => Some(s.clone()),
-                Some(_) => return Err("bad request: \"path\" must be a string path".into()),
-            };
-            Ok(Request::Checkpoint { path })
-        }
+        "checkpoint" => names_no_file(map, op).map(|()| Request::Checkpoint),
         other => Err(format!(
             "bad request: unknown op {other:?} (expected ping, recommend, reload, ingest, \
              checkpoint, stats, or shutdown)"
@@ -341,13 +341,7 @@ mod tests {
         );
         assert_eq!(
             parse_request(r#"{"op":"reload"}"#).unwrap(),
-            Request::Reload { path: None }
-        );
-        assert_eq!(
-            parse_request(r#"{"op":"reload","model":"/tmp/m.pm"}"#).unwrap(),
-            Request::Reload {
-                path: Some("/tmp/m.pm".into())
-            }
+            Request::Reload
         );
         assert_eq!(
             parse_request(r#"{"op":"recommend","sales":[[0,0,1],[2,1,3]],"top":2}"#).unwrap(),
@@ -405,13 +399,7 @@ mod tests {
         );
         assert_eq!(
             parse_request(r#"{"op":"checkpoint"}"#).unwrap(),
-            Request::Checkpoint { path: None }
-        );
-        assert_eq!(
-            parse_request(r#"{"op":"checkpoint","path":"/tmp/ck.pmck"}"#).unwrap(),
-            Request::Checkpoint {
-                path: Some("/tmp/ck.pmck".into())
-            }
+            Request::Checkpoint
         );
     }
 
@@ -487,7 +475,6 @@ mod tests {
             (r#"{"op":"recommend","sales":3}"#, "must be an array"),
             (r#"{"op":"recommend","top":0}"#, "≥ 1"),
             (r#"{"op":"recommend","target":7}"#, "target-spec string"),
-            (r#"{"op":"reload","model":9}"#, "string path"),
             (r#"{"op":"ingest"}"#, "missing \"txns\""),
             (r#"{"op":"ingest","txns":[]}"#, "nothing to ingest"),
             (r#"{"op":"ingest","txns":[7]}"#, "must be an object"),
@@ -511,7 +498,15 @@ mod tests {
                 r#"{"op":"ingest","txns":[{"sales":[],"target":[0,0,1]}],"catalog":{"x":1}}"#,
                 "\"catalog\" does not parse",
             ),
-            (r#"{"op":"checkpoint","path":9}"#, "string path"),
+            // The wire names no files: any "model" or "path" is refused.
+            (r#"{"op":"reload","model":"m.pm"}"#, "takes no \"model\""),
+            (r#"{"op":"reload","path":"m.pm"}"#, "takes no \"path\""),
+            (r#"{"op":"reload","model":null}"#, "takes no \"model\""),
+            (r#"{"op":"reload","model":9}"#, "takes no \"model\""),
+            (r#"{"op":"checkpoint","path":"ck"}"#, "takes no \"path\""),
+            (r#"{"op":"checkpoint","model":"ck"}"#, "takes no \"model\""),
+            (r#"{"op":"checkpoint","path":null}"#, "takes no \"path\""),
+            (r#"{"op":"checkpoint","path":9}"#, "takes no \"path\""),
         ] {
             let err = parse_request(line).unwrap_err();
             assert!(err.contains(needle), "{line:?} → {err:?}");

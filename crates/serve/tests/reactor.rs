@@ -174,15 +174,14 @@ fn rule_less_models_are_rejected_at_startup_and_reload() {
         assert!(err.to_string().contains(needle), "{err}");
     }
 
-    // A reload pointing at the rule-less file fails cleanly and the old
-    // model keeps serving exact answers on the same connection.
+    // Reloading the model file rewritten as a rule-less model fails
+    // cleanly and the old model keeps serving exact answers on the same
+    // connection.
     let good = sealed_model_file(&dir, "good.pm", fix);
     let server = Server::start("127.0.0.1:0", &good, ServeConfig::default()).unwrap();
     let mut c = Client::connect(server.addr());
-    let resp = c.send(&format!(
-        r#"{{"op":"reload","model":{}}}"#,
-        serde_json::to_string(&Value::Str(empty_path.display().to_string())).unwrap()
-    ));
+    pm_store::save_sealed(&good, &std::fs::read(&empty_path).unwrap()).unwrap();
+    let resp = c.send(r#"{"op":"reload"}"#);
     assert!(resp.contains("keeping current model"), "{resp}");
     assert!(resp.contains("unservable model"), "{resp}");
     assert_eq!(server.generation(), 1);
@@ -215,7 +214,8 @@ fn malformed_hierarchy_models_are_typed_errors_at_startup_and_reload() {
     );
     saved.hierarchy = serde_json::from_str(&short).unwrap();
     let bad = dir.join("bad-hierarchy.pm");
-    pm_store::save_sealed(&bad, serde_json::to_string(&saved).unwrap().as_bytes()).unwrap();
+    let payload = serde_json::to_string(&saved).unwrap();
+    pm_store::save_sealed(&bad, payload.as_bytes()).unwrap();
 
     let err = pm_serve::load_model(&bad).expect_err("malformed hierarchy must not load");
     assert!(matches!(err, pm_serve::ServeError::Model { .. }), "{err}");
@@ -228,10 +228,8 @@ fn malformed_hierarchy_models_are_typed_errors_at_startup_and_reload() {
     let good = sealed_model_file(&dir, "good.pm", fix);
     let server = Server::start("127.0.0.1:0", &good, ServeConfig::default()).unwrap();
     let mut c = Client::connect(server.addr());
-    let resp = c.send(&format!(
-        r#"{{"op":"reload","model":{}}}"#,
-        serde_json::to_string(&Value::Str(bad.display().to_string())).unwrap()
-    ));
+    pm_store::save_sealed(&good, payload.as_bytes()).unwrap();
+    let resp = c.send(r#"{"op":"reload"}"#);
     assert!(resp.contains("reload failed"), "{resp}");
     assert!(resp.contains("hierarchy"), "{resp}");
     assert!(!resp.contains("panicked"), "{resp}");
@@ -336,10 +334,8 @@ fn rules_outside_the_catalog_are_typed_errors_at_load_and_reload() {
         );
         assert!(err.to_string().contains(needle), "{name}: {err}");
 
-        let resp = c.send(&format!(
-            r#"{{"op":"reload","model":{}}}"#,
-            serde_json::to_string(&Value::Str(bad.display().to_string())).unwrap()
-        ));
+        pm_store::save_sealed(&good, payload.as_bytes()).unwrap();
+        let resp = c.send(r#"{"op":"reload"}"#);
         assert!(resp.contains("reload failed"), "{name}: {resp}");
         assert!(resp.contains(needle), "{name}: {resp}");
         let stats = c.send(r#"{"op":"stats"}"#);
@@ -422,24 +418,22 @@ fn ping_reports_consistent_generation_rules_pair_during_reload() {
         "fixtures must differ in rule count for this test to bite"
     );
     let dir = tmp_dir("genrace");
-    let path_a = sealed_model_file(&dir, "a.pm", fix_a);
-    let path_b = sealed_model_file(&dir, "b.pm", fix_b);
+    let path = sealed_model_file(&dir, "model.pm", fix_a);
 
-    let server = Server::start("127.0.0.1:0", &path_a, ServeConfig::default()).unwrap();
+    let server = Server::start("127.0.0.1:0", &path, ServeConfig::default()).unwrap();
     let addr = server.addr();
 
-    // One connection reloads A↔B as fast as it can; others ping and
-    // assert every observed (generation, rules) pair is coherent:
-    // generation 1, 3, 5, … serve model A; 2, 4, 6, … serve model B.
+    // One connection rewrites the model file A↔B and reloads as fast as
+    // it can; others ping and assert every observed (generation, rules)
+    // pair is coherent: generation 1, 3, 5, … serve model A; 2, 4, 6, …
+    // serve model B.
     std::thread::scope(|s| {
         s.spawn(|| {
             let mut c = Client::connect(addr);
             for i in 0..30 {
-                let target = if i % 2 == 0 { &path_b } else { &path_a };
-                let resp = c.send(&format!(
-                    r#"{{"op":"reload","model":{}}}"#,
-                    serde_json::to_string(&Value::Str(target.display().to_string())).unwrap()
-                ));
+                let next = if i % 2 == 0 { fix_b } else { fix_a };
+                sealed_model_file(&dir, "model.pm", next);
+                let resp = c.send(r#"{"op":"reload"}"#);
                 assert!(resp.contains(r#""op":"reloaded""#), "{resp}");
             }
         });

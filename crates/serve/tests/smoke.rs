@@ -208,10 +208,9 @@ fn hot_reload_swaps_the_model_atomically() {
     let fix_a = fixture();
     let fix_b = fixture_b();
     let dir = tmp_dir("reload");
-    let path_a = sealed_model_file(&dir, "a.pm", fix_a);
-    let path_b = sealed_model_file(&dir, "b.pm", fix_b);
+    let path = sealed_model_file(&dir, "model.pm", fix_a);
 
-    let server = Server::start("127.0.0.1:0", &path_a, ServeConfig::default()).unwrap();
+    let server = Server::start("127.0.0.1:0", &path, ServeConfig::default()).unwrap();
     let mut c = Client::connect(server.addr());
 
     let customer = &fix_a.customers[0];
@@ -220,10 +219,9 @@ fn hot_reload_swaps_the_model_atomically() {
         expected_line(&fix_a.model, customer)
     );
 
-    let resp = c.send(&format!(
-        r#"{{"op":"reload","model":{}}}"#,
-        serde_json::to_string(&Value::Str(path_b.display().to_string())).unwrap()
-    ));
+    // Swap models the operator's way: rewrite the model file, then reload.
+    sealed_model_file(&dir, "model.pm", fix_b);
+    let resp = c.send(r#"{"op":"reload"}"#);
     assert!(resp.contains(r#""op":"reloaded""#), "{resp}");
     assert!(resp.contains(r#""generation":2"#), "{resp}");
     assert_eq!(server.generation(), 2);
@@ -234,7 +232,7 @@ fn hot_reload_swaps_the_model_atomically() {
         expected_line(&fix_b.model, customer)
     );
 
-    // A parameterless reload re-reads the last successful path (B).
+    // Reloading the unchanged file still bumps the generation.
     let resp = c.send(r#"{"op":"reload"}"#);
     assert!(resp.contains(r#""generation":3"#), "{resp}");
 
@@ -254,9 +252,11 @@ fn failed_reload_keeps_the_old_model_serving() {
     let mut c = Client::connect(server.addr());
     let customer = &fix.customers[1];
 
-    // 1. Reload target does not exist.
-    let resp = c.send(r#"{"op":"reload","model":"/nonexistent/nope.pm"}"#);
+    // 1. The model file is gone.
+    std::fs::remove_file(&path).unwrap();
+    let resp = c.send(r#"{"op":"reload"}"#);
     assert!(resp.contains("keeping current model"), "{resp}");
+    sealed_model_file(&dir, "model.pm", fix);
 
     // 2. Reload target exists but its envelope is bit-flipped (fault
     //    fires inside pm_store::read_file, past the header).
@@ -287,6 +287,77 @@ fn failed_reload_keeps_the_old_model_serving() {
     assert_ok(&c.send(r#"{"op":"shutdown"}"#));
     let summary = server.join();
     assert_eq!(summary.reloads, 1);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The wire names no files. A `reload` that names a model used to swap
+/// that file in, so any client could replace what the daemon serves.
+/// Now the line is refused, nothing is read, and the generation stays.
+#[test]
+fn a_reload_naming_a_model_changes_no_generation() {
+    let _guard = faults::test_lock();
+    let (fix, other) = (fixture(), fixture_b());
+    let dir = tmp_dir("reload-path");
+    let path = sealed_model_file(&dir, "model.pm", fix);
+    let other_path = sealed_model_file(&dir, "other.pm", other);
+    let server = Server::start("127.0.0.1:0", &path, ServeConfig::default()).unwrap();
+    let mut c = Client::connect(server.addr());
+    let quoted = serde_json::to_string(&Value::Str(other_path.display().to_string())).unwrap();
+    for key in ["model", "path"] {
+        let resp = c.send(&format!(r#"{{"op":"reload","{key}":{quoted}}}"#));
+        assert!(resp.starts_with(r#"{"ok":false"#), "{resp}");
+        assert!(resp.contains("takes no"), "{resp}");
+    }
+    assert_eq!(server.generation(), 1);
+    let customer = &fix.customers[0];
+    assert_eq!(
+        c.send(&recommend_line(customer)),
+        expected_line(&fix.model, customer)
+    );
+    let stats = c.send(r#"{"op":"stats"}"#);
+    assert!(stats.contains(r#""reloads":0"#), "{stats}");
+    assert!(stats.contains(r#""reload_failures":0"#), "{stats}");
+    assert_ok(&c.send(r#"{"op":"shutdown"}"#));
+    assert_eq!(server.join().reloads, 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A model path naming a device used to reach an uncapped read:
+/// `/dev/zero` never ends. Startup and reload now refuse it with a typed
+/// error, and a failed reload keeps the old model serving.
+#[cfg(target_os = "linux")]
+#[test]
+fn device_model_files_are_typed_errors_at_start_and_reload() {
+    let _guard = faults::test_lock();
+    let err = Server::start("127.0.0.1:0", "/dev/zero", ServeConfig::default())
+        .err()
+        .expect("/dev/zero must not serve");
+    assert!(
+        matches!(
+            err,
+            pm_serve::ServeError::Store(pm_store::StoreError::NotAFile { .. })
+        ),
+        "{err}"
+    );
+
+    let fix = fixture();
+    let dir = tmp_dir("device");
+    let path = sealed_model_file(&dir, "model.pm", fix);
+    let server = Server::start("127.0.0.1:0", &path, ServeConfig::default()).unwrap();
+    let mut c = Client::connect(server.addr());
+    std::fs::remove_file(&path).unwrap();
+    std::os::unix::fs::symlink("/dev/zero", &path).unwrap();
+    let resp = c.send(r#"{"op":"reload"}"#);
+    assert!(resp.contains("keeping current model"), "{resp}");
+    assert!(resp.contains("not a regular file"), "{resp}");
+    assert_eq!(server.generation(), 1);
+    let customer = &fix.customers[0];
+    assert_eq!(
+        c.send(&recommend_line(customer)),
+        expected_line(&fix.model, customer)
+    );
+    assert_ok(&c.send(r#"{"op":"shutdown"}"#));
+    server.join();
     std::fs::remove_dir_all(&dir).ok();
 }
 

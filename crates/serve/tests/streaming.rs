@@ -232,6 +232,106 @@ fn ingest_on_a_model_file_daemon_is_refused_and_harmless() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A streaming daemon's model comes from its stream, so it refuses
+/// `reload` inline, the way a model-file daemon refuses `ingest`. A bare
+/// `reload` used to read the sales log as a model, and one naming a
+/// model swapped in a model the stream never produced.
+#[test]
+fn reload_on_a_streaming_daemon_is_refused_and_harmless() {
+    let _guard = faults::test_lock();
+    let s = stream(13);
+    let head_model = pipeline().fit(&s.head);
+    let dir = tmp_dir("noreload");
+    let (log, other) = (dir.join("sales.log"), dir.join("other.pm"));
+    let foreign = serde_json::to_string(&pipeline().fit(&s.full).save()).unwrap();
+    pm_store::save_sealed(&other, foreign.as_bytes()).unwrap();
+    let server = Server::start_streaming(
+        "127.0.0.1:0",
+        s.head.clone(),
+        &log,
+        pipeline(),
+        ServeConfig::default(),
+    )
+    .unwrap();
+    let log_bytes = std::fs::read(&log).unwrap();
+    let mut c = Client::connect(server.addr());
+
+    let resp = c.send(r#"{"op":"reload"}"#);
+    assert!(resp.contains("reload unavailable"), "{resp}");
+    assert!(resp.contains("streaming mode"), "{resp}");
+    let named = render(&obj(vec![
+        ("op", Value::Str("reload".into())),
+        ("model", Value::Str(other.display().to_string())),
+    ]));
+    let resp = c.send(&named);
+    assert!(resp.starts_with(r#"{"ok":false"#), "{resp}");
+
+    assert_eq!(server.generation(), 1);
+    let customer = s.head.transactions()[0].non_target_sales().to_vec();
+    assert_eq!(
+        c.send(&recommend_line(&customer)),
+        expected_line(&head_model, &customer)
+    );
+    let stats = c.send(r#"{"op":"stats"}"#);
+    assert!(stats.contains(r#""reload_failures":0"#), "{stats}");
+    assert_eq!(std::fs::read(&log).unwrap(), log_bytes);
+    assert!(c.send(r#"{"op":"shutdown"}"#).starts_with(r#"{"ok":true"#));
+    assert_eq!(server.join().reloads, 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The wire names no files. A `checkpoint` naming a path used to seal
+/// the stream over whatever file was there. Now the line is refused, the
+/// named file stays byte-identical, the log is not compacted, and a bare
+/// `checkpoint` writes only the configured file.
+#[test]
+fn a_checkpoint_naming_a_file_leaves_it_byte_identical() {
+    let _guard = faults::test_lock();
+    let s = stream(17);
+    let dir = tmp_dir("victim");
+    let (log, ck, victim) = (
+        dir.join("sales.log"),
+        dir.join("ck.pmck"),
+        dir.join("victim.txt"),
+    );
+    std::fs::write(&victim, b"do not touch\n").unwrap();
+    let cfg = ServeConfig {
+        checkpoint: Some(ck.clone()),
+        ..ServeConfig::default()
+    };
+    let server =
+        Server::start_streaming("127.0.0.1:0", s.head.clone(), &log, pipeline(), cfg).unwrap();
+    let mut c = Client::connect(server.addr());
+    assert!(c
+        .send(&ingest_line(&s.batches[0]))
+        .contains(r#""op":"ingested""#));
+    let log_bytes = std::fs::read(&log).unwrap();
+
+    for key in ["path", "model"] {
+        let named = render(&obj(vec![
+            ("op", Value::Str("checkpoint".into())),
+            (key, Value::Str(victim.display().to_string())),
+        ]));
+        let resp = c.send(&named);
+        assert!(resp.starts_with(r#"{"ok":false"#), "{resp}");
+        assert!(resp.contains("takes no"), "{resp}");
+    }
+    assert_eq!(std::fs::read(&victim).unwrap(), b"do not touch\n");
+    assert!(!ck.exists(), "a refused checkpoint must write nothing");
+    assert_eq!(std::fs::read(&log).unwrap(), log_bytes);
+
+    let resp = c.send(r#"{"op":"checkpoint"}"#);
+    assert!(resp.contains(r#""op":"checkpointed""#), "{resp}");
+    assert!(ck.exists());
+    assert_eq!(std::fs::read(&victim).unwrap(), b"do not touch\n");
+    let stats = c.send(r#"{"op":"stats"}"#);
+    assert!(stats.contains(r#""checkpoints":1"#), "{stats}");
+    assert!(stats.contains(r#""checkpoint_failures":0"#), "{stats}");
+    assert!(c.send(r#"{"op":"shutdown"}"#).starts_with(r#"{"ok":true"#));
+    server.join();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn rejected_batches_leave_stream_log_and_model_untouched() {
     let _guard = faults::test_lock();
@@ -767,7 +867,8 @@ fn failed_checkpoint_write_leaves_log_and_model_untouched() {
 /// error line and counts as that op's failure, and the next op of the
 /// same kind is admitted and succeeds. (A checkpoint panic used to end
 /// the executor thread: every later control op then answered "daemon is
-/// stopping" and the panicking request never got its reply.)
+/// stopping" and the panicking request never got its reply.) Ingest and
+/// checkpoint run on a streaming daemon, reload on a model-file daemon.
 #[test]
 fn control_job_panics_fail_that_op_and_the_executor_keeps_running() {
     let _guard = faults::test_lock();
@@ -784,27 +885,31 @@ fn control_job_panics_fail_that_op_and_the_executor_keeps_running() {
         checkpoint: Some(ck.clone()),
         ..ServeConfig::default()
     };
-    let server =
+    let streaming =
         Server::start_streaming("127.0.0.1:0", s.head.clone(), &log, pipeline(), cfg).unwrap();
-    let mut c = Client::connect(server.addr());
-    let reload = render(&obj(vec![
-        ("op", Value::Str("reload".into())),
-        ("model", Value::Str(model.display().to_string())),
-    ]));
+    let file = Server::start("127.0.0.1:0", &model, ServeConfig::default()).unwrap();
     let ops = [
         (
+            &streaming,
             ingest_line(&s.batches[0]),
             r#""generation":2"#,
             "ingest_failures",
         ),
         (
+            &streaming,
             r#"{"op":"checkpoint"}"#.to_string(),
             r#""op":"checkpointed""#,
             "checkpoint_failures",
         ),
-        (reload, r#""generation":3"#, "reload_failures"),
+        (
+            &file,
+            r#"{"op":"reload"}"#.to_string(),
+            r#""generation":2"#,
+            "reload_failures",
+        ),
     ];
-    for (line, ok, failures) in &ops {
+    for (server, line, ok, failures) in &ops {
+        let mut c = Client::connect(server.addr());
         faults::set_control_panic(true);
         let resp = c.send(line);
         assert!(resp.starts_with(r#"{"ok":false"#), "{resp}");
@@ -814,11 +919,17 @@ fn control_job_panics_fail_that_op_and_the_executor_keeps_running() {
         let resp = c.send(line);
         assert!(resp.contains(ok), "{resp}");
     }
-    let stats = c.send(r#"{"op":"stats"}"#);
-    for count in [r#""ingests":1"#, r#""checkpoints":1"#, r#""reloads":1"#] {
-        assert!(stats.contains(count), "{stats}");
+    for (server, counts) in [
+        (streaming, &[r#""ingests":1"#, r#""checkpoints":1"#][..]),
+        (file, &[r#""reloads":1"#][..]),
+    ] {
+        let mut c = Client::connect(server.addr());
+        let stats = c.send(r#"{"op":"stats"}"#);
+        for count in counts {
+            assert!(stats.contains(count), "{stats}");
+        }
+        assert!(c.send(r#"{"op":"shutdown"}"#).starts_with(r#"{"ok":true"#));
+        server.join();
     }
-    assert!(c.send(r#"{"op":"shutdown"}"#).starts_with(r#"{"ok":true"#));
-    server.join();
     std::fs::remove_dir_all(&dir).ok();
 }

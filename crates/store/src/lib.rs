@@ -31,7 +31,7 @@ pub mod faults;
 pub mod log;
 
 use std::fmt;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -55,10 +55,13 @@ pub enum StoreError {
     /// truncated to nothing. Distinct from [`StoreError::TooShort`] so
     /// operators can tell "empty placeholder" from "torn header".
     Empty,
-    /// The path names a directory, not a file.
-    IsDirectory {
+    /// The path names a directory, a device, a FIFO or a socket, not a
+    /// regular file. Reading one could block or never end (`/dev/zero`).
+    NotAFile {
         /// The offending path.
         path: String,
+        /// What it names instead (`"a directory"`, ...).
+        kind: &'static str,
     },
     /// The file is shorter than an envelope header.
     TooShort {
@@ -129,8 +132,8 @@ impl fmt::Display for StoreError {
                 f,
                 "file is empty (0 bytes) — created but never written, or truncated to nothing"
             ),
-            StoreError::IsDirectory { path } => {
-                write!(f, "{path} is a directory, not a file")
+            StoreError::NotAFile { path, kind } => {
+                write!(f, "{path} is {kind}, not a regular file")
             }
             StoreError::TooShort { found } => write!(
                 f,
@@ -314,20 +317,31 @@ pub fn write_atomic_str(path: impl AsRef<Path>, text: &str) -> Result<(), StoreE
     write_atomic(path, text.as_bytes())
 }
 
-/// Read a whole file, honoring the read-side fault hooks (artificial
-/// latency, short read at byte `k`, single-byte corruption).
+/// Read a whole regular file, honoring the read-side fault hooks
+/// (artificial latency, short read at byte `k`, single-byte corruption).
+///
+/// Anything else is [`StoreError::NotAFile`], checked on the opened
+/// handle so nothing can swap the file in between: a directory would
+/// surface as a bare OS error that reads like disk trouble, and a device
+/// or FIFO could block or stream without end (`/dev/zero`).
 pub fn read_file(path: impl AsRef<Path>) -> Result<Vec<u8>, StoreError> {
     let path = path.as_ref();
     faults::apply_read_delay();
-    // A directory gets its own variant: `fs::read` would surface it as a
-    // bare OS error ("Is a directory"), which reads like disk trouble
-    // rather than the config mistake it almost always is.
-    if std::fs::metadata(path).map(|m| m.is_dir()).unwrap_or(false) {
-        return Err(StoreError::IsDirectory {
+    let read_err = |e| StoreError::io(path, "read", e);
+    let mut file = open_nonblocking(path).map_err(read_err)?;
+    let meta = file.metadata().map_err(read_err)?;
+    if !meta.is_file() {
+        return Err(StoreError::NotAFile {
             path: path.display().to_string(),
+            kind: if meta.is_dir() {
+                "a directory"
+            } else {
+                "a device, FIFO or socket"
+            },
         });
     }
-    let mut bytes = std::fs::read(path).map_err(|e| StoreError::io(path, "read", e))?;
+    let mut bytes = Vec::new();
+    file.read_to_end(&mut bytes).map_err(read_err)?;
     if let Some(k) = faults::short_read_at() {
         bytes.truncate(k);
     }
@@ -337,6 +351,21 @@ pub fn read_file(path: impl AsRef<Path>) -> Result<Vec<u8>, StoreError> {
         }
     }
     Ok(bytes)
+}
+
+/// Open `path` for reading without waiting for a FIFO's writer, so
+/// [`read_file`] can refuse it instead of hanging. The flag changes
+/// nothing for a regular file.
+fn open_nonblocking(path: &Path) -> std::io::Result<std::fs::File> {
+    let mut options = std::fs::OpenOptions::new();
+    options.read(true);
+    #[cfg(target_os = "linux")]
+    {
+        use std::os::unix::fs::OpenOptionsExt;
+        const O_NONBLOCK: i32 = 0o4000;
+        options.custom_flags(O_NONBLOCK);
+    }
+    options.open(path)
 }
 
 /// Where a loaded model file's bytes came from.

@@ -228,11 +228,66 @@ fn empty_file_and_directory_have_typed_errors() {
     assert!(err.to_string().contains("empty"), "{err}");
 
     let err = load_model_file(&dir).unwrap_err();
-    assert!(matches!(err, StoreError::IsDirectory { .. }), "{err:?}");
+    assert!(
+        matches!(
+            err,
+            StoreError::NotAFile {
+                kind: "a directory",
+                ..
+            }
+        ),
+        "{err:?}"
+    );
     assert!(err.to_string().contains("directory"), "{err}");
 
     let err = envelope::open(b"").unwrap_err();
     assert!(matches!(err, StoreError::Empty), "{err:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `/dev/zero` never ends and a FIFO without a writer never opens for a
+/// blocking reader, so reading either used to hang or run out of memory.
+/// Model, checkpoint and log loads now refuse every non-regular file up
+/// front with a typed error.
+#[cfg(target_os = "linux")]
+#[test]
+fn devices_and_fifos_are_typed_errors_not_endless_reads() {
+    use pm_store::{checkpoint, log::SalesLog};
+    let _guard = faults::test_lock();
+    let dir = tmp_dir("special");
+    let fifo = dir.join("fifo");
+    let made = std::process::Command::new("mkfifo")
+        .arg(&fifo)
+        .status()
+        .expect("run mkfifo");
+    assert!(made.success(), "mkfifo failed");
+    for path in [PathBuf::from("/dev/zero"), fifo] {
+        let start = std::time::Instant::now();
+        let errors = [
+            load_model_file(&path).unwrap_err(),
+            checkpoint::load(&path).unwrap_err(),
+            SalesLog::open(&path).unwrap_err(),
+            read_file(&path).unwrap_err(),
+        ];
+        for err in errors {
+            assert!(
+                matches!(
+                    err,
+                    StoreError::NotAFile {
+                        kind: "a device, FIFO or socket",
+                        ..
+                    }
+                ),
+                "{path:?}: {err:?}"
+            );
+            assert!(err.to_string().contains("not a regular file"), "{err}");
+        }
+        assert!(
+            start.elapsed() < std::time::Duration::from_secs(5),
+            "{path:?} took {:?}",
+            start.elapsed()
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

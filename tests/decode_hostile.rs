@@ -80,10 +80,8 @@ fn request(b: &[u8]) -> Option<Vec<u8>> {
         Request::Ping => r#"{"op":"ping"}"#.to_string(),
         Request::Stats => r#"{"op":"stats"}"#.to_string(),
         Request::Shutdown => r#"{"op":"shutdown"}"#.to_string(),
-        Request::Reload { path } => format!(r#"{{"op":"reload"{}}}"#, optional("model", &path)),
-        Request::Checkpoint { path } => {
-            format!(r#"{{"op":"checkpoint"{}}}"#, optional("path", &path))
-        }
+        Request::Reload => r#"{"op":"reload"}"#.to_string(),
+        Request::Checkpoint => r#"{"op":"checkpoint"}"#.to_string(),
         Request::Recommend { sales, top, target } => {
             let sales: Vec<String> = sales
                 .iter()
