@@ -15,8 +15,12 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::Path;
 
+/// Every CLI input file goes through the store's reader, which refuses
+/// anything but a regular file: a FIFO would block and `/dev/zero`
+/// would stream until memory runs out.
 fn read(path: &str) -> Result<String, CliError> {
-    std::fs::read_to_string(path).map_err(|e| CliError::Runtime(format!("{path}: {e}")))
+    let bytes = pm_store::read_file(path).map_err(|e| CliError::Runtime(e.to_string()))?;
+    String::from_utf8(bytes).map_err(|e| CliError::Runtime(format!("{path}: {e}")))
 }
 
 /// All CLI file output goes through the crash-safe writer: a kill or

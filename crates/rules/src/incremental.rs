@@ -172,12 +172,7 @@ impl MinerState {
         let h = extended.n_heads();
         let mut head_hits = vec![0u64; h];
         let mut head_profit = vec![0.0f64; h];
-        for heads in &extended.txn_heads {
-            for &(hd, p) in heads {
-                head_hits[hd.index()] += 1;
-                head_profit[hd.index()] += p;
-            }
-        }
+        extended.add_head_totals(0, &mut head_hits, &mut head_profit);
         let minsup = config.min_support.to_count(extended.n_transactions());
         let caches = (0..extended.n_gs()).map(|_| None).collect();
         MinerState {
@@ -296,18 +291,17 @@ impl IncrementalMiner {
         state.head_hits.resize(state.extended.n_heads(), 0);
         state.head_profit.resize(state.extended.n_heads(), 0.0);
 
-        // Delta tids per generalized sale — ascending, because delta
-        // transactions are walked in tid order. While here, patch the
-        // floor accumulators in the same order a cold pass would add
+        // Patch the floor accumulators in the order a cold pass adds
         // these terms.
+        state
+            .extended
+            .add_head_totals(old_n, &mut state.head_hits, &mut state.head_profit);
+        // Delta tids per generalized sale — ascending, because delta
+        // transactions are walked in tid order.
         let mut delta: Vec<Vec<u32>> = vec![Vec::new(); n_gs];
         for tid in old_n..new_n {
             for &g in &state.extended.txn_gs[tid] {
                 delta[g.index()].push(tid as u32);
-            }
-            for &(hd, p) in &state.extended.txn_heads[tid] {
-                state.head_hits[hd.index()] += 1;
-                state.head_profit[hd.index()] += p;
             }
         }
 

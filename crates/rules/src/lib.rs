@@ -26,13 +26,15 @@
 //!    another) enforced on candidates, and the 2-itemset level counted
 //!    through a dense triangle for speed;
 //! 3. because `p(r, t)` depends only on the head and `t`'s target sale,
-//!    heads are credited in one pass per frequent body by walking its
-//!    tidset against precomputed per-transaction `(head, profit)` lists.
+//!    each distinct target sale is interned once as a profile (its head
+//!    set and a row of profits); per frequent body a histogram of its
+//!    tids by head set counts every head's hits, and only the heads that
+//!    reach minimum support get a pass that sums their profit.
 //!
-//! The output [`MinedRules`] keeps the per-transaction head lists and the
-//! singleton tidsets so the downstream recommender construction
-//! (`profit-core`) can assign rule coverage and estimate projected profit
-//! without re-scanning the raw transactions.
+//! The output [`MinedRules`] keeps the extension (per-transaction
+//! profiles included) and the singleton tidsets so the downstream
+//! recommender construction (`profit-core`) can assign rule coverage and
+//! estimate projected profit without re-scanning the raw transactions.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

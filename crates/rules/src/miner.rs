@@ -247,12 +247,7 @@ impl RuleMiner {
             let h = extended.n_heads();
             let mut hits = vec![0u64; h];
             let mut profit = vec![0.0f64; h];
-            for heads in &extended.txn_heads {
-                for &(hd, p) in heads {
-                    hits[hd.index()] += 1;
-                    profit[hd.index()] += p;
-                }
-            }
+            extended.add_head_totals(0, &mut hits, &mut profit);
             let nf = n as f64;
             let best_prof = profit.iter().cloned().fold(0.0f64, f64::max) / nf;
             let best_conf = hits.iter().cloned().max().unwrap_or(0) as f64 / nf;
@@ -665,7 +660,7 @@ impl HeadGates {
 }
 
 /// Head accumulation + rule emission with a generation-stamp trick so the
-/// dense per-head arrays are never cleared.
+/// dense per-head-set and per-head arrays are never cleared.
 pub(crate) struct RuleEmitter<'a> {
     extended: &'a ExtendedData,
     config: &'a MinerConfig,
@@ -675,31 +670,40 @@ pub(crate) struct RuleEmitter<'a> {
     /// `(Prof_re, confidence)` of the best default rule; rules at or
     /// below both floors are dominated and skipped.
     default_floor: (f64, f64),
-    /// Pruning needs a dedicated positive-part accumulator: some margin
-    /// is negative or NaN, so `head_profit` is not its own positive
-    /// part. When clear (the common case — `ExtendedData::
-    /// nonneg_margins`), the scan loop only accumulates hits and profit
-    /// and `viable` reads `head_profit` directly.
+    /// Pruning needs a dedicated positive-part sum: some margin is
+    /// negative or NaN, so `head_profit` is not its own positive part.
+    /// When clear (the common case — `ExtendedData::nonneg_margins`),
+    /// the profit pass sums profit alone and `viable` reads
+    /// `head_profit` directly.
     track_pos: bool,
     /// Pruning needs the transaction-level margin bound: a
     /// `min_rule_profit` filter is configured, which is the only
     /// consumer of [`Self::node_ub`].
     track_ub: bool,
     stamp: u32,
+    /// The scanned tidset's profiles, in tid order.
+    record: Vec<u32>,
+    set_stamp: Vec<u32>,
+    /// Tids of the scanned tidset per head set (stamped).
+    set_count: Vec<u32>,
+    touched_sets: Vec<u32>,
     head_stamp: Vec<u32>,
     head_hits: Vec<u32>,
+    /// Profit sums, set only for the heads [`Self::qualifies`] admits;
+    /// the other touched heads keep stale values nothing reads.
     head_profit: Vec<f64>,
-    /// Positive-part profit sums per head (same stamp discipline as
-    /// `head_profit`; only maintained when `track_pos`). For any descendant
-    /// body its per-head profit sum cannot exceed this, even at the f64
-    /// bit level: the descendant sums a subsequence of term-wise smaller
-    /// values, and round-to-nearest accumulation of nonnegative terms is
-    /// monotone in both.
+    /// Positive-part profit sums per head (same heads as `head_profit`;
+    /// only maintained when `track_pos`). For any descendant body its
+    /// per-head profit sum cannot exceed this, even at the f64 bit level:
+    /// the descendant sums a subsequence of term-wise smaller values, and
+    /// round-to-nearest accumulation of nonnegative terms is monotone in
+    /// both.
     head_pos: Vec<f64>,
-    /// Σ `txn_max_margin` over the last scanned tidset (only when
+    /// Σ `max_margin` over the last scanned tidset (only when
     /// `track_ub`): the transaction-level TWU-style bound dominating every
     /// head's `head_pos`.
     node_ub: f64,
+    /// Heads with a hit in the last scanned tidset, ascending.
     touched: Vec<HeadId>,
     rules: Vec<Rule>,
     /// Candidates abandoned by the `minsup` early exit in the DFS.
@@ -718,6 +722,12 @@ pub(crate) struct RuleEmitter<'a> {
     /// (total) and `mine.ub_pruned.d*` (per scanned-body depth) on drop.
     ub_pruned: u64,
     ub_pruned_depth: [u64; UB_DEPTH_NAMES.len()],
+    /// Tids histogrammed by [`Self::scan`]; flushed to
+    /// `mine.tids_scanned` on drop.
+    tids_scanned: u64,
+    /// Per-head profit passes run by [`Self::scan`]; flushed to
+    /// `mine.head_sums` on drop.
+    head_sums: u64,
 }
 
 impl Drop for RuleEmitter<'_> {
@@ -725,21 +735,18 @@ impl Drop for RuleEmitter<'_> {
     // DFS terminated early because the anchor probe pruned its entire
     // subtree — so it lives in Drop rather than in `finish`.
     fn drop(&mut self) {
-        if self.pruned != 0 {
-            pm_obs::counter("miner.candidates_pruned").add(self.pruned);
-        }
-        if self.switches != 0 {
-            pm_obs::counter("miner.tidset_switches").add(self.switches);
-        }
-        if self.ub_evaluated != 0 {
-            pm_obs::counter("mine.ub_evaluated").add(self.ub_evaluated);
-        }
-        if self.ub_pruned != 0 {
-            pm_obs::counter("mine.ub_pruned").add(self.ub_pruned);
-        }
-        for (d, &c) in self.ub_pruned_depth.iter().enumerate() {
+        let counts = [
+            ("miner.candidates_pruned", self.pruned),
+            ("miner.tidset_switches", self.switches),
+            ("mine.ub_evaluated", self.ub_evaluated),
+            ("mine.ub_pruned", self.ub_pruned),
+            ("mine.tids_scanned", self.tids_scanned),
+            ("mine.head_sums", self.head_sums),
+        ];
+        let by_depth = UB_DEPTH_NAMES.iter().copied().zip(self.ub_pruned_depth);
+        for (name, c) in counts.into_iter().chain(by_depth) {
             if c != 0 {
-                pm_obs::counter(UB_DEPTH_NAMES[d]).add(c);
+                pm_obs::counter(name).add(c);
             }
         }
     }
@@ -754,6 +761,7 @@ impl<'a> RuleEmitter<'a> {
         default_floor: (f64, f64),
     ) -> Self {
         let h = extended.n_heads();
+        let sets = extended.head_sets.len();
         let track_pos = !extended.nonneg_margins;
         let track_ub = gates.node_floor.is_some();
         Self {
@@ -765,6 +773,10 @@ impl<'a> RuleEmitter<'a> {
             track_pos,
             track_ub,
             stamp: 0,
+            record: Vec::with_capacity(extended.n_transactions()),
+            set_stamp: vec![0; sets],
+            set_count: vec![0; sets],
+            touched_sets: Vec::with_capacity(sets),
             head_stamp: vec![0; h],
             head_hits: vec![0; h],
             head_profit: vec![0.0; h],
@@ -777,54 +789,87 @@ impl<'a> RuleEmitter<'a> {
             ub_evaluated: 0,
             ub_pruned: 0,
             ub_pruned_depth: [0; UB_DEPTH_NAMES.len()],
+            tids_scanned: 0,
+            head_sums: 0,
         }
     }
 
-    /// One pass over a body's tidset, filling the stamped per-head
-    /// hit/profit accumulators (and, when pruning, the positive-part
-    /// sums plus the transaction-level margin bound). `touched` is left
-    /// unsorted; emission sorts it.
+    /// Can the head emit a rule from the last scanned body or any body
+    /// below it? Only an admitted head with `hits ≥ minsup` can, so only
+    /// those heads get profit sums, and `emit` and `viable` read no other.
+    #[inline]
+    fn qualifies(&self, h: HeadId) -> bool {
+        self.gates.admits(h.index()) && self.head_hits[h.index()] >= self.minsup
+    }
+
+    /// Two passes over a body's tidset. The first histograms its tids by
+    /// head set, which gives every head's hit count exactly, and records
+    /// each tid's profile. The second runs once per qualifying head over
+    /// that record, in tid order, and sums the head's profit (and, when
+    /// pruning needs them, its positive-part sum and the
+    /// transaction-level margin bound).
+    ///
+    /// Each pass adds a term for every tid, `+0.0` where the head misses
+    /// — and a running sum that starts at `+0.0` never becomes `-0.0`,
+    /// so adding `+0.0` leaves it unchanged, bit for bit. The sums
+    /// therefore equal accumulating the hits alone, in tid order
+    /// (DESIGN.md §14).
     fn scan(&mut self, tidset: TidView<'_>) {
+        let ext = self.extended;
         self.stamp += 1;
+        let stamp = self.stamp;
+        self.record.clear();
+        self.touched_sets.clear();
+        for tid in tidset.iter() {
+            let profile = ext.txn_profile[tid];
+            self.record.push(profile);
+            let set = ext.profiles[profile as usize].head_set as usize;
+            if self.set_stamp[set] != stamp {
+                self.set_stamp[set] = stamp;
+                self.set_count[set] = 0;
+                self.touched_sets.push(set as u32);
+            }
+            self.set_count[set] += 1;
+        }
+        self.tids_scanned += self.record.len() as u64;
+
         self.touched.clear();
-        if self.track_pos || self.track_ub {
-            // The full bound-tracking path; rare (negative/NaN margins
-            // or a min_rule_profit filter). `node_ub` is harmlessly
-            // maintained even when only `track_pos` demands the pass.
-            self.node_ub = 0.0;
-            for tid in tidset.iter() {
-                self.node_ub += self.extended.txn_max_margin[tid];
-                for &(h, p) in &self.extended.txn_heads[tid] {
-                    let hi = h.index();
-                    if self.head_stamp[hi] != self.stamp {
-                        self.head_stamp[hi] = self.stamp;
-                        self.head_hits[hi] = 0;
-                        self.head_profit[hi] = 0.0;
-                        if self.track_pos {
-                            self.head_pos[hi] = 0.0;
-                        }
-                        self.touched.push(h);
-                    }
-                    self.head_hits[hi] += 1;
-                    self.head_profit[hi] += p;
-                    if self.track_pos {
-                        self.head_pos[hi] += pos_part(p);
-                    }
+        for &set in &self.touched_sets {
+            let count = self.set_count[set as usize];
+            for &h in &ext.head_sets[set as usize] {
+                let hi = h.index();
+                if self.head_stamp[hi] != stamp {
+                    self.head_stamp[hi] = stamp;
+                    self.head_hits[hi] = 0;
+                    self.touched.push(h);
+                }
+                self.head_hits[hi] += count;
+            }
+        }
+        self.touched.sort_unstable();
+
+        if self.track_ub {
+            self.node_ub = self.record.iter().fold(0.0, |ub, &profile| {
+                ub + ext.profiles[profile as usize].max_margin
+            });
+        }
+        for ti in 0..self.touched.len() {
+            let h = self.touched[ti];
+            if !self.qualifies(h) {
+                continue;
+            }
+            self.head_sums += 1;
+            let (mut profit, mut pos) = (0.0f64, 0.0f64);
+            for &profile in &self.record {
+                let p = ext.margin(profile, h);
+                profit += p;
+                if self.track_pos {
+                    pos += pos_part(p);
                 }
             }
-        } else {
-            for tid in tidset.iter() {
-                for &(h, p) in &self.extended.txn_heads[tid] {
-                    let hi = h.index();
-                    if self.head_stamp[hi] != self.stamp {
-                        self.head_stamp[hi] = self.stamp;
-                        self.head_hits[hi] = 0;
-                        self.head_profit[hi] = 0.0;
-                        self.touched.push(h);
-                    }
-                    self.head_hits[hi] += 1;
-                    self.head_profit[hi] += p;
-                }
+            self.head_profit[h.index()] = profit;
+            if self.track_pos {
+                self.head_pos[h.index()] = pos;
             }
         }
     }
@@ -850,14 +895,11 @@ impl<'a> RuleEmitter<'a> {
         }
         let ms = self.minsup as f64;
         for &h in &self.touched {
+            if !self.qualifies(h) {
+                continue;
+            }
             let hi = h.index();
-            if !self.gates.admits(hi) {
-                continue;
-            }
             let hits = self.head_hits[hi];
-            if hits < self.minsup {
-                continue;
-            }
             // With all-nonnegative margins, `head_profit` IS the
             // positive-part sum, bit for bit.
             let pos = if self.track_pos {
@@ -909,16 +951,12 @@ impl<'a> RuleEmitter<'a> {
 
     pub(crate) fn emit(&mut self, body: &[GsId], tidset: TidView<'_>, body_count: u32) {
         self.scan(tidset);
-        self.touched.sort_unstable();
         for ti in 0..self.touched.len() {
             let h = self.touched[ti];
-            if !self.gates.admits(h.index()) {
+            if !self.qualifies(h) {
                 continue;
             }
             let hits = self.head_hits[h.index()];
-            if hits < self.minsup {
-                continue;
-            }
             let profit = self.head_profit[h.index()];
             // Dominance pre-filter (see `mine_extended`). A hair of slack
             // keeps exact ties, which the rank order resolves properly.
@@ -1068,7 +1106,7 @@ impl PairCounts {
 }
 
 /// The output of a mining run: rules plus everything the recommender
-/// builder needs (interner, per-transaction head lists, singleton
+/// builder needs (interner, per-transaction profiles, singleton
 /// tidsets).
 #[derive(Debug, Clone)]
 pub struct MinedRules {
@@ -1132,7 +1170,7 @@ impl MinedRules {
         self.extended.n_transactions()
     }
 
-    /// The extended data (interner, head lists, …).
+    /// The extended data (interner, profiles, …).
     pub fn extended(&self) -> &ExtendedData {
         &self.extended
     }
@@ -1208,14 +1246,9 @@ impl MinedRules {
     pub fn default_rule(&self, mode: ProfitMode) -> Rule {
         let n = self.n_transactions();
         let h = self.extended.n_heads();
-        let mut hits = vec![0u32; h];
+        let mut hits = vec![0u64; h];
         let mut profit = vec![0.0f64; h];
-        for heads in &self.extended.txn_heads {
-            for &(hd, p) in heads {
-                hits[hd.index()] += 1;
-                profit[hd.index()] += p;
-            }
-        }
+        self.extended.add_head_totals(0, &mut hits, &mut profit);
         let score = |i: usize| match mode {
             ProfitMode::Profit => profit[i],
             ProfitMode::Confidence => hits[i] as f64,
@@ -1246,7 +1279,7 @@ impl MinedRules {
             body: Vec::new(),
             head: HeadId(best as u32),
             body_count: n as u32,
-            hits: hits[best],
+            hits: hits[best] as u32,
             profit: profit[best],
             gen_index: u32::MAX,
         }
@@ -1913,6 +1946,186 @@ mod tests {
             r.gen_index = i as u32;
         }
         assert_eq!(exact(per_item.rules()), exact(&expect));
+    }
+
+    /// A deterministic xorshift stream.
+    fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64 ^ seed.wrapping_mul(0x2545_f491_4f6c_dd1d);
+        move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        }
+    }
+
+    /// The two-pass scan against the per-tid accumulation it replaced:
+    /// walk the tids, and for each add one hit, the margin and its
+    /// positive part to every head the transaction's target sale hits,
+    /// plus the transaction's margin bound. Margins are drawn from
+    /// negative, signed-zero, NaN and ±∞ values (so both pruning gates
+    /// run) as well as the catalog's own, target quantities from 1–5 (so
+    /// a head set's profiles earn different margins), tidsets are handed
+    /// to the scan as dense words and as sparse ids, and a target mask
+    /// hides some heads. Hits must agree for every head; profit,
+    /// `head_pos` and `node_ub` must agree bit for bit for every admitted
+    /// head at or above minsup.
+    #[test]
+    fn scan_matches_per_tid_accumulation_bit_for_bit() {
+        let mut cat = Catalog::new();
+        cat.push(ItemDef {
+            name: "a".into(),
+            codes: vec![PromotionCode::unit(
+                Money::from_cents(100),
+                Money::from_cents(50),
+            )],
+            is_target: false,
+        });
+        for (name, prices) in [("t", vec![500, 600]), ("u", vec![300, 350, 400])] {
+            cat.push(ItemDef {
+                name: name.into(),
+                codes: prices
+                    .into_iter()
+                    .map(|p| PromotionCode::unit(Money::from_cents(p), Money::from_cents(250)))
+                    .collect(),
+                is_target: true,
+            });
+        }
+        let n = 300usize;
+        let mut next = xorshift(17);
+        let txns = (0..n)
+            .map(|_| {
+                let (item, codes) = if next().is_multiple_of(2) {
+                    (1, 2)
+                } else {
+                    (2, 3)
+                };
+                let code = CodeId((next() % codes) as u16);
+                let qty = 1 + (next() % 5) as u32;
+                Transaction::new(
+                    vec![Sale::new(ItemId(0), CodeId(0), 1)],
+                    Sale::new(ItemId(item), code, qty),
+                )
+            })
+            .collect();
+        let ds = TransactionSet::new(cat, Hierarchy::flat(3), txns).unwrap();
+        let specials = [
+            -3.5,
+            -0.0,
+            0.0,
+            2.25,
+            1e300,
+            5e-324,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let config = MinerConfig::default();
+        let mut cases = 0;
+        for moa_on in [true, false] {
+            let moa = Moa::new(ds.catalog_arc(), ds.hierarchy_arc(), moa_on);
+            for round in 0..6u64 {
+                let mut ext = ExtendedData::build(&ds, &moa, QuantityModel::Saving);
+                // Round 0 keeps the catalog's (nonnegative) margins.
+                let mut expect = std::collections::HashMap::new();
+                if round > 0 {
+                    ext.set_margins(|profile, h| {
+                        let r = next();
+                        let m = if r.is_multiple_of(3) {
+                            specials[(r / 3) as usize % specials.len()]
+                        } else {
+                            (r % 2001) as f64 / 8.0 - 125.0
+                        };
+                        expect.insert((profile, h), m);
+                        m
+                    });
+                }
+                let h = ext.n_heads();
+                assert!(ext.profiles.len() > ext.head_sets.len());
+                for (masked, floored) in
+                    [(false, false), (true, false), (false, true), (true, true)]
+                {
+                    let gates = HeadGates {
+                        mask: masked.then(|| (0..h).map(|_| !next().is_multiple_of(4)).collect()),
+                        floor: floored.then(|| vec![1.0; h]),
+                        node_floor: floored.then_some(1.0),
+                    };
+                    for (density, minsup) in [(2u64, 1u32), (5, 3), (40, 10), (100, 40)] {
+                        let ids: Vec<u32> =
+                            (0..n as u32).filter(|_| next() % 100 < density).collect();
+                        let mut words = vec![0u64; n.div_ceil(64)];
+                        for &t in &ids {
+                            words[t as usize / 64] |= 1 << (t % 64);
+                        }
+                        // The reference: per tid, every head the target
+                        // sale hits, in tid order.
+                        let mut hits = vec![0u32; h];
+                        let mut profit = vec![0.0f64; h];
+                        let mut pos = vec![0.0f64; h];
+                        let mut node_ub = 0.0f64;
+                        for &t in &ids {
+                            let t = t as usize;
+                            let profile = ext.txn_profile[t];
+                            node_ub += ext.profiles[profile as usize].max_margin;
+                            for (hi, &(item, code)) in ext.heads.iter().enumerate() {
+                                let target = ds.transactions()[t].target_sale();
+                                let Some(real) =
+                                    moa.head_profit(item, code, target, QuantityModel::Saving)
+                                else {
+                                    continue;
+                                };
+                                let p = if round == 0 {
+                                    real
+                                } else {
+                                    expect[&(profile, HeadId(hi as u32))]
+                                };
+                                hits[hi] += 1;
+                                profit[hi] += p;
+                                pos[hi] += pos_part(p);
+                            }
+                        }
+                        for view in [TidView::Dense(&words), TidView::Sparse(&ids)] {
+                            let mut em =
+                                RuleEmitter::new(&ext, &config, &gates, minsup, (0.0, 0.0));
+                            assert_eq!(em.track_pos, round > 0);
+                            assert_eq!(em.track_ub, floored);
+                            em.scan(view);
+                            let ctx = format!(
+                                "moa {moa_on} round {round} mask {masked} floor {floored} \
+                                 density {density} {view:?}"
+                            );
+                            let touched: Vec<HeadId> = (0..h)
+                                .filter(|&hi| hits[hi] > 0)
+                                .map(|hi| HeadId(hi as u32))
+                                .collect();
+                            assert_eq!(em.touched, touched, "{ctx}");
+                            assert_eq!(em.tids_scanned, ids.len() as u64, "{ctx}");
+                            let mut sums = 0;
+                            for &hd in &touched {
+                                let hi = hd.index();
+                                assert_eq!(em.head_hits[hi], hits[hi], "{ctx} head {hi}");
+                                if !gates.admits(hi) || hits[hi] < minsup {
+                                    continue;
+                                }
+                                sums += 1;
+                                let bits = em.head_profit[hi].to_bits();
+                                assert_eq!(bits, profit[hi].to_bits(), "{ctx} head {hi} profit");
+                                if em.track_pos {
+                                    let bits = em.head_pos[hi].to_bits();
+                                    assert_eq!(bits, pos[hi].to_bits(), "{ctx} head {hi} pos");
+                                }
+                                cases += 1;
+                            }
+                            assert_eq!(em.head_sums, sums, "{ctx}");
+                            if em.track_ub {
+                                assert_eq!(em.node_ub.to_bits(), node_ub.to_bits(), "{ctx}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(cases > 500, "only {cases} admitted heads reached minsup");
     }
 
     #[test]

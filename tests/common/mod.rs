@@ -16,8 +16,10 @@
 
 use pm_oracle::{Oracle, OracleConfig, OracleProfitMode, OracleRule};
 use pm_rules::{MinedRules, MinerConfig, MoaMode, ProfitMode, RuleMiner, Support};
-use pm_txn::{QuantityModel, Sale, TransactionSet};
+use pm_txn::{QuantityModel, Sale, Transaction, TransactionSet};
 use profit_core::{CutConfig, Matcher, RuleModel};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Worker-thread counts (sequential and parallel paths).
 pub const THREADS: [usize; 2] = [1, 4];
@@ -27,6 +29,53 @@ pub const MODES: [(ProfitMode, OracleProfitMode); 2] = [
     (ProfitMode::Profit, OracleProfitMode::Profit),
     (ProfitMode::Confidence, OracleProfitMode::Confidence),
 ];
+
+/// `data` with every target quantity redrawn in 1–5, and the quantity
+/// of every third non-target sale too. `pm-datagen` sells one package
+/// per sale, so under saving MOA a head would earn the same margin on
+/// every transaction; redrawn, the transactions behind one head set earn
+/// different margins.
+pub fn redraw_quantities(data: &TransactionSet, seed: u64) -> TransactionSet {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut qty = move || rng.gen_range(1u32..=5);
+    rebuild(data, |_, t| {
+        let sales = t
+            .non_target_sales()
+            .iter()
+            .enumerate()
+            .map(|(i, s)| match i % 3 {
+                0 => Sale::new(s.item, s.code, qty()),
+                _ => *s,
+            })
+            .collect();
+        let target = t.target_sale();
+        Transaction::new(sales, Sale::new(target.item, target.code, qty()))
+    })
+}
+
+/// `data` with transaction `i`'s target quantity set to `i + 1`, so no
+/// two transactions share a target sale.
+pub fn own_target_quantities(data: &TransactionSet) -> TransactionSet {
+    rebuild(data, |i, t| {
+        let target = t.target_sale();
+        let target = Sale::new(target.item, target.code, i as u32 + 1);
+        Transaction::new(t.non_target_sales().to_vec(), target)
+    })
+}
+
+fn rebuild(
+    data: &TransactionSet,
+    mut f: impl FnMut(usize, &Transaction) -> Transaction,
+) -> TransactionSet {
+    let txns = data
+        .transactions()
+        .iter()
+        .enumerate()
+        .map(|(i, t)| f(i, t))
+        .collect();
+    TransactionSet::new(data.catalog().clone(), data.hierarchy().clone(), txns)
+        .expect("positive quantities keep the dataset valid")
+}
 
 fn miner_config(minsup: u32, max_body_len: usize, moa_on: bool, qm: QuantityModel) -> MinerConfig {
     MinerConfig {

@@ -61,6 +61,39 @@ fn differential_body_len_three() {
     }
 }
 
+/// Quantities other than 1 (see [`common::redraw_quantities`]) on 24
+/// seeded datasets through the full matrix, a few at body length 3.
+#[test]
+fn differential_varied_quantities() {
+    for seed in 0..24 {
+        let (data, minsup) = tiny_dataset(seed);
+        let data = common::redraw_quantities(&data, seed);
+        let max_body_len = if seed % 8 == 3 { 3 } else { 2 };
+        if let Err(msg) = common::compare_dataset(&data, minsup, max_body_len) {
+            common::report_divergence(
+                &data,
+                minsup,
+                max_body_len,
+                &format!("seed {seed} (varied quantities): {msg}"),
+            );
+        }
+    }
+}
+
+/// Every transaction its own target quantity: as many distinct target
+/// sales as transactions, on a dataset large enough for sparse tidsets.
+#[test]
+fn differential_own_target_quantity_per_transaction() {
+    let data = DatasetConfig::tiny(64, 6, 3)
+        .with_transactions(160)
+        .generate(&mut StdRng::seed_from_u64(0xD1FF_0160));
+    let data = common::own_target_quantities(&data);
+    let (minsup, max_body_len) = (2, 2);
+    if let Err(msg) = common::compare_dataset(&data, minsup, max_body_len) {
+        common::report_divergence(&data, minsup, max_body_len, &msg);
+    }
+}
+
 fn check_workloads(seed: u64, max_body_len: usize) {
     let (data, minsup) = tiny_dataset(seed);
     if let Err(msg) = common::compare_workloads(&data, minsup, max_body_len) {

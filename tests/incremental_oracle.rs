@@ -13,8 +13,8 @@ mod common;
 
 use common::THREADS;
 use pm_datagen::{DatasetConfig, HierarchyConfig};
-use pm_rules::{IncrementalMiner, MinerConfig, RuleMiner, Support};
-use pm_txn::TransactionSet;
+use pm_rules::{IncrementalMiner, MinerConfig, MoaMode, RuleMiner, Support};
+use pm_txn::{QuantityModel, TransactionSet};
 use profit_core::{CutConfig, ProfitMiner, RuleModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -30,11 +30,20 @@ fn model_bytes(model: &RuleModel) -> String {
 /// Fit `full` cold, then again as head + deltas through the incremental
 /// pipeline, asserting byte-identical serialized models after every
 /// update along the way (each prefix is itself a complete stream state).
-fn check_stream(full: &TransactionSet, cuts: &[usize], config: MinerConfig, threads: usize) {
-    let ctx = format!("threads={threads} cuts={cuts:?}");
+fn check_stream(
+    full: &TransactionSet,
+    cuts: &[usize],
+    config: MinerConfig,
+    cut_config: CutConfig,
+    threads: usize,
+) {
+    let ctx = format!(
+        "threads={threads} cuts={cuts:?} moa={:?} qm={:?} mode={:?}",
+        config.moa, config.quantity, cut_config.profit_mode
+    );
     let pipeline = || {
         ProfitMiner::new(config)
-            .with_cut(CutConfig::default())
+            .with_cut(cut_config)
             .with_threads(threads)
     };
     let mut inc = pipeline().into_incremental();
@@ -65,8 +74,58 @@ fn incremental_models_match_batch_fits_across_the_matrix() {
     };
     for threads in THREADS {
         // Two coarse deltas, then a single-transaction trickle.
-        check_stream(&full, &[180, 270, 360], config, threads);
-        check_stream(&full, &[357, 358, 359, 360], config, threads);
+        check_stream(
+            &full,
+            &[180, 270, 360],
+            config,
+            CutConfig::default(),
+            threads,
+        );
+        check_stream(
+            &full,
+            &[357, 358, 359, 360],
+            config,
+            CutConfig::default(),
+            threads,
+        );
+    }
+}
+
+/// Quantities other than 1 (see [`common::redraw_quantities`]), and one
+/// stream where every transaction has its own target quantity, across
+/// the full `MoaMode × QuantityModel × {1,4} threads × ProfitMode`
+/// matrix.
+#[test]
+fn incremental_models_match_batch_with_varied_quantities() {
+    let base: TransactionSet = DatasetConfig::dataset_i()
+        .with_transactions(200)
+        .with_items(60)
+        .generate(&mut StdRng::seed_from_u64(0x1AC6));
+    let streams = [
+        common::redraw_quantities(&base, 0x0A7),
+        common::own_target_quantities(&base),
+    ];
+    for full in &streams {
+        for moa in [MoaMode::Enabled, MoaMode::Disabled] {
+            for quantity in [QuantityModel::Saving, QuantityModel::Buying] {
+                let config = MinerConfig {
+                    min_support: Support::Fraction(0.03),
+                    max_body_len: 2,
+                    moa,
+                    quantity,
+                    ..MinerConfig::default()
+                };
+                for threads in THREADS {
+                    for (profit_mode, _) in common::MODES {
+                        let cut_config = CutConfig {
+                            profit_mode,
+                            ..CutConfig::default()
+                        };
+                        check_stream(full, &[120, 199, 200], config, cut_config, threads);
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -83,8 +142,8 @@ fn incremental_models_match_batch_on_dataset_ii_with_deep_bodies() {
         max_body_len: 3,
         ..MinerConfig::default()
     };
-    check_stream(&full, &[120, 240], config, 1);
-    check_stream(&full, &[120, 180, 240], config, 4);
+    check_stream(&full, &[120, 240], config, CutConfig::default(), 1);
+    check_stream(&full, &[120, 180, 240], config, CutConfig::default(), 4);
 }
 
 /// The growing-catalog axis: a mid-stream [`pm_txn::CatalogDelta`]
