@@ -177,6 +177,14 @@ USAGE
   --min-profit-per-item NAME=F,... sets per-item floors that override
   the scalar for the named target items (names or raw ids).
 
+  Input files must be regular files. Every file a command reads
+  (--data, --model, --log, --batch, --catalog-delta, --checkpoint,
+  import's --catalog and --sales) is refused with \"not a regular
+  file\" and its path when it is a directory, device, FIFO or socket.
+  That includes piped input: /dev/stdin, a pipe, or a process
+  substitution such as <(zcat data.json.gz). Write the input to a file
+  first.
+
   Targeted mining: --target restricts rule heads to an admitted set —
   items:A,B (target item names or ids), subtree:CONCEPT (every target
   item under a hierarchy concept), or codes:0,1 (promotion-code
