@@ -52,7 +52,7 @@ fn dump_metrics(args: &ArgMap) -> Result<(), CliError> {
 fn load_model(args: &ArgMap) -> Result<RuleModel, CliError> {
     let path = args.require("--model")?;
     // The store validates the envelope (magic, version, length, CRC)
-    // before any deserialization; legacy raw-JSON model files still load.
+    // before any deserialization; a file without one is refused.
     pm_serve::load_model(path).map_err(|e| match e {
         pm_serve::ServeError::Store(se @ pm_store::StoreError::Io { .. }) => {
             CliError::Runtime(se.to_string())
@@ -126,6 +126,11 @@ fn miner_config(args: &ArgMap) -> Result<MinerConfig, CliError> {
                 let f: f64 = v
                     .parse()
                     .map_err(|_| CliError::Usage("--min-profit: bad number".into()))?;
+                if !f.is_finite() {
+                    return Err(CliError::Usage(format!(
+                        "--min-profit: {v:?} is not a finite number"
+                    )));
+                }
                 (f > 0.0).then_some(f)
             }
         },
@@ -442,10 +447,7 @@ fn recommend_one(
     let customer: &[Sale] = t.non_target_sales();
     let moa = model.moa();
     let target = target_filter(args, moa.catalog(), moa.hierarchy())?;
-    let recs = match &target {
-        None => model.recommend_top_k(customer, k.max(1)),
-        Some(t) => model.recommend_top_k_where(customer, k.max(1), t),
-    };
+    let recs = model.recommend_top_k(customer, k.max(1), target.as_ref());
     let mut out = format!(
         "customer of transaction {txn} ({} non-target sales):\n",
         customer.len()

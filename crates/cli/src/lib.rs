@@ -175,7 +175,8 @@ USAGE
   ≥ F — the absolute floor the miner's profit upper bound cuts hardest
   against. Every command rejects flags it does not read.
   --min-profit-per-item NAME=F,... sets per-item floors that override
-  the scalar for the named target items (names or raw ids).
+  the scalar for the named target items (names or raw ids). Floors
+  must be finite numbers: nan and inf are usage errors.
 
   Input files must be regular files. Every file a command reads
   (--data, --model, --log, --batch, --catalog-delta, --checkpoint,
@@ -253,7 +254,7 @@ USAGE
   refuses reload. --addr HOST:0 picks an ephemeral port;
   --addr-file publishes the bound address. fit writes models in a
   checksummed envelope, so torn or bit-flipped files are rejected at
-  load (legacy raw-JSON models still load).
+  load, and so is a model file without the envelope (raw JSON).
 
   Observability: PM_LOG=off|error|info|debug selects structured logging
   to stderr (default off); --metrics PATH dumps the metrics registry
@@ -965,7 +966,8 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Uniform per-item floors are byte-identical to the scalar floor.
+    /// Uniform per-item floors are byte-identical to the scalar floor,
+    /// and a floor must be a finite number.
     #[test]
     fn per_item_floor_flag_generalizes_scalar() {
         let _guard = pm_store::faults::test_lock();
@@ -999,18 +1001,23 @@ mod tests {
             &["--min-profit-per-item", "target-1=5.0,target-2=5.0"],
         );
         assert_eq!(scalar, per_item, "uniform per-item floors ≠ scalar floor");
-        // Malformed floor specs are usage errors.
-        let err = run(&v(&[
-            "fit",
-            "--data",
-            &data,
-            "--out",
-            "/tmp/x.json",
-            "--min-profit-per-item",
-            "target-1=abc",
-        ]))
-        .unwrap_err();
-        assert!(matches!(err, CliError::Usage(_)), "{err}");
+        // Malformed floor specs and floors that are not finite numbers
+        // are usage errors naming the value, and write no model.
+        let out = dir.join("bad.json").display().to_string();
+        for (flag, value, named) in [
+            ("--min-profit-per-item", "target-1=abc", "abc"),
+            ("--min-profit-per-item", "target-1=nan", "nan"),
+            ("--min-profit-per-item", "target-1=1,target-2=-inf", "-inf"),
+            ("--min-profit", "nan", "nan"),
+            ("--min-profit", "inf", "inf"),
+        ] {
+            let err = run(&v(&["fit", "--data", &data, "--out", &out, flag, value])).unwrap_err();
+            let CliError::Usage(msg) = err else {
+                panic!("{flag} {value}: {err}");
+            };
+            assert!(msg.contains(&format!("{named:?}")), "{flag} {value}: {msg}");
+        }
+        assert!(!std::path::Path::new(&out).exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -33,6 +33,15 @@ impl HeadId {
     }
 }
 
+/// Per-head hit counts and profit sums over every transaction, indexed
+/// by [`HeadId`]: the default rule's statistics and the inputs of the
+/// default-dominance floor.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct HeadTotals {
+    pub(crate) hits: Vec<u64>,
+    pub(crate) profit: Vec<f64>,
+}
+
 /// One interned target sale: which heads it hits and what each earns.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Profile {
@@ -278,16 +287,19 @@ impl ExtendedData {
             .map(|_| self.margin(profile, head))
     }
 
-    /// Add every transaction from `from` on to per-head hit counts and
-    /// profit sums, in tid order — the same left-to-right `f64`
-    /// summation sequence whether the totals are built in one pass or
-    /// patched delta by delta. Both slices are indexed by [`HeadId`].
-    pub(crate) fn add_head_totals(&self, from: usize, hits: &mut [u64], profit: &mut [f64]) {
+    /// Add every transaction from `from` on to `totals`, in tid order —
+    /// the same left-to-right `f64` summation sequence whether the
+    /// totals are built in one pass or patched delta by delta. Heads
+    /// new since the last call start at zero: earlier transactions
+    /// cannot hit a head that did not exist when they were recorded.
+    pub(crate) fn add_head_totals(&self, from: usize, totals: &mut HeadTotals) {
+        totals.hits.resize(self.n_heads(), 0);
+        totals.profit.resize(self.n_heads(), 0.0);
         for &profile in &self.txn_profile[from..] {
             let p = &self.profiles[profile as usize];
             for &h in &self.head_sets[p.head_set as usize] {
-                hits[h.index()] += 1;
-                profit[h.index()] += self.margin(profile, h);
+                totals.hits[h.index()] += 1;
+                totals.profit[h.index()] += self.margin(profile, h);
             }
         }
     }

@@ -33,9 +33,11 @@
 //! generation-order tie-break survives verbatim; generation indices are
 //! renumbered over the assembled sequence.
 
-use crate::extend::{ExtendedData, HeadId};
+use crate::extend::{ExtendedData, HeadId, HeadTotals};
 use crate::interner::GsId;
-use crate::miner::{HeadGates, MinedRules, MoaMode, PairCounts, RuleEmitter, RuleMiner};
+use crate::miner::{
+    dominance_floor, HeadGates, MinedRules, MoaMode, PairCounts, RuleEmitter, RuleMiner, NO_FLOOR,
+};
 use crate::rule::Rule;
 use crate::tidset::{TidScratch, TidSet};
 use pm_txn::{Moa, TransactionSet};
@@ -55,9 +57,9 @@ struct MinerState {
     /// Support count of the last (re)mine; only ever rises.
     minsup: u32,
     /// Per-head hit / profit accumulators over all transactions, patched
-    /// in tid order — the default-dominance floor inputs.
-    head_hits: Vec<u64>,
-    head_profit: Vec<f64>,
+    /// in tid order — the default-dominance floor inputs and the default
+    /// rule's statistics.
+    totals: HeadTotals,
     /// Per-`GsId` caches of floor-unfiltered rules; `None` for anchors
     /// that changed since their last mine (or were never frequent).
     caches: Vec<Option<AnchorCache>>,
@@ -169,10 +171,8 @@ impl MinerState {
         );
         let extended = ExtendedData::build(data, &moa, config.quantity);
         let tidsets = extended.tidsets();
-        let h = extended.n_heads();
-        let mut head_hits = vec![0u64; h];
-        let mut head_profit = vec![0.0f64; h];
-        extended.add_head_totals(0, &mut head_hits, &mut head_profit);
+        let mut totals = HeadTotals::default();
+        extended.add_head_totals(0, &mut totals);
         let minsup = config.min_support.to_count(extended.n_transactions());
         let caches = (0..extended.n_gs()).map(|_| None).collect();
         MinerState {
@@ -180,23 +180,17 @@ impl MinerState {
             extended,
             tidsets,
             minsup,
-            head_hits,
-            head_profit,
+            totals,
             caches,
         }
     }
 }
 
-/// The floor value that disables the default-dominance filter: both
-/// comparisons in the emit predicate are against `-∞ + 1e-12 = -∞` and
-/// can never be true.
-const NO_FLOOR: (f64, f64) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
-
 /// The exact emission-time filter a cached rule must re-pass at
 /// assembly: today's support count plus the default-dominance floor,
 /// with the same expressions and tolerances as [`RuleEmitter::emit`].
-/// (Confidence, rule-profit/per-item floors, and the target-filter head
-/// mask are `n`-independent and were already applied when the cache was
+/// (Confidence and the per-head floors, the target included, are
+/// `n`-independent and were already applied when the cache was
 /// generated.)
 fn survives(r: &Rule, minsup: u32, floor: (f64, f64)) -> bool {
     if r.hits < minsup {
@@ -284,18 +278,10 @@ impl IncrementalMiner {
             .extend(data, &state.moa, config.quantity, old_n);
         let new_n = state.extended.n_transactions();
         let n_gs = state.extended.n_gs();
-        // New target items bring new heads; their accumulators start at
-        // zero and are patched by the delta loop below, exactly like a
-        // cold pass (old transactions cannot hit a head that did not
-        // exist when they were recorded).
-        state.head_hits.resize(state.extended.n_heads(), 0);
-        state.head_profit.resize(state.extended.n_heads(), 0.0);
-
         // Patch the floor accumulators in the order a cold pass adds
-        // these terms.
-        state
-            .extended
-            .add_head_totals(old_n, &mut state.head_hits, &mut state.head_profit);
+        // these terms; new target items bring new heads, which start at
+        // zero exactly like a cold pass.
+        state.extended.add_head_totals(old_n, &mut state.totals);
         // Delta tids per generalized sale — ascending, because delta
         // transactions are walked in tid order.
         let mut delta: Vec<Vec<u32>> = vec![Vec::new(); n_gs];
@@ -497,15 +483,7 @@ impl IncrementalMiner {
         // level-1 rules (GsId ascending), then every anchor's DFS rules
         // (anchor order, pre-order within), each rule re-passing
         // today's support and dominance floor.
-        let floor = if !config.prune_default_dominated {
-            NO_FLOOR
-        } else {
-            let nf = n as f64;
-            (
-                state.head_profit.iter().cloned().fold(0.0f64, f64::max) / nf,
-                state.head_hits.iter().cloned().max().unwrap_or(0) as f64 / nf,
-            )
-        };
+        let floor = dominance_floor(config, &state.totals, n);
         let cache_of = |g: GsId| -> &AnchorCache {
             let c = state.caches[g.index()]
                 .as_ref()
@@ -549,7 +527,8 @@ impl IncrementalMiner {
             state.extended.clone(),
             state.tidsets.clone(),
             state.moa.clone(),
-            miner.target().cloned(),
+            state.totals.clone(),
+            gates.floor,
         )
     }
 }

@@ -250,7 +250,7 @@ impl From<StoreError> for ServeError {
 /// A model is servable iff it ends with the §3.2 default rule `∅ → g`:
 /// the degraded answer and the matcher's always-matches invariant both
 /// rely on it. Models built by the pipeline always satisfy this, but a
-/// hand-crafted legacy raw-JSON file can violate it — and a rule-less
+/// hand-crafted model file can violate it — and a rule-less
 /// model used to underflow-panic the degraded path at serve time.
 fn validate_servable(model: &RuleModel) -> Result<(), String> {
     match model.rules().last() {
@@ -301,8 +301,8 @@ fn validate_rules(saved: &SavedModel) -> Result<(), String> {
     Ok(())
 }
 
-/// Load a model file through the crash-safe store: enveloped files are
-/// checksum-verified, legacy raw-JSON files still load. Every failure —
+/// Load a model file through the crash-safe store, which verifies the
+/// envelope's magic, version, length and checksum. Every failure —
 /// I/O, torn envelope, bit flip, version skew, JSON parse, malformed
 /// catalog or hierarchy tables, a rule naming an item, code or concept
 /// outside them, a model with no servable default rule —
@@ -316,17 +316,13 @@ pub fn load_model(path: impl AsRef<Path>) -> Result<RuleModel, ServeError> {
         path: path.display().to_string(),
         err,
     };
-    let (payload, provenance) = pm_store::load_model_file(path)?;
+    let (payload, _) = pm_store::load_model_file(path)?;
     let text =
         String::from_utf8(payload).map_err(|e| invalid(format!("payload is not UTF-8: {e}")))?;
     let saved: SavedModel = serde_json::from_str(&text).map_err(|e| invalid(e.to_string()))?;
     TransactionSet::validate_tables(&saved.catalog, &saved.hierarchy)
         .map_err(|e| invalid(e.to_string()))?;
     validate_rules(&saved).map_err(invalid)?;
-    if provenance == pm_store::Provenance::LegacyRaw {
-        pm_obs::counter("serve.legacy_model_loads").inc();
-        pm_obs::info!("serve.legacy_model", path = path.display());
-    }
     let model = RuleModel::load(saved);
     validate_servable(&model).map_err(|why| ServeError::Degenerate {
         path: path.display().to_string(),
@@ -1657,9 +1653,8 @@ fn recommend_with_degradation(
         pm_store::faults::apply_compute_delay();
         let m = matcher.expect("index build panicked; degrading");
         match target {
-            Some(t) => m.recommend_top_k_where(sales, top, t),
             None if top == 1 => vec![m.recommend(sales)],
-            None => m.recommend_top_k(sales, top),
+            _ => m.recommend_top_k(sales, top, target),
         }
     }));
     let elapsed = start.elapsed();
@@ -1701,19 +1696,14 @@ fn recommend_with_degradation(
 /// models at load time, and even if one slipped through, the answer is
 /// an empty recommendation list, not an underflow panic.
 fn default_rule_recs(model: &RuleModel) -> Vec<Recommendation> {
-    let Some(idx) = model.rules().len().checked_sub(1) else {
-        return Vec::new();
-    };
-    let r = &model.rules()[idx];
-    debug_assert!(r.is_default, "servable models end with the default rule");
-    vec![Recommendation {
-        item: r.item,
-        code: r.code,
-        promotion: *model.moa().catalog().code(r.item, r.code),
-        expected_profit: r.prof_re,
-        confidence: r.confidence,
-        rule_index: Some(idx),
-    }]
+    let last = model.rules().len().checked_sub(1);
+    debug_assert!(
+        last.is_none_or(|idx| model.rules()[idx].is_default),
+        "servable models end with the default rule"
+    );
+    last.map(|idx| model.recommendation(idx))
+        .into_iter()
+        .collect()
 }
 
 /// Control-plane executor: runs reloads, ingests and checkpoints off

@@ -135,7 +135,7 @@ fn json_u64(line: &str, key: &str) -> u64 {
 }
 
 /// The old engine computed `rules().len() - 1` on the degraded path, so
-/// a hand-crafted rule-less legacy file underflow-panicked a worker at
+/// a hand-crafted rule-less model file underflow-panicked a worker at
 /// serve time. Now such models are rejected with a typed error at
 /// startup and at reload, and the old model keeps serving.
 #[test]
@@ -144,19 +144,24 @@ fn rule_less_models_are_rejected_at_startup_and_reload() {
     let fix = fixture();
     let dir = tmp_dir("ruleless");
 
-    // A legacy raw-JSON model file with zero rules.
+    // A sealed model file with zero rules.
     let mut saved: profit_core::SavedModel = serde_json::from_str(&fix.json).unwrap();
     saved.rules.clear();
-    let empty_path = dir.join("empty.json");
-    std::fs::write(&empty_path, serde_json::to_string(&saved).unwrap()).unwrap();
+    let empty_json = serde_json::to_string(&saved).unwrap();
+    let empty_path = dir.join("empty.pm");
+    pm_store::save_sealed(&empty_path, empty_json.as_bytes()).unwrap();
 
     // And one whose last rule is not the default rule (fixture_b has
     // plenty of non-default rules to keep).
     let mut saved: profit_core::SavedModel = serde_json::from_str(&fixture_b().json).unwrap();
     saved.rules.retain(|r| !r.is_default);
     assert!(!saved.rules.is_empty(), "fixture needs non-default rules");
-    let no_default_path = dir.join("no-default.json");
-    std::fs::write(&no_default_path, serde_json::to_string(&saved).unwrap()).unwrap();
+    let no_default_path = dir.join("no-default.pm");
+    pm_store::save_sealed(
+        &no_default_path,
+        serde_json::to_string(&saved).unwrap().as_bytes(),
+    )
+    .unwrap();
 
     // Startup refuses both, with a typed, printable error.
     for (path, needle) in [
@@ -180,7 +185,7 @@ fn rule_less_models_are_rejected_at_startup_and_reload() {
     let good = sealed_model_file(&dir, "good.pm", fix);
     let server = Server::start("127.0.0.1:0", &good, ServeConfig::default()).unwrap();
     let mut c = Client::connect(server.addr());
-    pm_store::save_sealed(&good, &std::fs::read(&empty_path).unwrap()).unwrap();
+    pm_store::save_sealed(&good, empty_json.as_bytes()).unwrap();
     let resp = c.send(r#"{"op":"reload"}"#);
     assert!(resp.contains("keeping current model"), "{resp}");
     assert!(resp.contains("unservable model"), "{resp}");

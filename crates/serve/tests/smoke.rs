@@ -500,26 +500,6 @@ fn slow_and_oversized_clients_are_disconnected_not_leaked() {
 }
 
 #[test]
-fn legacy_raw_json_model_files_still_serve() {
-    let _guard = faults::test_lock();
-    let fix = fixture();
-    let dir = tmp_dir("legacy");
-    let path = dir.join("legacy-model.json");
-    // A pre-envelope model file: raw JSON straight on disk.
-    std::fs::write(&path, fix.json.as_bytes()).unwrap();
-    let server = Server::start("127.0.0.1:0", &path, ServeConfig::default()).unwrap();
-    let mut c = Client::connect(server.addr());
-    let customer = &fix.customers[4];
-    assert_eq!(
-        c.send(&recommend_line(customer)),
-        expected_line(&fix.model, customer)
-    );
-    assert_ok(&c.send(r#"{"op":"shutdown"}"#));
-    server.join();
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn top_k_recommendations_match_the_offline_model() {
     let _guard = faults::test_lock();
     let fix = fixture();
@@ -537,7 +517,7 @@ fn top_k_recommendations_match_the_offline_model() {
         r#"{{"op":"recommend","sales":[{}],"top":3}}"#,
         sales.join(",")
     ));
-    let recs = fix.model.recommend_top_k(customer, 3);
+    let recs = fix.model.recommend_top_k(customer, 3, None);
     let want = render(&obj(vec![
         ("ok", Value::Bool(true)),
         ("degraded", Value::Bool(false)),
@@ -574,7 +554,7 @@ fn targeted_recommends_match_the_offline_model_and_bad_specs_error() {
         .find(|(_, t, _)| {
             fix.customers
                 .iter()
-                .any(|cu| !fix.model.recommend_top_k_where(cu, 3, t).is_empty())
+                .any(|cu| !fix.model.recommend_top_k(cu, 3, Some(t)).is_empty())
         })
         .expect("some promotion code is recommendable");
     let mut saw_nonempty = false;
@@ -587,7 +567,7 @@ fn targeted_recommends_match_the_offline_model_and_bad_specs_error() {
             r#"{{"op":"recommend","sales":[{}],"top":3,"target":"{spec}"}}"#,
             sales.join(",")
         ));
-        let recs = fix.model.recommend_top_k_where(customer, 3, &target);
+        let recs = fix.model.recommend_top_k(customer, 3, Some(&target));
         saw_nonempty |= !recs.is_empty();
         for r in &recs {
             assert_eq!(r.code.0, code, "target {spec} admits only that code");

@@ -373,9 +373,6 @@ fn open_nonblocking(path: &Path) -> std::io::Result<std::fs::File> {
 pub enum Provenance {
     /// A `PMDL`-enveloped file; length and checksum were verified.
     Sealed,
-    /// A pre-envelope raw JSON model file (accepted for compatibility;
-    /// carries no integrity protection).
-    LegacyRaw,
 }
 
 /// Write `payload` to `path` as a sealed envelope, atomically.
@@ -383,25 +380,14 @@ pub fn save_sealed(path: impl AsRef<Path>, payload: &[u8]) -> Result<(), StoreEr
     write_atomic(path, &envelope::seal(payload))
 }
 
-/// Load a model file: enveloped files are verified (magic, version,
-/// length, CRC) and unwrapped; files that do not start with the magic
-/// are returned as-is, flagged [`Provenance::LegacyRaw`], so model files
-/// written before the envelope existed keep loading.
-///
-/// A file that *does* start with the magic — or with a truncated prefix
-/// of it, which an envelope torn inside its first four bytes leaves
-/// behind — gets no legacy fallback: it is an error, never silently
-/// reparsed. (No legacy JSON model can begin with a `PMDL` prefix, and
-/// an empty file is valid as neither, so the sniff is unambiguous.)
+/// Load a model file: the envelope is verified (magic, version,
+/// length, CRC) and its payload returned. Every model file is an
+/// envelope, so a file that does not start with the magic is
+/// [`StoreError::BadMagic`].
 pub fn load_model_file(path: impl AsRef<Path>) -> Result<(Vec<u8>, Provenance), StoreError> {
     let bytes = read_file(path)?;
-    let head = &bytes[..bytes.len().min(envelope::MAGIC.len())];
-    if envelope::MAGIC.starts_with(head) {
-        let payload = envelope::open(&bytes)?;
-        Ok((payload.to_vec(), Provenance::Sealed))
-    } else {
-        Ok((bytes, Provenance::LegacyRaw))
-    }
+    let payload = envelope::open(&bytes)?;
+    Ok((payload.to_vec(), Provenance::Sealed))
 }
 
 #[cfg(test)]
@@ -486,18 +472,6 @@ mod tests {
         let (payload, prov) = load_model_file(&p).unwrap();
         assert_eq!(payload, b"{\"rules\":[]}");
         assert_eq!(prov, Provenance::Sealed);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn legacy_raw_json_still_loads() {
-        let _guard = crate::faults::test_lock();
-        let dir = tmp_dir("legacy");
-        let p = dir.join("old-model.json");
-        std::fs::write(&p, b"{\"catalog\":{}}").unwrap();
-        let (payload, prov) = load_model_file(&p).unwrap();
-        assert_eq!(payload, b"{\"catalog\":{}}");
-        assert_eq!(prov, Provenance::LegacyRaw);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -86,8 +86,6 @@ fn truncation_at_every_offset_is_detected() {
     for k in [0, 2, HEADER_LEN - 1, HEADER_LEN, HEADER_LEN + 11] {
         let torn = dir.join(format!("torn-{k}.pm"));
         std::fs::write(&torn, &std::fs::read(&p).unwrap()[..k]).unwrap();
-        // Even a tear inside the magic is an error, not a "legacy" file:
-        // no legacy JSON model starts with a PMDL prefix (or is empty).
         load_model_file(&torn).expect_err("on-disk truncation must not load");
     }
     assert!(full > HEADER_LEN + 11);
@@ -151,15 +149,21 @@ fn wrong_version_and_wrong_magic_are_typed_errors() {
         StoreError::UnsupportedVersion { found: 0, .. }
     ));
 
-    // A wrong magic routes to the legacy-raw path only via
-    // `load_model_file`; `envelope::open` itself reports BadMagic.
+    // A wrong magic is BadMagic, from the envelope and from a model
+    // file alike: every model file is an envelope.
     let mut bad = sealed;
     bad[0] = b'X';
-    let err = envelope::open(&bad).unwrap_err();
-    assert!(
-        matches!(err, StoreError::BadMagic { found } if found == *b"XMDL"),
-        "{err:?}"
-    );
+    let p = dir.join("xmdl.pm");
+    write_atomic(&p, &bad).unwrap();
+    for err in [
+        envelope::open(&bad).unwrap_err(),
+        load_model_file(&p).unwrap_err(),
+    ] {
+        assert!(
+            matches!(err, StoreError::BadMagic { found } if found == *b"XMDL"),
+            "{err:?}"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

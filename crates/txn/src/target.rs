@@ -116,8 +116,9 @@ impl TargetFilter {
 
 /// Parse a per-item minimum-profit floor spec: `NAME=FLOOR[,NAME=FLOOR...]`
 /// where `NAME` is an item name (or raw id) from `catalog` and `FLOOR` a
-/// dollar amount. Returns `(item, floor)` pairs in spec order, one entry
-/// per item (later entries overwrite earlier ones).
+/// finite dollar amount (`nan` and `inf` are refused). Returns `(item,
+/// floor)` pairs in spec order, one entry per item (later entries
+/// overwrite earlier ones).
 pub fn parse_item_floors(spec: &str, catalog: &Catalog) -> Result<Vec<(ItemId, f64)>, String> {
     let mut floors: Vec<(ItemId, f64)> = Vec::new();
     for part in spec.split(',').map(str::trim).filter(|s| !s.is_empty()) {
@@ -139,7 +140,9 @@ pub fn parse_item_floors(spec: &str, catalog: &Catalog) -> Result<Vec<(ItemId, f
         let floor: f64 = value
             .trim()
             .parse()
-            .map_err(|_| format!("bad floor spec: {value:?} is not a number"))?;
+            .ok()
+            .filter(|f: &f64| f.is_finite())
+            .ok_or_else(|| format!("bad floor spec: {value:?} is not a finite number"))?;
         match floors.iter_mut().find(|(i, _)| *i == id) {
             Some(slot) => slot.1 = floor,
             None => floors.push((id, floor)),
@@ -248,5 +251,10 @@ mod tests {
         assert!(parse_item_floors("nope=1", &cat).is_err());
         assert!(parse_item_floors("snack-a", &cat).is_err());
         assert!(parse_item_floors("snack-a=zz", &cat).is_err());
+        // Floors must be finite, and the error names the value.
+        for value in ["nan", "NaN", "inf", "-inf", "infinity", "1e999"] {
+            let err = parse_item_floors(&format!("snack-a=1,snack-b={value}"), &cat).unwrap_err();
+            assert!(err.contains(value), "{value}: {err}");
+        }
     }
 }
