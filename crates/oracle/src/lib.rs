@@ -71,7 +71,8 @@ pub struct OracleConfig {
     /// Scalar minimum `Prof_ru` admission floor (the PR 7 `--min-profit`).
     pub min_rule_profit: Option<f64>,
     /// Per-item minimum `Prof_ru` floors; an item's entry overrides the
-    /// scalar floor for heads on that item.
+    /// scalar floor for heads on that item. A `+∞` floor (per-item or
+    /// scalar) puts the heads outside the target, default rule included.
     pub min_profit_per_item: Vec<(ItemId, f64)>,
 }
 
@@ -238,13 +239,16 @@ impl Oracle {
         oracle
     }
 
-    /// Does the head `(item, code)` fall inside the configured target
-    /// filter (vacuously true without one)?
+    /// Does the head `(item, code)` fall inside the target: inside the
+    /// configured filter (vacuously true without one) and not under a
+    /// `+∞` floor, which excludes the item's heads exactly as a filter
+    /// that leaves them out does? A NaN floor excludes nothing.
     pub fn head_in_target(&self, item: ItemId, code: CodeId) -> bool {
-        match &self.config.target {
-            None => true,
-            Some(t) => t.matches(&self.hierarchy, item, code),
-        }
+        self.head_floor(item) != f64::INFINITY
+            && match &self.config.target {
+                None => true,
+                Some(t) => t.matches(&self.hierarchy, item, code),
+            }
     }
 
     /// The effective `Prof_ru` admission floor for heads on `item`: the
@@ -295,8 +299,8 @@ impl Oracle {
             OracleProfitMode::Profit => self.head_totals[i].1,
             OracleProfitMode::Confidence => self.head_totals[i].0 as f64,
         };
-        // Under a target filter the arg-max restricts to in-target heads;
-        // when none qualifies it falls back to the full head universe so
+        // Under a target filter or `+∞` floors the arg-max restricts to
+        // in-target heads; when none qualifies it falls back to the full head universe so
         // the default rule (which must always exist) stays well-defined.
         let mut domain: Vec<usize> = (0..self.heads.len())
             .filter(|&h| self.head_in_target(self.heads[h].0, self.heads[h].1))
@@ -1030,6 +1034,26 @@ mod tests {
             },
         );
         assert_eq!(alone.frequent_rules(), scalar.frequent_rules());
+        // A `+∞` floor leaves Sunchip outside the target, like a filter
+        // that omits it; a NaN floor excludes nothing.
+        let excluded = Oracle::build(
+            &dataset(),
+            OracleConfig {
+                min_profit_per_item: vec![(SUNCHIP, f64::INFINITY)],
+                ..OracleConfig::new(1, 2)
+            },
+        );
+        assert!(!excluded.head_in_target(SUNCHIP, CodeId(0)));
+        assert!(excluded.frequent_rules().is_empty());
+        let nan = Oracle::build(
+            &dataset(),
+            OracleConfig {
+                min_profit_per_item: vec![(SUNCHIP, f64::NAN)],
+                ..OracleConfig::new(1, 2)
+            },
+        );
+        assert!(nan.head_in_target(SUNCHIP, CodeId(0)));
+        assert_eq!(nan.frequent_rules(), oracle(1, true).frequent_rules());
     }
 
     #[test]
