@@ -62,8 +62,8 @@ fn load_model(args: &ArgMap) -> Result<RuleModel, CliError> {
     })
 }
 
-/// `--threads N`: worker threads (0 = all cores, 1 = sequential). The
-/// result is bit-identical at every setting.
+/// `--threads N`: worker threads (0 = all cores, 1 = every job inline on
+/// one thread). The result is bit-identical at every setting.
 fn threads(args: &ArgMap) -> Result<usize, CliError> {
     args.get_or("--threads", 0usize)
 }
@@ -93,13 +93,22 @@ fn item_floors(args: &ArgMap, catalog: &Catalog) -> Result<Vec<(ItemId, f64)>, C
     }
 }
 
-fn miner_config(args: &ArgMap) -> Result<MinerConfig, CliError> {
-    let minsup: f64 = args.get_or("--minsup", 0.001)?;
-    if !(0.0..=1.0).contains(&minsup) || minsup == 0.0 {
-        return Err(CliError::Usage("--minsup must be in (0, 1]".into()));
+/// `--minsup F`: the minimum support fraction, in `(0, 1]`; `fit` and
+/// `eval` share the check.
+fn minsup(args: &ArgMap, default: f64) -> Result<f64, CliError> {
+    let minsup: f64 = args.get_or("--minsup", default)?;
+    if minsup > 0.0 && minsup <= 1.0 {
+        Ok(minsup)
+    } else {
+        Err(CliError::Usage(format!(
+            "--minsup must be in (0, 1], got {minsup}"
+        )))
     }
+}
+
+fn miner_config(args: &ArgMap) -> Result<MinerConfig, CliError> {
     Ok(MinerConfig {
-        min_support: Support::Fraction(minsup),
+        min_support: Support::Fraction(minsup(args, 0.001)?),
         max_body_len: args.get_or("--max-body", 3usize)?,
         moa: if args.switch("--no-moa") {
             MoaMode::Disabled
@@ -117,6 +126,12 @@ fn miner_config(args: &ArgMap) -> Result<MinerConfig, CliError> {
                 let f: f64 = v
                     .parse()
                     .map_err(|_| CliError::Usage("--min-conf: bad number".into()))?;
+                if !(0.0..=1.0).contains(&f) {
+                    return Err(CliError::Usage(format!(
+                        "--min-conf: {v:?} is not a confidence in [0, 1]"
+                    )));
+                }
+                // 0 is no floor.
                 (f > 0.0).then_some(f)
             }
         },
@@ -570,9 +585,16 @@ pub fn eval(args: &ArgMap) -> Result<String, CliError> {
             "dataset is empty — nothing to evaluate".into(),
         ));
     }
-    let minsup: f64 = args.get_or("--minsup", 0.002)?;
+    let minsup = minsup(args, 0.002)?;
+    let n_folds: usize = args.get_or("--folds", 5usize)?;
+    if !(2..=data.len()).contains(&n_folds) {
+        return Err(CliError::Usage(format!(
+            "--folds {n_folds} is outside 2..={} (the transaction count)",
+            data.len()
+        )));
+    }
     let cfg = EvalConfig {
-        n_folds: args.get_or("--folds", 5usize)?,
+        n_folds,
         seed: args.get_or("--seed", 2002u64)?,
         sweep: vec![minsup],
         max_body_len: args.get_or("--max-body", 3usize)?,

@@ -170,10 +170,14 @@ USAGE
   profit-mining help
 
   --threads N selects the worker-thread count for mining and evaluation
-  (0 = all cores, the default; 1 = sequential); output is bit-identical
-  at every setting. --min-profit F admits only rules with body profit
-  ≥ F — the absolute floor the miner's profit upper bound cuts hardest
-  against. Every command rejects flags it does not read.
+  (0 = all cores, the default; 1 runs the same jobs inline on one
+  thread); output is bit-identical at every setting. --minsup F must be
+  in (0, 1] for fit and eval alike. --min-conf F admits only rules with
+  confidence ≥ F, a number in [0, 1] (default 0.5; 0 is no floor).
+  --min-profit F admits only rules with body profit ≥ F — the absolute
+  floor the miner's profit upper bound cuts hardest against. eval
+  --folds N must lie between 2 and the transaction count. Every
+  command rejects flags it does not read.
   --min-profit-per-item NAME=F,... sets per-item floors that override
   the scalar for the named target items (names or raw ids). Floors
   must be finite numbers: nan and inf are usage errors.
@@ -666,6 +670,9 @@ mod tests {
         ));
     }
 
+    /// Missing required flags, and `eval` flag values `fit` refuses or
+    /// `Folds` cannot split by, are usage errors that name the value,
+    /// not a panic or a table headed "minsup NaN%".
     #[test]
     fn missing_required_flags_are_usage_errors() {
         let _guard = pm_store::faults::test_lock();
@@ -673,6 +680,30 @@ mod tests {
         assert!(matches!(run(&v(&["recommend"])), Err(CliError::Usage(_))));
         assert!(matches!(run(&v(&["ingest"])), Err(CliError::Usage(_))));
         assert!(matches!(run(&v(&["split"])), Err(CliError::Usage(_))));
+
+        let dir = std::env::temp_dir().join(format!("pm-cli-evalflags-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let data = dir.join("data.json").display().to_string();
+        run(&v(&[
+            "gen", "--out", &data, "--txns", "300", "--items", "60", "--seed", "5",
+        ]))
+        .unwrap();
+        for (flag, value, named) in [
+            ("--minsup", "0", "--minsup must be in (0, 1], got 0"),
+            ("--minsup", "-1", "got -1"),
+            ("--minsup", "nan", "got NaN"),
+            ("--minsup", "2", "got 2"),
+            ("--folds", "0", "--folds 0 is outside 2..=300"),
+            ("--folds", "1", "--folds 1 "),
+            ("--folds", "100000", "--folds 100000 "),
+        ] {
+            let err = run(&v(&["eval", "--data", &data, flag, value])).unwrap_err();
+            let CliError::Usage(msg) = err else {
+                panic!("eval {flag} {value}: {err}");
+            };
+            assert!(msg.contains(named), "eval {flag} {value}: {msg}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// The full streaming pipeline: `split` a dataset, `ingest` the tail
@@ -967,7 +998,8 @@ mod tests {
     }
 
     /// Uniform per-item floors are byte-identical to the scalar floor,
-    /// and a floor must be a finite number.
+    /// a floor must be a finite number, and a confidence floor must be
+    /// a confidence.
     #[test]
     fn per_item_floor_flag_generalizes_scalar() {
         let _guard = pm_store::faults::test_lock();
@@ -1010,6 +1042,10 @@ mod tests {
             ("--min-profit-per-item", "target-1=1,target-2=-inf", "-inf"),
             ("--min-profit", "nan", "nan"),
             ("--min-profit", "inf", "inf"),
+            ("--min-conf", "nan", "nan"),
+            ("--min-conf", "-1", "-1"),
+            ("--min-conf", "2", "2"),
+            ("--min-conf", "inf", "inf"),
         ] {
             let err = run(&v(&["fit", "--data", &data, "--out", &out, flag, value])).unwrap_err();
             let CliError::Usage(msg) = err else {

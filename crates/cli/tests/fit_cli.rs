@@ -1,7 +1,7 @@
 //! End-to-end checks of the fit-side verbs through the real binary:
 //! input files that are not regular files fail at once and name
-//! themselves, and the miner's scan work counters repeat exactly from
-//! run to run and across thread counts.
+//! themselves, and the miner's DFS work counters equal a pinned
+//! baseline at every thread count.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -146,7 +146,8 @@ fn non_regular_input_files_fail_fast_and_name_the_path() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The `--metrics` value of a counter.
+/// The `--metrics` value of a counter; the dump omits counters that
+/// stayed at 0.
 fn counter(metrics: &Path, name: &str) -> u64 {
     let text = std::fs::read_to_string(metrics).expect("metrics file written");
     let serde::Value::Map(top) = serde_json::from_str(&text).expect("metrics dump is JSON") else {
@@ -160,18 +161,33 @@ fn counter(metrics: &Path, name: &str) -> u64 {
         })
         .expect("dump has counters");
     match counters.iter().find(|(k, _)| k == name) {
+        None => 0,
         Some((_, serde::Value::U64(c))) => *c,
         other => panic!("counter {name}: {other:?}"),
     }
 }
 
-/// `mine.tids_scanned` and `mine.head_sums` count the miner's head scan:
-/// tids histogrammed by head set, and per-head profit passes. They are
-/// work, not time, so they must repeat exactly across two runs and at 1
-/// and 4 threads on the CI smoke data, with and without the profit
-/// floor that turns on the upper bound's transaction-level sum.
+/// The eight DFS work counters, in the order the baseline lists them.
+const DFS_COUNTERS: [&str; 8] = [
+    "miner.candidates_pruned",
+    "miner.tidset_switches",
+    "mine.ub_evaluated",
+    "mine.ub_pruned",
+    "mine.tids_scanned",
+    "mine.head_sums",
+    "miner.tidsets_dense",
+    "miner.tidsets_sparse",
+];
+
+/// The miner's DFS work, pinned: candidates abandoned by the minsup
+/// early exit, dense↔sparse switches, upper-bound evaluations and cuts,
+/// tids histogrammed and per-head profit passes, and the stored
+/// tidsets by representation. They count work, not time, so a `fit` of
+/// the CI smoke data (`gen --txns 400 --items 80 --seed 5`, bodies of
+/// at most 3 sales) must reproduce them exactly at 1 and 4 threads. A
+/// change that moves a count updates the baseline and says why.
 #[test]
-fn scan_work_counters_repeat_across_runs_and_thread_counts() {
+fn dfs_work_counters_equal_the_pinned_baseline() {
     let dir = tmp_dir("counters");
     let data = dir.join("data.json");
     run_ok(&[
@@ -187,17 +203,28 @@ fn scan_work_counters_repeat_across_runs_and_thread_counts() {
     ]);
     let model = dir.join("model.pm");
     let metrics = dir.join("metrics.json");
-    for floor in [None, Some("2")] {
-        let mut seen = Vec::new();
-        for threads in ["1", "1", "4"] {
+    let baseline: [(&[&str], [u64; 8]); 3] = [
+        (
+            &["--minsup", "0.03"],
+            [30_208, 0, 5_654, 1_575, 1_298_194, 85_216, 212, 8],
+        ),
+        (
+            &["--minsup", "0.03", "--min-profit", "5"],
+            [24_519, 0, 5_633, 2_288, 1_261_688, 84_238, 212, 8],
+        ),
+        (
+            &["--minsup", "0.01"],
+            [160_346, 98_701, 12_387, 1_779, 2_375_092, 721_058, 212, 8],
+        ),
+    ];
+    for (regime, expect) in baseline {
+        for threads in ["1", "4"] {
             let mut argv = vec![
                 "fit",
                 "--data",
                 path(&data),
                 "--out",
                 path(&model),
-                "--minsup",
-                "0.03",
                 "--max-body",
                 "3",
                 "--threads",
@@ -205,21 +232,11 @@ fn scan_work_counters_repeat_across_runs_and_thread_counts() {
                 "--metrics",
                 path(&metrics),
             ];
-            if let Some(f) = floor {
-                argv.extend(["--min-profit", f]);
-            }
+            argv.extend(regime);
             run_ok(&argv);
-            let counts = (
-                counter(&metrics, "mine.tids_scanned"),
-                counter(&metrics, "mine.head_sums"),
-            );
-            assert!(counts.0 > 0 && counts.1 > 0, "{argv:?}: {counts:?}");
-            seen.push(counts);
+            let got = DFS_COUNTERS.map(|name| counter(&metrics, name));
+            assert_eq!(got, expect, "{argv:?}: {DFS_COUNTERS:?}");
         }
-        assert!(
-            seen.iter().all(|&c| c == seen[0]),
-            "floor {floor:?}: counters moved between runs {seen:?}"
-        );
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

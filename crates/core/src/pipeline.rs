@@ -46,15 +46,12 @@ pub struct BuildStats {
     pub projected_profit: f64,
 }
 
-/// The end-to-end profit miner: a rule-mining configuration plus a
-/// recommender-construction configuration.
+/// The end-to-end profit miner: a rule miner plus a recommender-construction
+/// configuration.
 #[derive(Debug, Clone, Default)]
 pub struct ProfitMiner {
-    miner: MinerConfig,
+    miner: RuleMiner,
     cut: CutConfig,
-    threads: usize,
-    target: Option<TargetFilter>,
-    item_floors: Vec<(ItemId, f64)>,
 }
 
 impl ProfitMiner {
@@ -63,11 +60,8 @@ impl ProfitMiner {
     /// all cores (see [`Self::with_threads`]).
     pub fn new(miner: MinerConfig) -> Self {
         Self {
-            miner,
+            miner: RuleMiner::new(miner),
             cut: CutConfig::default(),
-            threads: 0,
-            target: None,
-            item_floors: Vec::new(),
         }
     }
 
@@ -77,16 +71,12 @@ impl ProfitMiner {
         self
     }
 
-    /// Set the mining worker thread count: `0` = all cores, `1` =
-    /// sequential. The fitted model is bit-identical at any setting.
+    /// Set the mining worker thread count (see
+    /// [`RuleMiner::with_threads`]). The fitted model is bit-identical
+    /// at any setting.
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+        self.miner = self.miner.with_threads(threads);
         self
-    }
-
-    /// The configured worker thread count (`0` = all cores).
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Restrict mining to rule heads inside `target` (see
@@ -94,43 +84,15 @@ impl ProfitMiner {
     /// to post-filtering an untargeted model's rules to the target, with
     /// the default rule restricted to in-target heads.
     pub fn with_target(mut self, target: Option<TargetFilter>) -> Self {
-        self.target = target;
+        self.miner = self.miner.with_target(target);
         self
-    }
-
-    /// The configured target filter.
-    pub fn target(&self) -> Option<&TargetFilter> {
-        self.target.as_ref()
     }
 
     /// Per-item minimum rule-profit floors (see
     /// [`RuleMiner::with_item_floors`]).
     pub fn with_item_floors(mut self, floors: Vec<(ItemId, f64)>) -> Self {
-        self.item_floors = floors;
+        self.miner = self.miner.with_item_floors(floors);
         self
-    }
-
-    /// The configured per-item profit floors.
-    pub fn item_floors(&self) -> &[(ItemId, f64)] {
-        &self.item_floors
-    }
-
-    /// The mining configuration.
-    pub fn miner_config(&self) -> &MinerConfig {
-        &self.miner
-    }
-
-    /// The construction configuration.
-    pub fn cut_config(&self) -> &CutConfig {
-        &self.cut
-    }
-
-    /// The rule miner this pipeline configures.
-    fn rule_miner(&self) -> RuleMiner {
-        RuleMiner::new(self.miner)
-            .with_threads(self.threads)
-            .with_target(self.target.clone())
-            .with_item_floors(self.item_floors.clone())
     }
 
     /// Mine `data` and build the recommender.
@@ -142,7 +104,7 @@ impl ProfitMiner {
         assert!(!data.is_empty(), "cannot fit on an empty dataset");
         let mined = {
             let _span = pm_obs::span("fit.mine");
-            self.rule_miner().mine(data)
+            self.miner.mine(data)
         };
         let _span = pm_obs::span("fit.build");
         let model = RuleModel::build(&mined, &self.cut);
@@ -159,7 +121,7 @@ impl ProfitMiner {
     /// delta batches with [`IncrementalProfitMiner::update`].
     pub fn into_incremental(self) -> IncrementalProfitMiner {
         IncrementalProfitMiner {
-            inner: IncrementalMiner::new(self.rule_miner()),
+            inner: IncrementalMiner::new(self.miner),
             cut: self.cut,
         }
     }
@@ -177,11 +139,6 @@ pub struct IncrementalProfitMiner {
 }
 
 impl IncrementalProfitMiner {
-    /// The construction configuration.
-    pub fn cut_config(&self) -> &CutConfig {
-        &self.cut
-    }
-
     /// True once [`fit`](Self::fit) has run.
     pub fn is_fitted(&self) -> bool {
         self.inner.is_fitted()
@@ -248,7 +205,7 @@ impl IncrementalProfitMiner {
         snap: &MinerSnapshot,
     ) -> Result<Self, String> {
         Ok(Self {
-            inner: IncrementalMiner::restore(pipeline.rule_miner(), data, snap)?,
+            inner: IncrementalMiner::restore(pipeline.miner, data, snap)?,
             cut: pipeline.cut,
         })
     }

@@ -5,12 +5,15 @@
 //! harness need: an **order-preserving** parallel map over an index
 //! range, built on [`std::thread::scope`]. Work items are claimed
 //! dynamically through an atomic counter (good load balance for skewed
-//! per-anchor costs), but the results are reassembled by index, so the
-//! output of [`par_map`] is byte-identical at any thread count — the
+//! per-anchor costs), but every result reaches the caller in index
+//! order, so the output is byte-identical at any thread count — the
 //! property the §3.2 generation-order tie-break depends on.
 //!
-//! A thread count of `0` means "all available cores"; `1` runs inline on
-//! the calling thread with no pool at all.
+//! There is one pool, [`par_map_into`], which hands each result to a
+//! caller's sink in index order; [`par_map`] collects them. A thread
+//! count of `0` means "all available cores"; `1` runs the jobs inline on
+//! the calling thread, each result reaching the sink before the next
+//! job starts.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -21,19 +24,11 @@ pub fn max_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Resolve a requested thread count: `0` → the `PM_THREADS` environment
-/// variable if set (CI runs the whole test suite once with `PM_THREADS=1`
-/// to pin the sequential path), else all cores; an explicit request
-/// passes through unchanged.
+/// Resolve a requested thread count: `0` → all cores; an explicit
+/// request passes through unchanged.
 pub fn resolve(threads: usize) -> usize {
     if threads == 0 {
-        match std::env::var("PM_THREADS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-        {
-            Some(n) if n >= 1 => n,
-            _ => max_threads(),
-        }
+        max_threads()
     } else {
         threads
     }
@@ -50,97 +45,72 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let threads = resolve(threads).min(n.max(1));
-    if threads <= 1 || n <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut local: Vec<(usize, T)> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        local.push((i, f(i)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        for h in handles {
-            // A worker panic resurfaces here, on the caller's thread.
-            for (i, v) in h.join().expect("pm-par worker panicked") {
-                out[i] = Some(v);
-            }
-        }
-    });
-    out.into_iter()
-        .map(|o| o.expect("every index computed"))
-        .collect()
+    let mut out = Vec::with_capacity(n);
+    par_map_into(n, threads, || (), |_, i| f(i), |_, v| out.push(v));
+    out
 }
 
-/// [`par_map`] with per-worker scratch state: `init` runs once on each
-/// worker thread and the resulting state is threaded through every call
-/// that worker claims. Use this when each work item needs an expensive
-/// reusable buffer (the miner's per-anchor rule emitter). Results are
-/// still reassembled in index order, so the determinism guarantee of
-/// [`par_map`] carries over as long as `f` is deterministic per index
-/// for a freshly initialized *or* previously used state — i.e. the
-/// state is scratch, not an accumulator.
-pub fn par_map_init<S, T, G, F>(n: usize, threads: usize, init: G, f: F) -> Vec<T>
+/// Apply `f` to every index in `0..n` over up to `threads` worker
+/// threads (`0` = all cores) and hand each result to `sink(i, result)`
+/// on the calling thread, **in index order**.
+///
+/// `init` runs once per worker, and its state is threaded through every
+/// call that worker claims: scratch buffers reused across jobs (the
+/// miner's per-anchor rule emitter). The order `sink` sees is fixed as
+/// long as `f` is deterministic per index for a fresh *or* a used state,
+/// i.e. the state is scratch, not an accumulator.
+///
+/// At one thread the jobs run inline and result `i` reaches the sink
+/// before job `i + 1` starts, so a sink that appends results holds at
+/// most one unmerged result. With more threads a result waits until
+/// every lower index has reached the sink.
+///
+/// Panics in `f` are propagated to the caller.
+pub fn par_map_into<S, T, G, F, K>(n: usize, threads: usize, init: G, f: F, mut sink: K)
 where
     T: Send,
     G: Fn() -> S + Sync,
     F: Fn(&mut S, usize) -> T + Sync,
+    K: FnMut(usize, T),
 {
-    let threads = resolve(threads).min(n.max(1));
-    if threads <= 1 || n <= 1 {
+    let threads = resolve(threads).min(n);
+    if threads <= 1 {
         let mut state = init();
-        return (0..n).map(|i| f(&mut state, i)).collect();
+        for i in 0..n {
+            sink(i, f(&mut state, i));
+        }
+        return;
     }
     let next = AtomicUsize::new(0);
-    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    let (init, f) = (&init, &f);
     std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut state = init();
-                    let mut local: Vec<(usize, T)> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        local.push((i, f(&mut state, i)));
+        let (tx, rx) = std::sync::mpsc::channel();
+        for _ in 0..threads {
+            let (tx, next) = (tx.clone(), &next);
+            s.spawn(move || {
+                let mut state = init();
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n || tx.send((i, f(&mut state, i))).is_err() {
+                        break;
                     }
-                    local
-                })
-            })
-            .collect();
-        for h in handles {
-            for (i, v) in h.join().expect("pm-par worker panicked") {
-                out[i] = Some(v);
+                }
+            });
+        }
+        drop(tx);
+        // Park each result until every lower index has been delivered.
+        // A worker panic ends the stream early with a gap the sink never
+        // crosses, and the scope re-raises the panic here.
+        let mut parked: Vec<Option<T>> = (0..n).map(|_| None).collect();
+        let mut due = 0;
+        for (i, v) in rx {
+            parked[i] = Some(v);
+            while let Some(v) = parked.get_mut(due).and_then(Option::take) {
+                sink(due, v);
+                due += 1;
             }
         }
     });
-    out.into_iter()
-        .map(|o| o.expect("every index computed"))
-        .collect()
-}
-
-/// [`par_map`] over the items of a slice, preserving slice order.
-pub fn par_map_slice<I, T, F>(items: &[I], threads: usize, f: F) -> Vec<T>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(&I) -> T + Sync,
-{
-    par_map(items.len(), threads, |i| f(&items[i]))
 }
 
 /// Split `0..n` into at most `chunks` contiguous ranges of near-equal
@@ -185,19 +155,61 @@ mod tests {
         assert_eq!(par_map(1, 4, |i| i + 7), vec![7]);
     }
 
+    /// Every result reaches the sink exactly once and in index order,
+    /// even when a later result arrives first. With more than one
+    /// thread, job 0 holds its worker until job `threads` starts: the
+    /// other workers then claimed `threads` jobs between them, so one
+    /// of them finished a job after 0 before job 0 returns.
     #[test]
-    fn slice_variant() {
-        let items = ["a", "bb", "ccc"];
-        assert_eq!(par_map_slice(&items, 2, |s| s.len()), vec![1, 2, 3]);
+    fn sink_receives_every_result_once_in_index_order() {
+        use std::sync::atomic::AtomicBool;
+        for threads in [1usize, 2, 4] {
+            let late = AtomicBool::new(false);
+            let mut seen = Vec::new();
+            par_map_into(
+                200,
+                threads,
+                || (),
+                |_, i| {
+                    if i == threads {
+                        late.store(true, Ordering::SeqCst);
+                    }
+                    while i == 0 && threads > 1 && !late.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                    i * 3
+                },
+                |i, v| seen.push((i, v)),
+            );
+            let expect: Vec<_> = (0..200).map(|i| (i, i * 3)).collect();
+            assert_eq!(seen, expect, "threads={threads}");
+        }
+    }
+
+    /// At one thread, result `i` reaches the sink before job `i + 1`
+    /// starts, so a sink that appends results never holds a backlog.
+    #[test]
+    fn one_thread_delivers_each_result_before_the_next_job() {
+        let events = std::sync::Mutex::new(Vec::new());
+        par_map_into(
+            50,
+            1,
+            || (),
+            |_, i| events.lock().unwrap().push(("job", i)),
+            |i, ()| events.lock().unwrap().push(("sink", i)),
+        );
+        let expect: Vec<_> = (0..50).flat_map(|i| [("job", i), ("sink", i)]).collect();
+        assert_eq!(events.into_inner().unwrap(), expect);
     }
 
     #[test]
-    fn init_variant_preserves_order_and_reuses_state() {
+    fn init_runs_once_per_worker_and_state_is_reused() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let inits = AtomicUsize::new(0);
         for threads in [1usize, 2, 4] {
             inits.store(0, Ordering::SeqCst);
-            let out = par_map_init(
+            let mut out = Vec::new();
+            par_map_into(
                 100,
                 threads,
                 || {
@@ -208,9 +220,10 @@ mod tests {
                     scratch.push(i);
                     i * 3
                 },
+                |_, v| out.push(v),
             );
             assert_eq!(out, (0..100).map(|i| i * 3).collect::<Vec<_>>());
-            assert!(inits.load(Ordering::SeqCst) <= threads.max(1));
+            assert!(inits.load(Ordering::SeqCst) <= threads);
         }
     }
 
@@ -218,14 +231,7 @@ mod tests {
     fn resolve_semantics() {
         assert_eq!(resolve(1), 1);
         assert_eq!(resolve(5), 5);
-        assert!(resolve(0) >= 1);
-        match std::env::var("PM_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            Some(n) if n >= 1 => assert_eq!(resolve(0), n),
-            _ => assert_eq!(resolve(0), max_threads()),
-        }
+        assert_eq!(resolve(0), max_threads());
     }
 
     #[test]

@@ -33,14 +33,12 @@
 //! generation-order tie-break survives verbatim; generation indices are
 //! renumbered over the assembled sequence.
 
-use crate::extend::{ExtendedData, HeadId, HeadTotals};
+use crate::extend::HeadId;
 use crate::interner::GsId;
-use crate::miner::{
-    dominance_floor, HeadGates, MinedRules, MoaMode, PairCounts, RuleEmitter, RuleMiner, NO_FLOOR,
-};
+use crate::miner::{dominance_floor, Layout, MinedRules, RuleMiner, NO_FLOOR};
 use crate::rule::Rule;
-use crate::tidset::{TidScratch, TidSet};
-use pm_txn::{Moa, TransactionSet};
+use crate::tidset::TidSet;
+use pm_txn::TransactionSet;
 use serde::{Deserialize, Serialize};
 
 /// A miner that amortizes re-mining across delta batches.
@@ -51,15 +49,9 @@ pub struct IncrementalMiner {
 
 /// Everything carried between updates.
 struct MinerState {
-    moa: Moa,
-    extended: ExtendedData,
-    tidsets: Vec<TidSet>,
-    /// Support count of the last (re)mine; only ever rises.
-    minsup: u32,
-    /// Per-head hit / profit accumulators over all transactions, patched
-    /// in tid order — the default-dominance floor inputs and the default
-    /// rule's statistics.
-    totals: HeadTotals,
+    /// The vertical layout, patched in tid order with every delta; its
+    /// support count only ever rises.
+    layout: Layout,
     /// Per-`GsId` caches of floor-unfiltered rules; `None` for anchors
     /// that changed since their last mine (or were never frequent).
     caches: Vec<Option<AnchorCache>>,
@@ -158,31 +150,14 @@ impl RuleSnapshot {
 }
 
 impl MinerState {
-    /// The cold-pass state over `data`: MOA tables, extension, tidsets,
-    /// per-head floor accumulators in tid order, today's support count,
-    /// and no caches yet. `fit` mines on top of it; `restore` fills the
-    /// caches from a snapshot instead.
+    /// The cold-pass state over `data`: the layout a cold
+    /// [`RuleMiner::mine`] builds, and no caches yet. `fit` mines on top
+    /// of it; `restore` fills the caches from a snapshot instead.
     fn build(miner: &RuleMiner, data: &TransactionSet) -> MinerState {
-        let config = miner.config();
-        let moa = Moa::new(
-            data.catalog_arc(),
-            data.hierarchy_arc(),
-            config.moa == MoaMode::Enabled,
-        );
-        let extended = ExtendedData::build(data, &moa, config.quantity);
-        let tidsets = extended.tidsets();
-        let mut totals = HeadTotals::default();
-        extended.add_head_totals(0, &mut totals);
-        let minsup = config.min_support.to_count(extended.n_transactions());
-        let caches = (0..extended.n_gs()).map(|_| None).collect();
-        MinerState {
-            moa,
-            extended,
-            tidsets,
-            minsup,
-            totals,
-            caches,
-        }
+        let (extended, moa) = miner.extend(data);
+        let layout = miner.layout(extended, moa);
+        let caches = (0..layout.extended.n_gs()).map(|_| None).collect();
+        MinerState { layout, caches }
     }
 }
 
@@ -206,11 +181,6 @@ impl IncrementalMiner {
         Self { miner, state: None }
     }
 
-    /// The wrapped miner.
-    pub fn miner(&self) -> &RuleMiner {
-        &self.miner
-    }
-
     /// True once [`fit`](Self::fit) has run.
     pub fn is_fitted(&self) -> bool {
         self.state.is_some()
@@ -220,7 +190,7 @@ impl IncrementalMiner {
     pub fn n_transactions(&self) -> usize {
         self.state
             .as_ref()
-            .map_or(0, |s| s.extended.n_transactions())
+            .map_or(0, |s| s.layout.extended.n_transactions())
     }
 
     /// Cold mine: build the extension, the vertical layout and the rule
@@ -254,7 +224,8 @@ impl IncrementalMiner {
     pub fn update(&mut self, data: &TransactionSet) -> MinedRules {
         let mut state = self.state.take().expect("update() requires a prior fit()");
         let config = *self.miner.config();
-        let old_n = state.extended.n_transactions();
+        let layout = &mut state.layout;
+        let old_n = layout.extended.n_transactions();
         assert!(
             data.len() >= old_n,
             "the updated set must extend the fitted one ({} < {old_n} transactions)",
@@ -264,36 +235,32 @@ impl IncrementalMiner {
         // catalog before extending. Growth is append-only, so existing
         // items' favorability tables and ancestor lists are unchanged —
         // the old extension stays valid word for word.
-        if data.catalog().len() != state.moa.catalog().len()
-            || data.hierarchy().n_concepts() != state.moa.hierarchy().n_concepts()
+        if data.catalog().len() != layout.moa.catalog().len()
+            || data.hierarchy().n_concepts() != layout.moa.hierarchy().n_concepts()
         {
-            state.moa = Moa::new(
-                data.catalog_arc(),
-                data.hierarchy_arc(),
-                config.moa == MoaMode::Enabled,
-            );
+            layout.moa = self.miner.moa(data);
         }
-        state
+        layout
             .extended
-            .extend(data, &state.moa, config.quantity, old_n);
-        let new_n = state.extended.n_transactions();
-        let n_gs = state.extended.n_gs();
+            .extend(data, &layout.moa, config.quantity, old_n);
+        let new_n = layout.extended.n_transactions();
+        let n_gs = layout.extended.n_gs();
         // Patch the floor accumulators in the order a cold pass adds
         // these terms; new target items bring new heads, which start at
         // zero exactly like a cold pass.
-        state.extended.add_head_totals(old_n, &mut state.totals);
+        layout.extended.add_head_totals(old_n, &mut layout.totals);
         // Delta tids per generalized sale — ascending, because delta
         // transactions are walked in tid order.
         let mut delta: Vec<Vec<u32>> = vec![Vec::new(); n_gs];
         for tid in old_n..new_n {
-            for &g in &state.extended.txn_gs[tid] {
+            for &g in &layout.extended.txn_gs[tid] {
                 delta[g.index()].push(tid as u32);
             }
         }
 
         // Every tidset's universe grows to `new_n`; anchors that gained
         // tids are changed and lose their caches.
-        let old_gs = state.tidsets.len();
+        let old_gs = layout.tidsets.len();
         state.caches.resize_with(n_gs, || None);
         let mut changed = 0u64;
         for (gi, ids) in delta.iter().enumerate().take(old_gs) {
@@ -301,22 +268,22 @@ impl IncrementalMiner {
                 state.caches[gi] = None;
                 changed += 1;
             }
-            state.tidsets[gi].extend(new_n, ids);
+            layout.tidsets[gi].extend(new_n, ids);
         }
         // Brand-new generalized sales occur only in the delta: their
         // tidsets are built exactly as `ExtendedData::tidsets` would.
         for ids in delta.into_iter().skip(old_gs) {
-            state.tidsets.push(TidSet::from_sorted_ids(ids, new_n));
+            layout.tidsets.push(TidSet::from_sorted_ids(ids, new_n));
         }
         pm_obs::counter("incremental.anchors_changed").add(changed + (n_gs - old_gs) as u64);
 
         let minsup = config.min_support.to_count(new_n);
         debug_assert!(
-            minsup >= state.minsup,
+            minsup >= layout.minsup,
             "support count shrank ({} -> {minsup}) — to_count must be monotone in n",
-            state.minsup
+            layout.minsup
         );
-        state.minsup = minsup;
+        layout.minsup = minsup;
         let out = Self::remine(&self.miner, &mut state);
         self.state = Some(state);
         out
@@ -341,7 +308,7 @@ impl IncrementalMiner {
             })
             .collect();
         Some(MinerSnapshot {
-            minsup: state.minsup,
+            minsup: state.layout.minsup,
             caches,
         })
     }
@@ -364,7 +331,7 @@ impl IncrementalMiner {
         snap: &MinerSnapshot,
     ) -> Result<Self, String> {
         let mut state = MinerState::build(&miner, data);
-        let minsup = state.minsup;
+        let minsup = state.layout.minsup;
         if minsup != snap.minsup {
             return Err(format!(
                 "snapshot support count {} disagrees with the data's {minsup} — \
@@ -372,7 +339,10 @@ impl IncrementalMiner {
                 snap.minsup
             ));
         }
-        let (n_gs, h) = (state.extended.n_gs(), state.extended.n_heads());
+        let (n_gs, h) = (
+            state.layout.extended.n_gs(),
+            state.layout.extended.n_heads(),
+        );
         let caches = &mut state.caches;
         for c in &snap.caches {
             let gi = c.anchor as usize;
@@ -409,90 +379,53 @@ impl IncrementalMiner {
     /// Re-mine the frequent anchors without a cache, then assemble the
     /// full rule list from the caches in cold emission order.
     fn remine(miner: &RuleMiner, state: &mut MinerState) -> MinedRules {
-        let config = miner.config();
-        let minsup = state.minsup;
-        let n = state.extended.n_transactions();
-        let threads = pm_par::resolve(miner.threads());
-
-        // Frequent singletons at today's support, ascending GsId — the
-        // cold run's `freq` exactly, since tidset counts are maintained
+        let MinerState { layout, caches } = state;
+        let minsup = layout.minsup;
+        // Frequent singletons at today's support — the cold run's
+        // anchors exactly, since tidset counts are maintained
         // incrementally.
-        let freq: Vec<GsId> = (0..state.extended.n_gs() as u32)
-            .map(GsId)
-            .filter(|g| state.tidsets[g.index()].count() >= minsup as usize)
-            .collect();
-        let pairs = if config.max_body_len >= 2 && freq.len() >= 2 {
-            Some(PairCounts::count_with_threads(
-                &state.extended,
-                &freq,
-                threads,
-            ))
-        } else {
-            None
-        };
+        let anchors = miner.anchors(layout);
+        let freq = &anchors.freq;
 
         // DFS only the frequent anchors whose caches were invalidated
-        // (or never existed): one job per anchor, merged in anchor
-        // order, exactly like the cold parallel path.
+        // (or never existed), through the cold fan-out with the
+        // dominance floor off, filing each job's rules into its cache.
         let stale: Vec<usize> = (0..freq.len())
-            .filter(|&ai| state.caches[freq[ai].index()].is_none())
+            .filter(|&ai| caches[freq[ai].index()].is_none())
             .collect();
-        let extended = &state.extended;
-        let tidsets = &state.tidsets;
-        let scratch_levels = config.max_body_len.saturating_sub(1);
-        let gates = HeadGates::resolve(
-            miner.target(),
-            miner.item_floors(),
-            config.min_rule_profit,
-            &extended.heads,
-            state.moa.hierarchy(),
-        );
-        let new_state = || {
-            (
-                RuleEmitter::new(extended, config, &gates, minsup, NO_FLOOR),
-                TidScratch::new(n, scratch_levels),
-            )
-        };
-        let regen =
-            pm_par::par_map_init(stale.len(), threads, new_state, |(emitter, scratch), si| {
-                let ai = stale[si];
-                let a = freq[ai];
-                let ts = &tidsets[a.index()];
-                emitter.emit(&[a], ts.view(), ts.count() as u32);
-                let level1 = emitter.take_rules();
-                let deeper = match &pairs {
-                    Some(pairs) => {
-                        miner.process_anchor(emitter, scratch, &freq, tidsets, pairs, minsup, ai);
-                        emitter.take_rules()
-                    }
-                    None => Vec::new(),
-                };
-                (level1, deeper)
-            });
+        miner.fan_out(layout, &anchors, &stale, NO_FLOOR, |deeper, a, rules| {
+            let cache = &mut caches[a.index()];
+            if deeper {
+                cache.as_mut().expect("level 1 filed the cache").deeper = rules;
+            } else {
+                *cache = Some(AnchorCache {
+                    minsup,
+                    level1: rules,
+                    deeper: Vec::new(),
+                });
+            }
+        });
         pm_obs::counter("incremental.anchors_remined").add(stale.len() as u64);
         pm_obs::counter("incremental.anchors_reused").add((freq.len() - stale.len()) as u64);
-        for (si, (level1, deeper)) in regen.into_iter().enumerate() {
-            state.caches[freq[stale[si]].index()] = Some(AnchorCache {
-                minsup,
-                level1,
-                deeper,
-            });
-        }
 
         // Assemble in cold emission order: every frequent singleton's
         // level-1 rules (GsId ascending), then every anchor's DFS rules
         // (anchor order, pre-order within), each rule re-passing
         // today's support and dominance floor.
-        let floor = dominance_floor(config, &state.totals, n);
+        let floor = dominance_floor(
+            miner.config(),
+            &layout.totals,
+            layout.extended.n_transactions(),
+        );
         let cache_of = |g: GsId| -> &AnchorCache {
-            let c = state.caches[g.index()]
+            let c = caches[g.index()]
                 .as_ref()
                 .expect("every frequent anchor has a cache");
             debug_assert!(c.minsup <= minsup);
             c
         };
         let mut rules: Vec<Rule> = Vec::new();
-        for &g in &freq {
+        for &g in freq {
             rules.extend(
                 cache_of(g)
                     .level1
@@ -501,7 +434,7 @@ impl IncrementalMiner {
                     .cloned(),
             );
         }
-        for &g in &freq {
+        for &g in freq {
             rules.extend(
                 cache_of(g)
                     .deeper
@@ -520,23 +453,19 @@ impl IncrementalMiner {
             freq_singletons = freq.len(),
             remined = stale.len()
         );
-        MinedRules::from_parts(
-            *config,
-            minsup,
+        MinedRules {
+            config: *miner.config(),
             rules,
-            state.extended.clone(),
-            state.tidsets.clone(),
-            state.moa.clone(),
-            state.totals.clone(),
-            gates.floor,
-        )
+            layout: layout.clone(),
+            head_floor: anchors.gates.floor,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::miner::{MinerConfig, Support};
+    use crate::miner::{MinerConfig, MoaMode, Support};
     use pm_txn::{
         Catalog, CodeId, Hierarchy, ItemDef, ItemId, Money, PromotionCode, QuantityModel, Sale,
         Transaction,

@@ -120,9 +120,9 @@ impl Default for MinerConfig {
 pub struct RuleMiner {
     config: MinerConfig,
     /// Worker threads for the mining fan-out: `0` = all cores, `1` =
-    /// the sequential legacy path. Not part of [`MinerConfig`] — thread
-    /// count is an execution detail, never a modeling choice, and the
-    /// output is bit-identical at every setting.
+    /// every job inline on the calling thread. Not part of
+    /// [`MinerConfig`] — thread count is an execution detail, never a
+    /// modeling choice, and the output is bit-identical at every setting.
     threads: usize,
     /// Targeted mining (TargetUM-flavored): restrict the head domain to
     /// this filter. Mining with a target is byte-identical to mining
@@ -140,6 +140,33 @@ pub struct RuleMiner {
     item_floors: Vec<(ItemId, f64)>,
 }
 
+/// The vertical layout every mining run reads: the `MOA(H)` view, the
+/// extension, one tidset per generalized sale, per-head totals over
+/// every transaction, and the support count. A cold fit builds it once
+/// ([`RuleMiner::layout`]); the incremental miner keeps one alive and
+/// patches it with every delta batch.
+#[derive(Debug, Clone)]
+pub(crate) struct Layout {
+    pub(crate) moa: Moa,
+    pub(crate) extended: ExtendedData,
+    pub(crate) tidsets: Vec<TidSet>,
+    /// Per-head hit counts and profit sums over every transaction: the
+    /// default rule's statistics and the dominance floor's inputs.
+    pub(crate) totals: HeadTotals,
+    /// Absolute minimum support; only ever rises as the data grows.
+    pub(crate) minsup: u32,
+}
+
+/// What one mining run derives from a [`Layout`] before the fan-out:
+/// the frequent singletons (the anchors, ascending `GsId`), their pair
+/// counts (`None` when bodies stop at one sale or fewer than two
+/// singletons are frequent), and the per-head admission gates.
+pub(crate) struct Anchors {
+    pub(crate) freq: Vec<GsId>,
+    pairs: Option<PairCounts>,
+    pub(crate) gates: HeadGates,
+}
+
 impl RuleMiner {
     /// A miner with the given configuration, using all cores (see
     /// [`Self::with_threads`]).
@@ -152,10 +179,10 @@ impl RuleMiner {
         }
     }
 
-    /// Set the worker thread count: `0` = all cores, `1` = sequential.
-    /// Mining output is guaranteed bit-identical across thread counts;
-    /// the §3.2 generation-order tie-break is preserved by merging
-    /// per-anchor rule buffers in anchor order and renumbering.
+    /// Set the worker thread count: `0` = all cores, `1` = every job
+    /// inline. Mining output is guaranteed bit-identical across thread
+    /// counts: per-anchor rule buffers reach the merge in anchor order
+    /// and generation indices are numbered after it.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -166,11 +193,6 @@ impl RuleMiner {
         &self.config
     }
 
-    /// The configured worker thread count (`0` = all cores).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Restrict mining to rule heads inside `target` (`None` clears the
     /// restriction). Mining with a target is byte-identical to mining
     /// without one and keeping only the in-target heads' rules, with
@@ -179,11 +201,6 @@ impl RuleMiner {
     pub fn with_target(mut self, target: Option<TargetFilter>) -> Self {
         self.target = target;
         self
-    }
-
-    /// The configured target filter.
-    pub fn target(&self) -> Option<&TargetFilter> {
-        self.target.as_ref()
     }
 
     /// Set per-item minimum rule-profit floors (dollars). A head whose
@@ -198,31 +215,69 @@ impl RuleMiner {
         self
     }
 
-    /// The configured per-item profit floors.
-    pub fn item_floors(&self) -> &[(ItemId, f64)] {
-        &self.item_floors
-    }
-
     /// Mine `data`, producing rules plus the supporting structures the
     /// recommender builder needs.
     pub fn mine(&self, data: &TransactionSet) -> MinedRules {
-        let moa = Moa::new(
-            data.catalog_arc(),
-            data.hierarchy_arc(),
-            self.config.moa == MoaMode::Enabled,
-        );
-        let extended = {
-            let _span = pm_obs::span("mine.extend");
-            ExtendedData::build(data, &moa, self.config.quantity)
-        };
+        let (extended, moa) = self.extend(data);
         self.mine_extended(extended, moa)
     }
 
     /// Mine pre-extended data (lets callers reuse an extension). `moa`
     /// must be the view the extension was built with.
     pub fn mine_extended(&self, extended: ExtendedData, moa: Moa) -> MinedRules {
-        let n = extended.n_transactions();
-        let minsup = self.config.min_support.to_count(n);
+        let layout = self.layout(extended, moa);
+        let anchors = self.anchors(&layout);
+        // Dominance pre-filter: a rule whose recommendation profit does
+        // not exceed the default rule's — under BOTH profit modes — is
+        // dominated by the default rule (empty body, ranked higher) and
+        // can never be a recommendation rule, at this or any higher
+        // minimum support. Skipping it at emission time is exactly
+        // equivalent to removing it during §4.1 dominance removal, and it
+        // keeps MOA rule sets from ballooning with useless variants.
+        let n = layout.extended.n_transactions();
+        let floor = dominance_floor(&self.config, &layout.totals, n);
+        let every: Vec<usize> = (0..anchors.freq.len()).collect();
+        let mut rules = Vec::new();
+        self.fan_out(&layout, &anchors, &every, floor, |_, _, job| {
+            rules.extend(job);
+        });
+        for (i, r) in rules.iter_mut().enumerate() {
+            r.gen_index = i as u32;
+        }
+        pm_obs::gauge("miner.rules").set(rules.len() as i64);
+        pm_obs::info!(
+            "mine.done",
+            rules = rules.len(),
+            minsup = layout.minsup,
+            threads = pm_par::resolve(self.threads),
+            freq_singletons = anchors.freq.len()
+        );
+        MinedRules {
+            config: self.config,
+            rules,
+            layout,
+            head_floor: anchors.gates.floor,
+        }
+    }
+
+    /// The `MOA(H)` view this miner extends `data` under.
+    pub(crate) fn moa(&self, data: &TransactionSet) -> Moa {
+        Moa::new(
+            data.catalog_arc(),
+            data.hierarchy_arc(),
+            self.config.moa == MoaMode::Enabled,
+        )
+    }
+
+    /// Extend `data` under this miner's `MOA(H)` view.
+    pub(crate) fn extend(&self, data: &TransactionSet) -> (ExtendedData, Moa) {
+        let moa = self.moa(data);
+        let _span = pm_obs::span("mine.extend");
+        (ExtendedData::build(data, &moa, self.config.quantity), moa)
+    }
+
+    /// Build the vertical layout over an extension from scratch.
+    pub(crate) fn layout(&self, extended: ExtendedData, moa: Moa) -> Layout {
         let tidsets = {
             let _span = pm_obs::span("mine.tidsets");
             extended.tidsets()
@@ -237,116 +292,127 @@ impl RuleMiner {
             sparse = sparse_n,
             dense = dense_n
         );
-        // Dominance pre-filter: a rule whose recommendation profit does
-        // not exceed the default rule's — under BOTH profit modes — is
-        // dominated by the default rule (empty body, ranked higher) and
-        // can never be a recommendation rule, at this or any higher
-        // minimum support. Skipping it at emission time is exactly
-        // equivalent to removing it during §4.1 dominance removal, and it
-        // keeps MOA rule sets from ballooning with useless variants.
         let mut totals = HeadTotals::default();
         extended.add_head_totals(0, &mut totals);
-        let default_floor = dominance_floor(&self.config, &totals, n);
-        // Frequent singletons, ascending GsId.
-        let freq: Vec<GsId> = (0..extended.n_gs() as u32)
+        let minsup = self.config.min_support.to_count(extended.n_transactions());
+        Layout {
+            moa,
+            extended,
+            tidsets,
+            totals,
+            minsup,
+        }
+    }
+
+    /// The frequent singletons of `layout` at its support count, their
+    /// pair counts, and the per-head gates of this miner's target and
+    /// floors.
+    pub(crate) fn anchors(&self, layout: &Layout) -> Anchors {
+        let freq: Vec<GsId> = (0..layout.extended.n_gs() as u32)
             .map(GsId)
-            .filter(|g| tidsets[g.index()].count() >= minsup as usize)
+            .filter(|g| layout.tidsets[g.index()].count() >= layout.minsup as usize)
             .collect();
-
-        let threads = pm_par::resolve(self.threads);
-        let pairs = if self.config.max_body_len >= 2 && freq.len() >= 2 {
+        let pairs = (self.config.max_body_len >= 2 && freq.len() >= 2).then(|| {
             let _span = pm_obs::span("mine.generate");
-            Some(PairCounts::count_with_threads(&extended, &freq, threads))
-        } else {
-            None
-        };
-
-        // Resolve the per-head floors once; the emitters only read them.
+            PairCounts::count_with_threads(&layout.extended, &freq, pm_par::resolve(self.threads))
+        });
         let gates = HeadGates::resolve(
             self.target.as_ref(),
             &self.item_floors,
             self.config.min_rule_profit,
-            &extended.heads,
-            moa.hierarchy(),
+            &layout.extended.heads,
+            layout.moa.hierarchy(),
         );
+        Anchors { freq, pairs, gates }
+    }
 
-        let _dfs_span = pm_obs::span("mine.dfs");
-        let rules = if threads > 1 {
-            self.mine_rules_parallel(
-                &extended,
-                &freq,
-                &tidsets,
-                pairs.as_ref(),
-                &gates,
-                minsup,
-                default_floor,
-                threads,
+    /// The mining fan-out every fit runs, cold or incremental: a level-1
+    /// pass that emits each anchor's singleton-body rules, then a
+    /// pair-and-DFS pass that extends each anchor, with one job per
+    /// anchor in each. `jobs` indexes `anchors.freq`, ascending. Each
+    /// job's rules reach `sink(deeper, anchor, rules)` in job order,
+    /// every level-1 job before any deeper one, with generation indices
+    /// local to the job. Jobs are deterministic and their order is
+    /// fixed, so the sequence the sink sees — down to the f64 summation
+    /// order inside every rule — is the same at any thread count.
+    ///
+    /// At one thread each job's rules reach the sink before the next job
+    /// starts: a sink that appends them holds one job's buffer beside
+    /// its own, never every rule twice.
+    pub(crate) fn fan_out(
+        &self,
+        layout: &Layout,
+        anchors: &Anchors,
+        jobs: &[usize],
+        default_floor: (f64, f64),
+        mut sink: impl FnMut(bool, GsId, Vec<Rule>),
+    ) {
+        let _span = pm_obs::span("mine.dfs");
+        let threads = pm_par::resolve(self.threads);
+        let (freq, tidsets) = (&anchors.freq, &layout.tidsets);
+        // Per-worker state: one emitter plus one intersection-scratch
+        // pool; both persist across the jobs a worker claims, so the DFS
+        // performs no per-node heap allocation.
+        let init = || {
+            (
+                RuleEmitter::new(
+                    &layout.extended,
+                    &self.config,
+                    &anchors.gates,
+                    layout.minsup,
+                    default_floor,
+                ),
+                TidScratch::new(
+                    layout.extended.n_transactions(),
+                    self.config.max_body_len.saturating_sub(1),
+                ),
             )
-        } else {
-            // Legacy sequential path: one global emitter, generation
-            // indices assigned directly at emission.
-            let mut emitter =
-                RuleEmitter::new(&extended, &self.config, &gates, minsup, default_floor);
-            let mut scratch = TidScratch::new(n, self.config.max_body_len.saturating_sub(1));
-            for &a in &freq {
+        };
+        pm_par::par_map_into(
+            jobs.len(),
+            threads,
+            init,
+            |(emitter, _), j| {
+                let a = freq[jobs[j]];
                 let ts = &tidsets[a.index()];
                 emitter.emit(&[a], ts.view(), ts.count() as u32);
-            }
-            if let Some(pairs) = &pairs {
-                for ai in 0..freq.len() {
-                    self.process_anchor(
-                        &mut emitter,
-                        &mut scratch,
-                        &freq,
-                        &tidsets,
-                        pairs,
-                        minsup,
-                        ai,
-                    );
-                }
-            }
-            emitter.finish()
-        };
-        drop(_dfs_span);
-        pm_obs::gauge("miner.rules").set(rules.len() as i64);
-        pm_obs::info!(
-            "mine.done",
-            rules = rules.len(),
-            minsup = minsup,
-            threads = threads,
-            freq_singletons = freq.len()
+                emitter.take_rules()
+            },
+            |j, rules| sink(false, freq[jobs[j]], rules),
         );
-        MinedRules {
-            config: self.config,
-            min_support_count: minsup,
-            rules,
-            extended,
-            tidsets,
-            moa,
-            totals,
-            head_floor: gates.floor,
-        }
+        let Some(pairs) = &anchors.pairs else {
+            return;
+        };
+        // Anchor costs are heavily skewed; pm-par's dynamic claiming
+        // absorbs that.
+        pm_par::par_map_into(
+            jobs.len(),
+            threads,
+            init,
+            |(emitter, scratch), j| {
+                self.process_anchor(emitter, scratch, freq, tidsets, pairs, jobs[j]);
+                emitter.take_rules()
+            },
+            |j, rules| sink(true, freq[jobs[j]], rules),
+        );
     }
 
     /// Level-2 extension and deeper DFS for the single anchor
     /// `freq[ai]`: builds the anchor's candidate list (pair-frequent,
     /// no generalization relation), emits every frequent pair, and
     /// recurses while `max_body_len` allows. Emission order within an
-    /// anchor is fixed (candidates ascending, depth-first), so the
-    /// sequential path and the per-anchor parallel path produce rules
-    /// in exactly the same order.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn process_anchor(
+    /// anchor is fixed (candidates ascending, depth-first).
+    fn process_anchor(
         &self,
         emitter: &mut RuleEmitter<'_>,
         scratch: &mut TidScratch,
         freq: &[GsId],
         tidsets: &[TidSet],
         pairs: &PairCounts,
-        minsup: u32,
         ai: usize,
     ) {
         let interner = &emitter.extended.interner;
+        let minsup = emitter.minsup;
         let a = freq[ai];
         let cands: Vec<usize> = (ai + 1..freq.len())
             .filter(|&bi| pairs.get(ai, bi) >= minsup && !interner.related(a, freq[bi]))
@@ -401,72 +467,6 @@ impl RuleMiner {
                 );
             }
         }
-    }
-
-    /// The parallel mining fan-out: level-1 singleton chunks and then
-    /// per-anchor extension jobs run across worker threads, each worker
-    /// reusing one scratch [`RuleEmitter`]. Per-job rule buffers come
-    /// back in job order (level-1 chunks ascending, then anchors
-    /// ascending) — the exact order the sequential path emits in — and
-    /// generation indices are assigned after the ordered merge, so the
-    /// result is bit-identical to the sequential path at any thread
-    /// count, including every §3.2 generation-order tie-break and the
-    /// f64 summation order inside each rule's statistics.
-    #[allow(clippy::too_many_arguments)]
-    fn mine_rules_parallel(
-        &self,
-        extended: &ExtendedData,
-        freq: &[GsId],
-        tidsets: &[TidSet],
-        pairs: Option<&PairCounts>,
-        gates: &HeadGates,
-        minsup: u32,
-        default_floor: (f64, f64),
-        threads: usize,
-    ) -> Vec<Rule> {
-        // Per-worker state: one emitter plus one intersection-scratch
-        // pool; both persist across the work items a worker claims, so
-        // the DFS performs no per-node heap allocation.
-        let n = extended.n_transactions();
-        let scratch_levels = self.config.max_body_len.saturating_sub(1);
-        let new_state = || {
-            (
-                RuleEmitter::new(extended, &self.config, gates, minsup, default_floor),
-                TidScratch::new(n, scratch_levels),
-            )
-        };
-        // Level 1: chunked so one emitter allocation serves many
-        // singletons; over-split 4× for load balance.
-        let l1_chunks = pm_par::even_chunks(freq.len(), threads * 4);
-        let l1_buffers =
-            pm_par::par_map_init(l1_chunks.len(), threads, new_state, |(emitter, _), ci| {
-                for i in l1_chunks[ci].clone() {
-                    let a = freq[i];
-                    let ts = &tidsets[a.index()];
-                    emitter.emit(&[a], ts.view(), ts.count() as u32);
-                }
-                emitter.take_rules()
-            });
-        // Level ≥ 2: one job per anchor; anchor costs are heavily
-        // skewed, and pm-par's dynamic claiming absorbs that.
-        let anchor_buffers = match pairs {
-            None => Vec::new(),
-            Some(pairs) => {
-                pm_par::par_map_init(freq.len(), threads, new_state, |(emitter, scratch), ai| {
-                    self.process_anchor(emitter, scratch, freq, tidsets, pairs, minsup, ai);
-                    emitter.take_rules()
-                })
-            }
-        };
-        let mut rules: Vec<Rule> = l1_buffers
-            .into_iter()
-            .chain(anchor_buffers)
-            .flatten()
-            .collect();
-        for (i, r) in rules.iter_mut().enumerate() {
-            r.gen_index = i as u32;
-        }
-        rules
     }
 
     /// Depth-first extension of `body` with the (pre-filtered) dense
@@ -724,7 +724,7 @@ pub(crate) struct RuleEmitter<'a> {
 impl Drop for RuleEmitter<'_> {
     // The flush must run on every exit path — including a worker whose
     // DFS terminated early because the anchor probe pruned its entire
-    // subtree — so it lives in Drop rather than in `finish`.
+    // subtree — so it lives in Drop.
     fn drop(&mut self) {
         let counts = [
             ("miner.candidates_pruned", self.pruned),
@@ -976,15 +976,12 @@ impl<'a> RuleEmitter<'a> {
     }
 
     /// Drain the emitted rules, leaving the emitter's scratch arrays
-    /// intact for reuse on the next work item. Generation indices in
-    /// the returned buffer are local to this drain; the parallel merge
-    /// renumbers them globally.
-    pub(crate) fn take_rules(&mut self) -> Vec<Rule> {
+    /// intact for reuse on the next job. Generation indices in the
+    /// returned buffer are local to this drain; a cold fit numbers them
+    /// once after the merge, and the incremental miner caches them as
+    /// they are.
+    fn take_rules(&mut self) -> Vec<Rule> {
         std::mem::take(&mut self.rules)
-    }
-
-    fn finish(mut self) -> Vec<Rule> {
-        self.take_rules()
     }
 }
 
@@ -1097,47 +1094,15 @@ impl PairCounts {
 /// tidsets).
 #[derive(Debug, Clone)]
 pub struct MinedRules {
-    config: MinerConfig,
-    min_support_count: u32,
-    rules: Vec<Rule>,
-    extended: ExtendedData,
-    tidsets: Vec<TidSet>,
-    moa: Moa,
-    /// Per-head hit counts and profit sums over every transaction: the
-    /// default rule's statistics.
-    totals: HeadTotals,
+    pub(crate) config: MinerConfig,
+    pub(crate) rules: Vec<Rule>,
+    pub(crate) layout: Layout,
     /// The per-head floors the run mined under (see [`HeadGates`]). The
     /// default rule restricts its argmax to the heads below `+∞`.
-    head_floor: Vec<f64>,
+    pub(crate) head_floor: Vec<f64>,
 }
 
 impl MinedRules {
-    /// Assemble a result from pre-computed parts — the incremental
-    /// miner's exit, which maintains the extension, tidsets and rule
-    /// caches itself and only needs the container.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_parts(
-        config: MinerConfig,
-        min_support_count: u32,
-        rules: Vec<Rule>,
-        extended: ExtendedData,
-        tidsets: Vec<TidSet>,
-        moa: Moa,
-        totals: HeadTotals,
-        head_floor: Vec<f64>,
-    ) -> Self {
-        Self {
-            config,
-            min_support_count,
-            rules,
-            extended,
-            tidsets,
-            moa,
-            totals,
-            head_floor,
-        }
-    }
-
     /// The mined rules, in generation order.
     pub fn rules(&self) -> &[Rule] {
         &self.rules
@@ -1150,37 +1115,37 @@ impl MinedRules {
 
     /// The absolute minimum-support count this run used.
     pub fn min_support_count(&self) -> u32 {
-        self.min_support_count
+        self.layout.minsup
     }
 
     /// Number of transactions mined.
     pub fn n_transactions(&self) -> usize {
-        self.extended.n_transactions()
+        self.layout.extended.n_transactions()
     }
 
     /// The extended data (interner, profiles, …).
     pub fn extended(&self) -> &ExtendedData {
-        &self.extended
+        &self.layout.extended
     }
 
     /// The `MOA(H)` view the rules were mined under.
     pub fn moa(&self) -> &Moa {
-        &self.moa
+        &self.layout.moa
     }
 
     /// The interner.
     pub fn interner(&self) -> &GsInterner {
-        &self.extended.interner
+        &self.layout.extended.interner
     }
 
     /// The head universe.
     pub fn heads(&self) -> &[(ItemId, CodeId)] {
-        &self.extended.heads
+        &self.layout.extended.heads
     }
 
     /// The `(item, code)` pair of a head.
     pub fn head(&self, h: HeadId) -> (ItemId, CodeId) {
-        self.extended.heads[h.index()]
+        self.layout.extended.heads[h.index()]
     }
 
     /// A rule's body resolved to generalized sales, in the body's stored
@@ -1188,7 +1153,7 @@ impl MinedRules {
     pub fn resolve_body(&self, rule: &Rule) -> Vec<GenSale> {
         rule.body
             .iter()
-            .map(|&g| self.extended.interner.resolve(g))
+            .map(|&g| self.interner().resolve(g))
             .collect()
     }
 
@@ -1206,7 +1171,7 @@ impl MinedRules {
 
     /// Singleton tidset of a generalized sale.
     pub fn gs_tidset(&self, g: GsId) -> &TidSet {
-        &self.tidsets[g.index()]
+        &self.layout.tidsets[g.index()]
     }
 
     /// Indices of the rules that survive a (higher) minimum support. By
@@ -1214,10 +1179,10 @@ impl MinedRules {
     pub fn rule_indices_at(&self, sup: Support) -> Vec<usize> {
         let count = sup.to_count(self.n_transactions());
         assert!(
-            count >= self.min_support_count,
+            count >= self.layout.minsup,
             "cannot lower support below the mined threshold ({} < {})",
             count,
-            self.min_support_count
+            self.layout.minsup
         );
         (0..self.rules.len())
             .filter(|&i| self.rules[i].hits >= count)
@@ -1232,7 +1197,7 @@ impl MinedRules {
     /// when the target admits no head at all (a recommender must always
     /// have an answer).
     pub fn default_rule(&self, mode: ProfitMode) -> Rule {
-        let HeadTotals { hits, profit } = &self.totals;
+        let HeadTotals { hits, profit } = &self.layout.totals;
         let score = |i: usize| match mode {
             ProfitMode::Profit => profit[i],
             ProfitMode::Confidence => hits[i] as f64,

@@ -12,7 +12,7 @@ proptest! {
 
     /// Tentpole invariant: mining on a randomized worker-thread count is
     /// bit-identical — rules, order, `gen_index`, f64 profit bits — to
-    /// the sequential path, on randomized synthetic data.
+    /// a one-thread run, on randomized synthetic data.
     #[test]
     fn mining_is_thread_count_invariant(
         seed in 0u64..1_000_000,

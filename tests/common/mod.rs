@@ -21,7 +21,7 @@ use profit_core::{CutConfig, Matcher, RuleModel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Worker-thread counts (sequential and parallel paths).
+/// Worker-thread counts (jobs inline, and on a pool).
 pub const THREADS: [usize; 2] = [1, 4];
 
 /// The profit modes, paired with their oracle-side mirror.
