@@ -5,7 +5,7 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -350,5 +350,118 @@ fn a_full_fleet_is_served_exactly_extras_are_shed_and_no_fd_leaks() {
     assert!(control(r#"{"op":"shutdown"}"#).contains("bye"));
     let out = child.wait_with_output().expect("daemon exit");
     assert!(out.status.success(), "{out:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The counters one incremental delta moves, in the order the baseline
+/// lists them.
+const DELTA_COUNTERS: [&str; 8] = [
+    "incremental.anchors_changed",
+    "incremental.anchors_remined",
+    "incremental.anchors_reused",
+    "incremental.subtrees_reused",
+    "mine.tids_scanned",
+    "mine.head_sums",
+    "miner.candidates_pruned",
+    "mine.ub_evaluated",
+];
+
+/// Run a streaming daemon on `head` at `threads`, send it `ingest` (if
+/// any), shut it down, and read [`DELTA_COUNTERS`] from its `--metrics`
+/// dump; a counter the dump omits stayed at 0.
+fn streaming_counters(dir: &Path, head: &str, threads: &str, ingest: Option<&str>) -> [u64; 8] {
+    let tag = format!("t{threads}-{}", ingest.map_or("fit", |_| "ingest"));
+    let log = dir.join(format!("{tag}.log")).display().to_string();
+    let metrics = dir.join(format!("{tag}.json"));
+    let addr_file = dir.join(format!("{tag}.addr"));
+    let mut child = Command::new(bin())
+        .args([
+            "serve",
+            "--data",
+            head,
+            "--log",
+            &log,
+            "--minsup",
+            "0.03",
+            "--max-body",
+            "4",
+            "--threads",
+            threads,
+            "--addr",
+            "127.0.0.1:0",
+            "--addr-file",
+            addr_file.to_str().unwrap(),
+            "--metrics",
+            metrics.to_str().unwrap(),
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn daemon");
+    let addr = wait_for_addr(&addr_file, &mut child);
+    let stream = TcpStream::connect(&addr).expect("connect to daemon");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    let mut send = |line: &str| -> String {
+        writeln!(writer, "{line}").unwrap();
+        let mut buf = String::new();
+        reader.read_line(&mut buf).unwrap();
+        buf
+    };
+    if let Some(line) = ingest {
+        let ack = send(line);
+        assert!(ack.contains(r#""op":"ingested""#), "{ack}");
+    }
+    assert!(send(r#"{"op":"shutdown"}"#).contains("bye"));
+    let out = child.wait_with_output().expect("daemon exit");
+    assert!(out.status.success(), "{out:?}");
+
+    let text = std::fs::read_to_string(&metrics).expect("metrics file written");
+    let serde::Value::Map(top) = serde_json::from_str(&text).expect("metrics dump is JSON") else {
+        panic!("metrics dump is not an object");
+    };
+    let Some((_, serde::Value::Map(counters))) = top.into_iter().find(|(k, _)| k == "counters")
+    else {
+        panic!("metrics dump has no counters: {text}");
+    };
+    DELTA_COUNTERS.map(|name| match counters.iter().find(|(k, _)| k == name) {
+        None => 0,
+        Some((_, serde::Value::U64(c))) => *c,
+        other => panic!("counter {name}: {other:?}"),
+    })
+}
+
+/// One incremental delta's work, pinned like a cold fit's DFS counters
+/// (`fit_cli.rs`). A streaming daemon on the first 390 transactions of
+/// the CI smoke data (`gen --txns 400 --items 80 --seed 5`, `--minsup
+/// 0.02 --max-body 4`) ingests the last 10 in one batch. Its `--metrics`
+/// dump less the dump of a daemon that ingested nothing is the delta's
+/// work, and must equal the baseline at 1 and 4 threads. The registry
+/// is process-global, so each dump comes from its own daemon. A change
+/// that moves a count updates the baseline and says why.
+#[test]
+fn one_ingest_delta_does_the_pinned_work() {
+    let dir = tmp_dir("delta-work");
+    let path = |name: &str| dir.join(name).display().to_string();
+    let (full, head, tail) = (path("full.json"), path("head.json"), path("tail.json"));
+    run_ok(&[
+        "gen", "--out", &full, "--txns", "400", "--items", "80", "--seed", "5",
+    ]);
+    run_ok(&[
+        "split", "--data", &full, "--at", "390", "--head", &head, "--tail", &tail,
+    ]);
+    let batch: Vec<pm_txn::Transaction> =
+        serde_json::from_str(&std::fs::read_to_string(&tail).unwrap()).unwrap();
+    let ingest = pm_serve::protocol::ingest_line(None, &batch);
+    let baseline: [u64; 8] = [110, 109, 86, 172_567, 2_988_844, 133_261, 63_654, 21_999];
+    for threads in ["1", "4"] {
+        let fit = streaming_counters(&dir, &head, threads, None);
+        let both = streaming_counters(&dir, &head, threads, Some(&ingest));
+        let delta: Vec<u64> = both.iter().zip(fit).map(|(b, f)| b - f).collect();
+        assert_eq!(delta, baseline, "threads {threads}: {DELTA_COUNTERS:?}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

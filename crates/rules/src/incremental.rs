@@ -32,14 +32,36 @@
 //! assembly walks anchors in the frequent-singleton order, so the §3.2
 //! generation-order tie-break survives verbatim; generation indices are
 //! renumbered over the assembled sequence.
+//!
+//! A changed anchor is walked again, but only its *dirty* bodies — those
+//! at least one delta transaction contains — are rescanned. The walk
+//! intersects the per-sale delta-tid lists down the tree to find them.
+//! A *clean* child of a dirty body is neither intersected, scanned nor
+//! recursed into: its subtree is one contiguous run of the anchor's
+//! previous deeper rules (DFS pre-order is `(body, head)` order), which
+//! the walk moves into the new cache, keeping the rules that reach
+//! today's support and renumbering `gen_index`. The walked cache equals
+//! a full re-walk's, rule for rule and bit for bit:
+//!
+//! * a clean body keeps its tidset, and so does every body below it;
+//! * a clean body the previous walk never reached held no rule at the
+//!   previous support (it was infrequent, or the bound cut an ancestor),
+//!   and so holds none at today's, which is no lower;
+//! * every emission filter and the subtree bound are monotone in
+//!   support, so today's walk of a clean subtree emits exactly the
+//!   previous rules that reach today's support.
+//!
+//! [`IncrementalMiner::restore`] refuses caches out of that order, since
+//! the walk finds each subtree's run by it.
 
 use crate::extend::HeadId;
 use crate::interner::GsId;
-use crate::miner::{dominance_floor, Layout, MinedRules, RuleMiner, NO_FLOOR};
+use crate::miner::{dominance_floor, Layout, MinedRules, Reuse, RuleMiner, NO_FLOOR};
 use crate::rule::Rule;
 use crate::tidset::TidSet;
 use pm_txn::TransactionSet;
 use serde::{Deserialize, Serialize};
+use std::sync::Mutex;
 
 /// A miner that amortizes re-mining across delta batches.
 pub struct IncrementalMiner {
@@ -149,6 +171,48 @@ impl RuleSnapshot {
     }
 }
 
+impl AnchorCache {
+    /// Refuse rules a refit cannot trust. Level-1 bodies are exactly
+    /// `[anchor]`. Deeper bodies start at the anchor, ascend strictly and
+    /// hold `2..=max_body_len` sales. Each list is in DFS pre-order —
+    /// bodies lexicographic, heads strictly ascending within one body —
+    /// which both the generation-order tie-break and the walk's subtree
+    /// runs assume.
+    fn check(&self, anchor: GsId, max_body_len: usize) -> Result<(), String> {
+        let a = anchor.0;
+        let ids = |r: &Rule| r.body.iter().map(|g| g.0).collect::<Vec<_>>();
+        if let Some(r) = self.level1.iter().find(|r| r.body != [anchor]) {
+            return Err(format!(
+                "anchor {a} caches a level-1 rule with body {:?}, not [{a}]",
+                ids(r)
+            ));
+        }
+        if let Some(r) = self.deeper.iter().find(|r| {
+            r.body.first() != Some(&anchor)
+                || !(2..=max_body_len).contains(&r.body.len())
+                || r.body.windows(2).any(|w| w[0] >= w[1])
+        }) {
+            return Err(format!(
+                "anchor {a} caches a deeper rule with body {:?} — deeper bodies start at \
+                 the anchor, ascend strictly and hold 2 to {max_body_len} sales",
+                ids(r)
+            ));
+        }
+        for (list, rules) in [("level-1", &self.level1), ("deeper", &self.deeper)] {
+            if let Some(i) = rules
+                .windows(2)
+                .position(|w| (&w[0].body, w[0].head) >= (&w[1].body, w[1].head))
+            {
+                return Err(format!(
+                    "anchor {a}'s {list} rules leave DFS pre-order at rule {}",
+                    i + 1
+                ));
+            }
+        }
+        Ok(())
+    }
+}
+
 impl MinerState {
     /// The cold-pass state over `data`: the layout a cold
     /// [`RuleMiner::mine`] builds, and no caches yet. `fit` mines on top
@@ -199,7 +263,7 @@ impl IncrementalMiner {
     /// discards all previous state.
     pub fn fit(&mut self, data: &TransactionSet) -> MinedRules {
         let mut state = MinerState::build(&self.miner, data);
-        let out = Self::remine(&self.miner, &mut state);
+        let out = Self::remine(&self.miner, &mut state, None);
         self.state = Some(state);
         out
     }
@@ -215,7 +279,9 @@ impl IncrementalMiner {
     /// anchor's tidset cannot reach any new head.
     ///
     /// The result is bit-identical to a cold [`RuleMiner::mine`] over
-    /// `data`, but only anchors occurring in the delta re-enter the DFS.
+    /// `data`, but only anchors occurring in the delta re-enter the DFS,
+    /// and within them only the bodies occurring in the delta are
+    /// rescanned.
     ///
     /// # Panics
     ///
@@ -258,22 +324,28 @@ impl IncrementalMiner {
             }
         }
 
-        // Every tidset's universe grows to `new_n`; anchors that gained
-        // tids are changed and lose their caches.
+        // Every tidset's universe grows to `new_n`. An anchor that gained
+        // tids is changed: it leaves the reusable caches, and its deeper
+        // rules go to its next walk, which rescans only the bodies the
+        // delta touched.
         let old_gs = layout.tidsets.len();
         state.caches.resize_with(n_gs, || None);
+        let mut prior: Vec<Mutex<Option<Vec<Rule>>>> =
+            (0..n_gs).map(|_| Mutex::new(None)).collect();
         let mut changed = 0u64;
         for (gi, ids) in delta.iter().enumerate().take(old_gs) {
             if !ids.is_empty() {
-                state.caches[gi] = None;
+                prior[gi] = Mutex::new(state.caches[gi].take().map(|c| c.deeper));
                 changed += 1;
             }
             layout.tidsets[gi].extend(new_n, ids);
         }
         // Brand-new generalized sales occur only in the delta: their
         // tidsets are built exactly as `ExtendedData::tidsets` would.
-        for ids in delta.into_iter().skip(old_gs) {
-            layout.tidsets.push(TidSet::from_sorted_ids(ids, new_n));
+        for ids in &delta[old_gs..] {
+            layout
+                .tidsets
+                .push(TidSet::from_sorted_ids(ids.clone(), new_n));
         }
         pm_obs::counter("incremental.anchors_changed").add(changed + (n_gs - old_gs) as u64);
 
@@ -284,7 +356,8 @@ impl IncrementalMiner {
             layout.minsup
         );
         layout.minsup = minsup;
-        let out = Self::remine(&self.miner, &mut state);
+        let reuse = Reuse { delta, prior };
+        let out = Self::remine(&self.miner, &mut state, Some(&reuse));
         self.state = Some(state);
         out
     }
@@ -317,7 +390,9 @@ impl IncrementalMiner {
     /// the transactions (and catalog) the snapshot covered — the support
     /// count re-derived from `data` is cross-checked against the
     /// snapshot's, and every cached anchor and head must exist in the
-    /// rebuilt extension.
+    /// rebuilt extension. Each cache must also have the shape a walk
+    /// gives it (see `AnchorCache::check`): a refit moves its subtrees by
+    /// that shape.
     ///
     /// The extension, tidsets and floor accumulators are rebuilt by the
     /// same setup [`fit`](Self::fit) runs; the DFS is skipped entirely
@@ -364,11 +439,13 @@ impl IncrementalMiner {
             let decode = |rs: &[RuleSnapshot]| -> Result<Vec<Rule>, String> {
                 rs.iter().map(|r| r.rule(n_gs, h)).collect()
             };
-            caches[gi] = Some(AnchorCache {
+            let cache = AnchorCache {
                 minsup: c.minsup,
                 level1: decode(&c.level1)?,
                 deeper: decode(&c.deeper)?,
-            });
+            };
+            cache.check(GsId(c.anchor), miner.config().max_body_len)?;
+            caches[gi] = Some(cache);
         }
         Ok(Self {
             miner,
@@ -377,8 +454,9 @@ impl IncrementalMiner {
     }
 
     /// Re-mine the frequent anchors without a cache, then assemble the
-    /// full rule list from the caches in cold emission order.
-    fn remine(miner: &RuleMiner, state: &mut MinerState) -> MinedRules {
+    /// full rule list from the caches in cold emission order. An anchor
+    /// with rules in `reuse` rescans only the bodies the delta touched.
+    fn remine(miner: &RuleMiner, state: &mut MinerState, reuse: Option<&Reuse>) -> MinedRules {
         let MinerState { layout, caches } = state;
         let minsup = layout.minsup;
         // Frequent singletons at today's support — the cold run's
@@ -393,18 +471,25 @@ impl IncrementalMiner {
         let stale: Vec<usize> = (0..freq.len())
             .filter(|&ai| caches[freq[ai].index()].is_none())
             .collect();
-        miner.fan_out(layout, &anchors, &stale, NO_FLOOR, |deeper, a, rules| {
-            let cache = &mut caches[a.index()];
-            if deeper {
-                cache.as_mut().expect("level 1 filed the cache").deeper = rules;
-            } else {
-                *cache = Some(AnchorCache {
-                    minsup,
-                    level1: rules,
-                    deeper: Vec::new(),
-                });
-            }
-        });
+        miner.fan_out(
+            layout,
+            &anchors,
+            &stale,
+            NO_FLOOR,
+            reuse,
+            |deeper, a, rules| {
+                let cache = &mut caches[a.index()];
+                if deeper {
+                    cache.as_mut().expect("level 1 filed the cache").deeper = rules;
+                } else {
+                    *cache = Some(AnchorCache {
+                        minsup,
+                        level1: rules,
+                        deeper: Vec::new(),
+                    });
+                }
+            },
+        );
         pm_obs::counter("incremental.anchors_remined").add(stale.len() as u64);
         pm_obs::counter("incremental.anchors_reused").add((freq.len() - stale.len()) as u64);
 
@@ -527,11 +612,10 @@ mod tests {
         TransactionSet::new(catalog(), Hierarchy::flat(4), txns).unwrap()
     }
 
-    /// Field-by-field bit-exact comparison of two mining results.
-    fn assert_identical(inc: &MinedRules, cold: &MinedRules, ctx: &str) {
-        assert_eq!(inc.min_support_count(), cold.min_support_count(), "{ctx}");
-        assert_eq!(inc.rules().len(), cold.rules().len(), "{ctx}: rule count");
-        for (i, (a, b)) in inc.rules().iter().zip(cold.rules()).enumerate() {
+    /// Field-by-field bit-exact comparison of two rule lists.
+    fn assert_rules_identical(got: &[Rule], want: &[Rule], ctx: &str) {
+        assert_eq!(got.len(), want.len(), "{ctx}: rule count");
+        for (i, (a, b)) in got.iter().zip(want).enumerate() {
             assert_eq!(a.body, b.body, "{ctx}: rule {i} body");
             assert_eq!(a.head, b.head, "{ctx}: rule {i} head");
             assert_eq!(a.body_count, b.body_count, "{ctx}: rule {i} body_count");
@@ -545,6 +629,12 @@ mod tests {
             );
             assert_eq!(a.gen_index, b.gen_index, "{ctx}: rule {i} gen_index");
         }
+    }
+
+    /// Field-by-field bit-exact comparison of two mining results.
+    fn assert_identical(inc: &MinedRules, cold: &MinedRules, ctx: &str) {
+        assert_eq!(inc.min_support_count(), cold.min_support_count(), "{ctx}");
+        assert_rules_identical(inc.rules(), cold.rules(), ctx);
         // The carried structures match too — the recommender builder
         // consumes them downstream.
         assert_eq!(inc.extended().txn_gs, cold.extended().txn_gs, "{ctx}");
@@ -779,7 +869,7 @@ mod tests {
         assert!(err.contains("anchor 9999"), "{err}");
 
         // A cached rule whose head the data does not have.
-        let mut bad = snap;
+        let mut bad = snap.clone();
         let with_rules = bad
             .caches
             .iter()
@@ -790,6 +880,179 @@ mod tests {
             .err()
             .expect("unknown head must be refused");
         assert!(err.contains("head 200"), "{err}");
+
+        // Caches in the shape no walk emits, each breaking one rule of
+        // that shape; a checkpoint's CRC holds over all of them. Every
+        // body id exists in the data, so only the shape is at fault.
+        let k = snap
+            .caches
+            .iter()
+            .position(|c| !c.level1.is_empty() && !c.deeper.is_empty())
+            .expect("some anchor has level-1 and deeper rules");
+        let a = snap.caches[k].anchor;
+        let n_gs = inc.state.as_ref().unwrap().layout.extended.n_gs() as u32;
+        assert!(
+            a + 3 < n_gs,
+            "anchor {a} leaves no room for the bodies below"
+        );
+        let template = snap.caches[k].deeper[0].clone();
+        let rule = |body: Vec<u32>, head: u32| RuleSnapshot {
+            body,
+            head,
+            ..template.clone()
+        };
+        let with = |level1: Option<Vec<RuleSnapshot>>, deeper: Vec<RuleSnapshot>| {
+            let mut bad = snap.clone();
+            if let Some(level1) = level1 {
+                bad.caches[k].level1 = level1;
+            }
+            bad.caches[k].deeper = deeper;
+            bad
+        };
+        let cases = [
+            (
+                "a level-1 body of two sales",
+                with(Some(vec![rule(vec![a, a + 1], 0)]), vec![]),
+            ),
+            (
+                "a level-1 body at another sale",
+                with(Some(vec![rule(vec![a + 1], 0)]), vec![]),
+            ),
+            (
+                "a deeper body of one sale",
+                with(None, vec![rule(vec![a], 0)]),
+            ),
+            (
+                "a deeper body at another anchor",
+                with(None, vec![rule(vec![a + 1, a + 2], 0)]),
+            ),
+            (
+                "a deeper body out of order",
+                with(None, vec![rule(vec![a, a + 2, a + 1], 0)]),
+            ),
+            (
+                "a deeper body with a repeat",
+                with(None, vec![rule(vec![a, a + 1, a + 1], 0)]),
+            ),
+            (
+                "a deeper body past max_body_len",
+                with(None, vec![rule(vec![a, a + 1, a + 2, a + 3], 0)]),
+            ),
+            (
+                "deeper bodies out of pre-order",
+                with(None, vec![rule(vec![a, a + 2], 0), rule(vec![a, a + 1], 0)]),
+            ),
+            (
+                "a subtree split by a sibling",
+                with(
+                    None,
+                    vec![
+                        rule(vec![a, a + 1], 0),
+                        rule(vec![a, a + 2], 0),
+                        rule(vec![a, a + 1, a + 3], 0),
+                    ],
+                ),
+            ),
+            (
+                "deeper heads descending in one body",
+                with(None, vec![rule(vec![a, a + 1], 1), rule(vec![a, a + 1], 0)]),
+            ),
+            (
+                "a deeper rule repeated",
+                with(None, vec![rule(vec![a, a + 1], 0), rule(vec![a, a + 1], 0)]),
+            ),
+            (
+                "level-1 heads descending",
+                with(Some(vec![rule(vec![a], 1), rule(vec![a], 0)]), vec![]),
+            ),
+        ];
+        for (what, bad) in cases {
+            let err = IncrementalMiner::restore(mk(), &data, &bad)
+                .err()
+                .unwrap_or_else(|| panic!("{what} must be refused"));
+            assert!(err.contains(&format!("anchor {a}")), "{what}: {err}");
+        }
+        // The same rules in the walk's shape restore.
+        let good = with(
+            Some(vec![rule(vec![a], 0), rule(vec![a], 1)]),
+            vec![
+                rule(vec![a, a + 1], 0),
+                rule(vec![a, a + 1, a + 3], 1),
+                rule(vec![a, a + 2], 0),
+            ],
+        );
+        IncrementalMiner::restore(mk(), &data, &good).expect("a walk-shaped cache restores");
+    }
+
+    /// Every anchor an update walks ends with the cache a fresh fit
+    /// gives it — rule for rule, profit bits and `gen_index` included —
+    /// though its clean subtrees moved over instead of being walked.
+    /// Model bytes cannot show a moved rule below today's support
+    /// (assembly drops it) or a misnumbered cached `gen_index` (assembly
+    /// renumbers); this can.
+    #[test]
+    fn walked_caches_equal_a_fresh_fits() {
+        use pm_datagen::DatasetConfig;
+        use rand::{rngs::StdRng, SeedableRng};
+        let full = DatasetConfig::dataset_ii()
+            .with_transactions(200)
+            .with_items(40)
+            .generate(&mut StdRng::seed_from_u64(47));
+        let prefix = |n: usize| full.subset(&(0..n).collect::<Vec<usize>>());
+        for threads in [1usize, 4] {
+            let mk = || {
+                RuleMiner::new(MinerConfig {
+                    min_support: Support::Fraction(0.05),
+                    max_body_len: 4,
+                    ..MinerConfig::default()
+                })
+                .with_threads(threads)
+            };
+            let mut inc = IncrementalMiner::new(mk());
+            inc.fit(&prefix(120));
+            let (mut walked, mut clean) = (0, 0);
+            let mut from = 120;
+            for to in [121, 122, 130, 160, 200] {
+                let data = prefix(to);
+                inc.update(&data);
+                let mut fresh = IncrementalMiner::new(mk());
+                fresh.fit(&data);
+                let got = inc.state.as_ref().unwrap();
+                let want = fresh.state.as_ref().unwrap();
+                let txn_gs = &got.layout.extended.txn_gs;
+                // A body is clean when no delta transaction holds it all.
+                let in_delta = |body: &[GsId]| {
+                    (from..to).any(|t| body.iter().all(|g| txn_gs[t].binary_search(g).is_ok()))
+                };
+                for g in 0..want.caches.len() {
+                    let ctx = format!("threads={threads} {from}..{to} anchor {g}");
+                    if !in_delta(&[GsId(g as u32)]) {
+                        continue;
+                    }
+                    match (&got.caches[g], &want.caches[g]) {
+                        (None, None) => {}
+                        (Some(got), Some(want)) => {
+                            walked += 1;
+                            assert_eq!(got.minsup, want.minsup, "{ctx}");
+                            assert_rules_identical(&got.level1, &want.level1, &ctx);
+                            assert_rules_identical(&got.deeper, &want.deeper, &ctx);
+                            clean += got.deeper.iter().filter(|r| !in_delta(&r.body)).count();
+                        }
+                        (got, want) => panic!(
+                            "{ctx}: cached {} vs a fresh fit's {}",
+                            got.is_some(),
+                            want.is_some()
+                        ),
+                    }
+                }
+                from = to;
+            }
+            // The walk moved rules, not merely re-walked every body.
+            assert!(
+                walked > 0 && clean > 0,
+                "walked {walked}, clean rules {clean}"
+            );
+        }
     }
 
     #[test]

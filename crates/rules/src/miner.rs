@@ -15,6 +15,8 @@ use pm_txn::{
     CodeId, GenSale, Hierarchy, ItemId, Moa, QuantityModel, TargetFilter, TransactionSet,
 };
 use serde::{Deserialize, Serialize};
+use std::iter::Peekable;
+use std::sync::Mutex;
 
 /// A minimum-support threshold, as a fraction of the transactions or an
 /// absolute count.
@@ -238,7 +240,7 @@ impl RuleMiner {
         let floor = dominance_floor(&self.config, &layout.totals, n);
         let every: Vec<usize> = (0..anchors.freq.len()).collect();
         let mut rules = Vec::new();
-        self.fan_out(&layout, &anchors, &every, floor, |_, _, job| {
+        self.fan_out(&layout, &anchors, &every, floor, None, |_, _, job| {
             rules.extend(job);
         });
         for (i, r) in rules.iter_mut().enumerate() {
@@ -339,15 +341,24 @@ impl RuleMiner {
     /// At one thread each job's rules reach the sink before the next job
     /// starts: a sink that appends them holds one job's buffer beside
     /// its own, never every rule twice.
+    ///
+    /// A cold fit passes no `reuse`. An incremental refit passes the
+    /// delta and the previous walk's rules ([`Reuse`]); a job whose
+    /// anchor has them rescans only the bodies a delta transaction
+    /// contains, and its rules equal a full walk's.
     pub(crate) fn fan_out(
         &self,
         layout: &Layout,
         anchors: &Anchors,
         jobs: &[usize],
         default_floor: (f64, f64),
+        reuse: Option<&Reuse>,
         mut sink: impl FnMut(bool, GsId, Vec<Rule>),
     ) {
         let _span = pm_obs::span("mine.dfs");
+        // Reused rules were emitted with the dominance floor off, and
+        // the floor moves with `n`.
+        debug_assert!(reuse.is_none() || default_floor == NO_FLOOR);
         let threads = pm_par::resolve(self.threads);
         let (freq, tidsets) = (&anchors.freq, &layout.tidsets);
         // Per-worker state: one emitter plus one intersection-scratch
@@ -390,7 +401,17 @@ impl RuleMiner {
             threads,
             init,
             |(emitter, scratch), j| {
-                self.process_anchor(emitter, scratch, freq, tidsets, pairs, jobs[j]);
+                let a = freq[jobs[j]];
+                let mut prior = reuse.and_then(|r| r.take(a, self.config.max_body_len));
+                self.process_anchor(
+                    emitter,
+                    scratch,
+                    freq,
+                    tidsets,
+                    pairs,
+                    jobs[j],
+                    prior.as_mut(),
+                );
                 emitter.take_rules()
             },
             |j, rules| sink(true, freq[jobs[j]], rules),
@@ -401,7 +422,10 @@ impl RuleMiner {
     /// `freq[ai]`: builds the anchor's candidate list (pair-frequent,
     /// no generalization relation), emits every frequent pair, and
     /// recurses while `max_body_len` allows. Emission order within an
-    /// anchor is fixed (candidates ascending, depth-first).
+    /// anchor is fixed (candidates ascending, depth-first). With a
+    /// `prior`, a child no delta transaction contains is not walked: its
+    /// subtree's rules move over from the previous walk.
+    #[allow(clippy::too_many_arguments)]
     fn process_anchor(
         &self,
         emitter: &mut RuleEmitter<'_>,
@@ -410,6 +434,7 @@ impl RuleMiner {
         tidsets: &[TidSet],
         pairs: &PairCounts,
         ai: usize,
+        mut prior: Option<&mut Prior<'_>>,
     ) {
         let interner = &emitter.extended.interner;
         let minsup = emitter.minsup;
@@ -429,6 +454,12 @@ impl RuleMiner {
         }
         for (pos, &bi) in cands.iter().enumerate() {
             let b = freq[bi];
+            if let Some(p) = prior.as_deref_mut() {
+                if p.is_clean(&[a], b) {
+                    p.move_subtree(emitter, &[a, b]);
+                    continue;
+                }
+            }
             // The pair table already proved this candidate frequent, so
             // the `minsup` bound can never trigger the early exit here.
             let count = intersect_into(
@@ -464,6 +495,7 @@ impl RuleMiner {
                     &mut vec![a, b],
                     1,
                     &deeper,
+                    prior.as_deref_mut(),
                 );
             }
         }
@@ -487,9 +519,18 @@ impl RuleMiner {
         body: &mut Vec<GsId>,
         depth: usize,
         cands: &[usize],
+        mut prior: Option<&mut Prior<'_>>,
     ) {
         for (pos, &ci) in cands.iter().enumerate() {
             let c = freq[ci];
+            if let Some(p) = prior.as_deref_mut() {
+                if p.is_clean(body, c) {
+                    body.push(c);
+                    p.move_subtree(emitter, body);
+                    body.pop();
+                    continue;
+                }
+            }
             let (parent, out) = scratch.parent_and_out(depth);
             let parent_sparse = matches!(parent.view(), TidView::Sparse(_));
             let Some(count) = intersect_into(parent.view(), tidsets[c.index()].view(), out, minsup)
@@ -520,6 +561,7 @@ impl RuleMiner {
                     body,
                     depth + 1,
                     &deeper,
+                    prior.as_deref_mut(),
                 );
             }
             body.pop();
@@ -575,6 +617,77 @@ pub(crate) fn dominance_floor(config: &MinerConfig, totals: &HeadTotals, n: usiz
         totals.profit.iter().cloned().fold(0.0f64, f64::max) / nf,
         totals.hits.iter().cloned().max().unwrap_or(0) as f64 / nf,
     )
+}
+
+/// What an incremental refit hands the walk (DESIGN.md §15): the delta
+/// tids of every generalized sale, and the deeper rules each changed
+/// anchor's previous walk emitted. Delta tids follow every old tid, so
+/// a body no delta transaction contains kept its tidset, and so did
+/// every body below it: their rules are the previous walk's, minus those
+/// below today's support.
+pub(crate) struct Reuse {
+    /// Delta tids per generalized sale, ascending.
+    pub(crate) delta: Vec<Vec<u32>>,
+    /// Per `GsId`: the anchor's previous deeper rules, in DFS pre-order,
+    /// until its job takes them.
+    pub(crate) prior: Vec<Mutex<Option<Vec<Rule>>>>,
+}
+
+impl Reuse {
+    /// Take anchor `a`'s previous rules for its job; `None` (no cache)
+    /// walks the anchor in full.
+    fn take(&self, a: GsId, max_body_len: usize) -> Option<Prior<'_>> {
+        let rules = self.prior[a.index()]
+            .lock()
+            .expect("no job panics while holding a slot")
+            .take()?;
+        let mut path = vec![Vec::new(); max_body_len];
+        path[0].extend_from_slice(&self.delta[a.index()]);
+        Some(Prior {
+            delta: &self.delta,
+            path,
+            rules: rules.into_iter().peekable(),
+        })
+    }
+}
+
+/// One anchor's share of a [`Reuse`], consumed as its walk goes.
+pub(crate) struct Prior<'r> {
+    delta: &'r [Vec<u32>],
+    /// Delta tids of the bodies on the walk's path: `path[k]` holds the
+    /// body of `k + 1` sales.
+    path: Vec<Vec<u32>>,
+    /// The previous walk's rules not yet moved or dropped, in DFS
+    /// pre-order: `(body, head)` ascending, so one subtree is one run.
+    rules: Peekable<std::vec::IntoIter<Rule>>,
+}
+
+impl Prior<'_> {
+    /// Does no delta transaction contain `body ∪ {c}`? A child that some
+    /// does is walked, and its delta tids stay on the path for the
+    /// bodies below it.
+    fn is_clean(&mut self, body: &[GsId], c: GsId) -> bool {
+        let k = body.len();
+        let (parent, child) = self.path.split_at_mut(k);
+        let with_c = &self.delta[c.index()];
+        child[0].clear();
+        child[0].extend(
+            parent[k - 1]
+                .iter()
+                .filter(|t| with_c.binary_search(t).is_ok()),
+        );
+        child[0].is_empty()
+    }
+
+    /// File the previous walk's rules at clean `body` and below it, and
+    /// drop those before it, which the walk has passed.
+    fn move_subtree(&mut self, emitter: &mut RuleEmitter<'_>, body: &[GsId]) {
+        emitter.subtrees_reused += 1;
+        while self.rules.next_if(|r| r.body.as_slice() < body).is_some() {}
+        while let Some(r) = self.rules.next_if(|r| r.body.starts_with(body)) {
+            emitter.refile(r);
+        }
+    }
 }
 
 /// Per-head admission gates, resolved once per mining run from the
@@ -719,6 +832,10 @@ pub(crate) struct RuleEmitter<'a> {
     /// Per-head profit passes run by [`Self::scan`]; flushed to
     /// `mine.head_sums` on drop.
     head_sums: u64,
+    /// Clean subtrees whose rules moved over from a previous walk
+    /// instead of being walked; flushed to `incremental.subtrees_reused`
+    /// on drop.
+    subtrees_reused: u64,
 }
 
 impl Drop for RuleEmitter<'_> {
@@ -733,6 +850,7 @@ impl Drop for RuleEmitter<'_> {
             ("mine.ub_pruned", self.ub_pruned),
             ("mine.tids_scanned", self.tids_scanned),
             ("mine.head_sums", self.head_sums),
+            ("incremental.subtrees_reused", self.subtrees_reused),
         ];
         let by_depth = UB_DEPTH_NAMES.iter().copied().zip(self.ub_pruned_depth);
         for (name, c) in counts.into_iter().chain(by_depth) {
@@ -782,6 +900,7 @@ impl<'a> RuleEmitter<'a> {
             ub_pruned_depth: [0; UB_DEPTH_NAMES.len()],
             tids_scanned: 0,
             head_sums: 0,
+            subtrees_reused: 0,
         }
     }
 
@@ -972,6 +1091,18 @@ impl<'a> RuleEmitter<'a> {
                 profit,
                 gen_index,
             });
+        }
+    }
+
+    /// File a rule the previous walk emitted at a body no delta
+    /// transaction contains. Its statistics are today's, and every
+    /// emission filter but support is independent of `n` (the dominance
+    /// floor is off wherever rules are reused), so it is emitted today
+    /// iff it reaches today's support.
+    fn refile(&mut self, mut rule: Rule) {
+        if rule.hits >= self.minsup {
+            rule.gen_index = self.rules.len() as u32;
+            self.rules.push(rule);
         }
     }
 

@@ -13,9 +13,9 @@ mod common;
 
 use common::THREADS;
 use pm_datagen::{DatasetConfig, HierarchyConfig};
-use pm_rules::{IncrementalMiner, MinerConfig, MoaMode, RuleMiner, Support};
-use pm_txn::{QuantityModel, TransactionSet};
-use profit_core::{CutConfig, ProfitMiner, RuleModel};
+use pm_rules::{IncrementalMiner, MinerConfig, MinerSnapshot, MoaMode, RuleMiner, Support};
+use pm_txn::{QuantityModel, TargetFilter, TransactionSet};
+use profit_core::{CutConfig, IncrementalProfitMiner, ProfitMiner, RuleModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -46,9 +46,30 @@ fn check_stream(
             .with_cut(cut_config)
             .with_threads(threads)
     };
+    check_pipeline_stream(full, cuts, None, pipeline, &ctx);
+}
+
+/// [`check_stream`] for any pipeline. With `restore_at`, the miner
+/// fitted up to the cut before it goes through a snapshot, JSON and
+/// [`IncrementalProfitMiner::restore`] first, and the restored miner
+/// streams on.
+fn check_pipeline_stream(
+    full: &TransactionSet,
+    cuts: &[usize],
+    restore_at: Option<usize>,
+    pipeline: impl Fn() -> ProfitMiner,
+    ctx: &str,
+) {
     let mut inc = pipeline().into_incremental();
     inc.fit(&prefix(full, cuts[0]));
+    let mut fitted = cuts[0];
     for &cut in cuts {
+        if restore_at == Some(cut) {
+            let json = serde_json::to_string(&inc.snapshot().unwrap()).unwrap();
+            let snap: MinerSnapshot = serde_json::from_str(&json).unwrap();
+            inc = IncrementalProfitMiner::restore(pipeline(), &prefix(full, fitted), &snap)
+                .unwrap_or_else(|e| panic!("[{ctx}] restore at {fitted} failed: {e}"));
+        }
         // (The first iteration is a no-op update over the fitted head —
         // the smallest delta there is.)
         let model = inc.update(&prefix(full, cut));
@@ -57,6 +78,7 @@ fn check_stream(
             model_bytes(&model),
             "[{ctx}] incremental model diverged from the batch fit at {cut} transactions"
         );
+        fitted = cut;
     }
 }
 
@@ -144,6 +166,59 @@ fn incremental_models_match_batch_on_dataset_ii_with_deep_bodies() {
     };
     check_stream(&full, &[120, 240], config, CutConfig::default(), 1);
     check_stream(&full, &[120, 180, 240], config, CutConfig::default(), 4);
+}
+
+/// Bodies of up to 3 and 4 sales, where a small delta leaves most of a
+/// walked anchor's subtrees clean: the refit moves their rules over
+/// from the previous walk instead of walking them. At 1 and 4 threads,
+/// with no filter, a target, per-item floors over a scalar rule-profit
+/// floor, and a confidence floor. The support fraction's count rises
+/// from 6 to 12 along the stream, single transactions trickle in, and
+/// halfway a snapshot goes through JSON and a restored miner streams on.
+#[test]
+fn incremental_models_match_batch_with_clean_subtrees_moved() {
+    let full: TransactionSet = DatasetConfig::dataset_ii()
+        .with_transactions(240)
+        .with_items(60)
+        .generate(&mut StdRng::seed_from_u64(0xC1EA));
+    let target = full.catalog().target_items()[0];
+    let cuts = [120, 121, 122, 150, 151, 152, 190, 240];
+    for max_body_len in [3, 4] {
+        let config = MinerConfig {
+            min_support: Support::Fraction(0.05),
+            max_body_len,
+            ..MinerConfig::default()
+        };
+        let variants = [
+            ("no filter", ProfitMiner::new(config)),
+            (
+                "target",
+                ProfitMiner::new(config).with_target(Some(TargetFilter::Items(vec![target]))),
+            ),
+            (
+                "item floors",
+                ProfitMiner::new(MinerConfig {
+                    min_rule_profit: Some(2.0),
+                    ..config
+                })
+                .with_item_floors(vec![(target, 6.0)]),
+            ),
+            (
+                "confidence",
+                ProfitMiner::new(MinerConfig {
+                    min_confidence: Some(0.3),
+                    ..config
+                }),
+            ),
+        ];
+        for threads in THREADS {
+            for (name, pipeline) in &variants {
+                let ctx = format!("{name} max_body={max_body_len} threads={threads}");
+                let pipeline = || pipeline.clone().with_threads(threads);
+                check_pipeline_stream(&full, &cuts, Some(151), pipeline, &ctx);
+            }
+        }
+    }
 }
 
 /// The growing-catalog axis: a mid-stream [`pm_txn::CatalogDelta`]
