@@ -240,3 +240,70 @@ fn dfs_work_counters_equal_the_pinned_baseline() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The model build's counters (`RuleModel::build`).
+const BUILD_COUNTERS: [&str; 5] = [
+    "build.bodies_ranked",
+    "build.prefix_steps",
+    "build.cover_intersections",
+    "build.cut_evals",
+    "build.ucf_solved",
+];
+
+/// The model build's work, pinned on the fits that pin the DFS's:
+/// distinct bodies ranked above the default rule, prefix-map edges the
+/// dominance and parent walks looked up, tidset intersections in
+/// coverage, node evaluations in the cut, and `U_CF` values solved (a
+/// cold fit starts with no carried values). Each count is summed once
+/// per build, so it is exact at any thread count.
+#[test]
+fn build_work_counters_equal_the_pinned_baseline() {
+    let dir = tmp_dir("build-counters");
+    let data = dir.join("data.json");
+    run_ok(&[
+        "gen",
+        "--out",
+        path(&data),
+        "--txns",
+        "400",
+        "--items",
+        "80",
+        "--seed",
+        "5",
+    ]);
+    let model = dir.join("model.pm");
+    let metrics = dir.join("metrics.json");
+    let baseline: [(&[&str], [u64; 5]); 3] = [
+        (&["--minsup", "0.03"], [6_506, 74_794, 2_652, 2_076, 32]),
+        (
+            &["--minsup", "0.03", "--min-profit", "5"],
+            [6_506, 74_794, 2_652, 2_076, 32],
+        ),
+        (
+            &["--minsup", "0.01"],
+            [56_573, 1_201_957, 27_801, 20_261, 21],
+        ),
+    ];
+    for (regime, expect) in baseline {
+        for threads in ["1", "4"] {
+            let mut argv = vec![
+                "fit",
+                "--data",
+                path(&data),
+                "--out",
+                path(&model),
+                "--max-body",
+                "3",
+                "--threads",
+                threads,
+                "--metrics",
+                path(&metrics),
+            ];
+            argv.extend(regime);
+            run_ok(&argv);
+            let got = BUILD_COUNTERS.map(|name| counter(&metrics, name));
+            assert_eq!(got, expect, "{argv:?}: {BUILD_COUNTERS:?}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -355,7 +355,7 @@ fn a_full_fleet_is_served_exactly_extras_are_shed_and_no_fd_leaks() {
 
 /// The counters one incremental delta moves, in the order the baseline
 /// lists them.
-const DELTA_COUNTERS: [&str; 8] = [
+const DELTA_COUNTERS: [&str; 9] = [
     "incremental.anchors_changed",
     "incremental.anchors_remined",
     "incremental.anchors_reused",
@@ -364,12 +364,13 @@ const DELTA_COUNTERS: [&str; 8] = [
     "mine.head_sums",
     "miner.candidates_pruned",
     "mine.ub_evaluated",
+    "build.ucf_solved",
 ];
 
 /// Run a streaming daemon on `head` at `threads`, send it `ingest` (if
 /// any), shut it down, and read [`DELTA_COUNTERS`] from its `--metrics`
 /// dump; a counter the dump omits stayed at 0.
-fn streaming_counters(dir: &Path, head: &str, threads: &str, ingest: Option<&str>) -> [u64; 8] {
+fn streaming_counters(dir: &Path, head: &str, threads: &str, ingest: Option<&str>) -> [u64; 9] {
     let tag = format!("t{threads}-{}", ingest.map_or("fit", |_| "ingest"));
     let log = dir.join(format!("{tag}.log")).display().to_string();
     let metrics = dir.join(format!("{tag}.json"));
@@ -437,9 +438,11 @@ fn streaming_counters(dir: &Path, head: &str, threads: &str, ingest: Option<&str
 /// One incremental delta's work, pinned like a cold fit's DFS counters
 /// (`fit_cli.rs`). A streaming daemon on the first 390 transactions of
 /// the CI smoke data (`gen --txns 400 --items 80 --seed 5`, `--minsup
-/// 0.02 --max-body 4`) ingests the last 10 in one batch. Its `--metrics`
+/// 0.03 --max-body 4`) ingests the last 10 in one batch. Its `--metrics`
 /// dump less the dump of a daemon that ingested nothing is the delta's
-/// work, and must equal the baseline at 1 and 4 threads. The registry
+/// work, and must equal the baseline at 1 and 4 threads; its
+/// `build.ucf_solved` counts the `U_CF` values the delta's build read
+/// that the fit's build had not. The registry
 /// is process-global, so each dump comes from its own daemon. A change
 /// that moves a count updates the baseline and says why.
 #[test]
@@ -456,7 +459,7 @@ fn one_ingest_delta_does_the_pinned_work() {
     let batch: Vec<pm_txn::Transaction> =
         serde_json::from_str(&std::fs::read_to_string(&tail).unwrap()).unwrap();
     let ingest = pm_serve::protocol::ingest_line(None, &batch);
-    let baseline: [u64; 8] = [110, 109, 86, 172_567, 2_988_844, 133_261, 63_654, 21_999];
+    let baseline: [u64; 9] = [110, 109, 86, 172_567, 2_988_844, 133_261, 63_654, 21_999, 5];
     for threads in ["1", "4"] {
         let fit = streaming_counters(&dir, &head, threads, None);
         let both = streaming_counters(&dir, &head, threads, Some(&ingest));

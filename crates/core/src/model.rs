@@ -8,7 +8,7 @@
 //! generalizes the customer's non-target sales; the default rule
 //! guarantees a match.
 
-use crate::cut::{optimal_cut, CutTree};
+use crate::cut::{optimal_cut, CutResult, CutTree};
 use crate::pessimistic::ProjectedProfit;
 use crate::pipeline::{BuildStats, CutConfig};
 use crate::tree::CoveringTree;
@@ -114,13 +114,27 @@ impl RuleModel {
     /// dominated rules, assign coverage, build the covering tree, and —
     /// unless `config.prune` is off — take the optimal cut.
     pub fn build(mined: &MinedRules, config: &CutConfig) -> RuleModel {
+        let mut projector = ProjectedProfit::new(config.cf, config.profit_mode);
+        Self::build_with(mined, config, &mut projector)
+    }
+
+    /// [`build`](Self::build), reading `U_CF` through `projector` (made
+    /// with `config`'s confidence level and profit mode), which keeps
+    /// only the values this build read for the next.
+    pub(crate) fn build_with(
+        mined: &MinedRules,
+        config: &CutConfig,
+        projector: &mut ProjectedProfit,
+    ) -> RuleModel {
+        debug_assert_eq!(projector.mode(), config.profit_mode);
         let tree = CoveringTree::build(mined, config.profit_mode, config.min_support);
-        let n_after_dominance = tree.len();
-        let projector = ProjectedProfit::new(config.cf, config.profit_mode);
+        let _span = pm_obs::span("build.cut");
         let ext = mined.extended();
 
         // Prof_pr of rule `node` over coverage `tids`.
-        let eval = |node: usize, tids: &[u32]| -> f64 {
+        let mut evals = 0u64;
+        let mut eval = |node: usize, tids: &[u32]| -> f64 {
+            evals += 1;
             let head = tree.rules[node].head;
             let mut hits = 0u64;
             let mut profit = 0.0f64;
@@ -133,22 +147,24 @@ impl RuleModel {
             projector.profit(tids.len() as u64, hits, profit)
         };
 
-        let cut_input = CutTree {
-            parent: tree.parent.clone(),
-            cover: tree.cover.clone(),
-        };
         let result = if config.prune {
-            optimal_cut(&cut_input, eval)
+            let cut_tree = CutTree {
+                parent: &tree.parent,
+                cover: &tree.cover,
+            };
+            optimal_cut(&cut_tree, eval)
         } else {
             // No pruning: every node kept with its own coverage.
             let node_profit: Vec<f64> = (0..tree.len()).map(|i| eval(i, &tree.cover[i])).collect();
-            crate::cut::CutResult {
+            CutResult {
                 retained: vec![true; tree.len()],
+                coverage: tree.cover.iter().map(|c| c.len() as u32).collect(),
                 total_profit: node_profit.iter().sum(),
                 node_profit,
-                final_cover: tree.cover.clone(),
             }
         };
+        pm_obs::counter("build.cut_evals").add(evals);
+        pm_obs::counter("build.ucf_solved").add(projector.retain_read());
 
         let interner = mined.interner();
         let rules: Vec<ModelRule> = (0..tree.len())
@@ -166,7 +182,7 @@ impl RuleModel {
                     prof_re: r.recommendation_profit(config.profit_mode),
                     confidence: r.confidence(),
                     projected_profit: result.node_profit[i],
-                    coverage: result.final_cover[i].len() as u32,
+                    coverage: result.coverage[i],
                     is_default: r.body.is_empty(),
                 }
             })
@@ -174,11 +190,8 @@ impl RuleModel {
 
         let stats = BuildStats {
             mined_rules: mined.rules().len(),
-            ranked_rules: match config.min_support {
-                Some(s) => mined.rule_indices_at(s).len(),
-                None => mined.rules().len(),
-            },
-            after_dominance: n_after_dominance,
+            ranked_rules: tree.n_dominated + tree.len() - 1,
+            after_dominance: tree.len(),
             after_cut: rules.len(),
             projected_profit: result.total_profit,
         };

@@ -10,7 +10,9 @@
 use pm_rules::ProfitMode;
 use pm_stats::PessimisticEstimator;
 
-/// Computes `Prof_pr` from coverage observations.
+/// Computes `Prof_pr` from coverage observations, through a `U_CF` memo
+/// that a pipeline carries from one build to the next (see
+/// [`PessimisticEstimator::retain_read`]).
 #[derive(Debug, Clone)]
 pub struct ProjectedProfit {
     estimator: PessimisticEstimator,
@@ -35,7 +37,7 @@ impl ProjectedProfit {
     /// were hits generating `profit` total dollars (`p(r, t)` summed over
     /// the cover; ignored under [`ProfitMode::Confidence`], where each hit
     /// is worth 1).
-    pub fn profit(&self, n: u64, hits: u64, profit: f64) -> f64 {
+    pub fn profit(&mut self, n: u64, hits: u64, profit: f64) -> f64 {
         assert!(hits <= n, "hits ({hits}) cannot exceed coverage ({n})");
         if n == 0 || hits == 0 {
             // No evidence of any hit: the pessimistic profit is zero.
@@ -47,6 +49,12 @@ impl ProjectedProfit {
             ProfitMode::Confidence => 1.0,
         };
         x * y
+    }
+
+    /// End one build: keep only the `U_CF` values read since the last
+    /// call, and return how many of them were solved afresh.
+    pub fn retain_read(&mut self) -> u64 {
+        self.estimator.retain_read()
     }
 }
 
@@ -62,14 +70,14 @@ mod tests {
 
     #[test]
     fn zero_cases() {
-        let p = ProjectedProfit::default();
+        let mut p = ProjectedProfit::default();
         assert_eq!(p.profit(0, 0, 0.0), 0.0);
         assert_eq!(p.profit(10, 0, 0.0), 0.0);
     }
 
     #[test]
     fn perfect_hits_are_discounted_but_close() {
-        let p = ProjectedProfit::default();
+        let mut p = ProjectedProfit::default();
         // 100 covered, all hit, $2 each: observed 200, projected slightly
         // below because U_CF(100, 0) > 0.
         let v = p.profit(100, 100, 200.0);
@@ -78,7 +86,7 @@ mod tests {
 
     #[test]
     fn small_samples_are_penalized_harder() {
-        let p = ProjectedProfit::default();
+        let mut p = ProjectedProfit::default();
         // Same observed per-hit profit and hit rate, different evidence.
         let small = p.profit(4, 4, 8.0) / 8.0;
         let large = p.profit(400, 400, 800.0) / 800.0;
@@ -87,7 +95,7 @@ mod tests {
 
     #[test]
     fn more_misses_less_profit() {
-        let p = ProjectedProfit::default();
+        let mut p = ProjectedProfit::default();
         // Fixed per-hit profit $3.
         let a = p.profit(100, 90, 270.0);
         let b = p.profit(100, 50, 150.0);
@@ -96,7 +104,7 @@ mod tests {
 
     #[test]
     fn confidence_mode_counts_hits() {
-        let p = ProjectedProfit::new(0.25, ProfitMode::Confidence);
+        let mut p = ProjectedProfit::new(0.25, ProfitMode::Confidence);
         // Y = 1, so Prof_pr is just the projected hit count.
         let v = p.profit(100, 80, 12345.0);
         let hits = PessimisticEstimator::new(0.25).projected_hits(100, 20);
@@ -105,7 +113,7 @@ mod tests {
 
     #[test]
     fn matches_hand_computation() {
-        let p = ProjectedProfit::new(0.25, ProfitMode::Profit);
+        let mut p = ProjectedProfit::new(0.25, ProfitMode::Profit);
         let n = 50u64;
         let hits = 40u64;
         let profit = 120.0;

@@ -1,6 +1,7 @@
 //! One-call pipeline: mine → rank → prune → recommender.
 
 use crate::model::RuleModel;
+use crate::pessimistic::ProjectedProfit;
 use pm_rules::{IncrementalMiner, MinerConfig, MinerSnapshot, ProfitMode, RuleMiner, Support};
 use pm_txn::{ItemId, TargetFilter, TransactionSet};
 use serde::{Deserialize, Serialize};
@@ -122,6 +123,7 @@ impl ProfitMiner {
     pub fn into_incremental(self) -> IncrementalProfitMiner {
         IncrementalProfitMiner {
             inner: IncrementalMiner::new(self.miner),
+            projector: ProjectedProfit::new(self.cut.cf, self.cut.profit_mode),
             cut: self.cut,
         }
     }
@@ -133,9 +135,14 @@ impl ProfitMiner {
 /// model byte-identical to [`ProfitMiner::fit`] on the concatenated
 /// set — the recommender construction is deterministic on top of the
 /// incremental miner's bit-identical rule stream.
+///
+/// Each build hands the `U_CF` values it read to the next, which reads
+/// mostly the same `(n, e)` pairs; `U_CF` is a pure function of
+/// `(n, e, cf)`, so a carried value has a fresh solve's bits.
 pub struct IncrementalProfitMiner {
     inner: IncrementalMiner,
     cut: CutConfig,
+    projector: ProjectedProfit,
 }
 
 impl IncrementalProfitMiner {
@@ -161,7 +168,7 @@ impl IncrementalProfitMiner {
             self.inner.fit(data)
         };
         let _span = pm_obs::span("fit.build");
-        RuleModel::build(&mined, &self.cut)
+        RuleModel::build_with(&mined, &self.cut, &mut self.projector)
     }
 
     /// Fold in a delta batch (see [`IncrementalMiner::update`]: `data`
@@ -177,7 +184,7 @@ impl IncrementalProfitMiner {
             self.inner.update(data)
         };
         let _span = pm_obs::span("update.build");
-        let model = RuleModel::build(&mined, &self.cut);
+        let model = RuleModel::build_with(&mined, &self.cut, &mut self.projector);
         pm_obs::info!(
             "update.done",
             transactions = data.len(),
@@ -206,6 +213,7 @@ impl IncrementalProfitMiner {
     ) -> Result<Self, String> {
         Ok(Self {
             inner: IncrementalMiner::restore(pipeline.miner, data, snap)?,
+            projector: ProjectedProfit::new(pipeline.cut.cf, pipeline.cut.profit_mode),
             cut: pipeline.cut,
         })
     }

@@ -40,23 +40,39 @@ pub mod test_hooks {
 /// Compare two rules by MPF rank under `mode`.
 /// `Ordering::Greater` means `a` is ranked **higher** than `b`.
 pub fn mpf_cmp(a: &Rule, b: &Rule, mode: ProfitMode) -> Ordering {
-    let primary = a
-        .recommendation_profit(mode)
-        .total_cmp(&b.recommendation_profit(mode));
-    if test_hooks::swap_support_body_tie() {
-        // Injected bug (tests only): simplicity before generality.
-        return primary
-            .then_with(|| b.body_len().cmp(&a.body_len()))
-            .then_with(|| a.support_count().cmp(&b.support_count()))
-            .then_with(|| b.gen_index.cmp(&a.gen_index));
-    }
-    primary
+    MpfKey::of(a, mode).cmp(&MpfKey::of(b, mode))
+}
+
+/// A rule's MPF rank as one integer triple, computed once: keys compare
+/// exactly as [`mpf_cmp`] compares their rules, so sorting keys sorts
+/// the rules.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct MpfKey(u64, u64, u32);
+
+impl MpfKey {
+    /// The key of `rule` under `mode`.
+    pub(crate) fn of(rule: &Rule, mode: ProfitMode) -> MpfKey {
+        // `Prof_re` in `f64::total_cmp` order: flip a negative's bits,
+        // set a positive's sign bit.
+        let bits = rule.recommendation_profit(mode).to_bits();
+        let profit = if bits >> 63 == 1 {
+            !bits
+        } else {
+            bits | 1 << 63
+        };
         // Generality: larger support ranks higher.
-        .then_with(|| a.support_count().cmp(&b.support_count()))
+        let support = u64::from(rule.support_count());
         // Simplicity: smaller body ranks higher.
-        .then_with(|| b.body_len().cmp(&a.body_len()))
+        let simple = u64::from(u32::MAX - u32::try_from(rule.body_len()).unwrap_or(u32::MAX));
+        let ties = if test_hooks::swap_support_body_tie() {
+            // Injected bug (tests only): simplicity before generality.
+            simple << 32 | support
+        } else {
+            support << 32 | simple
+        };
         // Totality: earlier generation ranks higher.
-        .then_with(|| b.gen_index.cmp(&a.gen_index))
+        MpfKey(profit, ties, u32::MAX - rule.gen_index)
+    }
 }
 
 /// Sort rule indices into descending MPF rank (highest rank first).
@@ -190,6 +206,51 @@ mod tests {
         sort_by_rank_desc(&mut rules, ProfitMode::Profit);
         assert!(rules[0].profit.is_nan() && rules[1].profit.is_nan());
         assert_eq!(rules[2].gen_index, 2);
+    }
+
+    /// The §3.2 tie chain written out: what [`MpfKey`] must order as.
+    /// (`tests/differential_injected_bug.rs` checks the swapped chain.)
+    fn chain(a: &Rule, b: &Rule, mode: ProfitMode) -> Ordering {
+        a.recommendation_profit(mode)
+            .total_cmp(&b.recommendation_profit(mode))
+            .then(a.support_count().cmp(&b.support_count()))
+            .then(b.body_len().cmp(&a.body_len()))
+            .then(b.gen_index.cmp(&a.gen_index))
+    }
+
+    #[test]
+    fn key_orders_as_the_tie_chain() {
+        let profits = [
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            1e-300,
+            -1e-300,
+            2.5,
+            -2.5,
+            1e300,
+        ];
+        let mut rules = Vec::new();
+        let mut gen = 0;
+        for &profit in &profits {
+            for body_count in [0u32, 3, 10] {
+                for (hits, body_len) in [(0u32, 1usize), (2, 1), (2, 3), (3, 1), (3, 3)] {
+                    rules.push(rule(body_len, body_count, hits, profit, gen));
+                    gen += 1;
+                }
+            }
+        }
+        rules.push(rule(0, 10, 3, 2.5, u32::MAX));
+        for mode in [ProfitMode::Profit, ProfitMode::Confidence] {
+            for a in &rules {
+                for b in &rules {
+                    assert_eq!(mpf_cmp(a, b, mode), chain(a, b, mode));
+                }
+            }
+        }
     }
 
     #[test]

@@ -18,25 +18,31 @@
 //! `closure(B') = ∪_{g ∈ B'} ({g} ∪ ancestors(g))` — every element of a
 //! generalizing body must be an ancestor-or-self of some element of the
 //! specialized body, and vice versa any such subset generalizes.
+//!
+//! The build works once per distinct body. Rules that share a body also
+//! share its closure, so the first of them in rank order is the only one
+//! that can survive: a later one is dominated by it, or by whatever
+//! dominated it.
 
-use crate::rank::mpf_cmp;
+use crate::rank::MpfKey;
 use pm_rules::{
     intersect_into, BitSet, GsId, GsInterner, MinedRules, ProfitMode, Rule, Support, TidBuf,
     TidView,
 };
-use std::collections::{HashMap, HashSet};
+use std::borrow::Cow;
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// The covering tree over the surviving (non-dominated) rules.
 #[derive(Debug, Clone)]
-pub struct CoveringTree {
-    /// Surviving rules in descending MPF rank; the last one is the
-    /// default rule (the root).
-    pub rules: Vec<Rule>,
+pub struct CoveringTree<'a> {
+    /// Surviving rules in descending MPF rank, borrowed from the mined
+    /// rules; the last one is the default rule (the root).
+    pub rules: Vec<Cow<'a, Rule>>,
     /// Parent index per rule (`None` only for the default rule).
     pub parent: Vec<Option<usize>>,
     /// Transactions covered by each rule (it is their highest-ranked
-    /// match).
+    /// match), ascending.
     pub cover: Vec<Vec<u32>>,
     /// How many mined rules the dominance step removed.
     pub n_dominated: usize,
@@ -71,26 +77,42 @@ impl Hasher for IdHasher {
 
 type IdBuildHasher = BuildHasherDefault<IdHasher>;
 
+/// No node, no survivor.
+const NONE: u32 = u32::MAX;
+
 /// Every prefix of every survivor body, as a trie: node 0 is the empty
 /// prefix, and the edge `(node, g)` leads to that prefix extended by `g`.
 /// Bodies are sorted, so a survivor body is a subset of a sorted closure
-/// iff [`walk`](Self::walk) reaches the node the body ends at.
+/// iff a walk of the closure reaches the node the body ends at.
 struct PrefixMap {
+    /// The root's edges, indexed by `GsId` (`NONE` where absent).
+    root: Vec<u32>,
+    /// Every other edge.
     edges: HashMap<(u32, GsId), u32, IdBuildHasher>,
-    /// Per node: the survivor whose body ends there, if any.
-    owner: Vec<Option<u32>>,
+    /// Per node: the survivor whose body ends there, or `NONE`.
+    owner: Vec<u32>,
+    /// Per node: the smallest survivor whose body passes through it.
+    /// Survivors arrive in ascending order, so it is the one that made
+    /// the node.
+    first: Vec<u32>,
     /// Per node: bit `g % 64` is set for each child edge `g` (zero for a
     /// leaf). Most closure ids extend no given prefix, and a clear bit
     /// skips their hash lookup.
     kids: Vec<u64>,
 }
 
+fn bit(g: GsId) -> u64 {
+    1 << (g.0 % 64)
+}
+
 impl PrefixMap {
-    /// The map holding only the empty prefix.
-    fn new() -> Self {
+    /// The map holding only the empty prefix, over `n_gs` sales.
+    fn new(n_gs: usize) -> Self {
         Self {
+            root: vec![NONE; n_gs],
             edges: HashMap::default(),
-            owner: vec![None],
+            owner: vec![NONE],
+            first: vec![NONE],
             kids: vec![0],
         }
     }
@@ -99,141 +121,303 @@ impl PrefixMap {
     fn insert(&mut self, body: &[GsId], id: u32) {
         let mut node = 0;
         for &g in body {
-            self.kids[node as usize] |= 1 << (g.0 % 64);
             let next = self.owner.len() as u32;
-            node = *self.edges.entry((node, g)).or_insert(next);
+            node = if node == 0 {
+                let child = &mut self.root[g.index()];
+                if *child == NONE {
+                    *child = next;
+                }
+                *child
+            } else {
+                self.kids[node as usize] |= bit(g);
+                *self.edges.entry((node, g)).or_insert(next)
+            };
             if node == next {
-                self.owner.push(None);
+                self.owner.push(NONE);
+                self.first.push(id);
                 self.kids.push(0);
             }
         }
-        self.owner[node as usize] = Some(id);
+        self.owner[node as usize] = id;
     }
 
-    /// Report each survivor whose body is a subset of the sorted
-    /// `closure`, extending only the prefixes present in the map, until
-    /// `hit` returns true (then so does the walk).
-    fn walk(&self, node: u32, closure: &[GsId], hit: &mut impl FnMut(u32) -> bool) -> bool {
-        let kids = self.kids[node as usize];
-        closure.iter().enumerate().any(|(k, &g)| {
-            kids & (1 << (g.0 % 64)) != 0
-                && self.edges.get(&(node, g)).is_some_and(|&child| {
-                    self.owner[child as usize].is_some_and(&mut *hit)
-                        || self.walk(child, &closure[k + 1..], hit)
+    /// The child of `node` along `g`, counting each edge looked up in
+    /// `steps`.
+    fn child(&self, node: u32, g: GsId, steps: &mut u64) -> Option<u32> {
+        if node == 0 {
+            *steps += 1;
+            let child = self.root[g.index()];
+            return (child != NONE).then_some(child);
+        }
+        if self.kids[node as usize] & bit(g) == 0 {
+            return None;
+        }
+        *steps += 1;
+        self.edges.get(&(node, g)).copied()
+    }
+
+    /// Whether some survivor's body below `node` is a subset of the
+    /// sorted `closure`, extending only the prefixes present in the map.
+    fn any_subset(&self, node: u32, closure: &[GsId], steps: &mut u64) -> bool {
+        (node == 0 || self.kids[node as usize] != 0)
+            && closure.iter().enumerate().any(|(k, &g)| {
+                self.child(node, g, steps).is_some_and(|c| {
+                    self.owner[c as usize] != NONE || self.any_subset(c, &closure[k + 1..], steps)
                 })
-        })
+            })
     }
-}
 
-/// Closure of a body: every element plus all its strict ancestors,
-/// deduplicated and sorted into `out`.
-fn closure_into(interner: &GsInterner, body: &[GsId], out: &mut Vec<GsId>) {
-    out.clear();
-    for &g in body {
-        out.push(g);
-        out.extend_from_slice(interner.ancestors(g));
-    }
-    out.sort_unstable();
-    out.dedup();
-}
-
-impl CoveringTree {
-    /// Build the covering tree from mined rules under `mode`, optionally
-    /// filtering to a higher minimum support first.
-    pub fn build(mined: &MinedRules, mode: ProfitMode, min_support: Option<Support>) -> Self {
-        // 1. Rank: everything ranked below the default rule is dominated
-        //    by it, so only the rules above it are sorted.
-        let default = mined.default_rule(mode);
-        let all = mined.rules();
-        let pool = match min_support {
-            Some(s) => mined.rule_indices_at(s),
-            None => (0..all.len()).collect(),
-        };
-        let n_pool = pool.len();
-        let mut ranked: Vec<&Rule> = pool
-            .into_iter()
-            .map(|i| &all[i])
-            .filter(|r| mpf_cmp(r, &default, mode).is_gt())
-            .collect();
-        ranked.sort_by(|a, b| mpf_cmp(b, a, mode));
-
-        // 2. Dominance scan in rank-descending order, once per body: a
-        //    repeated body is dominated by the earlier rule with that
-        //    body or by whatever dominated it; a new body survives iff no
-        //    survivor body is a subset of its closure.
-        let interner = mined.interner();
-        let mut decided: HashSet<&[GsId], IdBuildHasher> = HashSet::default();
-        let mut map = PrefixMap::new();
-        let mut closure: Vec<GsId> = Vec::new();
-        let mut survivors: Vec<Rule> = Vec::new();
-        for rule in ranked {
-            if !decided.insert(rule.body.as_slice()) {
+    /// Lower `best` to the smallest survivor other than `me` whose body
+    /// below `node` is a subset of the sorted `closure`, skipping every
+    /// subtree whose first survivor is not below `best`.
+    fn min_subset(&self, node: u32, closure: &[GsId], me: u32, best: &mut u32, steps: &mut u64) {
+        if node != 0 && self.kids[node as usize] == 0 {
+            return;
+        }
+        for (k, &g) in closure.iter().enumerate() {
+            let Some(c) = self.child(node, g, steps) else {
+                continue;
+            };
+            if self.first[c as usize] >= *best {
                 continue;
             }
-            closure_into(interner, &rule.body, &mut closure);
-            if !map.walk(0, &closure, &mut |_| true) {
-                map.insert(&rule.body, survivors.len() as u32);
-                survivors.push(rule.clone());
+            let owner = self.owner[c as usize];
+            if owner != me && owner < *best {
+                *best = owner;
+            }
+            self.min_subset(c, &closure[k + 1..], me, best, steps);
+        }
+    }
+}
+
+/// The sorted up-set `{g} ∪ ancestors(g)` of every generalized sale, in
+/// one flat buffer: `g`'s is `ids[at[g]..at[g + 1]]`.
+struct UpSets {
+    ids: Vec<GsId>,
+    at: Vec<usize>,
+}
+
+impl UpSets {
+    fn new(interner: &GsInterner) -> Self {
+        let mut ids = Vec::new();
+        let mut at = vec![0];
+        for g in (0..interner.len() as u32).map(GsId) {
+            let anc = interner.ancestors(g);
+            let below = anc.partition_point(|&a| a < g);
+            ids.extend_from_slice(&anc[..below]);
+            ids.push(g);
+            ids.extend_from_slice(&anc[below..]);
+            at.push(ids.len());
+        }
+        Self { ids, at }
+    }
+
+    fn of(&self, g: GsId) -> &[GsId] {
+        &self.ids[self.at[g.index()]..self.at[g.index() + 1]]
+    }
+
+    /// Append the sorted closure of `body`, the union of its sales'
+    /// up-sets, to `out`: merge each up-set into the segment from the
+    /// back, then drop the repeats.
+    fn push_closure(&self, body: &[GsId], out: &mut Vec<GsId>) {
+        let start = out.len();
+        for &g in body {
+            let add = self.of(g);
+            let (mut i, mut j) = (out.len(), add.len());
+            out.resize(i + j, g);
+            let mut w = out.len();
+            while j > 0 {
+                w -= 1;
+                if i > start && out[i - 1] > add[j - 1] {
+                    i -= 1;
+                    out[w] = out[i];
+                } else {
+                    j -= 1;
+                    out[w] = add[j];
+                }
             }
         }
-        survivors.push(default);
-        let m = survivors.len();
+        let mut w = start;
+        for r in start..out.len() {
+            if w == start || out[w - 1] != out[r] {
+                out[w] = out[r];
+                w += 1;
+            }
+        }
+        out.truncate(w);
+    }
+}
+
+/// The bodies the rank keeps, highest rank first, each with its best
+/// rule, and with the bodies copied into one flat buffer in generation
+/// order, where the rules lie in memory: later stages read a body from
+/// the buffer rather than chase each rule's body in rank order.
+struct Ranked<'a> {
+    reps: Vec<(MpfKey, Rep<'a>)>,
+    bodies: Vec<GsId>,
+}
+
+/// One ranked body: its best rule and its body at `bodies[at..end]`.
+#[derive(Clone, Copy)]
+struct Rep<'a> {
+    rule: &'a Rule,
+    at: u32,
+    end: u32,
+}
+
+impl<'a> Ranked<'a> {
+    /// Rank, once per body: of each body run, the best rule by `mpf_cmp`
+    /// among those with at least `floor` hits, kept when it ranks above
+    /// `default`. Also returns the number of rules with at least `floor`
+    /// hits.
+    fn new(mined: &'a MinedRules, default: &Rule, mode: ProfitMode, floor: u32) -> (Self, usize) {
+        let bar = MpfKey::of(default, mode);
+        let mut n_pool = 0;
+        let mut reps = Vec::new();
+        let mut bodies = Vec::new();
+        let offset = |ids: &Vec<GsId>| u32::try_from(ids.len()).expect("fewer than 2^32 body ids");
+        for run in mined.body_runs() {
+            let mut best: Option<(MpfKey, &Rule)> = None;
+            for rule in run.iter().filter(|r| r.hits >= floor) {
+                n_pool += 1;
+                let key = MpfKey::of(rule, mode);
+                if best.is_none_or(|(b, _)| key > b) {
+                    best = Some((key, rule));
+                }
+            }
+            let Some((key, rule)) = best.filter(|&(key, _)| key > bar) else {
+                continue;
+            };
+            let at = offset(&bodies);
+            bodies.extend_from_slice(&rule.body);
+            let end = offset(&bodies);
+            reps.push((key, Rep { rule, at, end }));
+        }
+        reps.sort_unstable_by_key(|&(key, _)| std::cmp::Reverse(key));
+        (Self { reps, bodies }, n_pool)
+    }
+
+    fn body(&self, rep: &Rep<'_>) -> &[GsId] {
+        &self.bodies[rep.at as usize..rep.end as usize]
+    }
+}
+
+impl<'a> CoveringTree<'a> {
+    /// Build the covering tree from mined rules under `mode`, optionally
+    /// filtering to a higher minimum support first.
+    pub fn build(mined: &'a MinedRules, mode: ProfitMode, min_support: Option<Support>) -> Self {
+        let interner = mined.interner();
+
+        // 1. Rank: everything ranked below the default rule is dominated
+        //    by it, and of a body's rules only the first can survive.
+        let rank = pm_obs::span("build.rank");
+        let default = mined.default_rule(mode);
+        let floor = min_support.map_or(0, |s| mined.support_count_at(s));
+        let (ranked, n_pool) = Ranked::new(mined, &default, mode, floor);
+        drop(rank);
+
+        // 2. Dominance scan in rank-descending order: a body survives iff
+        //    no survivor body is a subset of its closure. Each closure is
+        //    built once; the survivors' stay, in one flat buffer, for the
+        //    parent walk.
+        let dominance = pm_obs::span("build.dominance");
+        let up = UpSets::new(interner);
+        let mut map = PrefixMap::new(interner.len());
+        let mut kept: Vec<Rep<'a>> = Vec::new();
+        let (mut closures, mut closure_end) = (Vec::new(), vec![0]);
+        let mut steps = 0u64;
+        for (_, rep) in &ranked.reps {
+            let start = closures.len();
+            up.push_closure(ranked.body(rep), &mut closures);
+            if map.any_subset(0, &closures[start..], &mut steps) {
+                closures.truncate(start);
+            } else {
+                map.insert(ranked.body(rep), kept.len() as u32);
+                closure_end.push(closures.len());
+                kept.push(*rep);
+            }
+        }
+        let m = kept.len() + 1;
         let n_dominated = n_pool + 1 - m;
+        drop(dominance);
 
         // 3. Parents: a survivor generalizing survivor `i` ranks below it
         //    (else `i` would be dominated), so the parent is the
         //    highest-ranked (smallest-index) generalizer other than `i`
         //    itself, falling back to the default rule.
+        let parents = pm_obs::span("build.parents");
         let root = m - 1;
         let parent: Vec<Option<usize>> = (0..m)
             .map(|i| {
                 if i == root {
                     return None;
                 }
-                closure_into(interner, &survivors[i].body, &mut closure);
+                let closure = &closures[closure_end[i]..closure_end[i + 1]];
                 let mut best = root as u32;
-                map.walk(0, &closure, &mut |j| {
-                    if j as usize != i {
-                        best = best.min(j);
-                    }
-                    false
-                });
+                map.min_subset(0, closure, i as u32, &mut best, &mut steps);
                 Some(best as usize)
             })
             .collect();
+        drop((map, closures, closure_end));
+        drop(parents);
 
         // 4. Coverage: highest-ranked matching rule per transaction, as
         //    `uncovered ∩ tidset(g₁) ∩ tidset(g₂) …` through the
-        //    intersection kernel and two reused buffers.
+        //    intersection kernel and two reused buffers, smallest tidset
+        //    first, stopping at the first empty result. The default rule
+        //    covers what is left.
+        let coverage = pm_obs::span("build.coverage");
         let n = mined.n_transactions();
         let mut uncovered = BitSet::full(n);
+        let mut left = n;
         let (mut acc, mut tmp) = (TidBuf::new(n), TidBuf::new(n));
-        let mut cover: Vec<Vec<u32>> = Vec::with_capacity(m);
-        for rule in &survivors {
-            if uncovered.is_empty() {
-                cover.push(Vec::new());
-                continue;
-            }
-            let mine: Vec<u32> = match rule.body.split_first() {
-                None => uncovered.iter().map(|t| t as u32).collect(),
-                Some((&first, rest)) => {
-                    let words = TidView::Dense(uncovered.words());
-                    intersect_into(words, mined.gs_tidset(first).view(), &mut acc, 0);
-                    for &g in rest {
-                        intersect_into(acc.view(), mined.gs_tidset(g).view(), &mut tmp, 0);
-                        std::mem::swap(&mut acc, &mut tmp);
-                    }
-                    acc.view().iter().map(|t| t as u32).collect()
+        let mut intersections = 0u64;
+        let sizes: Vec<usize> = (0..interner.len() as u32)
+            .map(|g| mined.gs_tidset(GsId(g)).count())
+            .collect();
+        let mut order: Vec<GsId> = Vec::new();
+        let mut cover: Vec<Vec<u32>> = kept
+            .iter()
+            .map(|rep| {
+                if left == 0 {
+                    return Vec::new();
                 }
-            };
-            for &t in &mine {
-                uncovered.remove(t as usize);
-            }
-            cover.push(mine);
-        }
+                order.clear();
+                order.extend_from_slice(ranked.body(rep));
+                order.sort_by_key(|&g| sizes[g.index()]);
+                for (k, &g) in order.iter().enumerate() {
+                    let from = if k == 0 {
+                        TidView::Dense(uncovered.words())
+                    } else {
+                        acc.view()
+                    };
+                    intersections += 1;
+                    let count = intersect_into(from, mined.gs_tidset(g).view(), &mut tmp, 0)
+                        .expect("bound 0 never early-exits");
+                    std::mem::swap(&mut acc, &mut tmp);
+                    if count == 0 {
+                        return Vec::new();
+                    }
+                }
+                let mine: Vec<u32> = acc.view().iter().map(|t| t as u32).collect();
+                for &t in &mine {
+                    uncovered.remove(t as usize);
+                }
+                left -= mine.len();
+                mine
+            })
+            .collect();
+        cover.push(uncovered.iter().map(|t| t as u32).collect());
+        drop(coverage);
 
+        pm_obs::counter("build.bodies_ranked").add(ranked.reps.len() as u64);
+        pm_obs::counter("build.prefix_steps").add(steps);
+        pm_obs::counter("build.cover_intersections").add(intersections);
+        let mut rules: Vec<Cow<'a, Rule>> =
+            kept.iter().map(|rep| Cow::Borrowed(rep.rule)).collect();
+        rules.push(Cow::Owned(default));
         CoveringTree {
-            rules: survivors,
+            rules,
             parent,
             cover,
             n_dominated,
@@ -260,6 +444,7 @@ impl CoveringTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rank::mpf_cmp;
     use pm_datagen::{DatasetConfig, HierarchyConfig};
     use pm_rules::{MinerConfig, MoaMode, RuleMiner};
     use pm_txn::{
@@ -313,15 +498,13 @@ mod tests {
         TransactionSet::new(cat, h, txns).unwrap()
     }
 
-    fn tree(minsup: u32, mode: ProfitMode) -> (MinedRules, CoveringTree) {
-        let mined = RuleMiner::new(MinerConfig {
+    fn toy(minsup: u32) -> MinedRules {
+        RuleMiner::new(MinerConfig {
             min_support: Support::Count(minsup),
             moa: MoaMode::Enabled,
             ..MinerConfig::default()
         })
-        .mine(&dataset());
-        let tree = CoveringTree::build(&mined, mode, None);
-        (mined, tree)
+        .mine(&dataset())
     }
 
     /// Generated fits the toy fixture cannot reach: Dataset I and
@@ -390,7 +573,7 @@ mod tests {
                 survivors.push(r.clone());
             }
         }
-        assert_eq!(survivors, tree.rules);
+        assert!(survivors.iter().eq(tree.rules.iter().map(|r| &**r)));
         assert_eq!(tree.n_dominated + tree.len(), n_pool + 1);
     }
 
@@ -451,7 +634,8 @@ mod tests {
 
     #[test]
     fn default_rule_is_root_and_last() {
-        let (_, tree) = tree(1, ProfitMode::Profit);
+        let mined = toy(1);
+        let tree = CoveringTree::build(&mined, ProfitMode::Profit, None);
         let root = tree.root();
         assert!(tree.rules[root].body.is_empty());
         assert_eq!(tree.parent[root], None);
@@ -463,7 +647,8 @@ mod tests {
 
     #[test]
     fn rank_strictly_descends() {
-        let (_, tree) = tree(1, ProfitMode::Profit);
+        let mined = toy(1);
+        let tree = CoveringTree::build(&mined, ProfitMode::Profit, None);
         for w in 0..tree.len() - 1 {
             assert_eq!(
                 mpf_cmp(&tree.rules[w], &tree.rules[w + 1], ProfitMode::Profit),
@@ -474,7 +659,8 @@ mod tests {
 
     #[test]
     fn no_survivor_is_dominated() {
-        let (mined, tree) = tree(1, ProfitMode::Profit);
+        let mined = toy(1);
+        let tree = CoveringTree::build(&mined, ProfitMode::Profit, None);
         for i in 0..tree.len() {
             for j in 0..i {
                 // j ranks higher; it must not generalize i's body… unless
@@ -489,19 +675,22 @@ mod tests {
 
     #[test]
     fn dominance_matches_brute_force() {
-        let (mined, tree) = tree(1, ProfitMode::Profit);
+        let mined = toy(1);
+        let tree = CoveringTree::build(&mined, ProfitMode::Profit, None);
         check_dominance(&mined, &tree, ProfitMode::Profit, None);
     }
 
     #[test]
     fn parent_is_highest_ranked_generalizer() {
-        let (mined, tree) = tree(1, ProfitMode::Profit);
+        let mined = toy(1);
+        let tree = CoveringTree::build(&mined, ProfitMode::Profit, None);
         check_parents(&mined, &tree);
     }
 
     #[test]
     fn coverage_is_highest_ranked_match() {
-        let (mined, tree) = tree(1, ProfitMode::Profit);
+        let mined = toy(1);
+        let tree = CoveringTree::build(&mined, ProfitMode::Profit, None);
         check_coverage(&mined, &tree);
     }
 
@@ -520,6 +709,50 @@ mod tests {
                     let tree = CoveringTree::build(&mined, mode, min_support);
                     assert!(tree.len() > 1, "{mode:?} {min_support:?}");
                     check(&mined, &tree, mode, min_support);
+                }
+            }
+        }
+    }
+
+    /// Rank keeps exactly the first rule of each body in `mpf_cmp`
+    /// order among the pooled rules, when it ranks above the default,
+    /// and the merged up-sets of its sales are its sorted closure.
+    #[test]
+    fn rank_keeps_the_first_rule_of_each_body() {
+        for mined in generated_mined() {
+            let interner = mined.interner();
+            let up = UpSets::new(interner);
+            for min_support in REFILTERS {
+                let floor = min_support.map_or(0, |s| mined.support_count_at(s));
+                for mode in [ProfitMode::Profit, ProfitMode::Confidence] {
+                    let default = mined.default_rule(mode);
+                    let mut all = pool(&mined, min_support);
+                    all.sort_by(|a, b| mpf_cmp(b, a, mode));
+                    let above = all
+                        .iter()
+                        .take_while(|r| mpf_cmp(r, &default, mode).is_gt());
+                    let mut seen = std::collections::HashSet::new();
+                    let firsts: Vec<&Rule> =
+                        above.clone().filter(|r| seen.insert(&r.body)).collect();
+                    assert!(firsts.len() < above.count(), "a body repeats");
+                    let (ranked, n_pool) = Ranked::new(&mined, &default, mode, floor);
+                    assert_eq!(n_pool, all.len());
+                    assert_eq!(ranked.reps.len(), firsts.len());
+                    for ((key, rep), &first) in ranked.reps.iter().zip(&firsts) {
+                        assert_eq!(rep.rule, first, "{mode:?} {min_support:?}");
+                        assert!(*key == MpfKey::of(first, mode));
+                        assert_eq!(ranked.body(rep), &first.body[..]);
+                        let mut closure: Vec<GsId> = first
+                            .body
+                            .iter()
+                            .flat_map(|&g| std::iter::once(g).chain(interner.ancestors(g).to_vec()))
+                            .collect();
+                        closure.sort_unstable();
+                        closure.dedup();
+                        let mut merged = Vec::new();
+                        up.push_closure(ranked.body(rep), &mut merged);
+                        assert_eq!(merged, closure);
+                    }
                 }
             }
         }
@@ -577,8 +810,9 @@ mod tests {
 
     #[test]
     fn confidence_mode_changes_ranking() {
-        let (_, tp) = tree(1, ProfitMode::Profit);
-        let (mined, tc) = tree(1, ProfitMode::Confidence);
+        let mined = toy(1);
+        let tp = CoveringTree::build(&mined, ProfitMode::Profit, None);
+        let tc = CoveringTree::build(&mined, ProfitMode::Confidence, None);
         assert!(tp.len() > 1);
         // Under confidence mode with MOA, the default rule's cheapest
         // head hits *every* transaction here (confidence 1.0 at maximal
@@ -592,7 +826,7 @@ mod tests {
 
     #[test]
     fn min_support_filter_shrinks_tree() {
-        let (mined, _) = tree(1, ProfitMode::Profit);
+        let mined = toy(1);
         let t1 = CoveringTree::build(&mined, ProfitMode::Profit, None);
         let t3 = CoveringTree::build(&mined, ProfitMode::Profit, Some(Support::Count(3)));
         assert!(t3.len() <= t1.len());

@@ -86,9 +86,9 @@ fn linear_cut_equals_exhaustive_on_mined_trees() {
                 continue;
             }
             nontrivial += 1;
-            let projector = ProjectedProfit::new(0.25, mode);
+            let mut projector = ProjectedProfit::new(0.25, mode);
             let ext = mined.extended();
-            let eval = |node: usize, tids: &[u32]| -> f64 {
+            let mut eval = |node: usize, tids: &[u32]| -> f64 {
                 let head = tree.rules[node].head;
                 let mut hits = 0u64;
                 let mut profit = 0.0f64;
@@ -101,12 +101,11 @@ fn linear_cut_equals_exhaustive_on_mined_trees() {
                 projector.profit(tids.len() as u64, hits, profit)
             };
             let input = CutTree {
-                parent: tree.parent.clone(),
-                cover: tree.cover.clone(),
+                parent: &tree.parent,
+                cover: &tree.cover,
             };
-            let fast = optimal_cut(&input, eval);
-            let (best_profit, best_size, best_retained) =
-                reference::best_cut(&input, &mut { eval });
+            let fast = optimal_cut(&input, &mut eval);
+            let (best_profit, best_size, best_retained) = reference::best_cut(&input, &mut eval);
             assert!(
                 (fast.total_profit - best_profit).abs() < 1e-6,
                 "trial {trial} mode {mode:?}: {} vs {}",
@@ -121,6 +120,35 @@ fn linear_cut_equals_exhaustive_on_mined_trees() {
             assert_eq!(
                 fast.retained, best_retained,
                 "trial {trial} mode {mode:?}: retained set"
+            );
+            // Each retained node covers its own transactions, or its whole
+            // subtree's when the cut made it a leaf; together they cover
+            // every transaction once.
+            let kept_below =
+                |v: usize| (0..tree.len()).any(|c| tree.parent[c] == Some(v) && best_retained[c]);
+            let subtree = |v: usize| {
+                (0..tree.len())
+                    .filter(|&u| {
+                        std::iter::successors(Some(u), |&x| tree.parent[x]).any(|x| x == v)
+                    })
+                    .map(|u| tree.cover[u].len())
+                    .sum::<usize>()
+            };
+            for (v, &count) in fast.coverage.iter().enumerate() {
+                let expect = match (best_retained[v], kept_below(v)) {
+                    (false, _) => 0,
+                    (true, true) => tree.cover[v].len(),
+                    (true, false) => subtree(v),
+                };
+                assert_eq!(
+                    count as usize, expect,
+                    "trial {trial} mode {mode:?}: coverage of node {v}"
+                );
+            }
+            assert_eq!(
+                fast.coverage.iter().sum::<u32>() as usize,
+                mined.n_transactions(),
+                "trial {trial} mode {mode:?}: coverage partitions the transactions"
             );
         }
     }

@@ -56,7 +56,9 @@
 
 use crate::extend::HeadId;
 use crate::interner::GsId;
-use crate::miner::{dominance_floor, Layout, MinedRules, Reuse, RuleMiner, NO_FLOOR};
+use crate::miner::{
+    bodies_are_runs, dominance_floor, Layout, MinedRules, Reuse, RuleMiner, NO_FLOOR,
+};
 use crate::rule::Rule;
 use crate::tidset::TidSet;
 use pm_txn::TransactionSet;
@@ -531,6 +533,7 @@ impl IncrementalMiner {
         for (i, r) in rules.iter_mut().enumerate() {
             r.gen_index = i as u32;
         }
+        debug_assert!(bodies_are_runs(&rules), "a body's rules are one run");
         pm_obs::info!(
             "mine.incremental",
             rules = rules.len(),
@@ -1051,6 +1054,94 @@ mod tests {
             assert!(
                 walked > 0 && clean > 0,
                 "walked {walked}, clean rules {clean}"
+            );
+        }
+    }
+
+    /// Check that every body's rules are one contiguous run of `rules`
+    /// and that `MinedRules::body_runs` splits them there; returns how
+    /// many bodies hold several rules, so a caller can show the check
+    /// saw some.
+    fn assert_body_runs(mined: &MinedRules, rules: &[&Rule], ctx: &str) -> usize {
+        let mut at: std::collections::HashMap<&[GsId], (usize, usize, usize)> =
+            std::collections::HashMap::new();
+        for (i, r) in rules.iter().enumerate() {
+            let (_, last, count) = at.entry(&r.body).or_insert((i, i, 0));
+            *last = i;
+            *count += 1;
+        }
+        for (body, &(first, last, count)) in &at {
+            assert_eq!(last - first + 1, count, "{ctx}: body {body:?} is split");
+        }
+        if rules.len() == mined.rules().len() {
+            let runs: Vec<&[Rule]> = mined.body_runs().collect();
+            assert_eq!(runs.len(), at.len(), "{ctx}: one run per body");
+            assert!(runs
+                .iter()
+                .flat_map(|run| run.iter())
+                .eq(rules.iter().copied()));
+        }
+        at.values().filter(|&&(_, _, count)| count > 1).count()
+    }
+
+    /// The covering-tree build ranks one rule per body run, so a body's
+    /// rules must be one contiguous run of `MinedRules::rules()`: in cold
+    /// fits at 1 and 4 threads, in updates that move clean subtrees,
+    /// after `restore`, and under a `rule_indices_at` refilter.
+    #[test]
+    fn body_runs_stay_contiguous_through_incremental_updates() {
+        use pm_datagen::DatasetConfig;
+        use rand::{rngs::StdRng, SeedableRng};
+        let full = DatasetConfig::dataset_ii()
+            .with_transactions(200)
+            .with_items(40)
+            .generate(&mut StdRng::seed_from_u64(47));
+        let prefix = |n: usize| full.subset(&(0..n).collect::<Vec<usize>>());
+        let check = |mined: &MinedRules, ctx: &str| {
+            let all: Vec<&Rule> = mined.rules().iter().collect();
+            let shared = assert_body_runs(mined, &all, ctx);
+            assert!(shared > 0, "{ctx}: no body has several heads");
+            let kept = mined.rule_indices_at(Support::Fraction(0.1));
+            assert!(kept.len() < all.len(), "{ctx}: the refilter drops rules");
+            let kept: Vec<&Rule> = kept.iter().map(|&i| &mined.rules()[i]).collect();
+            assert_body_runs(mined, &kept, &format!("{ctx}, refiltered"));
+        };
+        for threads in [1usize, 4] {
+            let mk = || {
+                RuleMiner::new(MinerConfig {
+                    min_support: Support::Fraction(0.05),
+                    max_body_len: 4,
+                    ..MinerConfig::default()
+                })
+                .with_threads(threads)
+            };
+            check(
+                &mk().mine(&prefix(200)),
+                &format!("cold, threads={threads}"),
+            );
+            let mut inc = IncrementalMiner::new(mk());
+            check(&inc.fit(&prefix(120)), &format!("fit, threads={threads}"));
+            let (mut from, mut clean) = (120, 0);
+            for to in [121, 122, 130, 160] {
+                let ctx = format!("update to {to}, threads={threads}");
+                check(&inc.update(&prefix(to)), &ctx);
+                let txn_gs = &inc.state.as_ref().unwrap().layout.extended.txn_gs;
+                let in_delta = |body: &[GsId]| {
+                    (from..to).any(|t| body.iter().all(|g| txn_gs[t].binary_search(g).is_ok()))
+                };
+                clean += (inc.state.as_ref().unwrap().caches.iter().flatten())
+                    .filter(|c| c.deeper.first().is_some_and(|r| in_delta(&r.body[..1])))
+                    .flat_map(|c| &c.deeper)
+                    .filter(|r| !in_delta(&r.body))
+                    .count();
+                from = to;
+            }
+            assert!(clean > 0, "threads={threads}: no clean subtree moved");
+            let snap = inc.snapshot().unwrap();
+            let mut restored = IncrementalMiner::restore(mk(), &prefix(160), &snap).unwrap();
+            check(
+                &restored.update(&prefix(200)),
+                &format!("restored, threads={threads}"),
             );
         }
     }

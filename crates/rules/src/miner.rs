@@ -15,6 +15,7 @@ use pm_txn::{
     CodeId, GenSale, Hierarchy, ItemId, Moa, QuantityModel, TargetFilter, TransactionSet,
 };
 use serde::{Deserialize, Serialize};
+use std::collections::HashSet;
 use std::iter::Peekable;
 use std::sync::Mutex;
 
@@ -246,6 +247,7 @@ impl RuleMiner {
         for (i, r) in rules.iter_mut().enumerate() {
             r.gen_index = i as u32;
         }
+        debug_assert!(bodies_are_runs(&rules), "a body's rules are one run");
         pm_obs::gauge("miner.rules").set(rules.len() as i64);
         pm_obs::info!(
             "mine.done",
@@ -1220,6 +1222,25 @@ impl PairCounts {
     }
 }
 
+/// `rules` split into maximal runs of one body.
+fn body_runs(rules: &[Rule]) -> impl Iterator<Item = &[Rule]> + '_ {
+    let mut rest = rules;
+    std::iter::from_fn(move || {
+        let body = &rest.first()?.body;
+        let len = rest.iter().position(|r| &r.body != body);
+        let (run, tail) = rest.split_at(len.unwrap_or(rest.len()));
+        rest = tail;
+        Some(run)
+    })
+}
+
+/// Whether every body's rules form one contiguous run of `rules` (see
+/// [`MinedRules::rules`]).
+pub(crate) fn bodies_are_runs(rules: &[Rule]) -> bool {
+    let mut seen = HashSet::new();
+    body_runs(rules).all(|run| seen.insert(&run[0].body))
+}
+
 /// The output of a mining run: rules plus everything the recommender
 /// builder needs (interner, per-transaction profiles, singleton
 /// tidsets).
@@ -1235,8 +1256,20 @@ pub struct MinedRules {
 
 impl MinedRules {
     /// The mined rules, in generation order.
+    ///
+    /// The rules of one body form one contiguous run: the emitter pushes
+    /// every head of a body together, and both a cold fit's fan-out and
+    /// the incremental assembly append whole runs (the latter filters
+    /// them, which keeps a run a run). [`body_runs`](Self::body_runs)
+    /// walks them.
     pub fn rules(&self) -> &[Rule] {
         &self.rules
+    }
+
+    /// The rules split into their body runs, in generation order: each
+    /// item holds every rule of one body.
+    pub fn body_runs(&self) -> impl Iterator<Item = &[Rule]> + '_ {
+        body_runs(&self.rules)
     }
 
     /// The miner configuration used.
@@ -1305,9 +1338,14 @@ impl MinedRules {
         &self.layout.tidsets[g.index()]
     }
 
-    /// Indices of the rules that survive a (higher) minimum support. By
-    /// Apriori monotonicity this equals re-mining at that support.
-    pub fn rule_indices_at(&self, sup: Support) -> Vec<usize> {
+    /// The support count a rebuild at a (higher) minimum support `sup`
+    /// keeps rules at. By Apriori monotonicity the rules with at least
+    /// this many hits equal re-mining at `sup`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `sup` is below the mined threshold.
+    pub fn support_count_at(&self, sup: Support) -> u32 {
         let count = sup.to_count(self.n_transactions());
         assert!(
             count >= self.layout.minsup,
@@ -1315,6 +1353,13 @@ impl MinedRules {
             count,
             self.layout.minsup
         );
+        count
+    }
+
+    /// Indices of the rules that survive a (higher) minimum support (see
+    /// [`support_count_at`](Self::support_count_at)).
+    pub fn rule_indices_at(&self, sup: Support) -> Vec<usize> {
+        let count = self.support_count_at(sup);
         (0..self.rules.len())
             .filter(|&i| self.rules[i].hits >= count)
             .collect()

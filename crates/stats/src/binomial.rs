@@ -16,7 +16,7 @@
 //! `X = N · (1 − U_CF(N, E))`.
 
 use crate::beta::inc_beta;
-use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 
 /// Default confidence level used by C4.5 (25%).
 pub const DEFAULT_CF: f64 = 0.25;
@@ -86,13 +86,23 @@ pub fn pessimistic_upper(n: u64, e: u64, cf: f64) -> f64 {
 }
 
 /// A reusable pessimistic estimator with a fixed confidence level and a
-/// small memo table for the `(n, e)` pairs that repeat heavily during
-/// covering-tree pruning.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// memo of the `U_CF` values it has read.
+///
+/// `U_CF` is a pure function of `(n, e, cf)`, so a memo can outlive one
+/// covering-tree build: successive builds over a growing stream read
+/// mostly the same `(n, e)` pairs. [`retain_read`](Self::retain_read)
+/// ends one build and keeps only the values it read, so the memo never
+/// grows past one build's pairs.
+#[derive(Debug, Clone)]
 pub struct PessimisticEstimator {
     cf: f64,
-    #[serde(skip)]
-    cache: std::cell::RefCell<std::collections::HashMap<(u64, u64), f64>>,
+    /// The values read since the last `retain_read`.
+    read: HashMap<(u64, u64), f64>,
+    /// The values the previous build read that this one has not yet.
+    earlier: HashMap<(u64, u64), f64>,
+    /// How many values were solved (not found in either map) since the
+    /// last `retain_read`.
+    solved: u64,
 }
 
 impl PessimisticEstimator {
@@ -102,7 +112,9 @@ impl PessimisticEstimator {
         assert!(cf > 0.0 && cf < 1.0, "confidence level must be in (0,1)");
         Self {
             cf,
-            cache: std::cell::RefCell::new(std::collections::HashMap::new()),
+            read: HashMap::new(),
+            earlier: HashMap::new(),
+            solved: 0,
         }
     }
 
@@ -112,23 +124,34 @@ impl PessimisticEstimator {
     }
 
     /// `U_CF(n, e)` — memoized.
-    pub fn upper(&self, n: u64, e: u64) -> f64 {
-        if let Some(&v) = self.cache.borrow().get(&(n, e)) {
+    pub fn upper(&mut self, n: u64, e: u64) -> f64 {
+        if let Some(&v) = self.read.get(&(n, e)) {
             return v;
         }
-        let v = pessimistic_upper(n, e, self.cf);
-        self.cache.borrow_mut().insert((n, e), v);
+        let v = self.earlier.remove(&(n, e)).unwrap_or_else(|| {
+            self.solved += 1;
+            pessimistic_upper(n, e, self.cf)
+        });
+        self.read.insert((n, e), v);
         v
     }
 
     /// Projected number of hits in a population of `n` covered
     /// transactions, of which `e` were observed non-hits:
     /// `X = n · (1 − U_CF(n, e))` (§4.2 of the paper).
-    pub fn projected_hits(&self, n: u64, e: u64) -> f64 {
+    pub fn projected_hits(&mut self, n: u64, e: u64) -> f64 {
         if n == 0 {
             return 0.0;
         }
         n as f64 * (1.0 - self.upper(n, e))
+    }
+
+    /// End one build: forget every value not read since the last call,
+    /// and return how many values were solved in between.
+    pub fn retain_read(&mut self) -> u64 {
+        std::mem::swap(&mut self.read, &mut self.earlier);
+        self.read.clear();
+        std::mem::take(&mut self.solved)
     }
 }
 
@@ -235,7 +258,7 @@ mod tests {
 
     #[test]
     fn estimator_projects_hits() {
-        let est = PessimisticEstimator::default();
+        let mut est = PessimisticEstimator::default();
         // All hits observed, large N ⇒ projection stays close to N.
         let hits = est.projected_hits(1000, 0);
         assert!(hits > 995.0 && hits < 1000.0);
@@ -247,11 +270,47 @@ mod tests {
 
     #[test]
     fn estimator_cache_consistent() {
-        let est = PessimisticEstimator::new(0.25);
+        let mut est = PessimisticEstimator::new(0.25);
         let a = est.upper(40, 7);
         let b = est.upper(40, 7);
         assert_eq!(a, b);
         close(a, pessimistic_upper(40, 7, 0.25), 0.0);
+    }
+
+    /// A carried value has the bits of a fresh solve, and after
+    /// `retain_read` the memo holds exactly the pairs read since the
+    /// call before: a pair read again is not solved again, and a pair
+    /// the last build did not read is solved afresh.
+    #[test]
+    fn carried_values_equal_fresh_solves_and_only_read_pairs_are_kept() {
+        let pairs = [(40u64, 7u64), (9, 0), (12, 12), (300, 41), (5, 2)];
+        let fresh = |(n, e): (u64, u64)| pessimistic_upper(n, e, 0.25).to_bits();
+        let mut est = PessimisticEstimator::new(0.25);
+        for &p in &pairs {
+            assert_eq!(est.upper(p.0, p.1).to_bits(), fresh(p));
+        }
+        assert_eq!(est.upper(40, 7).to_bits(), fresh((40, 7)));
+        assert_eq!(est.retain_read(), pairs.len() as u64);
+        // The next build reads two of the five pairs and one new one.
+        for &p in &[(300u64, 41u64), (9, 0), (300, 41), (77, 3)] {
+            assert_eq!(est.upper(p.0, p.1).to_bits(), fresh(p));
+        }
+        assert_eq!(est.retain_read(), 1, "only (77, 3) is new");
+        // Now only (300, 41), (9, 0) and (77, 3) are kept.
+        for &p in &pairs {
+            assert_eq!(est.upper(p.0, p.1).to_bits(), fresh(p));
+        }
+        assert_eq!(
+            est.retain_read(),
+            3,
+            "(40, 7), (12, 12), (5, 2) were dropped"
+        );
+        assert_eq!(est.upper(77, 3).to_bits(), fresh((77, 3)));
+        assert_eq!(
+            est.retain_read(),
+            1,
+            "(77, 3) was not read by the build before"
+        );
     }
 
     #[test]

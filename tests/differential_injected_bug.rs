@@ -43,6 +43,31 @@ fn tie_dataset() -> TransactionSet {
     TransactionSet::new(catalog, hierarchy, txns).unwrap()
 }
 
+/// Whether the MPF rank (a key computed once per rule, which the model
+/// build sorts by) orders `data`'s mined rules as the swapped chain
+/// written out: `Prof_re`, then smaller body, then larger support, then
+/// earlier generation.
+fn rank_follows_the_swapped_chain(data: &TransactionSet) -> bool {
+    use pm_rules::{MinerConfig, ProfitMode, RuleMiner, Support};
+    let mined = RuleMiner::new(MinerConfig {
+        min_support: Support::Count(2),
+        max_body_len: 2,
+        ..MinerConfig::default()
+    })
+    .mine(data);
+    let mode = ProfitMode::Profit;
+    let mut chain = mined.rules().to_vec();
+    chain.push(mined.default_rule(mode));
+    chain.sort_by(|a, b| {
+        b.recommendation_profit(mode)
+            .total_cmp(&a.recommendation_profit(mode))
+            .then(a.body_len().cmp(&b.body_len()))
+            .then(b.support_count().cmp(&a.support_count()))
+            .then(a.gen_index.cmp(&b.gen_index))
+    });
+    profit_core::ranked_rules(&mined, mode) == chain
+}
+
 #[test]
 fn injected_tie_break_bug_is_caught() {
     let data = tie_dataset();
@@ -50,6 +75,7 @@ fn injected_tie_break_bug_is_caught() {
         .expect("the hand-built tie dataset must be clean under the correct tie-chain");
 
     profit_core::test_hooks::set_swap_support_body_tie(true);
+    let swapped_rank = rank_follows_the_swapped_chain(&data);
     let result = common::compare_dataset(&data, 2, 2);
     // The greedy shrinker must preserve the divergence while never growing
     // the dataset (this is the only place a divergence is guaranteed, so
@@ -57,6 +83,10 @@ fn injected_tie_break_bug_is_caught() {
     let minimal = common::shrink(&data, 2, 2);
     let shrunk_still_diverges = common::compare_dataset(&minimal, 2, 2).is_err();
     profit_core::test_hooks::set_swap_support_body_tie(false);
+    assert!(
+        swapped_rank,
+        "the rank key must follow the swapped chain while the hook is on"
+    );
     assert!(
         shrunk_still_diverges,
         "shrinking must preserve the divergence"
