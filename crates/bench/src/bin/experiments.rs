@@ -24,9 +24,14 @@
 //!
 //! Speed is measured by perfbench (`perfbench/`), not here.
 //!
-//! Panels (a), (c), (f) of one figure share a single cross-validated
-//! sweep; requesting any of them runs the sweep once and prints all three.
+//! Panels (a), (c), (d), (f) of one figure share a single cross-validated
+//! sweep; requesting any of (a), (c), (f) runs the sweep once and prints
+//! all four. Panel (d) alone cross-validates the one sweep point it reads.
+//!
+//! A scale the panels cannot split — fewer transactions than folds, or no
+//! items — is a usage error (exit 1).
 
+use pm_eval::ablations;
 use pm_eval::experiments::{self, Dataset, Scale};
 use pm_eval::Table;
 use std::collections::BTreeSet;
@@ -138,6 +143,25 @@ fn parse(args: &[String]) -> Result<Options, String> {
     if panels.is_empty() {
         return Err(usage());
     }
+    if scale.items == 0 {
+        return Err(format!("--items 0: need at least 1 item\n{}", usage()));
+    }
+    // Each cross-validated panel needs a transaction per fold, the
+    // ablations hold out one of their own folds, and (e) needs one sale.
+    for p in &panels {
+        let folds = match p.as_str() {
+            "fig3e" | "fig4e" => 1,
+            p if p.starts_with("ablate-") => ablations::FOLDS,
+            _ => scale.folds,
+        };
+        if scale.transactions < folds {
+            return Err(format!(
+                "--txns {}: {p} needs at least {folds} transactions\n{}",
+                scale.transactions,
+                usage()
+            ));
+        }
+    }
     Ok(Options {
         scale,
         seed,
@@ -165,21 +189,20 @@ fn run(opts: &Options) {
     for (fig, dataset) in [("fig3", Dataset::I), ("fig4", Dataset::II)] {
         let want = |p: char| opts.panels.contains(&format!("{fig}{p}"));
         if want('a') || want('c') || want('f') {
-            eprintln!("[{fig}a/c/f] sweeping {dataset}…");
+            eprintln!("[{fig}a/c/d/f] sweeping {dataset}…");
             let tables = experiments::fig_sweep(dataset, &opts.scale, opts.seed, opts.threads);
-            for (t, p) in tables.iter().zip(['a', 'c', 'f']) {
+            for (t, p) in tables.iter().zip(['a', 'c', 'd', 'f']) {
                 emit(t, &format!("{fig}{p}"), &opts.out);
             }
+        } else if want('d') {
+            eprintln!("[{fig}d] profit-range hit rates on {dataset}…");
+            let t = experiments::fig_d(dataset, &opts.scale, opts.seed, opts.threads);
+            emit(&t, &format!("{fig}d"), &opts.out);
         }
         if want('b') {
             eprintln!("[{fig}b] quantity-boost sweep on {dataset}…");
             let t = experiments::fig_b(dataset, &opts.scale, opts.seed, opts.threads);
             emit(&t, &format!("{fig}b"), &opts.out);
-        }
-        if want('d') {
-            eprintln!("[{fig}d] profit-range hit rates on {dataset}…");
-            let t = experiments::fig_d(dataset, &opts.scale, opts.seed, opts.threads);
-            emit(&t, &format!("{fig}d"), &opts.out);
         }
         if want('e') {
             let t = experiments::fig_e(dataset, &opts.scale, opts.seed, 20);
@@ -191,7 +214,6 @@ fn run(opts: &Options) {
         let t = experiments::post_knn(&opts.scale, opts.seed, opts.threads);
         emit(&t, "post-knn", &opts.out);
     }
-    use pm_eval::ablations;
     type Ablation = fn(Dataset, &Scale, u64, usize) -> Table;
     let ablations: [(&str, Ablation); 6] = [
         ("ablate-cf", ablations::cf_sweep as Ablation),

@@ -167,8 +167,9 @@ fn counter(metrics: &Path, name: &str) -> u64 {
     }
 }
 
-/// The eight DFS work counters, in the order the baseline lists them.
-const DFS_COUNTERS: [&str; 8] = [
+/// The eight DFS work counters, then the model build's five, in the
+/// order the baseline lists them.
+const WORK_COUNTERS: [&str; 13] = [
     "miner.candidates_pruned",
     "miner.tidset_switches",
     "mine.ub_evaluated",
@@ -177,17 +178,28 @@ const DFS_COUNTERS: [&str; 8] = [
     "mine.head_sums",
     "miner.tidsets_dense",
     "miner.tidsets_sparse",
+    "build.bodies_ranked",
+    "build.prefix_steps",
+    "build.cover_intersections",
+    "build.cut_evals",
+    "build.ucf_solved",
 ];
 
-/// The miner's DFS work, pinned: candidates abandoned by the minsup
-/// early exit, dense↔sparse switches, upper-bound evaluations and cuts,
-/// tids histogrammed and per-head profit passes, and the stored
-/// tidsets by representation. They count work, not time, so a `fit` of
-/// the CI smoke data (`gen --txns 400 --items 80 --seed 5`, bodies of
-/// at most 3 sales) must reproduce them exactly at 1 and 4 threads. A
-/// change that moves a count updates the baseline and says why.
+/// The fit's work, pinned. The miner's DFS: candidates abandoned by the
+/// minsup early exit, dense↔sparse switches, upper-bound evaluations
+/// and cuts, tids histogrammed and per-head profit passes, and the
+/// stored tidsets by representation. The model build
+/// (`RuleModel::build`): distinct bodies ranked above the default rule,
+/// prefix-map edges the dominance and parent walks looked up, tidset
+/// intersections in coverage, node evaluations in the cut, and `U_CF`
+/// values solved (a cold fit starts with no carried values). They count
+/// work, not time, and each build count is summed once per build, so a
+/// `fit` of the CI smoke data (`gen --txns 400 --items 80 --seed 5`,
+/// bodies of at most 3 sales) must reproduce them exactly at 1 and 4
+/// threads. A change that moves a count updates the baseline and says
+/// why.
 #[test]
-fn dfs_work_counters_equal_the_pinned_baseline() {
+fn work_counters_equal_the_pinned_baseline() {
     let dir = tmp_dir("counters");
     let data = dir.join("data.json");
     run_ok(&[
@@ -203,18 +215,25 @@ fn dfs_work_counters_equal_the_pinned_baseline() {
     ]);
     let model = dir.join("model.pm");
     let metrics = dir.join("metrics.json");
-    let baseline: [(&[&str], [u64; 8]); 3] = [
+    let baseline: [(&[&str], [u64; 13]); 3] = [
         (
             &["--minsup", "0.03"],
-            [30_208, 0, 5_654, 1_575, 1_298_194, 85_216, 212, 8],
+            [
+                30_208, 0, 5_654, 1_575, 1_298_194, 85_216, 212, 8, 6_506, 74_794, 2_652, 2_076, 32,
+            ],
         ),
         (
             &["--minsup", "0.03", "--min-profit", "5"],
-            [24_519, 0, 5_633, 2_288, 1_261_688, 84_238, 212, 8],
+            [
+                24_519, 0, 5_633, 2_288, 1_261_688, 84_238, 212, 8, 6_506, 74_794, 2_652, 2_076, 32,
+            ],
         ),
         (
             &["--minsup", "0.01"],
-            [160_346, 98_701, 12_387, 1_779, 2_375_092, 721_058, 212, 8],
+            [
+                160_346, 98_701, 12_387, 1_779, 2_375_092, 721_058, 212, 8, 56_573, 1_201_957,
+                27_801, 20_261, 21,
+            ],
         ),
     ];
     for (regime, expect) in baseline {
@@ -234,75 +253,8 @@ fn dfs_work_counters_equal_the_pinned_baseline() {
             ];
             argv.extend(regime);
             run_ok(&argv);
-            let got = DFS_COUNTERS.map(|name| counter(&metrics, name));
-            assert_eq!(got, expect, "{argv:?}: {DFS_COUNTERS:?}");
-        }
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The model build's counters (`RuleModel::build`).
-const BUILD_COUNTERS: [&str; 5] = [
-    "build.bodies_ranked",
-    "build.prefix_steps",
-    "build.cover_intersections",
-    "build.cut_evals",
-    "build.ucf_solved",
-];
-
-/// The model build's work, pinned on the fits that pin the DFS's:
-/// distinct bodies ranked above the default rule, prefix-map edges the
-/// dominance and parent walks looked up, tidset intersections in
-/// coverage, node evaluations in the cut, and `U_CF` values solved (a
-/// cold fit starts with no carried values). Each count is summed once
-/// per build, so it is exact at any thread count.
-#[test]
-fn build_work_counters_equal_the_pinned_baseline() {
-    let dir = tmp_dir("build-counters");
-    let data = dir.join("data.json");
-    run_ok(&[
-        "gen",
-        "--out",
-        path(&data),
-        "--txns",
-        "400",
-        "--items",
-        "80",
-        "--seed",
-        "5",
-    ]);
-    let model = dir.join("model.pm");
-    let metrics = dir.join("metrics.json");
-    let baseline: [(&[&str], [u64; 5]); 3] = [
-        (&["--minsup", "0.03"], [6_506, 74_794, 2_652, 2_076, 32]),
-        (
-            &["--minsup", "0.03", "--min-profit", "5"],
-            [6_506, 74_794, 2_652, 2_076, 32],
-        ),
-        (
-            &["--minsup", "0.01"],
-            [56_573, 1_201_957, 27_801, 20_261, 21],
-        ),
-    ];
-    for (regime, expect) in baseline {
-        for threads in ["1", "4"] {
-            let mut argv = vec![
-                "fit",
-                "--data",
-                path(&data),
-                "--out",
-                path(&model),
-                "--max-body",
-                "3",
-                "--threads",
-                threads,
-                "--metrics",
-                path(&metrics),
-            ];
-            argv.extend(regime);
-            run_ok(&argv);
-            let got = BUILD_COUNTERS.map(|name| counter(&metrics, name));
-            assert_eq!(got, expect, "{argv:?}: {BUILD_COUNTERS:?}");
+            let got = WORK_COUNTERS.map(|name| counter(&metrics, name));
+            assert_eq!(got, expect, "{argv:?}: {WORK_COUNTERS:?}");
         }
     }
     let _ = std::fs::remove_dir_all(&dir);

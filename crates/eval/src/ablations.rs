@@ -8,21 +8,31 @@
 //! * [`coupling`] — the synthetic coupling knobs (target noise, price
 //!   coupling) vs the fully independent reading of §5.2, showing why the
 //!   independent reading cannot produce the paper's numbers;
-//! * [`eval_semantics`] — MOA-acceptance vs exact-match evaluation.
+//! * [`eval_semantics`] — MOA-acceptance vs exact-match evaluation;
+//! * [`quantity_model`] — saving vs buying MOA;
+//! * [`workloads`] — full, targeted and per-item-floored mining.
+//!
+//! Every cell mines at `Scale::range_minsup`, holds out one fold of
+//! [`FOLDS`], and is scored by the sweep's own `runner::score`.
 
 use crate::experiments::{Dataset, Scale};
 use crate::folds::Folds;
-use crate::metrics::{evaluate, EvalOptions};
+use crate::metrics::EvalOptions;
 use crate::report::{fmt, Table};
+use crate::runner::{fold_thread_split, score};
 use pm_datagen::config::PriceCoupling;
 use pm_rules::{MinerConfig, MoaMode, RuleMiner, Support};
 use pm_txn::TransactionSet;
-use profit_core::{CutConfig, Matcher, RuleModel};
+use profit_core::CutConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// The folds an ablation's data is split into; fold 0 is held out, so
+/// the data needs at least this many transactions.
+pub const FOLDS: usize = 5;
+
 fn one_fold(data: &TransactionSet, seed: u64) -> (TransactionSet, TransactionSet) {
-    let folds = Folds::new(data.len(), 5, seed);
+    let folds = Folds::new(data.len(), FOLDS, seed);
     let (tr, va) = folds.split(0);
     (data.subset(&tr), data.subset(&va))
 }
@@ -37,17 +47,12 @@ fn miner(scale: &Scale, minsup: f64) -> RuleMiner {
     })
 }
 
-/// Split `threads` between ablation cells and the mining inside each
-/// cell (cells first — they are the coarser grain). Mirrors
-/// `runner::fold_thread_split`; results are identical either way.
-fn cell_split(threads: usize, n_cells: usize) -> (usize, usize) {
-    let workers = pm_par::resolve(threads).min(n_cells.max(1));
-    let inner = if workers > 1 {
-        1
-    } else {
-        pm_par::resolve(threads)
-    };
-    (workers, inner)
+fn table(title: String, columns: &[&str], rows: Vec<Vec<String>>) -> Table {
+    let mut table = Table::new(title, columns.iter().map(|c| c.to_string()).collect());
+    for row in rows {
+        table.push_row(row);
+    }
+    table
 }
 
 /// Gain and rule count across pessimistic confidence levels.
@@ -59,17 +64,14 @@ pub fn cf_sweep(which: Dataset, scale: &Scale, seed: u64, threads: usize) -> Tab
         .with_threads(threads)
         .mine(&train);
     let cfs = [0.05, 0.10, 0.25, 0.50, 0.90];
-    let (workers, _) = cell_split(threads, cfs.len());
+    let (workers, _) = fold_thread_split(threads, cfs.len());
     let rows = pm_par::par_map(cfs.len(), workers, |i| {
         let cf = cfs[i];
-        let model = RuleModel::build(
-            &mined,
-            &CutConfig {
-                cf,
-                ..CutConfig::default()
-            },
-        );
-        let out = evaluate(&Matcher::new(&model), &valid, &EvalOptions::default());
+        let cut = CutConfig {
+            cf,
+            ..CutConfig::default()
+        };
+        let (model, out) = score(&mined, &cut, &valid, &EvalOptions::default());
         vec![
             format!("{cf:.2}"),
             fmt(out.gain()),
@@ -77,19 +79,11 @@ pub fn cf_sweep(which: Dataset, scale: &Scale, seed: u64, threads: usize) -> Tab
             model.rules().len().to_string(),
         ]
     });
-    let mut table = Table::new(
+    table(
         format!("ablation: pessimistic CF — {which}"),
-        vec![
-            "CF".into(),
-            "gain".into(),
-            "hit rate".into(),
-            "rules".into(),
-        ],
-    );
-    for row in rows {
-        table.push_row(row);
-    }
-    table
+        &["CF", "gain", "hit rate", "rules"],
+        rows,
+    )
 }
 
 /// Gain and model size with and without the cut-optimal phase.
@@ -100,17 +94,14 @@ pub fn prune_value(which: Dataset, scale: &Scale, seed: u64, threads: usize) -> 
         .with_threads(threads)
         .mine(&train);
     let variants = [("cut-optimal (§4)", true), ("MPF only (§3.2)", false)];
-    let (workers, _) = cell_split(threads, variants.len());
+    let (workers, _) = fold_thread_split(threads, variants.len());
     let rows = pm_par::par_map(variants.len(), workers, |i| {
         let (label, prune) = variants[i];
-        let model = RuleModel::build(
-            &mined,
-            &CutConfig {
-                prune,
-                ..CutConfig::default()
-            },
-        );
-        let out = evaluate(&Matcher::new(&model), &valid, &EvalOptions::default());
+        let cut = CutConfig {
+            prune,
+            ..CutConfig::default()
+        };
+        let (model, out) = score(&mined, &cut, &valid, &EvalOptions::default());
         vec![
             label.to_string(),
             fmt(out.gain()),
@@ -118,19 +109,11 @@ pub fn prune_value(which: Dataset, scale: &Scale, seed: u64, threads: usize) -> 
             model.rules().len().to_string(),
         ]
     });
-    let mut table = Table::new(
+    table(
         format!("ablation: cut-optimal pruning — {which}"),
-        vec![
-            "model".into(),
-            "gain".into(),
-            "hit rate".into(),
-            "rules".into(),
-        ],
-    );
-    for row in rows {
-        table.push_row(row);
-    }
-    table
+        &["model", "gain", "hit rate", "rules"],
+        rows,
+    )
 }
 
 /// Gain of PROF+MOA across generator couplings — including the fully
@@ -145,7 +128,7 @@ pub fn coupling(which: Dataset, scale: &Scale, seed: u64, threads: usize) -> Tab
     ];
     // Every cell generates + mines its own dataset: fan the cells out and
     // keep their inner mining sequential while cells saturate the budget.
-    let (workers, inner) = cell_split(threads, variants.len());
+    let (workers, inner) = fold_thread_split(threads, variants.len());
     let rows = pm_par::par_map(variants.len(), workers, |i| {
         let (label, noise, pc) = variants[i];
         let cfg = which
@@ -157,8 +140,12 @@ pub fn coupling(which: Dataset, scale: &Scale, seed: u64, threads: usize) -> Tab
         let mined = miner(scale, scale.range_minsup)
             .with_threads(inner)
             .mine(&train);
-        let model = RuleModel::build(&mined, &CutConfig::default());
-        let out = evaluate(&Matcher::new(&model), &valid, &EvalOptions::default());
+        let (model, out) = score(
+            &mined,
+            &CutConfig::default(),
+            &valid,
+            &EvalOptions::default(),
+        );
         vec![
             label.to_string(),
             fmt(out.gain()),
@@ -166,19 +153,11 @@ pub fn coupling(which: Dataset, scale: &Scale, seed: u64, threads: usize) -> Tab
             model.rules().len().to_string(),
         ]
     });
-    let mut table = Table::new(
+    table(
         format!("ablation: basket→target coupling — {which}"),
-        vec![
-            "coupling".into(),
-            "gain".into(),
-            "hit rate".into(),
-            "rules".into(),
-        ],
-    );
-    for row in rows {
-        table.push_row(row);
-    }
-    table
+        &["coupling", "gain", "hit rate", "rules"],
+        rows,
+    )
 }
 
 /// Saving vs buying MOA (§3.1): both the mining-time profit estimates
@@ -193,7 +172,7 @@ pub fn quantity_model(which: Dataset, scale: &Scale, seed: u64, threads: usize) 
         ("saving", QuantityModel::Saving),
         ("buying", QuantityModel::Buying),
     ];
-    let (workers, inner) = cell_split(threads, variants.len());
+    let (workers, inner) = fold_thread_split(threads, variants.len());
     let rows = pm_par::par_map(variants.len(), workers, |i| {
         let (label, qm) = variants[i];
         let mined = RuleMiner::new(MinerConfig {
@@ -206,25 +185,18 @@ pub fn quantity_model(which: Dataset, scale: &Scale, seed: u64, threads: usize) 
         })
         .with_threads(inner)
         .mine(&train);
-        let model = RuleModel::build(&mined, &CutConfig::default());
-        let out = evaluate(
-            &Matcher::new(&model),
-            &valid,
-            &EvalOptions {
-                quantity: qm,
-                ..EvalOptions::default()
-            },
-        );
+        let opts = EvalOptions {
+            quantity: qm,
+            ..EvalOptions::default()
+        };
+        let (_, out) = score(&mined, &CutConfig::default(), &valid, &opts);
         vec![label.to_string(), fmt(out.gain()), fmt(out.hit_rate())]
     });
-    let mut table = Table::new(
+    table(
         format!("ablation: saving vs buying MOA — {which}"),
-        vec!["quantity model".into(), "gain".into(), "hit rate".into()],
-    );
-    for row in rows {
-        table.push_row(row);
-    }
-    table
+        &["quantity model", "gain", "hit rate"],
+        rows,
+    )
 }
 
 /// The PR-9 workload expansions side by side: full mining, targeted
@@ -266,43 +238,31 @@ pub fn workloads(which: Dataset, scale: &Scale, seed: u64, threads: usize) -> Ta
         .with_item_floors(vec![(titem, 5.0)])
         .mine(&train);
 
-    let cell = |label: String, mined: &pm_rules::MinedRules, rules: usize| {
-        let model = RuleModel::build(mined, &CutConfig::default());
-        let out = evaluate(&Matcher::new(&model), &valid, &EvalOptions::default());
+    let cell = |label: &str, mined: &pm_rules::MinedRules, rules: usize| {
+        let (_, out) = score(
+            mined,
+            &CutConfig::default(),
+            &valid,
+            &EvalOptions::default(),
+        );
         vec![
-            label,
+            label.to_string(),
             rules.to_string(),
             fmt(out.gain()),
             fmt(out.hit_rate()),
         ]
     };
     let tname = train.catalog().item(titem).name.clone();
-    let mut table = Table::new(
+    table(
         format!("ablation: workloads (target {tname}) — {which}"),
+        &["workload", "rules", "gain", "hit rate"],
         vec![
-            "workload".into(),
-            "rules".into(),
-            "gain".into(),
-            "hit rate".into(),
+            cell("full", &full, full.rules().len()),
+            cell("targeted (in-DFS)", &targeted, targeted.rules().len()),
+            cell("targeted (post-filter)", &targeted, post_filtered),
+            cell("per-item floor ($5)", &floored, floored.rules().len()),
         ],
-    );
-    table.push_row(cell("full".into(), &full, full.rules().len()));
-    table.push_row(cell(
-        "targeted (in-DFS)".into(),
-        &targeted,
-        targeted.rules().len(),
-    ));
-    table.push_row(cell(
-        "targeted (post-filter)".into(),
-        &targeted,
-        post_filtered,
-    ));
-    table.push_row(cell(
-        "per-item floor ($5)".into(),
-        &floored,
-        floored.rules().len(),
-    ));
-    table
+    )
 }
 
 /// MOA acceptance vs exact-match acceptance at evaluation time.
@@ -312,30 +272,22 @@ pub fn eval_semantics(which: Dataset, scale: &Scale, seed: u64, threads: usize) 
     let mined = miner(scale, scale.range_minsup)
         .with_threads(threads)
         .mine(&train);
-    let model = RuleModel::build(&mined, &CutConfig::default());
     let variants = [("MOA (P ⪯ recorded)", false), ("exact code match", true)];
-    let (workers, _) = cell_split(threads, variants.len());
-    // One Matcher per cell: its memoization scratch is a RefCell.
+    let (workers, _) = fold_thread_split(threads, variants.len());
     let rows = pm_par::par_map(variants.len(), workers, |i| {
         let (label, exact) = variants[i];
-        let out = evaluate(
-            &Matcher::new(&model),
-            &valid,
-            &EvalOptions {
-                exact_match: exact,
-                ..EvalOptions::default()
-            },
-        );
+        let opts = EvalOptions {
+            exact_match: exact,
+            ..EvalOptions::default()
+        };
+        let (_, out) = score(&mined, &CutConfig::default(), &valid, &opts);
         vec![label.to_string(), fmt(out.gain()), fmt(out.hit_rate())]
     });
-    let mut table = Table::new(
+    table(
         format!("ablation: evaluation acceptance — {which}"),
-        vec!["acceptance".into(), "gain".into(), "hit rate".into()],
-    );
-    for row in rows {
-        table.push_row(row);
-    }
-    table
+        &["acceptance", "gain", "hit rate"],
+        rows,
+    )
 }
 
 #[cfg(test)]

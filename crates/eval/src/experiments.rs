@@ -3,14 +3,14 @@
 //! function regenerates the series of the corresponding panel as
 //! [`Table`]s (text + CSV).
 //!
-//! Panels (e) need no model; panels (a), (c), (f) are three views of one
-//! cross-validated sweep; panel (b) re-runs the `+MOA` recommenders under
-//! the two quantity-boost settings; panel (d) fixes minsup = 0.08% and
-//! buckets hits by profit range.
+//! Panels (e) need no model; panels (a), (c), (d), (f) are four views of
+//! one cross-validated sweep, (d) bucketing hits by profit range at the
+//! sweep point `range_minsup` (0.08% at paper scale); panel (b) re-runs
+//! the `+MOA` recommenders under the two quantity-boost settings.
 
 use crate::behavior::QuantityBoost;
 use crate::report::Table;
-use crate::runner::{paper_sweep, run_ranges, run_sweep, EvalConfig};
+use crate::runner::{paper_sweep, run_sweep, EvalConfig, SweepReport};
 use pm_datagen::DatasetConfig;
 use pm_stats::Histogram;
 use rand::rngs::StdRng;
@@ -69,7 +69,8 @@ pub struct Scale {
     pub items: usize,
     /// Minimum-support fractions for the sweeps.
     pub sweep: Vec<f64>,
-    /// The minsup for panel (d) (the paper uses 0.08%).
+    /// The minsup for panel (d) (the paper uses 0.08%) and the ablations;
+    /// one of `sweep`'s points, so (d) reads the sweep behind (a).
     pub range_minsup: f64,
     /// Cross-validation folds (paper: 5).
     pub folds: usize,
@@ -121,6 +122,14 @@ impl Scale {
         self.transactions = n;
         self
     }
+
+    /// The index of `range_minsup` in `sweep`.
+    fn range_point(&self) -> usize {
+        self.sweep
+            .iter()
+            .position(|&ms| ms == self.range_minsup)
+            .expect("range_minsup is one of the sweep's points")
+    }
 }
 
 fn base_config(scale: &Scale, seed: u64, threads: usize) -> EvalConfig {
@@ -134,25 +143,58 @@ fn base_config(scale: &Scale, seed: u64, threads: usize) -> EvalConfig {
     }
 }
 
-/// Panels (a), (c), (f) of Figures 3/4: gain, hit rate, and rule count
-/// versus minimum support — three views of one cross-validated sweep.
-pub fn fig_sweep(which: Dataset, scale: &Scale, seed: u64, threads: usize) -> Vec<Table> {
+fn sweep(which: Dataset, scale: &Scale, seed: u64, threads: usize) -> SweepReport {
     let data = which.generate(scale, seed);
-    let report = run_sweep(&data, &base_config(scale, seed, threads));
+    run_sweep(&data, &base_config(scale, seed, threads))
+}
+
+/// Panels (a), (c), (d), (f) of Figures 3/4, in that order: gain, hit
+/// rate and rule count versus minimum support, and hit rate by profit
+/// range at `scale.range_minsup` — four views of one cross-validated
+/// sweep.
+///
+/// # Panics
+///
+/// Panics when `scale.range_minsup` is not one of `scale.sweep`'s points.
+pub fn fig_sweep(which: Dataset, scale: &Scale, seed: u64, threads: usize) -> Vec<Table> {
+    let report = sweep(which, scale, seed, threads);
     vec![
         report.gain_table(&format!("Fig (a): gain vs minimum support — {which}")),
         report.hit_rate_table(&format!("Fig (c): hit rate vs minimum support — {which}")),
+        range_panel(&report, scale),
         report.rules_table(&format!(
             "Fig (f): number of rules vs minimum support — {which}"
         )),
     ]
 }
 
+/// Panel (d) on its own: the one point of [`fig_sweep`]'s sweep it
+/// reads, cross-validated alone.
+pub fn fig_d(which: Dataset, scale: &Scale, seed: u64, threads: usize) -> Table {
+    let point = Scale {
+        sweep: vec![scale.range_minsup],
+        ..scale.clone()
+    };
+    range_panel(&sweep(which, &point, seed, threads), &point)
+}
+
+/// Panel (d): hit rate by profit range (Low/Medium/High thirds of the
+/// maximum recorded target profit) at `scale.range_minsup`.
+fn range_panel(report: &SweepReport, scale: &Scale) -> Table {
+    report.range_table(
+        &format!(
+            "hit rate by profit range (minsup {:.3}%)",
+            scale.range_minsup * 100.0
+        ),
+        scale.range_point(),
+    )
+}
+
 /// Panel (b): gain of the `+MOA` recommenders under the quantity-boost
 /// settings `(x=2, y=30%)` and `(x=3, y=40%)`.
 pub fn fig_b(which: Dataset, scale: &Scale, seed: u64, threads: usize) -> Table {
     let data = which.generate(scale, seed);
-    let mut merged: Option<crate::runner::SweepReport> = None;
+    let mut merged: Option<SweepReport> = None;
     for (x, y) in [(2u32, 0.30f64), (3, 0.40)] {
         let boost = QuantityBoost::setting(x, y);
         let label = format!(" {}", boost.label());
@@ -164,7 +206,7 @@ pub fn fig_b(which: Dataset, scale: &Scale, seed: u64, threads: usize) -> Table 
         let report = run_sweep(&data, &cfg);
         match &mut merged {
             None => {
-                let mut base = crate::runner::SweepReport::new(scale.sweep.clone());
+                let mut base = SweepReport::new(scale.sweep.clone());
                 base.merge_suffixed(report, &label);
                 merged = Some(base);
             }
@@ -174,17 +216,6 @@ pub fn fig_b(which: Dataset, scale: &Scale, seed: u64, threads: usize) -> Table 
     merged
         .expect("two settings merged")
         .gain_table(&format!("Fig (b): gain with quantity boost — {which}"))
-}
-
-/// Panel (d): hit rate by profit range (Low/Medium/High thirds of the
-/// maximum single-recommendation profit) at the paper's minsup.
-pub fn fig_d(which: Dataset, scale: &Scale, seed: u64, threads: usize) -> Table {
-    let data = which.generate(scale, seed);
-    run_ranges(
-        &data,
-        &base_config(scale, seed, threads),
-        scale.range_minsup,
-    )
 }
 
 /// Panel (e): the profit distribution of the recorded target sales.
@@ -269,11 +300,16 @@ mod tests {
     #[test]
     fn fig_sweep_smoke() {
         let tables = fig_sweep(Dataset::I, &Scale::tiny(), 1, 2);
-        assert_eq!(tables.len(), 3);
+        assert_eq!(tables.len(), 4);
         for t in &tables {
-            assert_eq!(t.rows.len(), 2, "{}", t.title);
+            // Two sweep points, or the three profit ranges of (d).
+            assert!(matches!(t.rows.len(), 2 | 3), "{}", t.title);
             assert!(t.columns.len() >= 5);
         }
+        assert_eq!(tables[2].rows[0][0], "Low");
+        // (d) alone cross-validates its one point, to the same table.
+        let d = fig_d(Dataset::I, &Scale::tiny(), 1, 2);
+        assert_eq!(d.to_csv(), tables[2].to_csv());
     }
 
     #[test]
@@ -285,9 +321,13 @@ mod tests {
     }
 
     #[test]
-    fn fig_d_smoke() {
-        let t = fig_d(Dataset::I, &Scale::tiny(), 1, 2);
-        assert_eq!(t.rows.len(), 3);
+    fn range_minsup_is_a_sweep_point() {
+        for scale in [Scale::paper(), Scale::quick(), Scale::tiny()] {
+            assert!(
+                scale.sweep.contains(&scale.range_minsup),
+                "{scale:?}: panel (d) must read a point of the sweep"
+            );
+        }
     }
 
     #[test]

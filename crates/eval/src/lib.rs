@@ -9,7 +9,8 @@
 //!   Figure 3(b) ("the customer doubles the purchase quantity with
 //!   probability 30%…");
 //! * [`runner`] — minsup sweeps across the six recommenders
-//!   (PROF±MOA, CONF±MOA, kNN, MPI) with mine-once/filter-down reuse;
+//!   (PROF±MOA, CONF±MOA, kNN, MPI) with mine-once/filter-down reuse,
+//!   pooling hits by profit range at every point;
 //! * [`experiments`] — one entry per figure panel of the evaluation
 //!   (Figures 3(a)–(f) and 4(a)–(f)) plus the §5.3 kNN post-processing
 //!   comparison;
@@ -22,8 +23,8 @@
 //! fact about *customer behavior*, so it applies to every recommender
 //! (the paper states explicitly that it "applied MOA to tell whether a
 //! recommendation is a hit" for kNN; the `±MOA` axis only controls model
-//! *building*). [`metrics::EvalOptions::moa_hits`] can turn this off for
-//! exact-match ablations.
+//! *building*). [`metrics::EvalOptions::exact_match`] turns this off for
+//! the exact-match ablation.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -40,4 +41,4 @@ pub use behavior::QuantityBoost;
 pub use folds::Folds;
 pub use metrics::{evaluate, EvalOptions, EvalOutcome};
 pub use report::Table;
-pub use runner::{EvalConfig, Evaluation, SweepReport};
+pub use runner::{EvalConfig, SweepReport};

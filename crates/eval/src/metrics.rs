@@ -13,6 +13,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
+/// The profit ranges of Figures 3(d)/4(d), in [`EvalOutcome::range_hits`]
+/// order: thirds of the largest recorded target profit in the validation
+/// set.
+pub(crate) const PROFIT_RANGES: [&str; 3] = ["Low", "Medium", "High"];
+
 /// Evaluation settings.
 #[derive(Debug, Clone, Default)]
 pub struct EvalOptions {
@@ -60,16 +65,6 @@ impl EvalOutcome {
             0.0
         } else {
             self.hits as f64 / self.n as f64
-        }
-    }
-
-    /// Hit rate within range bucket `i`.
-    pub fn range_hit_rate(&self, i: usize) -> f64 {
-        let (_, h, t) = &self.range_hits[i];
-        if *t == 0 {
-            0.0
-        } else {
-            *h as f64 / *t as f64
         }
     }
 }
@@ -134,7 +129,7 @@ pub fn evaluate(
         hits: 0,
         generated_profit: 0.0,
         recorded_profit: recorded.iter().sum(),
-        range_hits: ["Low", "Medium", "High"]
+        range_hits: PROFIT_RANGES
             .iter()
             .map(|l| (l.to_string(), 0, 0))
             .collect(),
@@ -333,7 +328,6 @@ mod tests {
                                            // Cheapest recommendation hits everything.
         let hits: Vec<usize> = out.range_hits.iter().map(|(_, h, _)| *h).collect();
         assert_eq!(hits, vec![1, 1, 2]);
-        assert!((out.range_hit_rate(2) - 1.0).abs() < 1e-12);
     }
 
     #[test]

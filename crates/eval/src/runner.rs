@@ -1,6 +1,6 @@
 //! Cross-validated minimum-support sweeps over the six recommenders
 //! (§5.1): PROF+MOA, PROF−MOA, CONF+MOA, CONF−MOA, kNN, MPI — the series
-//! of Figures 3(a)/(c)/(f) and 4(a)/(c)/(f).
+//! of Figures 3(a)/(c)/(d)/(f) and 4(a)/(c)/(d)/(f).
 //!
 //! Per fold, rules are **mined once** per MOA mode at the smallest
 //! minimum support of the sweep; higher points reuse the mined set (exact
@@ -9,10 +9,10 @@
 
 use crate::behavior::QuantityBoost;
 use crate::folds::Folds;
-use crate::metrics::{evaluate, EvalOptions, EvalOutcome};
+use crate::metrics::{evaluate, EvalOptions, EvalOutcome, PROFIT_RANGES};
 use crate::report::{fmt, Table};
 use pm_baselines::{Knn, KnnConfig, KnnProfit, MostProfitableItem};
-use pm_rules::{MinerConfig, MoaMode, ProfitMode, RuleMiner, Support};
+use pm_rules::{MinedRules, MinerConfig, MoaMode, ProfitMode, RuleMiner, Support};
 use pm_txn::{QuantityModel, TransactionSet};
 use profit_core::{CutConfig, Matcher, Recommender, RuleModel};
 use serde::{Deserialize, Serialize};
@@ -90,13 +90,28 @@ impl Default for EvalConfig {
     }
 }
 
-/// Split `threads` between the fold fan-out and per-fold mining: folds
-/// get priority (coarsest grain), and mining only goes parallel when a
-/// single fold would otherwise leave workers idle.
-fn fold_thread_split(threads: usize, n_folds: usize) -> (usize, usize) {
-    let fold_workers = threads.min(n_folds.max(1));
-    let inner = if fold_workers > 1 { 1 } else { threads };
-    (fold_workers, inner)
+/// Split `threads` (`0` = all cores) between a fan-out over `n_jobs`
+/// folds or ablation cells and the mining inside each job: the fan-out
+/// gets priority (coarsest grain), and mining only goes parallel when a
+/// single job would otherwise leave workers idle.
+pub(crate) fn fold_thread_split(threads: usize, n_jobs: usize) -> (usize, usize) {
+    let threads = pm_par::resolve(threads);
+    let workers = threads.min(n_jobs.max(1));
+    let inner = if workers > 1 { 1 } else { threads };
+    (workers, inner)
+}
+
+/// Build the recommender `cut` selects from `mined` and evaluate it on
+/// `valid`: every sweep point and every ablation cell is scored here.
+pub(crate) fn score(
+    mined: &MinedRules,
+    cut: &CutConfig,
+    valid: &TransactionSet,
+    opts: &EvalOptions,
+) -> (RuleModel, EvalOutcome) {
+    let model = RuleModel::build(mined, cut);
+    let out = evaluate(&Matcher::new(&model), valid, opts);
+    (model, out)
 }
 
 /// Mean accumulator.
@@ -138,6 +153,9 @@ pub struct Series {
     /// Final rule count per sweep point (empty accumulators for
     /// instance-based recommenders).
     pub n_rules: Vec<MeanAcc>,
+    /// `(hits, transactions)` per profit range (Low, Medium, High) per
+    /// sweep point, pooled over folds.
+    pub ranges: Vec<Vec<(usize, usize)>>,
 }
 
 impl Series {
@@ -146,6 +164,7 @@ impl Series {
             gain: vec![MeanAcc::default(); len],
             hit_rate: vec![MeanAcc::default(); len],
             n_rules: vec![MeanAcc::default(); len],
+            ranges: vec![vec![(0, 0); PROFIT_RANGES.len()]; len],
         }
     }
 }
@@ -195,6 +214,10 @@ impl SweepReport {
         if let Some(r) = n_rules {
             s.n_rules[si].push(r as f64);
         }
+        for (acc, (_, hits, total)) in s.ranges[si].iter_mut().zip(&out.range_hits) {
+            acc.0 += hits;
+            acc.1 += total;
+        }
     }
 
     fn table_of<F>(&self, title: &str, f: F) -> Table
@@ -236,6 +259,29 @@ impl SweepReport {
         })
     }
 
+    /// Hit rate by profit range at sweep point `si` (Figures 3(d)/4(d)):
+    /// rows Low/Medium/High, one column per recommender, hits and
+    /// transactions pooled over folds (`-` for an empty range).
+    pub fn range_table(&self, title: &str, si: usize) -> Table {
+        let names = series_order(self.series.keys().cloned());
+        let mut cols = vec!["range".to_string()];
+        cols.extend(names.iter().cloned());
+        let mut table = Table::new(title, cols);
+        for (ri, label) in PROFIT_RANGES.iter().enumerate() {
+            let mut row = vec![label.to_string()];
+            for n in &names {
+                let (hits, total) = self.series[n].ranges[si][ri];
+                row.push(if total == 0 {
+                    "-".into()
+                } else {
+                    fmt(hits as f64 / total as f64)
+                });
+            }
+            table.push_row(row);
+        }
+        table
+    }
+
     /// Merge another report over the same sweep (e.g. the two boost
     /// settings of Figure 3(b)), suffixing its series names.
     pub fn merge_suffixed(&mut self, other: SweepReport, suffix: &str) {
@@ -244,13 +290,6 @@ impl SweepReport {
             self.series.insert(format!("{name}{suffix}"), series);
         }
     }
-}
-
-/// Top-level handle returned by [`run_sweep`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Evaluation {
-    /// The fold-averaged sweep report.
-    pub report: SweepReport,
 }
 
 /// One recorded evaluation: `(series name, sweep index, outcome, rules)`.
@@ -271,8 +310,7 @@ pub fn run_sweep(data: &TransactionSet, cfg: &EvalConfig) -> SweepReport {
     let folds: Vec<_> = Folds::new(data.len(), cfg.n_folds, cfg.seed)
         .iter()
         .collect();
-    let (fold_workers, inner_threads) =
-        fold_thread_split(pm_par::resolve(cfg.threads), folds.len());
+    let (fold_workers, inner_threads) = fold_thread_split(cfg.threads, folds.len());
     let fold_records = pm_par::par_map(folds.len(), fold_workers, |fold_i| {
         sweep_fold(data, cfg, fold_i, &folds[fold_i], inner_threads)
     });
@@ -333,17 +371,13 @@ fn sweep_fold(
             .mine(&train);
             for (si, &ms) in cfg.sweep.iter().enumerate() {
                 for mode in [ProfitMode::Profit, ProfitMode::Confidence] {
-                    let model = RuleModel::build(
-                        &mined,
-                        &CutConfig {
-                            profit_mode: mode,
-                            cf: cfg.cf,
-                            prune: true,
-                            min_support: Some(Support::Fraction(ms)),
-                        },
-                    );
-                    let matcher = Matcher::new(&model);
-                    let out = evaluate(&matcher, &valid, &opts);
+                    let cut = CutConfig {
+                        profit_mode: mode,
+                        cf: cfg.cf,
+                        prune: true,
+                        min_support: Some(Support::Fraction(ms)),
+                    };
+                    let (model, out) = score(&mined, &cut, &valid, &opts);
                     records.push((model.name(), si, out, Some(model.rules().len())));
                 }
             }
@@ -381,105 +415,6 @@ fn sweep_fold(
         }
     }
     records
-}
-
-/// Hit rates by profit range (Figures 3(d)/4(d)) at a single minimum
-/// support: rows `Low`/`Medium`/`High`, one column per recommender.
-pub fn run_ranges(data: &TransactionSet, cfg: &EvalConfig, minsup: f64) -> Table {
-    let folds: Vec<_> = Folds::new(data.len(), cfg.n_folds, cfg.seed)
-        .iter()
-        .collect();
-    let (fold_workers, inner_threads) =
-        fold_thread_split(pm_par::resolve(cfg.threads), folds.len());
-    let fold_outcomes = pm_par::par_map(folds.len(), fold_workers, |fold_i| {
-        let _span = pm_obs::span("eval.fold");
-        pm_obs::counter("eval.folds").inc();
-        let (train_idx, valid_idx) = &folds[fold_i];
-        let train = data.subset(train_idx);
-        let valid = data.subset(valid_idx);
-        let opts = EvalOptions {
-            quantity: cfg.quantity,
-            boost: cfg.boost.clone(),
-            seed: cfg.seed.wrapping_add(fold_i as u64),
-            exact_match: false,
-        };
-        let mut outcomes: Vec<(String, EvalOutcome)> = Vec::new();
-
-        if cfg.include_rule_models {
-            for moa in [MoaMode::Enabled, MoaMode::Disabled] {
-                let mined = RuleMiner::new(MinerConfig {
-                    min_support: Support::Fraction(minsup),
-                    max_body_len: cfg.max_body_len,
-                    moa,
-                    quantity: cfg.quantity,
-                    min_confidence: cfg.min_confidence,
-                    min_rule_profit: None,
-                    prune_default_dominated: true,
-                })
-                .with_threads(inner_threads)
-                .mine(&train);
-                for mode in [ProfitMode::Profit, ProfitMode::Confidence] {
-                    let model = RuleModel::build(
-                        &mined,
-                        &CutConfig {
-                            profit_mode: mode,
-                            cf: cfg.cf,
-                            prune: true,
-                            min_support: None,
-                        },
-                    );
-                    let matcher = Matcher::new(&model);
-                    outcomes.push((model.name(), evaluate(&matcher, &valid, &opts)));
-                }
-            }
-        }
-        if cfg.include_knn {
-            let knn = Knn::fit(
-                &train,
-                KnnConfig {
-                    k: cfg.knn_k,
-                    idf: true,
-                },
-            );
-            outcomes.push((knn.name(), evaluate(&knn, &valid, &opts)));
-        }
-        if cfg.include_mpi {
-            let mpi = MostProfitableItem::fit(&train);
-            outcomes.push((mpi.name(), evaluate(&mpi, &valid, &opts)));
-        }
-        outcomes
-    });
-    // name → per-range (hits, totals); integer sums, so fold order is
-    // immaterial — kept ascending anyway for symmetry with `run_sweep`.
-    let mut acc: BTreeMap<String, [(usize, usize); 3]> = BTreeMap::new();
-    for (name, out) in fold_outcomes.into_iter().flatten() {
-        let e = acc.entry(name).or_insert([(0, 0); 3]);
-        for (i, (_, h, t)) in out.range_hits.iter().enumerate() {
-            e[i].0 += h;
-            e[i].1 += t;
-        }
-    }
-
-    let names = series_order(acc.keys().cloned());
-    let mut cols = vec!["range".to_string()];
-    cols.extend(names.iter().cloned());
-    let mut table = Table::new(
-        format!("hit rate by profit range (minsup {:.3}%)", minsup * 100.0),
-        cols,
-    );
-    for (ri, label) in ["Low", "Medium", "High"].iter().enumerate() {
-        let mut row = vec![label.to_string()];
-        for n in &names {
-            let (h, t) = acc[n][ri];
-            row.push(if t == 0 {
-                "-".into()
-            } else {
-                fmt(h as f64 / t as f64)
-            });
-        }
-        table.push_row(row);
-    }
-    table
 }
 
 #[cfg(test)]
@@ -569,10 +504,19 @@ mod tests {
 
     #[test]
     fn ranges_table_shape() {
-        let table = run_ranges(&small_data(), &small_cfg(), 0.03);
+        let data = small_data();
+        let report = run_sweep(&data, &small_cfg());
+        let table = report.range_table("ranges", 1);
         assert_eq!(table.rows.len(), 3);
         assert_eq!(table.rows[0][0], "Low");
         assert!(table.columns.len() >= 4);
+        // Every validation transaction falls in one range, at every point.
+        for s in report.series.values() {
+            for ranges in &s.ranges {
+                let total: usize = ranges.iter().map(|&(_, t)| t).sum();
+                assert_eq!(total, data.len());
+            }
+        }
     }
 
     #[test]

@@ -125,14 +125,6 @@ impl BitSet {
         }
     }
 
-    /// In-place `self &= other`.
-    pub fn intersect_with(&mut self, other: &BitSet) {
-        debug_assert_eq!(self.capacity, other.capacity);
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= b;
-        }
-    }
-
     /// In-place `self &= !other` (set difference).
     pub fn subtract(&mut self, other: &BitSet) {
         debug_assert_eq!(self.capacity, other.capacity);
@@ -239,9 +231,6 @@ mod tests {
         let inter = a.intersection(&b);
         assert_eq!(inter.count(), a.intersection_count(&b));
         assert_eq!(inter.count(), 20); // multiples of 15 in 0..300
-        let mut c = a.clone();
-        c.intersect_with(&b);
-        assert_eq!(c, inter);
     }
 
     #[test]

@@ -8,12 +8,12 @@
 //!   here projected *non-hit* rates ([`binomial::pessimistic_upper`]);
 //! * the special functions it needs (log-gamma, regularized incomplete
 //!   beta) implemented from scratch ([`gamma`], [`beta`]);
-//! * the **samplers** used by the synthetic data generators: Zipf (the
-//!   Dataset I target distribution), normal (Dataset II), Poisson and
-//!   exponential (the IBM Quest generator), and a generic discrete
-//!   cumulative-weight sampler ([`sample`]);
-//! * small **descriptive statistics** and **histogram** helpers used by the
-//!   evaluation harness ([`descriptive`], [`histogram`]).
+//! * the **samplers** used by the synthetic data generators: normal
+//!   (Dataset II), Poisson and exponential (the IBM Quest generator),
+//!   binomial (price sensitivity), and a generic discrete cumulative-weight
+//!   sampler (Dataset I's 5:1 target split) ([`sample`]);
+//! * the **histogram** the evaluation harness bins Figure 3(e)/4(e)'s
+//!   profit distribution with ([`histogram`]).
 //!
 //! Everything is deterministic given a seeded [`rand::Rng`]; no global
 //! RNG state is used anywhere in the workspace.
@@ -23,12 +23,10 @@
 
 pub mod beta;
 pub mod binomial;
-pub mod descriptive;
 pub mod gamma;
 pub mod histogram;
 pub mod sample;
 
 pub use binomial::{binomial_cdf, pessimistic_upper, PessimisticEstimator};
-pub use descriptive::Summary;
 pub use histogram::Histogram;
-pub use sample::{Binomial, Discrete, Exponential, Normal, Poisson, Zipf};
+pub use sample::{Binomial, Discrete, Exponential, Normal, Poisson};

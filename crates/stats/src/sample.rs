@@ -1,73 +1,13 @@
 //! Samplers used by the synthetic data generators.
 //!
-//! The paper's evaluation (§5.2) needs a Zipf distribution (Dataset I
-//! target frequencies), a normal distribution (Dataset II), and the IBM
-//! Quest generator needs Poisson (transaction and pattern sizes) and
-//! exponential (pattern weights) draws. Only the `rand` crate is allowed
-//! offline, so the distributions themselves are implemented here, each
-//! with an explicit, seedable `Rng` argument.
+//! The paper's evaluation (§5.2) needs a two-item 5:1 split (Dataset I
+//! target frequencies, a [`Discrete`]) and a normal distribution
+//! (Dataset II), and the IBM Quest generator needs Poisson (transaction
+//! and pattern sizes) and exponential (pattern weights) draws. Only the
+//! `rand` crate is allowed offline, so the distributions themselves are
+//! implemented here, each with an explicit, seedable `Rng` argument.
 
 use rand::Rng;
-
-/// Zipf distribution over ranks `1..=n` with exponent `s`:
-/// `P(rank = k) ∝ 1 / k^s`.
-///
-/// Sampling is inversion over a precomputed cumulative table (O(log n)
-/// per draw), which is exact and fast for the rank counts used here.
-#[derive(Debug, Clone)]
-pub struct Zipf {
-    cumulative: Vec<f64>,
-}
-
-impl Zipf {
-    /// Build a Zipf sampler over `1..=n` with exponent `s > 0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0` or `s` is not finite and positive.
-    pub fn new(n: usize, s: f64) -> Self {
-        assert!(n > 0, "Zipf requires at least one rank");
-        assert!(s.is_finite() && s > 0.0, "Zipf exponent must be > 0");
-        let mut cumulative = Vec::with_capacity(n);
-        let mut total = 0.0;
-        for k in 1..=n {
-            total += 1.0 / (k as f64).powf(s);
-            cumulative.push(total);
-        }
-        for c in &mut cumulative {
-            *c /= total;
-        }
-        Self { cumulative }
-    }
-
-    /// Number of ranks.
-    pub fn len(&self) -> usize {
-        self.cumulative.len()
-    }
-
-    /// True when there is a single rank.
-    pub fn is_empty(&self) -> bool {
-        false // construction guarantees n > 0
-    }
-
-    /// Probability mass of rank `k` (1-based).
-    pub fn pmf(&self, k: usize) -> f64 {
-        assert!(k >= 1 && k <= self.cumulative.len(), "rank out of range");
-        let hi = self.cumulative[k - 1];
-        let lo = if k >= 2 { self.cumulative[k - 2] } else { 0.0 };
-        hi - lo
-    }
-
-    /// Draw a rank in `1..=n`.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let u: f64 = rng.gen();
-        match self.cumulative.binary_search_by(|c| c.total_cmp(&u)) {
-            // Err(i): u falls strictly before cumulative[i] ⇒ rank i+1.
-            // Ok(i): u lands exactly on the boundary; rank i+1 as well.
-            Ok(i) | Err(i) => (i + 1).min(self.cumulative.len()),
-        }
-    }
-}
 
 /// Normal distribution sampled with the Marsaglia polar method.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -265,45 +205,6 @@ mod tests {
     }
 
     #[test]
-    fn zipf_pmf_sums_to_one() {
-        let z = Zipf::new(100, 1.0);
-        let total: f64 = (1..=100).map(|k| z.pmf(k)).sum();
-        assert!((total - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn zipf_rank_one_dominates() {
-        let z = Zipf::new(10, 1.0);
-        for k in 2..=10 {
-            assert!(z.pmf(1) > z.pmf(k));
-        }
-    }
-
-    #[test]
-    fn zipf_two_ranks_ratio() {
-        // With s chosen so that P(1)/P(2) = 5, the paper's Dataset I 5:1
-        // split is a two-rank Zipf: s = log2(5).
-        let s = 5.0f64.log2();
-        let z = Zipf::new(2, s);
-        let ratio = z.pmf(1) / z.pmf(2);
-        assert!((ratio - 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn zipf_samples_in_range_and_skewed() {
-        let z = Zipf::new(50, 1.2);
-        let mut rng = rng();
-        let mut counts = vec![0u32; 51];
-        for _ in 0..20_000 {
-            let k = z.sample(&mut rng);
-            assert!((1..=50).contains(&k));
-            counts[k] += 1;
-        }
-        assert!(counts[1] > counts[10]);
-        assert!(counts[1] > counts[50]);
-    }
-
-    #[test]
     fn normal_moments() {
         let n = Normal::new(3.0, 2.0);
         let mut rng = rng();
@@ -395,16 +296,22 @@ mod tests {
 
     #[test]
     fn determinism_under_fixed_seed() {
-        let z = Zipf::new(20, 1.0);
-        let a: Vec<usize> = {
-            let mut r = StdRng::seed_from_u64(7);
-            (0..100).map(|_| z.sample(&mut r)).collect()
+        let d = Discrete::new(&[5.0, 1.0]);
+        let n = Normal::new(0.0, 1.0);
+        let p = Poisson::new(4.0);
+        let draws = |seed: u64| {
+            let mut r = StdRng::seed_from_u64(seed);
+            (0..100)
+                .map(|_| {
+                    (
+                        d.sample(&mut r),
+                        n.sample(&mut r).to_bits(),
+                        p.sample(&mut r),
+                    )
+                })
+                .collect::<Vec<_>>()
         };
-        let b: Vec<usize> = {
-            let mut r = StdRng::seed_from_u64(7);
-            (0..100).map(|_| z.sample(&mut r)).collect()
-        };
-        assert_eq!(a, b);
+        assert_eq!(draws(7), draws(7));
     }
 
     #[test]

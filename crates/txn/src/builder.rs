@@ -3,7 +3,7 @@
 use crate::catalog::{Catalog, ItemDef};
 use crate::code::PromotionCode;
 use crate::error::TxnError;
-use crate::ids::{CodeId, ItemId};
+use crate::ids::ItemId;
 use crate::money::Money;
 use std::collections::HashMap;
 
@@ -91,12 +91,6 @@ impl CatalogBuilder {
         self.by_name.get(name).copied()
     }
 
-    /// The first code id of an item — convenient when items have a single
-    /// code.
-    pub fn first_code(&self) -> CodeId {
-        CodeId(0)
-    }
-
     /// Finish, validating the catalog.
     pub fn build(self) -> Result<Catalog, TxnError> {
         if let Some(name) = self.duplicate {
@@ -114,6 +108,7 @@ impl CatalogBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::CodeId;
 
     #[test]
     fn builds_by_name() {

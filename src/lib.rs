@@ -67,7 +67,7 @@ pub mod prelude {
         evaluate,
         experiments::{Dataset, Scale},
         folds::Folds,
-        runner::{run_ranges, run_sweep, EvalConfig, SweepReport},
+        runner::{run_sweep, EvalConfig, SweepReport},
         EvalOptions, EvalOutcome, Table,
     };
     pub use pm_rules::{
