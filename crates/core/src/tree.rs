@@ -539,16 +539,9 @@ mod tests {
             .collect()
     }
 
-    /// Slow reference for "is r more general than r'" (Definition 3 set
-    /// matching): every sale of `r`'s body equals or is an ancestor of
-    /// some sale of `rp`'s. The empty body generalizes everything.
+    /// Slow reference for "is r more general than r'".
     fn more_general(mined: &MinedRules, r: &Rule, rp: &Rule) -> bool {
-        let interner = mined.interner();
-        r.body.iter().all(|&g| {
-            rp.body
-                .iter()
-                .any(|&s| g == s || interner.is_ancestor(g, s))
-        })
+        mined.interner().body_generalizes(&r.body, &rp.body)
     }
 
     /// The rules a build ranks: the mined rules at `min_support`.

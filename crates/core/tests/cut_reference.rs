@@ -174,13 +174,8 @@ fn covering_tree_parents_strictly_generalize_on_random_data() {
         for i in 0..tree.len() {
             if let Some(p) = tree.parent[i] {
                 assert!(p > i, "parent must rank lower");
-                // Definition 3: each parent sale equals or is an
-                // ancestor of some child sale.
-                let (parent, child) = (&tree.rules[p].body, &tree.rules[i].body);
                 assert!(
-                    parent
-                        .iter()
-                        .all(|&g| child.iter().any(|&s| g == s || interner.is_ancestor(g, s))),
+                    interner.body_generalizes(&tree.rules[p].body, &tree.rules[i].body),
                     "parent body must generalize child body"
                 );
             }

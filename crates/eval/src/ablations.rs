@@ -12,18 +12,20 @@
 //! * [`quantity_model`] — saving vs buying MOA;
 //! * [`workloads`] — full, targeted and per-item-floored mining.
 //!
-//! Every cell mines at `Scale::range_minsup`, holds out one fold of
-//! [`FOLDS`], and is scored by the sweep's own `runner::score`.
+//! Every cell mines at `Scale::range_minsup` and holds out one fold of
+//! [`FOLDS`]. A cell that needs a model of its own is built and scored
+//! by the sweep's own `runner::score`; [`eval_semantics`]' two cells
+//! evaluate one model.
 
 use crate::experiments::{Dataset, Scale};
 use crate::folds::Folds;
-use crate::metrics::EvalOptions;
+use crate::metrics::{evaluate, EvalOptions};
 use crate::report::{fmt, Table};
 use crate::runner::{fold_thread_split, score};
 use pm_datagen::config::PriceCoupling;
 use pm_rules::{MinerConfig, MoaMode, RuleMiner, Support};
 use pm_txn::TransactionSet;
-use profit_core::CutConfig;
+use profit_core::{CutConfig, Matcher, RuleModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -272,15 +274,17 @@ pub fn eval_semantics(which: Dataset, scale: &Scale, seed: u64, threads: usize) 
     let mined = miner(scale, scale.range_minsup)
         .with_threads(threads)
         .mine(&train);
+    let model = RuleModel::build(&mined, &CutConfig::default());
     let variants = [("MOA (P ⪯ recorded)", false), ("exact code match", true)];
     let (workers, _) = fold_thread_split(threads, variants.len());
+    // One Matcher per cell: its memoization scratch is a RefCell.
     let rows = pm_par::par_map(variants.len(), workers, |i| {
         let (label, exact) = variants[i];
         let opts = EvalOptions {
             exact_match: exact,
             ..EvalOptions::default()
         };
-        let (_, out) = score(&mined, &CutConfig::default(), &valid, &opts);
+        let out = evaluate(&Matcher::new(&model), &valid, &opts);
         vec![label.to_string(), fmt(out.gain()), fmt(out.hit_rate())]
     });
     table(

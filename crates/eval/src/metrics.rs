@@ -45,8 +45,9 @@ pub struct EvalOutcome {
     pub generated_profit: f64,
     /// Total recorded profit (the gain denominator).
     pub recorded_profit: f64,
-    /// Hit counts per profit-range bucket: `(range label, hits, total)`.
-    pub range_hits: Vec<(String, usize, usize)>,
+    /// `(hits, transactions)` per profit range: Low, Medium, High thirds
+    /// of the largest recorded target profit.
+    pub range_hits: [(usize, usize); 3],
 }
 
 impl EvalOutcome {
@@ -129,22 +130,19 @@ pub fn evaluate(
         hits: 0,
         generated_profit: 0.0,
         recorded_profit: recorded.iter().sum(),
-        range_hits: PROFIT_RANGES
-            .iter()
-            .map(|l| (l.to_string(), 0, 0))
-            .collect(),
+        range_hits: [(0, 0); 3],
     };
 
     for (tid, t) in validation.transactions().iter().enumerate() {
         let rec = recommender.recommend(t.non_target_sales());
         let target = t.target_sale();
         let b = bucket(recorded[tid]);
-        out.range_hits[b].2 += 1;
+        out.range_hits[b].1 += 1;
         let Some(mut profit) = moa.head_profit(rec.item, rec.code, target, opts.quantity) else {
             continue;
         };
         out.hits += 1;
-        out.range_hits[b].1 += 1;
+        out.range_hits[b].0 += 1;
         if let Some(boost) = &opts.boost {
             let q = price_rank(&moa, target.item, target.code);
             let p = price_rank(&moa, rec.item, rec.code);
@@ -323,10 +321,10 @@ mod tests {
         let ds = dataset(&[0, 1, 2, 3]);
         let rec = Fixed(ItemId(1), CodeId(0), ds.catalog().clone());
         let out = evaluate(&rec, &ds, &EvalOptions::default());
-        let totals: Vec<usize> = out.range_hits.iter().map(|(_, _, t)| *t).collect();
+        let totals: Vec<usize> = out.range_hits.iter().map(|&(_, t)| t).collect();
         assert_eq!(totals, vec![1, 1, 2]); // $1 | $2 | $3,$4
                                            // Cheapest recommendation hits everything.
-        let hits: Vec<usize> = out.range_hits.iter().map(|(_, h, _)| *h).collect();
+        let hits: Vec<usize> = out.range_hits.iter().map(|&(h, _)| h).collect();
         assert_eq!(hits, vec![1, 1, 2]);
     }
 

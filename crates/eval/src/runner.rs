@@ -102,7 +102,8 @@ pub(crate) fn fold_thread_split(threads: usize, n_jobs: usize) -> (usize, usize)
 }
 
 /// Build the recommender `cut` selects from `mined` and evaluate it on
-/// `valid`: every sweep point and every ablation cell is scored here.
+/// `valid`: every sweep point, and every ablation cell with a model of
+/// its own, is scored here.
 pub(crate) fn score(
     mined: &MinedRules,
     cut: &CutConfig,
@@ -155,7 +156,7 @@ pub struct Series {
     pub n_rules: Vec<MeanAcc>,
     /// `(hits, transactions)` per profit range (Low, Medium, High) per
     /// sweep point, pooled over folds.
-    pub ranges: Vec<Vec<(usize, usize)>>,
+    pub ranges: Vec<[(usize, usize); 3]>,
 }
 
 impl Series {
@@ -164,7 +165,7 @@ impl Series {
             gain: vec![MeanAcc::default(); len],
             hit_rate: vec![MeanAcc::default(); len],
             n_rules: vec![MeanAcc::default(); len],
-            ranges: vec![vec![(0, 0); PROFIT_RANGES.len()]; len],
+            ranges: vec![[(0, 0); 3]; len],
         }
     }
 }
@@ -214,7 +215,7 @@ impl SweepReport {
         if let Some(r) = n_rules {
             s.n_rules[si].push(r as f64);
         }
-        for (acc, (_, hits, total)) in s.ranges[si].iter_mut().zip(&out.range_hits) {
+        for (acc, (hits, total)) in s.ranges[si].iter_mut().zip(out.range_hits) {
             acc.0 += hits;
             acc.1 += total;
         }

@@ -145,6 +145,15 @@ impl GsInterner {
     pub fn related(&self, a: GsId, b: GsId) -> bool {
         self.is_ancestor(a, b) || self.is_ancestor(b, a)
     }
+
+    /// Does body `general` generalize body `special` (Definition 3 set
+    /// matching): every element of `general` equals or is an ancestor of
+    /// some element of `special`? The empty body generalizes everything.
+    pub fn body_generalizes(&self, general: &[GsId], special: &[GsId]) -> bool {
+        general
+            .iter()
+            .all(|&g| special.iter().any(|&s| g == s || self.is_ancestor(g, s)))
+    }
 }
 
 #[cfg(test)]
@@ -234,7 +243,7 @@ mod tests {
     }
 
     #[test]
-    fn relatedness_and_ancestry() {
+    fn relatedness_and_body_generalization() {
         let (cat, h) = setup();
         let moa = Moa::from_refs(&cat, &h, true);
         let mut interner = GsInterner::new();
@@ -248,5 +257,14 @@ mod tests {
         let _ = interner.related(food, food);
         assert!(interner.is_ancestor(food, c300));
         assert!(!interner.is_ancestor(c300, food));
+
+        // Body generalization (Definition 3).
+        assert!(interner.body_generalizes(&[item], &[c380]));
+        assert!(interner.body_generalizes(&[c300], &[c380]));
+        assert!(interner.body_generalizes(&[], &[c380]), "empty body");
+        assert!(!interner.body_generalizes(&[c380], &[c300]));
+        assert!(interner.body_generalizes(&[food], &[c300]));
+        // Same body generalizes itself.
+        assert!(interner.body_generalizes(&[c300, food], &[c300, food]));
     }
 }

@@ -793,6 +793,14 @@ impl<T: Deserialize> Deserialize for Vec<T> {
     }
 }
 
+impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
+    fn deserialize(d: &mut Deserializer<'_>) -> Result<Self, Error> {
+        Vec::<T>::deserialize(d)?
+            .try_into()
+            .map_err(|v: Vec<T>| Error(format!("array: expected {N} elements, found {}", v.len())))
+    }
+}
+
 impl<T: Deserialize> Deserialize for Box<T> {
     fn deserialize(d: &mut Deserializer<'_>) -> Result<Self, Error> {
         T::deserialize(d).map(Box::new)
@@ -888,6 +896,8 @@ mod tests {
     fn containers_round_trip() {
         assert_eq!(de::<Vec<u32>>("[1, 2,3]").unwrap(), vec![1, 2, 3]);
         assert_eq!(de::<Vec<u32>>("[ ]").unwrap(), Vec::<u32>::new());
+        assert_eq!(de::<[(u8, u8); 2]>("[[1,2],[3,4]]").unwrap()[1], (3, 4));
+        assert!(de::<[u32; 2]>("[1,2,3]").is_err());
         let t = (1u32, "a".to_string(), 2.5f64);
         assert_eq!(de::<(u32, String, f64)>(r#"[1,"a",2.5]"#).unwrap(), t);
         let mut m = BTreeMap::new();

@@ -64,7 +64,7 @@ fn evaluation_metrics_are_consistent() {
         out.gain()
     );
     // Range buckets partition the validation set.
-    let bucket_total: usize = out.range_hits.iter().map(|(_, _, t)| t).sum();
+    let bucket_total: usize = out.range_hits.iter().map(|(_, t)| t).sum();
     assert_eq!(bucket_total, out.n);
     // Generated profit is bounded by recorded profit under saving MOA.
     assert!(out.generated_profit <= out.recorded_profit + 1e-9);

@@ -190,9 +190,9 @@ proptest! {
         prop_assert!(out.hits <= out.n);
         prop_assert!(out.gain().is_finite());
         prop_assert!(out.generated_profit >= 0.0 || out.recorded_profit <= 0.0);
-        let bucket_total: usize = out.range_hits.iter().map(|(_, _, t)| t).sum();
+        let bucket_total: usize = out.range_hits.iter().map(|(_, t)| t).sum();
         prop_assert_eq!(bucket_total, out.n);
-        let bucket_hits: usize = out.range_hits.iter().map(|(_, h, _)| h).sum();
+        let bucket_hits: usize = out.range_hits.iter().map(|(h, _)| h).sum();
         prop_assert_eq!(bucket_hits, out.hits);
     }
 
