@@ -167,9 +167,12 @@ fn counter(metrics: &Path, name: &str) -> u64 {
     }
 }
 
-/// The eight DFS work counters, then the model build's five, in the
-/// order the baseline lists them.
-const WORK_COUNTERS: [&str; 13] = [
+/// The extension's and the pair count's work counters, the eight DFS
+/// counters, then the model build's five, in the order the baseline
+/// lists them.
+const WORK_COUNTERS: [&str; 15] = [
+    "mine.sales_generalized",
+    "mine.pairs_counted",
     "miner.candidates_pruned",
     "miner.tidset_switches",
     "mine.ub_evaluated",
@@ -185,10 +188,12 @@ const WORK_COUNTERS: [&str; 13] = [
     "build.ucf_solved",
 ];
 
-/// The fit's work, pinned. The miner's DFS: candidates abandoned by the
-/// minsup early exit, dense↔sparse switches, upper-bound evaluations
-/// and cuts, tids histogrammed and per-head profit passes, and the
-/// stored tidsets by representation. The model build
+/// The fit's work, pinned. The layout: distinct `(item, code)` pairs
+/// whose generalizations the extension computed, and pair-table
+/// increments. The miner's DFS: candidates abandoned by the minsup early
+/// exit, dense↔sparse switches, upper-bound evaluations and cuts, tids
+/// histogrammed and per-head profit passes, and the stored tidsets by
+/// representation. The model build
 /// (`RuleModel::build`): distinct bodies ranked above the default rule,
 /// prefix-map edges the dominance and parent walks looked up, tidset
 /// intersections in coverage, node evaluations in the cut, and `U_CF`
@@ -215,24 +220,26 @@ fn work_counters_equal_the_pinned_baseline() {
     ]);
     let model = dir.join("model.pm");
     let metrics = dir.join("metrics.json");
-    let baseline: [(&[&str], [u64; 13]); 3] = [
+    let baseline: [(&[&str], [u64; 15]); 3] = [
         (
             &["--minsup", "0.03"],
             [
-                30_208, 0, 5_654, 1_575, 1_298_194, 85_216, 212, 8, 6_506, 74_794, 2_652, 2_076, 32,
+                176, 236_091, 30_208, 0, 5_654, 1_575, 1_298_194, 85_216, 212, 8, 6_506, 74_794,
+                2_652, 2_076, 32,
             ],
         ),
         (
             &["--minsup", "0.03", "--min-profit", "5"],
             [
-                24_519, 0, 5_633, 2_288, 1_261_688, 84_238, 212, 8, 6_506, 74_794, 2_652, 2_076, 32,
+                176, 236_091, 24_519, 0, 5_633, 2_288, 1_261_688, 84_238, 212, 8, 6_506, 74_794,
+                2_652, 2_076, 32,
             ],
         ),
         (
             &["--minsup", "0.01"],
             [
-                160_346, 98_701, 12_387, 1_779, 2_375_092, 721_058, 212, 8, 56_573, 1_201_957,
-                27_801, 20_261, 21,
+                176, 243_535, 160_346, 98_701, 12_387, 1_779, 2_375_092, 721_058, 212, 8, 56_573,
+                1_201_957, 27_801, 20_261, 21,
             ],
         ),
     ];

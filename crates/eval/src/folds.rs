@@ -31,11 +31,6 @@ impl Folds {
         Self { assignments, k }
     }
 
-    /// Number of folds.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
     /// Number of data points.
     pub fn n(&self) -> usize {
         self.assignments.len()

@@ -113,26 +113,6 @@ where
     });
 }
 
-/// Split `0..n` into at most `chunks` contiguous ranges of near-equal
-/// length (the last chunks are one shorter when `n % chunks != 0`).
-/// Returns an empty vector for `n == 0`.
-pub fn even_chunks(n: usize, chunks: usize) -> Vec<std::ops::Range<usize>> {
-    if n == 0 {
-        return Vec::new();
-    }
-    let chunks = chunks.clamp(1, n);
-    let base = n / chunks;
-    let extra = n % chunks;
-    let mut out = Vec::with_capacity(chunks);
-    let mut start = 0;
-    for c in 0..chunks {
-        let len = base + usize::from(c < extra);
-        out.push(start..start + len);
-        start += len;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,23 +212,6 @@ mod tests {
         assert_eq!(resolve(1), 1);
         assert_eq!(resolve(5), 5);
         assert_eq!(resolve(0), max_threads());
-    }
-
-    #[test]
-    fn even_chunks_partition() {
-        for n in [0usize, 1, 7, 64, 100] {
-            for c in [1usize, 2, 3, 8] {
-                let chunks = even_chunks(n, c);
-                let total: usize = chunks.iter().map(|r| r.len()).sum();
-                assert_eq!(total, n, "n={n} c={c}");
-                let mut prev = 0;
-                for r in &chunks {
-                    assert_eq!(r.start, prev);
-                    assert!(!r.is_empty());
-                    prev = r.end;
-                }
-            }
-        }
     }
 
     #[test]

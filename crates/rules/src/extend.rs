@@ -165,12 +165,31 @@ impl ExtendedData {
             "catalog growth must append heads, never reorder or drop them"
         );
         self.heads = heads;
+        // Sales repeat their (item, code) pairs, and a sale's
+        // generalizations depend on nothing else: each distinct pair's
+        // are computed and interned once, at its first sale, in the order
+        // `generalizations_of_sale` gives them, so first-encounter
+        // interning order, and every `GsId`, is the per-sale loop's.
+        // `memo[item][code]` holds a pair's ids; it is empty until then,
+        // since every sale generalizes at least to its item.
+        let mut memo: Vec<Vec<Vec<GsId>>> = catalog
+            .iter()
+            .map(|(_, def)| vec![Vec::new(); def.codes.len()])
+            .collect();
+        let mut generalized = 0u64;
         for t in &data.transactions()[from..] {
             let mut gs: Vec<GsId> = Vec::new();
             for s in t.non_target_sales() {
-                for g in moa.generalizations_of_sale(s) {
-                    gs.push(self.interner.intern(g));
+                let ids = &mut memo[s.item.index()][s.code.index()];
+                if ids.is_empty() {
+                    generalized += 1;
+                    ids.extend(
+                        moa.generalizations_of_sale(s)
+                            .into_iter()
+                            .map(|g| self.interner.intern(g)),
+                    );
                 }
+                gs.extend_from_slice(ids);
             }
             gs.sort_unstable();
             gs.dedup();
@@ -183,6 +202,7 @@ impl ExtendedData {
             };
             self.txn_profile.push(profile);
         }
+        pm_obs::counter("mine.sales_generalized").add(generalized);
         self.interner.finalize(moa);
     }
 
@@ -353,6 +373,10 @@ mod tests {
     }
 
     fn dataset_with(txns: Vec<Transaction>) -> TransactionSet {
+        dataset_in(Hierarchy::flat(3), txns)
+    }
+
+    fn dataset_in(h: Hierarchy, txns: Vec<Transaction>) -> TransactionSet {
         let mut cat = Catalog::new();
         cat.push(ItemDef {
             name: "a".into(),
@@ -378,8 +402,84 @@ mod tests {
             ],
             is_target: true,
         });
-        let h = Hierarchy::flat(3);
         TransactionSet::new(cat, h, txns).unwrap()
+    }
+
+    /// [`dataset`]'s catalog with `a` and `b` below one concept (itself
+    /// below another), and sales that repeat an `(item, code)` at
+    /// different quantities.
+    fn recurring_dataset() -> TransactionSet {
+        let mut h = Hierarchy::flat(3);
+        let snack = h.add_concept("snack");
+        let food = h.add_concept("food");
+        h.link_item(ItemId(0), snack).unwrap();
+        h.link_item(ItemId(1), snack).unwrap();
+        h.link_concept(snack, food).unwrap();
+        let (a, b, t) = (ItemId(0), ItemId(1), ItemId(2));
+        let txn = |sales: &[(ItemId, u16, u32)], code: u16| {
+            Transaction::new(
+                sales
+                    .iter()
+                    .map(|&(item, code, qty)| Sale::new(item, CodeId(code), qty))
+                    .collect(),
+                Sale::new(t, CodeId(code), 1),
+            )
+        };
+        let txns = vec![
+            txn(&[(b, 0, 1)], 0),
+            txn(&[(a, 1, 2), (b, 0, 3)], 1),
+            txn(&[(a, 0, 1)], 0),
+            txn(&[], 1),
+            txn(&[(a, 1, 5)], 1),
+            txn(&[(b, 0, 2), (a, 0, 4)], 0),
+        ];
+        dataset_in(h, txns)
+    }
+
+    /// The per-sale extension that `ExtendedData::extend` memoizes:
+    /// every sale's generalizations derived and interned anew, the
+    /// interner finalized after the last transaction.
+    fn per_sale_reference(data: &TransactionSet, moa: &Moa) -> (GsInterner, Vec<Vec<GsId>>) {
+        let mut interner = GsInterner::new();
+        let txn_gs = data
+            .transactions()
+            .iter()
+            .map(|t| {
+                let mut gs: Vec<GsId> = Vec::new();
+                for s in t.non_target_sales() {
+                    for g in moa.generalizations_of_sale(s) {
+                        gs.push(interner.intern(g));
+                    }
+                }
+                gs.sort_unstable();
+                gs.dedup();
+                gs
+            })
+            .collect();
+        interner.finalize(moa);
+        (interner, txn_gs)
+    }
+
+    /// `build` over [`recurring_dataset`] equals [`per_sale_reference`]:
+    /// the same sale behind every `GsId`, the same ancestor lists and
+    /// the same per-transaction id sets.
+    fn assert_extends_per_sale(moa_on: bool) {
+        let ds = recurring_dataset();
+        let moa = Moa::new(ds.catalog_arc(), ds.hierarchy_arc(), moa_on);
+        let ext = ExtendedData::build(&ds, &moa, QuantityModel::Saving);
+        let (interner, txn_gs) = per_sale_reference(&ds, &moa);
+        assert_eq!(ext.txn_gs, txn_gs);
+        assert_eq!(ext.n_gs(), interner.len());
+        for i in 0..interner.len() {
+            let id = GsId(i as u32);
+            assert_eq!(ext.interner.resolve(id), interner.resolve(id), "{id:?}");
+            assert_eq!(ext.interner.ancestors(id), interner.ancestors(id), "{id:?}");
+        }
+        // The sales reach both concepts.
+        let concepts = (0..ext.n_gs() as u32)
+            .filter(|&i| matches!(ext.interner.resolve(GsId(i)), pm_txn::GenSale::Concept(_)))
+            .count();
+        assert_eq!(concepts, 2);
     }
 
     /// Transaction `tid`'s `(head, p(r, t))` list, heads ascending.
@@ -419,6 +519,7 @@ mod tests {
         assert_eq!(ext.head_profit_on(1, h0), Some(2.0));
         // Max attainable margin per transaction: the largest head profit.
         assert_eq!([max_margin_of(&ext, 0), max_margin_of(&ext, 1)], [6.0, 2.0]);
+        assert_extends_per_sale(true);
     }
 
     /// The per-profile margin bound dominates every head's profit and
@@ -453,6 +554,7 @@ mod tests {
         assert_eq!(ext.txn_gs[0].len(), 2);
         // Exact-code head matching: txn 0 recorded at code1 ⇒ only head 1.
         assert_eq!(heads_of(&ext, 0), vec![(HeadId(1), 6.0)]);
+        assert_extends_per_sale(false);
     }
 
     #[test]

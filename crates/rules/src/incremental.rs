@@ -21,7 +21,7 @@
 //!   capped by its old total count.
 //! * The default-dominance floor is the one emission filter that
 //!   depends on `n`, so caches are generated with the floor disabled
-//!   and the exact floor predicate of [`RuleEmitter::emit`] is
+//!   and the exact floor predicate of `RuleEmitter::emit` is
 //!   re-applied at assembly time; confidence and rule-profit filters
 //!   are `n`-independent and stay applied at generation.
 //! * The floor itself comes from persistent per-head hit/profit

@@ -318,7 +318,7 @@ impl RuleMiner {
             .collect();
         let pairs = (self.config.max_body_len >= 2 && freq.len() >= 2).then(|| {
             let _span = pm_obs::span("mine.generate");
-            PairCounts::count_with_threads(&layout.extended, &freq, pm_par::resolve(self.threads))
+            PairCounts::count(&layout.extended, &freq)
         });
         let gates = HeadGates::resolve(
             self.target.as_ref(),
@@ -1139,63 +1139,39 @@ impl PairCounts {
         dense
     }
 
+    /// The pair table of `freq` over every transaction of `extended`:
+    /// the triangle up to [`TRI_LIMIT`] frequent singletons, the map
+    /// above it.
     fn count(extended: &ExtendedData, freq: &[GsId]) -> Self {
         let f = freq.len();
-        let dense = Self::dense_map(extended, freq);
-        let mut counts = if f <= TRI_LIMIT {
+        let table = if f <= TRI_LIMIT {
             PairCounts::Tri(vec![0u32; f * (f.saturating_sub(1)) / 2])
         } else {
             PairCounts::Map(std::collections::HashMap::new())
         };
+        table.add(extended, freq)
+    }
+
+    /// Add one for every pair of `freq` each transaction of `extended`
+    /// holds, one transaction at a time, `hi` outer and `lo` inner: in
+    /// the triangle each `hi`'s increments land in one contiguous row.
+    fn add(mut self, extended: &ExtendedData, freq: &[GsId]) -> Self {
+        let dense = Self::dense_map(extended, freq);
         let mut present: Vec<u32> = Vec::new();
+        let mut bumps = 0u64;
         for gs in &extended.txn_gs {
             present.clear();
             present.extend(gs.iter().filter_map(|g| dense[g.index()]));
             // `gs` is sorted by GsId and `freq` is GsId-ascending, so
             // `present` is ascending too.
-            for i in 0..present.len() {
-                for j in i + 1..present.len() {
-                    counts.bump(present[i] as usize, present[j] as usize);
-                }
+            for (j, &hi) in present.iter().enumerate() {
+                self.bump_row(hi, &present[..j]);
             }
+            let k = present.len() as u64;
+            bumps += k * k.saturating_sub(1) / 2;
         }
-        counts
-    }
-
-    /// [`Self::count`] fanned out over `threads` workers. The triangle
-    /// is shared as relaxed atomics — u32 addition commutes, so the
-    /// result is exactly the sequential table regardless of scheduling.
-    /// The rare hash-map fallback (> [`TRI_LIMIT`] frequent singletons)
-    /// stays sequential rather than paying a per-worker map merge.
-    pub(crate) fn count_with_threads(
-        extended: &ExtendedData,
-        freq: &[GsId],
-        threads: usize,
-    ) -> Self {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        let f = freq.len();
-        let n_txn = extended.txn_gs.len();
-        if threads <= 1 || f > TRI_LIMIT || n_txn < 2 {
-            return Self::count(extended, freq);
-        }
-        let dense = Self::dense_map(extended, freq);
-        let tri_len = f * (f - 1) / 2;
-        let counts: Vec<AtomicU32> = (0..tri_len).map(|_| AtomicU32::new(0)).collect();
-        let chunks = pm_par::even_chunks(n_txn, threads * 8);
-        pm_par::par_map(chunks.len(), threads, |ci| {
-            let mut present: Vec<u32> = Vec::new();
-            for gs in &extended.txn_gs[chunks[ci].clone()] {
-                present.clear();
-                present.extend(gs.iter().filter_map(|g| dense[g.index()]));
-                for i in 0..present.len() {
-                    for j in i + 1..present.len() {
-                        let idx = Self::tri_index(present[i] as usize, present[j] as usize);
-                        counts[idx].fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-        });
-        PairCounts::Tri(counts.into_iter().map(AtomicU32::into_inner).collect())
+        pm_obs::counter("mine.pairs_counted").add(bumps);
+        self
     }
 
     #[inline]
@@ -1204,11 +1180,23 @@ impl PairCounts {
         hi * (hi - 1) / 2 + lo
     }
 
+    /// Add one to every pair `(lo, hi)` with `lo` in `los`, each below
+    /// `hi`.
     #[inline]
-    fn bump(&mut self, lo: usize, hi: usize) {
+    fn bump_row(&mut self, hi: u32, los: &[u32]) {
         match self {
-            PairCounts::Tri(v) => v[Self::tri_index(lo, hi)] += 1,
-            PairCounts::Map(m) => *m.entry((lo as u32, hi as u32)).or_insert(0) += 1,
+            PairCounts::Tri(v) => {
+                let hi = hi as usize;
+                let row = &mut v[hi * hi.saturating_sub(1) / 2..][..hi];
+                for &lo in los {
+                    row[lo as usize] += 1;
+                }
+            }
+            PairCounts::Map(m) => {
+                for &lo in los {
+                    *m.entry((lo, hi)).or_insert(0) += 1;
+                }
+            }
         }
     }
 
@@ -1838,24 +1826,6 @@ mod tests {
         assert!(pm_obs::counter("mine.ub_pruned.d1").get() >= depth1 + 2);
     }
 
-    /// The parallel pair-count table is exactly the sequential one
-    /// (relaxed atomic u32 adds commute).
-    #[test]
-    fn parallel_pair_counts_match_sequential() {
-        let mined = mine(1, MoaMode::Enabled, 2);
-        let ext = mined.extended();
-        let freq: Vec<GsId> = (0..ext.n_gs() as u32).map(GsId).collect();
-        let seq = PairCounts::count(ext, &freq);
-        for threads in [2usize, 5] {
-            let par = PairCounts::count_with_threads(ext, &freq, threads);
-            for i in 0..freq.len() {
-                for j in i + 1..freq.len() {
-                    assert_eq!(seq.get(i, j), par.get(i, j), "pair ({i},{j})");
-                }
-            }
-        }
-    }
-
     #[test]
     fn max_body_len_one_gives_only_singletons() {
         let mined = mine(1, MoaMode::Enabled, 1);
@@ -2268,25 +2238,55 @@ mod tests {
         assert!(cases > 500, "only {cases} admitted heads reached minsup");
     }
 
+    /// Both pair tables, triangle and map, equal a brute-force count
+    /// keyed by `GsId`. The singletons are those frequent at a support
+    /// that drops some generalized sales, so the dense index skips ids.
     #[test]
     fn pair_counts_tri_and_map_agree() {
-        let mined = mine(1, MoaMode::Enabled, 2);
+        use pm_datagen::DatasetConfig;
+        use rand::{rngs::StdRng, SeedableRng};
+        use std::collections::HashMap;
+        let ds = DatasetConfig::dataset_i()
+            .with_transactions(300)
+            .with_items(40)
+            .generate(&mut StdRng::seed_from_u64(11));
+        let mined = RuleMiner::new(MinerConfig {
+            min_support: Support::Count(12),
+            max_body_len: 2,
+            ..MinerConfig::default()
+        })
+        .mine(&ds);
         let ext = mined.extended();
-        let freq: Vec<GsId> = (0..ext.n_gs() as u32).map(GsId).collect();
-        let tri = PairCounts::count(ext, &freq);
-        // Force the map path.
-        let mut map = PairCounts::Map(std::collections::HashMap::new());
+        let freq: Vec<GsId> = (0..ext.n_gs() as u32)
+            .map(GsId)
+            .filter(|&g| mined.gs_tidset(g).count() >= 12)
+            .collect();
+        assert!(
+            freq.len() >= 10 && freq.len() < ext.n_gs(),
+            "{}",
+            freq.len()
+        );
+        let mut brute: HashMap<(GsId, GsId), u32> = HashMap::new();
         for gs in &ext.txn_gs {
-            for i in 0..gs.len() {
-                for j in i + 1..gs.len() {
-                    map.bump(gs[i].index(), gs[j].index());
+            let present: Vec<GsId> = gs.iter().copied().filter(|g| freq.contains(g)).collect();
+            for (j, &hi) in present.iter().enumerate() {
+                for &lo in &present[..j] {
+                    *brute.entry((lo, hi)).or_insert(0) += 1;
                 }
             }
         }
-        for i in 0..freq.len() {
-            for j in i + 1..freq.len() {
-                assert_eq!(tri.get(i, j), map.get(i, j), "pair ({i},{j})");
+        let f = freq.len();
+        let tri = PairCounts::count(ext, &freq);
+        assert!(matches!(tri, PairCounts::Tri(_)));
+        let map = PairCounts::Map(HashMap::new()).add(ext, &freq);
+        for i in 0..f {
+            for j in i + 1..f {
+                let expect = brute.get(&(freq[i], freq[j])).copied().unwrap_or(0);
+                assert_eq!(tri.get(i, j), expect, "pair ({i},{j})");
+                assert_eq!(tri.get(j, i), expect, "pair ({j},{i})");
+                assert_eq!(map.get(i, j), expect, "pair ({i},{j})");
             }
         }
+        assert!(brute.values().any(|&c| c > 1));
     }
 }

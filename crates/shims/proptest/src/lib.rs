@@ -136,7 +136,7 @@ impl_tuple_strategy! {
 pub mod collection {
     use super::{Range, Rng, Strategy, TestRng};
 
-    /// Length specifications accepted by [`vec`] (proptest's
+    /// Length specifications accepted by [`vec()`] (proptest's
     /// `SizeRange` conversions): an exact `usize` or a `usize` range.
     pub trait IntoSizeRange {
         /// The equivalent half-open range.
@@ -169,7 +169,7 @@ pub mod collection {
         }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

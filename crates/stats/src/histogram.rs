@@ -3,29 +3,24 @@
 
 use serde::{Deserialize, Serialize};
 
-/// A histogram with `bins` equal-width buckets over `[lo, hi)`; values at
-/// exactly `hi` land in the last bucket, values outside the range are
-/// counted separately as underflow/overflow.
+/// A histogram with `bins` equal-width buckets over the observed range
+/// `[lo, hi]` of its values; the maximum lands in the last bucket.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Histogram {
     lo: f64,
     hi: f64,
     counts: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
 }
 
 impl Histogram {
-    /// Create a histogram over `[lo, hi)` with `bins ≥ 1` buckets.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
+    /// An empty histogram over `[lo, hi]` with `bins ≥ 1` buckets.
+    fn new(lo: f64, hi: f64, bins: usize) -> Self {
         assert!(bins >= 1, "histogram needs at least one bin");
         assert!(lo.is_finite() && hi.is_finite() && lo < hi, "bad range");
         Self {
             lo,
             hi,
             counts: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
         }
     }
 
@@ -42,33 +37,17 @@ impl Histogram {
         h
     }
 
-    /// Record one value.
-    pub fn record(&mut self, v: f64) {
+    /// Record one value of `[lo, hi]`.
+    fn record(&mut self, v: f64) {
         assert!(v.is_finite(), "histogram only accepts finite values");
-        if v < self.lo {
-            self.underflow += 1;
-        } else if v > self.hi {
-            self.overflow += 1;
-        } else {
-            let width = (self.hi - self.lo) / self.counts.len() as f64;
-            let idx = (((v - self.lo) / width) as usize).min(self.counts.len() - 1);
-            self.counts[idx] += 1;
-        }
+        let width = (self.hi - self.lo) / self.counts.len() as f64;
+        let idx = (((v - self.lo) / width) as usize).min(self.counts.len() - 1);
+        self.counts[idx] += 1;
     }
 
     /// Number of buckets.
     pub fn bins(&self) -> usize {
         self.counts.len()
-    }
-
-    /// Count in bucket `i`.
-    pub fn count(&self, i: usize) -> u64 {
-        self.counts[i]
-    }
-
-    /// All bucket counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
     }
 
     /// `(low, high)` edges of bucket `i`.
@@ -84,21 +63,6 @@ impl Histogram {
         0.5 * (lo + hi)
     }
 
-    /// Total recorded values, including under/overflow.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-
-    /// Values below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Values above the range.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
     /// Render as `(midpoint, count)` rows, the format the figure binaries
     /// print.
     pub fn rows(&self) -> Vec<(f64, u64)> {
@@ -112,6 +76,11 @@ impl Histogram {
 mod tests {
     use super::*;
 
+    /// The bucket counts, read off the rows.
+    fn counts(h: &Histogram) -> Vec<u64> {
+        h.rows().into_iter().map(|(_, c)| c).collect()
+    }
+
     #[test]
     fn records_into_correct_bins() {
         let mut h = Histogram::new(0.0, 10.0, 5);
@@ -120,35 +89,21 @@ mod tests {
         h.record(2.0);
         h.record(9.99);
         h.record(10.0); // boundary: last bin
-        assert_eq!(h.count(0), 2);
-        assert_eq!(h.count(1), 1);
-        assert_eq!(h.count(4), 2);
-        assert_eq!(h.total(), 5);
-    }
-
-    #[test]
-    fn under_and_overflow() {
-        let mut h = Histogram::new(0.0, 1.0, 2);
-        h.record(-0.5);
-        h.record(2.0);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.total(), 2);
+        assert_eq!(counts(&h), vec![2, 1, 0, 0, 2]);
     }
 
     #[test]
     fn of_spans_data() {
         let h = Histogram::of(&[1.0, 2.0, 3.0, 4.0], 4);
-        assert_eq!(h.total(), 4);
-        assert_eq!(h.underflow() + h.overflow(), 0);
-        let (lo, _) = h.bin_range(0);
-        assert_eq!(lo, 1.0);
+        assert_eq!(counts(&h), vec![1, 1, 1, 1]);
+        assert_eq!(h.bin_range(0).0, 1.0);
+        assert_eq!(h.bin_range(3).1, 4.0);
     }
 
     #[test]
     fn of_constant_data() {
         let h = Histogram::of(&[5.0, 5.0, 5.0], 3);
-        assert_eq!(h.total(), 3);
+        assert_eq!(counts(&h), vec![3, 0, 0]);
     }
 
     #[test]
