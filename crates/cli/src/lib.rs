@@ -263,8 +263,9 @@ USAGE
   Observability: PM_LOG=off|error|info|debug selects structured logging
   to stderr (default off); --metrics PATH dumps the metrics registry
   (phase timings, counters, latency histograms) as JSON after fit,
-  eval, and recommend. Neither perturbs output: models are
-  byte-identical with observability on or off.
+  eval, recommend, assort, and serve (once the daemon stops). Neither
+  perturbs output: models are byte-identical with observability on or
+  off.
 "
     .to_string()
 }

@@ -3,30 +3,12 @@
 //! themselves, and the miner's DFS work counters equal a pinned
 //! baseline at every thread count.
 
-use std::path::{Path, PathBuf};
+mod common;
+
+use common::{bin, counter, run_ok, tmp_dir};
+use std::path::Path;
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
-
-fn bin() -> &'static str {
-    env!("CARGO_BIN_EXE_profit-mining")
-}
-
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pm-fit-cli-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir
-}
-
-fn run_ok(args: &[&str]) {
-    let out = Command::new(bin()).args(args).output().expect("spawn CLI");
-    assert!(
-        out.status.success(),
-        "profit-mining {args:?} failed:\n{}{}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
-    );
-}
 
 fn path(p: &Path) -> &str {
     p.to_str().expect("UTF-8 temp path")
@@ -144,27 +126,6 @@ fn non_regular_input_files_fail_fast_and_name_the_path() {
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The `--metrics` value of a counter; the dump omits counters that
-/// stayed at 0.
-fn counter(metrics: &Path, name: &str) -> u64 {
-    let text = std::fs::read_to_string(metrics).expect("metrics file written");
-    let serde::Value::Map(top) = serde_json::from_str(&text).expect("metrics dump is JSON") else {
-        panic!("metrics dump is not an object");
-    };
-    let counters = top
-        .into_iter()
-        .find_map(|(k, v)| match (k.as_str(), v) {
-            ("counters", serde::Value::Map(c)) => Some(c),
-            _ => None,
-        })
-        .expect("dump has counters");
-    match counters.iter().find(|(k, _)| k == name) {
-        None => 0,
-        Some((_, serde::Value::U64(c))) => *c,
-        other => panic!("counter {name}: {other:?}"),
-    }
 }
 
 /// The extension's and the pair count's work counters, the eight DFS

@@ -2,29 +2,9 @@
 //! (checked with the workspace's vendored `serde_json`) and ending in
 //! exactly one trailing newline.
 
-use std::path::PathBuf;
-use std::process::Command;
+mod common;
 
-fn bin() -> &'static str {
-    env!("CARGO_BIN_EXE_profit-mining")
-}
-
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pm-cli-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir
-}
-
-fn run(args: &[&str]) {
-    let out = Command::new(bin()).args(args).output().expect("spawn CLI");
-    assert!(
-        out.status.success(),
-        "profit-mining {args:?} failed:\n{}{}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
-    );
-}
+use common::{run_ok, tmp_dir};
 
 #[test]
 fn metrics_file_is_parseable_json_with_trailing_newline() {
@@ -32,7 +12,7 @@ fn metrics_file_is_parseable_json_with_trailing_newline() {
     let data = dir.join("data.json");
     let model = dir.join("model.json");
     let metrics = dir.join("metrics.json");
-    run(&[
+    run_ok(&[
         "gen",
         "--out",
         data.to_str().unwrap(),
@@ -43,7 +23,7 @@ fn metrics_file_is_parseable_json_with_trailing_newline() {
         "--seed",
         "7",
     ]);
-    run(&[
+    run_ok(&[
         "fit",
         "--data",
         data.to_str().unwrap(),

@@ -14,27 +14,14 @@
 //!   same log + checkpoint, and require the recovered daemon's answers
 //!   to be byte-identical to an in-process model that never died.
 
+mod common;
+
+use common::{bin, expected_line, recommend_line, tmp_dir, wait_for_addr, Client};
 use pm_rules::{MinerConfig, ProfitMode, Support};
-use pm_serve::protocol::{obj, rec_value, render};
 use pm_txn::{Sale, Transaction, TransactionSet};
-use profit_core::{Checkpoint, CutConfig, Matcher, ProfitMiner, Recommender, RuleModel};
-use serde::Value;
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-use std::path::{Path, PathBuf};
+use profit_core::{Checkpoint, CutConfig, ProfitMiner, RuleModel};
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
-
-fn bin() -> &'static str {
-    env!("CARGO_BIN_EXE_profit-mining")
-}
-
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pm-chaos-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir
-}
 
 /// The exact pipeline `profit-mining` builds for
 /// `--minsup 0.03 --max-body 2` (note the CLI's default minimum
@@ -213,24 +200,6 @@ fn crash_point_matrix_recovers_byte_identically() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Poll for the daemon's `--addr-file` (written atomically once bound).
-fn wait_for_addr(path: &Path, child: &mut Child) -> String {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        if let Ok(text) = std::fs::read_to_string(path) {
-            let addr = text.trim().to_string();
-            if !addr.is_empty() {
-                return addr;
-            }
-        }
-        if let Some(status) = child.try_wait().expect("try_wait") {
-            panic!("daemon exited early with {status}");
-        }
-        assert!(Instant::now() < deadline, "daemon never wrote {path:?}");
-        std::thread::sleep(Duration::from_millis(20));
-    }
-}
-
 struct Daemon {
     child: Child,
     addr: String,
@@ -276,14 +245,7 @@ impl Daemon {
     }
 
     fn connect(&self) -> Client {
-        let stream = TcpStream::connect(&self.addr).expect("connect to daemon");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .unwrap();
-        Client {
-            reader: BufReader::new(stream.try_clone().unwrap()),
-            writer: stream,
-        }
+        Client::connect(&self.addr)
     }
 
     /// SIGKILL — no shutdown handshake, no flush, nothing.
@@ -297,38 +259,6 @@ impl Daemon {
         let status = self.child.wait().expect("daemon exit");
         assert!(status.success(), "clean shutdown must exit 0");
     }
-}
-
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Client {
-    fn send(&mut self, line: &str) -> String {
-        writeln!(self.writer, "{line}").expect("write request");
-        let mut buf = String::new();
-        self.reader.read_line(&mut buf).expect("read response");
-        buf.trim_end().to_string()
-    }
-}
-
-fn recommend_line(customer: &[Sale]) -> String {
-    let sales: Vec<String> = customer
-        .iter()
-        .map(|s| format!("[{},{},{}]", s.item.0, s.code.0, s.qty))
-        .collect();
-    format!(r#"{{"op":"recommend","sales":[{}]}}"#, sales.join(","))
-}
-
-fn expected_line(model: &RuleModel, customer: &[Sale]) -> String {
-    let matcher = Matcher::new(model);
-    let rec = matcher.recommend(customer);
-    render(&obj(vec![
-        ("ok", Value::Bool(true)),
-        ("degraded", Value::Bool(false)),
-        ("recs", Value::Seq(vec![rec_value(model, &rec)])),
-    ]))
 }
 
 fn assert_serves(daemon: &Daemon, model: &RuleModel, customers: &[Vec<Sale>], at: &str) {

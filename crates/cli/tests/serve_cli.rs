@@ -3,34 +3,12 @@
 //! same bytes as `profit-mining recommend` over the same model, then
 //! shut down cleanly over the wire.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+mod common;
+
+use common::{bin, counter, expected_line, recommend_line, run_ok, tmp_dir, wait_for_addr, Client};
+use std::path::Path;
+use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
-
-fn bin() -> &'static str {
-    env!("CARGO_BIN_EXE_profit-mining")
-}
-
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pm-serve-cli-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir
-}
-
-fn run_ok(args: &[&str]) -> String {
-    let out = Command::new(bin()).args(args).output().expect("spawn CLI");
-    assert!(
-        out.status.success(),
-        "profit-mining {args:?} failed:\n{}{}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
-    );
-    String::from_utf8(out.stdout).unwrap()
-}
-
 /// Generate `data.json` in `dir` and fit `model.pm` on it; returns both
 /// paths.
 fn gen_and_fit(dir: &std::path::Path, txns: &str, items: &str, seed: &str) -> (String, String) {
@@ -51,24 +29,6 @@ fn gen_and_fit(dir: &std::path::Path, txns: &str, items: &str, seed: &str) -> (S
         "2",
     ]);
     (data, model)
-}
-
-/// Poll for the daemon's `--addr-file` (written atomically once bound).
-fn wait_for_addr(path: &std::path::Path, child: &mut Child) -> String {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        if let Ok(text) = std::fs::read_to_string(path) {
-            let addr = text.trim().to_string();
-            if !addr.is_empty() {
-                return addr;
-            }
-        }
-        if let Some(status) = child.try_wait().expect("try_wait") {
-            panic!("daemon exited early with {status}");
-        }
-        assert!(Instant::now() < deadline, "daemon never wrote {path:?}");
-        std::thread::sleep(Duration::from_millis(20));
-    }
 }
 
 #[test]
@@ -109,26 +69,15 @@ fn serve_daemon_end_to_end_over_the_wire() {
         .expect("spawn daemon");
     let addr = wait_for_addr(&addr_file, &mut child);
 
-    let stream = TcpStream::connect(&addr).expect("connect to daemon");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(20)))
-        .unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut writer = stream;
-    let mut send = |line: &str| -> String {
-        writeln!(writer, "{line}").unwrap();
-        let mut buf = String::new();
-        reader.read_line(&mut buf).unwrap();
-        buf.trim_end().to_string()
-    };
+    let mut c = Client::connect(&addr);
 
-    let pong = send(r#"{"op":"ping"}"#);
+    let pong = c.send(r#"{"op":"ping"}"#);
     assert!(pong.contains(r#""op":"pong""#), "{pong}");
 
     // Serve the empty customer: the daemon's pick must appear in the
     // offline `recommend` output for the same model (the same item name
     // at the same promotion line).
-    let resp = send(r#"{"op":"recommend"}"#);
+    let resp = c.send(r#"{"op":"recommend"}"#);
     assert!(resp.starts_with(r#"{"ok":true,"degraded":false"#), "{resp}");
     let offline_empty = run_ok(&[
         "recommend",
@@ -142,10 +91,10 @@ fn serve_daemon_end_to_end_over_the_wire() {
     assert_eq!(offline, offline_empty, "offline recommend must be stable");
 
     // Hot reload from the same file bumps the generation.
-    let resp = send(r#"{"op":"reload"}"#);
+    let resp = c.send(r#"{"op":"reload"}"#);
     assert!(resp.contains(r#""generation":2"#), "{resp}");
 
-    let bye = send(r#"{"op":"shutdown"}"#);
+    let bye = c.send(r#"{"op":"shutdown"}"#);
     assert!(bye.contains("bye"), "{bye}");
 
     let out = child.wait_with_output().expect("daemon exit");
@@ -224,8 +173,6 @@ fn fd_count(pid: u32) -> usize {
 #[cfg(target_os = "linux")]
 #[test]
 fn a_full_fleet_is_served_exactly_extras_are_shed_and_no_fd_leaks() {
-    use pm_serve::protocol::{obj, rec_value, render};
-    use profit_core::{Matcher, Recommender};
     use serde::Value;
 
     const FLEET: usize = 96;
@@ -236,27 +183,11 @@ fn a_full_fleet_is_served_exactly_extras_are_shed_and_no_fd_leaks() {
 
     // The offline answers, from the same model file the daemon loads.
     let fitted = pm_serve::load_model(&model).unwrap();
-    let matcher = Matcher::new(&fitted);
     let txns = pm_txn::TransactionSet::from_json(&std::fs::read_to_string(&data).unwrap())
         .unwrap()
         .transactions()
         .to_vec();
-    let request = |i: usize| {
-        let sales: Vec<String> = txns[i % txns.len()]
-            .non_target_sales()
-            .iter()
-            .map(|s| format!("[{},{},{}]", s.item.0, s.code.0, s.qty))
-            .collect();
-        format!(r#"{{"op":"recommend","sales":[{}]}}"#, sales.join(","))
-    };
-    let expected = |i: usize| {
-        let rec = matcher.recommend(txns[i % txns.len()].non_target_sales());
-        render(&obj(vec![
-            ("ok", Value::Bool(true)),
-            ("degraded", Value::Bool(false)),
-            ("recs", Value::Seq(vec![rec_value(&fitted, &rec)])),
-        ]))
-    };
+    let customer = |i: usize| txns[i % txns.len()].non_target_sales();
 
     // Admission cap = workers + queue = the fleet plus the control line.
     let mut child = Command::new(bin())
@@ -278,51 +209,34 @@ fn a_full_fleet_is_served_exactly_extras_are_shed_and_no_fd_leaks() {
         .spawn()
         .expect("spawn daemon");
     let addr = wait_for_addr(&addr_file, &mut child);
-    let connect = || {
-        let stream = TcpStream::connect(&addr).expect("connect to daemon");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(20)))
-            .unwrap();
-        (BufReader::new(stream.try_clone().unwrap()), stream)
-    };
-    let recv = |reader: &mut BufReader<TcpStream>| {
-        let mut buf = String::new();
-        reader.read_line(&mut buf).expect("read response");
-        buf.trim_end().to_string()
-    };
-
-    let (mut ctl_reader, mut ctl) = connect();
-    let mut control = |line: &str| {
-        writeln!(ctl, "{line}").unwrap();
-        recv(&mut ctl_reader)
-    };
-    assert!(control(r#"{"op":"ping"}"#).contains(r#""op":"pong""#));
+    let mut ctl = Client::connect(&addr);
+    assert!(ctl.send(r#"{"op":"ping"}"#).contains(r#""op":"pong""#));
     let fds_before = fd_count(child.id());
 
     // Every request is written before any answer is read, so the
     // workers see the whole fleet's load at once.
-    let mut fleet: Vec<_> = (0..FLEET).map(|_| connect()).collect();
-    let round = |fleet: &mut [(BufReader<TcpStream>, TcpStream)]| {
-        for (i, (_, w)) in fleet.iter_mut().enumerate() {
-            writeln!(w, "{}", request(i)).unwrap();
+    let mut fleet: Vec<_> = (0..FLEET).map(|_| Client::connect(&addr)).collect();
+    let round = |fleet: &mut [Client]| {
+        for (i, c) in fleet.iter_mut().enumerate() {
+            c.write(&recommend_line(customer(i)));
         }
-        for (i, (r, _)) in fleet.iter_mut().enumerate() {
-            assert_eq!(recv(r), expected(i), "fleet connection {i}");
+        for (i, c) in fleet.iter_mut().enumerate() {
+            let want = expected_line(&fitted, customer(i));
+            assert_eq!(c.recv(), want, "fleet connection {i}");
         }
     };
     round(&mut fleet);
 
     for _ in 0..EXTRA {
-        let (mut r, _w) = connect();
-        let line = recv(&mut r);
+        let line = Client::connect(&addr).recv();
         assert!(line.contains("overloaded"), "{line}");
     }
 
-    let resp = control(r#"{"op":"reload"}"#);
+    let resp = ctl.send(r#"{"op":"reload"}"#);
     assert!(resp.contains(r#""generation":2"#), "{resp}");
     round(&mut fleet);
 
-    let stats = control(r#"{"op":"stats"}"#);
+    let stats = ctl.send(r#"{"op":"stats"}"#);
     let Value::Map(stats) = serde_json::from_str(&stats).unwrap() else {
         panic!("stats is not an object: {stats}");
     };
@@ -347,7 +261,7 @@ fn a_full_fleet_is_served_exactly_extras_are_shed_and_no_fd_leaks() {
         std::thread::sleep(Duration::from_millis(20));
     }
 
-    assert!(control(r#"{"op":"shutdown"}"#).contains("bye"));
+    assert!(ctl.send(r#"{"op":"shutdown"}"#).contains("bye"));
     let out = child.wait_with_output().expect("daemon exit");
     assert!(out.status.success(), "{out:?}");
     std::fs::remove_dir_all(&dir).ok();
@@ -368,12 +282,19 @@ const DELTA_COUNTERS: [&str; 10] = [
     "build.ucf_solved",
 ];
 
-/// Run a streaming daemon on `head` at `threads`, send it `ingest` (if
-/// any), shut it down, and read [`DELTA_COUNTERS`] from its `--metrics`
-/// dump; a counter the dump omits stayed at 0.
-fn streaming_counters(dir: &Path, head: &str, threads: &str, ingest: Option<&str>) -> [u64; 10] {
-    let tag = format!("t{threads}-{}", ingest.map_or("fit", |_| "ingest"));
+/// Run a streaming daemon on `head` at `threads`, send it `request` (if
+/// any: a line and the `op` its answer names), shut it down, and read
+/// [`DELTA_COUNTERS`] from its `--metrics` dump; a counter the dump
+/// omits stayed at 0.
+fn streaming_counters(
+    dir: &Path,
+    head: &str,
+    threads: &str,
+    request: Option<(&str, &str)>,
+) -> [u64; 10] {
+    let tag = format!("t{threads}-{}", request.map_or("fit", |(_, op)| op));
     let log = dir.join(format!("{tag}.log")).display().to_string();
+    let checkpoint = dir.join(format!("{tag}.pmck")).display().to_string();
     let metrics = dir.join(format!("{tag}.json"));
     let addr_file = dir.join(format!("{tag}.addr"));
     let mut child = Command::new(bin())
@@ -383,6 +304,8 @@ fn streaming_counters(dir: &Path, head: &str, threads: &str, ingest: Option<&str
             head,
             "--log",
             &log,
+            "--checkpoint",
+            &checkpoint,
             "--minsup",
             "0.03",
             "--max-body",
@@ -401,39 +324,16 @@ fn streaming_counters(dir: &Path, head: &str, threads: &str, ingest: Option<&str
         .spawn()
         .expect("spawn daemon");
     let addr = wait_for_addr(&addr_file, &mut child);
-    let stream = TcpStream::connect(&addr).expect("connect to daemon");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(60)))
-        .unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut writer = stream;
-    let mut send = |line: &str| -> String {
-        writeln!(writer, "{line}").unwrap();
-        let mut buf = String::new();
-        reader.read_line(&mut buf).unwrap();
-        buf
-    };
-    if let Some(line) = ingest {
-        let ack = send(line);
-        assert!(ack.contains(r#""op":"ingested""#), "{ack}");
+    let mut c = Client::connect(&addr);
+    if let Some((line, op)) = request {
+        let ack = c.send(line);
+        assert!(ack.contains(&format!(r#""op":"{op}""#)), "{ack}");
     }
-    assert!(send(r#"{"op":"shutdown"}"#).contains("bye"));
+    assert!(c.send(r#"{"op":"shutdown"}"#).contains("bye"));
     let out = child.wait_with_output().expect("daemon exit");
     assert!(out.status.success(), "{out:?}");
 
-    let text = std::fs::read_to_string(&metrics).expect("metrics file written");
-    let serde::Value::Map(top) = serde_json::from_str(&text).expect("metrics dump is JSON") else {
-        panic!("metrics dump is not an object");
-    };
-    let Some((_, serde::Value::Map(counters))) = top.into_iter().find(|(k, _)| k == "counters")
-    else {
-        panic!("metrics dump has no counters: {text}");
-    };
-    DELTA_COUNTERS.map(|name| match counters.iter().find(|(k, _)| k == name) {
-        None => 0,
-        Some((_, serde::Value::U64(c))) => *c,
-        other => panic!("counter {name}: {other:?}"),
-    })
+    DELTA_COUNTERS.map(|name| counter(&metrics, name))
 }
 
 /// One incremental delta's work, pinned like a cold fit's DFS counters
@@ -445,7 +345,9 @@ fn streaming_counters(dir: &Path, head: &str, threads: &str, ingest: Option<&str
 /// `mine.pairs_counted` recounts all 400 transactions, as a cold fit at
 /// `--minsup 0.03` does (`fit_cli.rs`), since no pair table is carried
 /// from one update to the next; its `build.ucf_solved` counts the `U_CF`
-/// values the delta's build read that the fit's build had not. The
+/// values the delta's build read that the fit's build had not. A
+/// `checkpoint` op refits with no new transaction: every frequent anchor
+/// reuses its cache, so no DFS runs and no pair is counted. The
 /// registry is process-global, so each dump comes from its own daemon.
 /// A change that moves a count updates the baseline and says why.
 #[test]
@@ -462,14 +364,25 @@ fn one_ingest_delta_does_the_pinned_work() {
     let batch: Vec<pm_txn::Transaction> =
         serde_json::from_str(&std::fs::read_to_string(&tail).unwrap()).unwrap();
     let ingest = pm_serve::protocol::ingest_line(None, &batch);
-    let baseline: [u64; 10] = [
+    let ingested: [u64; 10] = [
         110, 109, 86, 172_567, 2_988_844, 133_261, 63_654, 21_999, 236_091, 5,
+    ];
+    let checkpointed: [u64; 10] = [0, 0, 195, 0, 0, 0, 0, 0, 0, 0];
+    let requests = [
+        ((ingest.as_str(), "ingested"), ingested),
+        ((r#"{"op":"checkpoint"}"#, "checkpointed"), checkpointed),
     ];
     for threads in ["1", "4"] {
         let fit = streaming_counters(&dir, &head, threads, None);
-        let both = streaming_counters(&dir, &head, threads, Some(&ingest));
-        let delta: Vec<u64> = both.iter().zip(fit).map(|(b, f)| b - f).collect();
-        assert_eq!(delta, baseline, "threads {threads}: {DELTA_COUNTERS:?}");
+        for (request, baseline) in requests {
+            let both = streaming_counters(&dir, &head, threads, Some(request));
+            let delta: Vec<u64> = both.iter().zip(fit).map(|(b, f)| b - f).collect();
+            assert_eq!(
+                delta, baseline,
+                "threads {threads}, {}: {DELTA_COUNTERS:?}",
+                request.1
+            );
+        }
     }
     std::fs::remove_dir_all(&dir).ok();
 }

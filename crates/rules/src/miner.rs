@@ -161,12 +161,10 @@ pub(crate) struct Layout {
 }
 
 /// What one mining run derives from a [`Layout`] before the fan-out:
-/// the frequent singletons (the anchors, ascending `GsId`), their pair
-/// counts (`None` when bodies stop at one sale or fewer than two
-/// singletons are frequent), and the per-head admission gates.
+/// the frequent singletons (the anchors, ascending `GsId`) and the
+/// per-head admission gates.
 pub(crate) struct Anchors {
     pub(crate) freq: Vec<GsId>,
-    pairs: Option<PairCounts>,
     pub(crate) gates: HeadGates,
 }
 
@@ -308,18 +306,13 @@ impl RuleMiner {
         }
     }
 
-    /// The frequent singletons of `layout` at its support count, their
-    /// pair counts, and the per-head gates of this miner's target and
-    /// floors.
+    /// The frequent singletons of `layout` at its support count and the
+    /// per-head gates of this miner's target and floors.
     pub(crate) fn anchors(&self, layout: &Layout) -> Anchors {
         let freq: Vec<GsId> = (0..layout.extended.n_gs() as u32)
             .map(GsId)
             .filter(|g| layout.tidsets[g.index()].count() >= layout.minsup as usize)
             .collect();
-        let pairs = (self.config.max_body_len >= 2 && freq.len() >= 2).then(|| {
-            let _span = pm_obs::span("mine.generate");
-            PairCounts::count(&layout.extended, &freq)
-        });
         let gates = HeadGates::resolve(
             self.target.as_ref(),
             &self.item_floors,
@@ -327,7 +320,7 @@ impl RuleMiner {
             &layout.extended.heads,
             layout.moa.hierarchy(),
         );
-        Anchors { freq, pairs, gates }
+        Anchors { freq, gates }
     }
 
     /// The mining fan-out every fit runs, cold or incremental: a level-1
@@ -357,12 +350,20 @@ impl RuleMiner {
         reuse: Option<&Reuse>,
         mut sink: impl FnMut(bool, GsId, Vec<Rule>),
     ) {
+        let (freq, tidsets) = (&anchors.freq, &layout.tidsets);
+        // Only the pair-and-DFS pass reads the pair table, so a refit
+        // that re-mines no anchor counts none. `None` when bodies stop
+        // at one sale or fewer than two singletons are frequent.
+        let pairs =
+            (self.config.max_body_len >= 2 && freq.len() >= 2 && !jobs.is_empty()).then(|| {
+                let _span = pm_obs::span("mine.generate");
+                PairCounts::count(&layout.extended, freq)
+            });
         let _span = pm_obs::span("mine.dfs");
         // Reused rules were emitted with the dominance floor off, and
         // the floor moves with `n`.
         debug_assert!(reuse.is_none() || default_floor == NO_FLOOR);
         let threads = pm_par::resolve(self.threads);
-        let (freq, tidsets) = (&anchors.freq, &layout.tidsets);
         // Per-worker state: one emitter plus one intersection-scratch
         // pool; both persist across the jobs a worker claims, so the DFS
         // performs no per-node heap allocation.
@@ -393,7 +394,7 @@ impl RuleMiner {
             },
             |j, rules| sink(false, freq[jobs[j]], rules),
         );
-        let Some(pairs) = &anchors.pairs else {
+        let Some(pairs) = &pairs else {
             return;
         };
         // Anchor costs are heavily skewed; pm-par's dynamic claiming

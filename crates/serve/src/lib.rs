@@ -331,82 +331,46 @@ pub fn load_model(path: impl AsRef<Path>) -> Result<RuleModel, ServeError> {
     Ok(model)
 }
 
-/// One serving counter: a per-daemon tally (exact, reported by `stats`
-/// and [`ServeSummary`]) mirrored into the process-global `pm-obs`
-/// registry (where `--metrics` dumps pick it up).
-struct ServeCounter {
-    local: std::sync::atomic::AtomicU64,
-    obs: pm_obs::Counter,
-}
-
-impl ServeCounter {
-    fn new(name: &'static str) -> ServeCounter {
-        ServeCounter {
-            local: std::sync::atomic::AtomicU64::new(0),
-            obs: pm_obs::counter(name),
+/// Declares the serving counters once, in the order `stats` reports
+/// them: field `x` is the cell `serve.x`, which `stats` reports under
+/// `x` and [`Server::join`] adds into the process-global registry
+/// (where `--metrics` dumps it).
+macro_rules! serve_counters {
+    ($($field:ident),* $(,)?) => {
+        /// One cell per serving counter, resolved once so an event costs
+        /// one relaxed atomic add.
+        struct Counters {
+            $($field: pm_obs::Counter,)*
         }
-    }
 
-    fn inc(&self) {
-        self.local.fetch_add(1, Ordering::Relaxed);
-        self.obs.inc();
-    }
+        impl Counters {
+            /// Fresh cells from the daemon's own registry, so two daemons
+            /// in one process count apart.
+            fn new() -> Counters {
+                let registry = pm_obs::Registry::default();
+                Counters {
+                    $($field: registry.counter(concat!("serve.", stringify!($field))),)*
+                }
+            }
 
-    fn get(&self) -> u64 {
-        self.local.load(Ordering::Relaxed)
-    }
-}
-
-/// Serving signals, resolved once so the request path pays a couple of
-/// relaxed atomic ops per event.
-struct Metrics {
-    requests: ServeCounter,
-    recommends: ServeCounter,
-    degraded: ServeCounter,
-    shed: ServeCounter,
-    read_timeouts: ServeCounter,
-    oversized: ServeCounter,
-    parse_errors: ServeCounter,
-    reloads: ServeCounter,
-    reload_failures: ServeCounter,
-    ingests: ServeCounter,
-    ingest_failures: ServeCounter,
-    ingest_oversized: ServeCounter,
-    checkpoints: ServeCounter,
-    checkpoint_failures: ServeCounter,
-    control_rejected: ServeCounter,
-    worker_panics: ServeCounter,
-    connections: ServeCounter,
-    latency: pm_obs::LatencyHistogram,
-    queue_depth_gauge: pm_obs::Gauge,
-    generation_gauge: pm_obs::Gauge,
-}
-
-impl Metrics {
-    fn resolve() -> Metrics {
-        Metrics {
-            requests: ServeCounter::new("serve.requests"),
-            recommends: ServeCounter::new("serve.recommends"),
-            degraded: ServeCounter::new("serve.degraded"),
-            shed: ServeCounter::new("serve.shed"),
-            read_timeouts: ServeCounter::new("serve.read_timeouts"),
-            oversized: ServeCounter::new("serve.oversized_requests"),
-            parse_errors: ServeCounter::new("serve.parse_errors"),
-            reloads: ServeCounter::new("serve.reloads"),
-            reload_failures: ServeCounter::new("serve.reload_failures"),
-            ingests: ServeCounter::new("serve.ingests"),
-            ingest_failures: ServeCounter::new("serve.ingest_failures"),
-            ingest_oversized: ServeCounter::new("serve.ingest_oversized"),
-            checkpoints: ServeCounter::new("serve.checkpoints"),
-            checkpoint_failures: ServeCounter::new("serve.checkpoint_failures"),
-            control_rejected: ServeCounter::new("serve.control_rejected"),
-            worker_panics: ServeCounter::new("serve.worker_panics"),
-            connections: ServeCounter::new("serve.connections"),
-            latency: pm_obs::latency("serve.request_ns"),
-            queue_depth_gauge: pm_obs::gauge("serve.queue_depth"),
-            generation_gauge: pm_obs::gauge("serve.model_generation"),
+            /// Every counter in `stats` order: its `stats` key, its
+            /// metric name and its cell.
+            fn each(&self) -> impl Iterator<Item = (&'static str, &'static str, &pm_obs::Counter)> {
+                [$((
+                    stringify!($field),
+                    concat!("serve.", stringify!($field)),
+                    &self.$field,
+                ),)*]
+                .into_iter()
+            }
         }
-    }
+    };
+}
+
+serve_counters! {
+    requests, recommends, degraded, shed, read_timeouts, oversized_requests, parse_errors,
+    reloads, reload_failures, ingests, ingest_failures, ingest_oversized, checkpoints,
+    checkpoint_failures, control_rejected, worker_panics, connections,
 }
 
 /// One reactor's mailboxes: the acceptor pushes admitted connections
@@ -457,14 +421,22 @@ struct Shared {
     /// Control-plane jobs queued or running on the executor, for the
     /// [`EXECUTOR_QUEUE_CAP`] admission check.
     executor_pending: AtomicI64,
-    metrics: Metrics,
+    /// The daemon's own serving counters, which `stats` and
+    /// [`ServeSummary`] read and [`Server::join`] adds into the
+    /// process-global registry.
+    count: Counters,
+    /// The latency histogram and the gauges live in the process-global
+    /// registry.
+    latency: pm_obs::LatencyHistogram,
+    queue_depth_gauge: pm_obs::Gauge,
+    generation_gauge: pm_obs::Gauge,
     reactors: Vec<Arc<ReactorShared>>,
 }
 
 impl Shared {
     fn note_queue_depth(&self, delta: i64) {
         let now = self.queue_depth.fetch_add(delta, Ordering::Relaxed) + delta;
-        self.metrics.queue_depth_gauge.set(now);
+        self.queue_depth_gauge.set(now);
     }
 
     fn wake_all_reactors(&self) {
@@ -532,14 +504,14 @@ struct ControlJob {
 
 /// One op's side of the shared fail path.
 struct FailPath<'m> {
-    failures: &'m ServeCounter,
+    failures: &'m pm_obs::Counter,
     event: &'static str,
     /// The error line's prefix.
     prefix: &'static str,
 }
 
 impl ControlOp {
-    fn fail_path<'m>(&self, m: &'m Metrics) -> FailPath<'m> {
+    fn fail_path<'m>(&self, m: &'m Counters) -> FailPath<'m> {
         match self {
             ControlOp::Reload => FailPath {
                 failures: &m.reload_failures,
@@ -667,8 +639,8 @@ impl Server {
             err: e.to_string(),
         })?;
 
-        let metrics = Metrics::resolve();
-        metrics.generation_gauge.set(1);
+        let generation_gauge = pm_obs::gauge("serve.model_generation");
+        generation_gauge.set(1);
         let io_threads = cfg.io_threads.max(1);
         let mut reactors = Vec::with_capacity(io_threads);
         for _ in 0..io_threads {
@@ -690,7 +662,10 @@ impl Server {
             live_conns: AtomicI64::new(0),
             queue_depth: AtomicI64::new(0),
             executor_pending: AtomicI64::new(0),
-            metrics,
+            count: Counters::new(),
+            latency: pm_obs::latency("serve.request_ns"),
+            queue_depth_gauge: pm_obs::gauge("serve.queue_depth"),
+            generation_gauge,
             reactors,
         });
 
@@ -779,19 +754,23 @@ impl Server {
         self.shared.wake_all_reactors();
     }
 
-    /// Block until the daemon stops, then return the final counters.
+    /// Block until the daemon stops, add its serving counters into the
+    /// process-global registry, and return the final tallies.
     pub fn join(self) -> ServeSummary {
         for t in self.threads {
             let _ = t.join();
         }
-        let m = &self.shared.metrics;
+        let c = &self.shared.count;
+        for (_, name, cell) in c.each() {
+            pm_obs::counter(name).add(cell.get());
+        }
         ServeSummary {
-            requests: m.requests.get(),
-            degraded: m.degraded.get(),
-            shed: m.shed.get(),
-            connections: m.connections.get(),
-            reloads: m.reloads.get(),
-            ingests: m.ingests.get(),
+            requests: c.requests.get(),
+            degraded: c.degraded.get(),
+            shed: c.shed.get(),
+            connections: c.connections.get(),
+            reloads: c.reloads.get(),
+            ingests: c.ingests.get(),
         }
     }
 }
@@ -808,10 +787,10 @@ fn acceptor_loop(shared: &Shared, listener: &TcpListener) {
         }
         match listener.accept() {
             Ok((stream, peer)) => {
-                shared.metrics.connections.inc();
+                shared.count.connections.inc();
                 pm_obs::debug!("serve.accept", peer = peer);
                 if shared.live_conns.load(Ordering::Relaxed) >= capacity {
-                    shared.metrics.shed.inc();
+                    shared.count.shed.inc();
                     pm_obs::error!("serve.shed", peer = peer);
                     shed_connection(shared, stream);
                 } else {
@@ -1090,7 +1069,7 @@ impl Reactor {
             // A panic in per-connection handling (framing, parsing,
             // inline ops) costs this one connection, never the reactor.
             if catch_unwind(AssertUnwindSafe(|| self.extract_lines(slot))).is_err() {
-                self.shared.metrics.worker_panics.inc();
+                self.shared.count.worker_panics.inc();
                 pm_obs::error!("serve.connection_panic");
                 self.drop_conn(slot);
                 return;
@@ -1158,61 +1137,62 @@ impl Reactor {
     }
 
     /// Pull complete lines out of the read buffer and handle each,
-    /// respecting the pipeline cap and the line-length bound.
+    /// respecting the pipeline cap and the line-length bound. Lines are
+    /// taken by offset and the handled prefix is dropped once per pass,
+    /// so a pass costs O(buffer) however many lines it holds: blank
+    /// lines take no pipeline slot, so nothing else bounds their number.
     fn extract_lines(&mut self, slot: usize) {
-        loop {
-            let max_line = self.shared.cfg.max_line;
-            let Some(conn) = self.conns[slot].as_mut() else {
-                return;
-            };
+        let max_line = self.shared.cfg.max_line;
+        let Some(conn) = self.conns[slot].as_mut() else {
+            return;
+        };
+        // The buffer leaves the connection for the pass, so a line can be
+        // a slice of it while `handle_line` borrows the reactor.
+        let buf = std::mem::take(&mut conn.rbuf);
+        let (mut start, mut scanned) = (0, conn.scanned);
+        while let Some(conn) = self.conns[slot].as_mut() {
             if conn.closing || conn.dead {
-                return;
+                break;
             }
             if conn.slots.len() >= MAX_PIPELINE {
                 conn.paused = true;
-                return;
+                break;
             }
-            let limit = conn.rbuf.len().min(max_line);
-            let nl = conn.rbuf[conn.scanned..limit]
-                .iter()
-                .position(|&b| b == b'\n')
-                .map(|p| p + conn.scanned);
-            match nl {
-                Some(p) => {
-                    // Take the line (without its newline) off the buffer.
-                    let mut line: Vec<u8> = conn.rbuf.drain(..=p).collect();
-                    line.pop();
-                    conn.scanned = 0;
-                    self.handle_line(slot, &line);
+            let limit = buf.len().min(start + max_line);
+            if let Some(p) = buf[scanned..limit].iter().position(|&b| b == b'\n') {
+                let line = start..scanned + p;
+                (start, scanned) = (line.end + 1, line.end + 1);
+                self.handle_line(slot, &buf[line]);
+                continue;
+            }
+            if buf.len() - start >= max_line {
+                // Same bound as the old blocking engine: a line of up to
+                // max_line bytes *including* its newline is served; no
+                // newline within the first max_line bytes is refused.
+                self.shared.count.oversized_requests.inc();
+                let msg = format!("request line exceeds {max_line} bytes: closing connection");
+                self.enqueue_inline(slot, error_line(&msg), true);
+                break;
+            }
+            scanned = buf.len();
+            if conn.eof {
+                // A final unterminated line (client sent a request and
+                // half-closed) is still served.
+                if start < buf.len() {
+                    let line = start..buf.len();
+                    start = buf.len();
+                    self.handle_line(slot, &buf[line]);
                 }
-                None => {
-                    if conn.rbuf.len() >= max_line {
-                        // Same bound as the old blocking engine: a line
-                        // of up to max_line bytes *including* its
-                        // newline is served; no newline within the
-                        // first max_line bytes is refused.
-                        self.shared.metrics.oversized.inc();
-                        let msg =
-                            format!("request line exceeds {max_line} bytes: closing connection");
-                        self.enqueue_inline(slot, error_line(&msg), true);
-                        return;
-                    }
-                    conn.scanned = conn.rbuf.len();
-                    if conn.eof {
-                        // A final unterminated line (client sent a
-                        // request and half-closed) is still served.
-                        if !conn.rbuf.is_empty() {
-                            let line: Vec<u8> = std::mem::take(&mut conn.rbuf);
-                            conn.scanned = 0;
-                            self.handle_line(slot, &line);
-                        }
-                        if let Some(conn) = self.conns[slot].as_mut() {
-                            conn.closing = true;
-                        }
-                    }
-                    return;
+                if let Some(conn) = self.conns[slot].as_mut() {
+                    conn.closing = true;
                 }
             }
+            break;
+        }
+        if let Some(conn) = self.conns[slot].as_mut() {
+            conn.rbuf = buf;
+            conn.rbuf.drain(..start);
+            conn.scanned = scanned - start;
         }
     }
 
@@ -1225,7 +1205,7 @@ impl Reactor {
             // Unlike every other malformed input this used to close the
             // connection silently; answer and count it like any parse
             // error, then close (binary garbage defeats line framing).
-            self.shared.metrics.parse_errors.inc();
+            self.shared.count.parse_errors.inc();
             pm_obs::debug!("serve.parse_error", msg = "request line is not valid UTF-8");
             self.enqueue_inline(
                 slot,
@@ -1240,13 +1220,13 @@ impl Reactor {
         let request = match parse_request(text) {
             Ok(r) => r,
             Err(msg) => {
-                self.shared.metrics.parse_errors.inc();
+                self.shared.count.parse_errors.inc();
                 pm_obs::debug!("serve.parse_error", msg = msg);
                 self.enqueue_inline(slot, error_line(&msg), false);
                 return;
             }
         };
-        self.shared.metrics.requests.inc();
+        self.shared.count.requests.inc();
         match request {
             Request::Ping => {
                 // One snapshot for both fields: generation N is never
@@ -1305,7 +1285,7 @@ impl Reactor {
                 if (max_txns > 0 && txns.len() > max_txns)
                     || (max_bytes > 0 && bytes.len() > max_bytes)
                 {
-                    self.shared.metrics.ingest_oversized.inc();
+                    self.shared.count.ingest_oversized.inc();
                     let err = ServeError::IngestTooLarge {
                         txns: txns.len(),
                         bytes: bytes.len(),
@@ -1324,7 +1304,7 @@ impl Reactor {
             }
             Request::Checkpoint => self.submit_control(slot, ControlOp::Checkpoint),
             Request::Recommend { sales, top, target } => {
-                self.shared.metrics.recommends.inc();
+                self.shared.count.recommends.inc();
                 let Some((token, seq)) = self.reserve_slot(slot) else {
                     return;
                 };
@@ -1383,7 +1363,7 @@ impl Reactor {
         let pending = self.shared.executor_pending.fetch_add(1, Ordering::AcqRel);
         if pending >= EXECUTOR_QUEUE_CAP as i64 {
             self.release_exec_slot();
-            self.shared.metrics.control_rejected.inc();
+            self.shared.count.control_rejected.inc();
             pm_obs::debug!("serve.control_rejected", pending = pending);
             let err = ServeError::ReloadInFlight {
                 pending: pending as usize,
@@ -1462,7 +1442,7 @@ impl Reactor {
             // flight — a connection waiting on its own slow request is
             // busy, not idle.
             if !conn.closing && conn.slots.is_empty() && conn.last_read.elapsed() > read_timeout {
-                self.shared.metrics.read_timeouts.inc();
+                self.shared.count.read_timeouts.inc();
                 pm_obs::debug!("serve.read_timeout");
                 self.enqueue_inline(
                     slot,
@@ -1547,7 +1527,7 @@ fn compute_worker_loop(shared: &Arc<Shared>, rx: &Receiver<Vec<Job>>) {
         let matcher = match catch_unwind(AssertUnwindSafe(|| Matcher::new(&model))) {
             Ok(m) => Some(m),
             Err(_) => {
-                shared.metrics.worker_panics.inc();
+                shared.count.worker_panics.inc();
                 pm_obs::error!("serve.index_build_panic", generation = generation);
                 None
             }
@@ -1600,7 +1580,7 @@ fn run_job(
     job: Job,
     touched: &mut [bool],
 ) -> bool {
-    let _timer = shared.metrics.latency.time();
+    let _timer = shared.latency.time();
     // Outer isolation: a panic outside the compute section (validation,
     // rendering) costs one answer, not the worker thread.
     let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -1621,7 +1601,7 @@ fn run_job(
         recommend_with_degradation(shared, model, matcher, &job.sales, job.top, target.as_ref())
     }));
     let (line, rebuild) = outcome.unwrap_or_else(|_| {
-        shared.metrics.worker_panics.inc();
+        shared.count.worker_panics.inc();
         pm_obs::error!("serve.worker_panic");
         (
             error_line("internal error: request handling panicked"),
@@ -1673,7 +1653,7 @@ fn recommend_with_degradation(
         }
     };
     if degraded {
-        shared.metrics.degraded.inc();
+        shared.count.degraded.inc();
     }
 
     let mut fields = vec![
@@ -1726,7 +1706,7 @@ type Failure = (&'static str, String);
 /// failure or a panic keeps the current model serving, counts as the
 /// op's failure, is logged, and answers an error line.
 fn run_control(shared: &Shared, op: ControlOp) -> String {
-    let fail = op.fail_path(&shared.metrics);
+    let fail = op.fail_path(&shared.count);
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         pm_store::faults::apply_control_panic();
         match op {
@@ -1751,7 +1731,7 @@ fn run_control(shared: &Shared, op: ControlOp) -> String {
 fn swap_in(
     shared: &Shared,
     op: &'static str,
-    swaps: &ServeCounter,
+    swaps: &pm_obs::Counter,
     model: RuleModel,
     extra: Option<(&'static str, Value)>,
 ) -> Result<String, Failure> {
@@ -1759,7 +1739,7 @@ fn swap_in(
     let rules = model.rules().len() as u64;
     let generation = shared.handle.swap(model);
     swaps.inc();
-    shared.metrics.generation_gauge.set(generation as i64);
+    shared.generation_gauge.set(generation as i64);
     pm_obs::info!(
         "serve.swapped",
         op = op,
@@ -1783,7 +1763,7 @@ fn reload(shared: &Shared) -> Result<String, Failure> {
     };
     pm_obs::info!("serve.reload_start", path = path.display());
     let model = load_model(path).map_err(|e| ("load", e.to_string()))?;
-    swap_in(shared, "reloaded", &shared.metrics.reloads, model, None)
+    swap_in(shared, "reloaded", &shared.count.reloads, model, None)
 }
 
 /// Append a batch to the stream (durable before visible), refit
@@ -1802,7 +1782,7 @@ fn ingest(
     swap_in(
         shared,
         "ingested",
-        &shared.metrics.ingests,
+        &shared.count.ingests,
         model,
         Some(("transactions", Value::U64(n))),
     )
@@ -1820,7 +1800,7 @@ fn checkpoint(shared: &Shared) -> Result<String, Failure> {
         .checkpoint(target, true)
         .map_err(|e| (e.stage(), e.to_string()))?;
     let (dropped, retained) = compaction.map_or((0, 0), |c| (c.dropped, c.retained));
-    shared.metrics.checkpoints.inc();
+    shared.count.checkpoints.inc();
     pm_obs::info!(
         "serve.checkpointed",
         path = target.display(),
@@ -1836,34 +1816,22 @@ fn checkpoint(shared: &Shared) -> Result<String, Failure> {
     ])))
 }
 
+/// The `stats` line: generation and rule count from one snapshot, then
+/// every serving counter in table order.
 fn stats_value(shared: &Shared) -> Value {
-    let m = &shared.metrics;
     // One snapshot for generation and rules: during a reload window a
     // client never sees generation N+1 paired with generation-N counts.
     let (generation, model) = shared.handle.snapshot();
-    obj(vec![
+    let mut fields = vec![
         ("ok", Value::Bool(true)),
         ("generation", Value::U64(generation)),
         ("rules", Value::U64(model.rules().len() as u64)),
-        ("requests", Value::U64(m.requests.get())),
-        ("recommends", Value::U64(m.recommends.get())),
-        ("degraded", Value::U64(m.degraded.get())),
-        ("shed", Value::U64(m.shed.get())),
-        ("read_timeouts", Value::U64(m.read_timeouts.get())),
-        ("oversized_requests", Value::U64(m.oversized.get())),
-        ("parse_errors", Value::U64(m.parse_errors.get())),
-        ("reloads", Value::U64(m.reloads.get())),
-        ("reload_failures", Value::U64(m.reload_failures.get())),
-        ("ingests", Value::U64(m.ingests.get())),
-        ("ingest_failures", Value::U64(m.ingest_failures.get())),
-        ("ingest_oversized", Value::U64(m.ingest_oversized.get())),
-        ("checkpoints", Value::U64(m.checkpoints.get())),
-        (
-            "checkpoint_failures",
-            Value::U64(m.checkpoint_failures.get()),
-        ),
-        ("control_rejected", Value::U64(m.control_rejected.get())),
-        ("worker_panics", Value::U64(m.worker_panics.get())),
-        ("connections", Value::U64(m.connections.get())),
-    ])
+    ];
+    fields.extend(
+        shared
+            .count
+            .each()
+            .map(|(key, _, cell)| (key, Value::U64(cell.get()))),
+    );
+    obj(fields)
 }

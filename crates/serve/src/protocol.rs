@@ -18,6 +18,13 @@
 //! a `reload` or `checkpoint` line that carries `"model"` or `"path"` is
 //! refused before anything touches the disk.
 //!
+//! Requests decode straight off the workspace's JSON pull parser
+//! ([`serde::Deserializer`]); no tree is built. [`parse_request`] reads
+//! the top level for `op`, then decodes the fields that op reads into
+//! its wire struct. A field of another op is skipped untyped, `null`
+//! reads as absent for every optional field, and ids and quantities
+//! must be written as integers.
+//!
 //! Responses always carry `"ok"`; errors carry `"error"` with a
 //! human-readable message. Recommendation responses carry `"degraded"`
 //! (true when the answer came from the §3.2 default rule because the
@@ -27,7 +34,7 @@
 
 use pm_txn::{CatalogDelta, CodeId, ItemId, Sale, Transaction};
 use profit_core::RuleModel;
-use serde::Value;
+use serde::{Deserialize, Deserializer, Serialize, Value};
 
 /// A parsed client request.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,153 +80,163 @@ pub enum Request {
     Shutdown,
 }
 
-fn get<'v>(map: &'v [(String, Value)], key: &str) -> Option<&'v Value> {
-    map.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
+/// A JSON integer ≥ 0 written as one: a `u64` field would also take
+/// `2.0` and `2e0`, which the wire refuses.
+struct Int(u64);
 
-fn as_u64(v: &Value, what: &str) -> Result<u64, String> {
-    match v {
-        Value::U64(u) => Ok(*u),
-        _ => Err(format!("{what} must be a non-negative integer")),
+impl Deserialize for Int {
+    fn deserialize(d: &mut Deserializer<'_>) -> Result<Self, serde::Error> {
+        d.natural("u64").map(Int)
     }
 }
 
-/// Parse one `[item, code, qty]` triple into a [`Sale`].
-fn parse_sale(v: &Value, what: &str) -> Result<Sale, String> {
-    let triple = match v {
-        Value::Seq(t) if t.len() == 3 => t,
-        _ => {
-            return Err(format!(
-                "bad request: {what} must be an [item, code, qty] triple"
-            ))
+/// A sale as the wire writes it: `[item, code, qty]`.
+#[derive(Deserialize)]
+struct ItemCodeQty(Int, Int, Int);
+
+impl ItemCodeQty {
+    /// The sale, or an error naming `what` when an id or the quantity is
+    /// out of range.
+    fn sale(self, what: impl FnOnce() -> String) -> Result<Sale, String> {
+        let ItemCodeQty(Int(item), Int(code), Int(qty)) = self;
+        match (u32::try_from(item), u16::try_from(code), u32::try_from(qty)) {
+            (Ok(item), Ok(code), Ok(qty)) if qty > 0 => {
+                Ok(Sale::new(ItemId(item), CodeId(code), qty))
+            }
+            _ => Err(format!("bad request: {} is out of range", what())),
         }
-    };
-    let item_id = as_u64(&triple[0], "sale item")?;
-    let code_id = as_u64(&triple[1], "sale code")?;
-    let qty = as_u64(&triple[2], "sale qty")?;
-    if item_id > u32::MAX as u64 || code_id > u16::MAX as u64 || qty == 0 {
-        return Err(format!("bad request: {what} is out of range"));
     }
-    Ok(Sale::new(
-        ItemId(item_id as u32),
-        CodeId(code_id as u16),
-        qty as u32,
-    ))
 }
 
-/// Refuse a `reload` or `checkpoint` that names a file: the daemon only
-/// ever reads and writes the files it was started with.
-fn names_no_file(map: &[(String, Value)], op: &str) -> Result<(), String> {
-    match ["model", "path"]
-        .into_iter()
-        .find(|k| get(map, k).is_some())
-    {
-        Some(key) => Err(format!(
-            "bad request: {op} takes no {key:?} — the daemon reads and writes only the \
-             files it was started with"
-        )),
-        None => Ok(()),
+/// An optional list of sales (absent or `null` is none), each error
+/// naming the sale's index through `what`.
+fn sales(
+    list: Option<Vec<ItemCodeQty>>,
+    what: impl Fn(usize) -> String,
+) -> Result<Vec<Sale>, String> {
+    let list = list.unwrap_or_default().into_iter().enumerate();
+    list.map(|(i, s)| s.sale(|| what(i))).collect()
+}
+
+/// The fields `recommend` reads, all optional.
+#[derive(Deserialize)]
+struct RecommendFields {
+    sales: Option<Vec<ItemCodeQty>>,
+    top: Option<Int>,
+    target: Option<String>,
+}
+
+/// One transaction of an `ingest` batch.
+#[derive(Deserialize)]
+struct TxnFields {
+    sales: Option<Vec<ItemCodeQty>>,
+    target: ItemCodeQty,
+}
+
+/// The fields `ingest` reads.
+#[derive(Deserialize)]
+struct IngestFields {
+    txns: Vec<TxnFields>,
+    catalog: Option<CatalogDelta>,
+}
+
+/// The error for a line refused because `why`, unless the line holds a
+/// syntax error, which a whole-line parse reports first.
+fn refused(line: &str, why: &str) -> String {
+    let mut d = Deserializer::new(line);
+    match d.skip_value().and_then(|()| d.end()) {
+        Err(e) => format!("bad request: {e}"),
+        Ok(()) => format!("bad request: {why}"),
     }
+}
+
+/// The top level of a request line: its `op`, and the first of `model`
+/// and `path` it carries, whatever the value. Every other value is
+/// skipped, checked for syntax but not typed.
+fn top_level(line: &str) -> Result<(String, Option<&'static str>), String> {
+    let syntax = |e: serde::Error| format!("bad request: {e}");
+    let mut d = Deserializer::new(line);
+    if d.begin_map("request").is_err() {
+        return Err(refused(line, "expected a JSON object"));
+    }
+    let (mut op, mut model, mut path) = (None, false, false);
+    while let Some(key) = d.next_key().map_err(syntax)? {
+        if key == "op" && op.is_none() {
+            match String::deserialize(&mut d) {
+                Ok(s) => op = Some(s),
+                Err(_) => return Err(refused(line, "\"op\" must be a string")),
+            }
+        } else {
+            model |= key == "model";
+            path |= key == "path";
+            d.skip_value().map_err(syntax)?;
+        }
+    }
+    d.end().map_err(syntax)?;
+    let op = op.ok_or("bad request: missing \"op\"")?;
+    let file_key = [("model", model), ("path", path)]
+        .into_iter()
+        .find_map(|(key, named)| named.then_some(key));
+    Ok((op, file_key))
+}
+
+/// The fields the line's op reads. The line's syntax is checked already,
+/// so an error here is a type or shape error.
+fn fields<T: Deserialize>(line: &str) -> Result<T, String> {
+    serde_json::from_str(line).map_err(|e| format!("bad request: {e}"))
 }
 
 /// Parse one request line. Errors are complete human-readable messages
 /// (they go straight into the `"error"` field of the response).
+///
+/// The line is read off the pull parser once for its `op`, with every
+/// value's syntax checked, then, for `recommend` and `ingest`, again into
+/// the op's wire struct, so a field only another op reads is never typed.
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    let value: Value = serde_json::from_str(line).map_err(|e| format!("bad request: {e}"))?;
-    let map = match &value {
-        Value::Map(m) => m.as_slice(),
-        _ => return Err("bad request: expected a JSON object".into()),
-    };
-    let op = match get(map, "op") {
-        Some(Value::Str(s)) => s.as_str(),
-        Some(_) => return Err("bad request: \"op\" must be a string".into()),
-        None => return Err("bad request: missing \"op\"".into()),
-    };
-    match op {
+    let (op, file_key) = top_level(line)?;
+    match op.as_str() {
         "ping" => Ok(Request::Ping),
         "stats" => Ok(Request::Stats),
         "shutdown" => Ok(Request::Shutdown),
-        "reload" => names_no_file(map, op).map(|()| Request::Reload),
+        "reload" | "checkpoint" => match file_key {
+            Some(key) => Err(format!(
+                "bad request: {op} takes no {key:?} — the daemon reads and writes only the \
+                 files it was started with"
+            )),
+            None if op == "reload" => Ok(Request::Reload),
+            None => Ok(Request::Checkpoint),
+        },
         "recommend" => {
-            let top = match get(map, "top") {
+            let f: RecommendFields = fields(line)?;
+            let top = match f.top {
                 None => 1,
-                Some(v) => {
-                    let t = as_u64(v, "\"top\"")?;
-                    if t == 0 {
-                        return Err("bad request: \"top\" must be ≥ 1".into());
-                    }
-                    t.min(1024) as usize
-                }
+                Some(Int(0)) => return Err("bad request: \"top\" must be ≥ 1".into()),
+                Some(Int(t)) => t.min(1024) as usize,
             };
-            let sales = match get(map, "sales") {
-                None => Vec::new(),
-                Some(Value::Seq(items)) => {
-                    let mut sales = Vec::with_capacity(items.len());
-                    for (i, item) in items.iter().enumerate() {
-                        sales.push(parse_sale(item, &format!("sales[{i}]"))?);
-                    }
-                    sales
-                }
-                Some(_) => return Err("bad request: \"sales\" must be an array".into()),
-            };
-            let target = match get(map, "target") {
-                None | Some(Value::Null) => None,
-                Some(Value::Str(s)) => Some(s.clone()),
-                Some(_) => {
-                    return Err("bad request: \"target\" must be a target-spec string".into())
-                }
-            };
-            Ok(Request::Recommend { sales, top, target })
+            let sales = sales(f.sales, |i| format!("sales[{i}]"))?;
+            Ok(Request::Recommend {
+                sales,
+                top,
+                target: f.target,
+            })
         }
         "ingest" => {
-            let items = match get(map, "txns") {
-                Some(Value::Seq(items)) => items,
-                Some(_) => return Err("bad request: \"txns\" must be an array".into()),
-                None => return Err("bad request: missing \"txns\"".into()),
-            };
-            if items.is_empty() {
+            let f: IngestFields = fields(line)?;
+            if f.txns.is_empty() {
                 return Err("bad request: \"txns\" is empty — nothing to ingest".into());
             }
-            let mut txns = Vec::with_capacity(items.len());
-            for (i, item) in items.iter().enumerate() {
-                let m = match item {
-                    Value::Map(m) => m.as_slice(),
-                    _ => return Err(format!("bad request: txns[{i}] must be an object")),
-                };
-                let sales = match get(m, "sales") {
-                    None => Vec::new(),
-                    Some(Value::Seq(ss)) => {
-                        let mut sales = Vec::with_capacity(ss.len());
-                        for (j, s) in ss.iter().enumerate() {
-                            sales.push(parse_sale(s, &format!("txns[{i}].sales[{j}]"))?);
-                        }
-                        sales
-                    }
-                    Some(_) => {
-                        return Err(format!("bad request: txns[{i}].sales must be an array"))
-                    }
-                };
-                let target = match get(m, "target") {
-                    Some(v) => parse_sale(v, &format!("txns[{i}].target"))?,
-                    None => return Err(format!("bad request: txns[{i}] is missing \"target\"")),
-                };
-                txns.push(Transaction::new(sales, target));
-            }
-            let catalog = match get(map, "catalog") {
-                None | Some(Value::Null) => None,
-                Some(v @ Value::Map(_)) => {
-                    // Round-trip through JSON text: the delta's schema
-                    // (and its validation) lives in `pm_txn::growth`,
-                    // not in a second hand-rolled parser here.
-                    let delta: CatalogDelta = serde_json::from_str(&render(v))
-                        .map_err(|e| format!("bad request: \"catalog\" does not parse: {e}"))?;
-                    Some(delta)
-                }
-                Some(_) => return Err("bad request: \"catalog\" must be an object".into()),
-            };
-            Ok(Request::Ingest { catalog, txns })
+            let txns = f.txns.into_iter().enumerate().map(|(i, t)| {
+                let sales = sales(t.sales, |j| format!("txns[{i}].sales[{j}]"))?;
+                Ok(Transaction::new(
+                    sales,
+                    t.target.sale(|| format!("txns[{i}].target"))?,
+                ))
+            });
+            Ok(Request::Ingest {
+                catalog: f.catalog,
+                txns: txns.collect::<Result<_, String>>()?,
+            })
         }
-        "checkpoint" => names_no_file(map, op).map(|()| Request::Checkpoint),
         other => Err(format!(
             "bad request: unknown op {other:?} (expected ping, recommend, reload, ingest, \
              checkpoint, stats, or shutdown)"
@@ -227,36 +244,24 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     }
 }
 
-/// The wire form of one transaction for an `ingest` request — useful to
-/// clients (and tests) assembling batches from in-memory transactions.
-pub fn txn_value(t: &Transaction) -> Value {
-    let sale = |s: &Sale| {
-        Value::Seq(vec![
-            Value::U64(s.item.0 as u64),
-            Value::U64(s.code.0 as u64),
-            Value::U64(s.qty as u64),
-        ])
-    };
-    obj(vec![
-        (
-            "sales",
-            Value::Seq(t.non_target_sales().iter().map(sale).collect()),
-        ),
-        ("target", sale(t.target_sale())),
-    ])
-}
-
 /// The complete `ingest` request line for a batch, with the catalog
 /// delta spliced in when present — the client-side counterpart of the
 /// `ingest` parser above.
 pub fn ingest_line(catalog: Option<&CatalogDelta>, txns: &[Transaction]) -> String {
-    let mut entries: Vec<(&str, Value)> = vec![("op", Value::Str("ingest".into()))];
-    if let Some(d) = catalog {
-        let v: Value = serde_json::from_str(&serde_json::to_string(d).expect("delta serializes"))
-            .expect("delta JSON re-parses as a value");
-        entries.push(("catalog", v));
-    }
-    entries.push(("txns", Value::Seq(txns.iter().map(txn_value).collect())));
+    let sale = |s: &Sale| {
+        let ids: [u64; 3] = [s.item.0.into(), s.code.0.into(), s.qty.into()];
+        Value::Seq(ids.map(Value::U64).into())
+    };
+    let txn = |t: &Transaction| {
+        let sales = t.non_target_sales().iter().map(sale).collect();
+        obj(vec![
+            ("sales", Value::Seq(sales)),
+            ("target", sale(t.target_sale())),
+        ])
+    };
+    let mut entries = vec![("op", Value::Str("ingest".into()))];
+    entries.extend(catalog.map(|d| ("catalog", d.ser_value())));
+    entries.push(("txns", Value::Seq(txns.iter().map(txn).collect())));
     render(&obj(entries))
 }
 
@@ -331,184 +336,213 @@ pub fn rec_value(model: &RuleModel, rec: &profit_core::Recommendation) -> Value 
 mod tests {
     use super::*;
 
+    fn sale(item: u32, code: u16, qty: u32) -> Sale {
+        Sale::new(ItemId(item), CodeId(code), qty)
+    }
+
+    fn recommend(sales: Vec<Sale>, top: usize, target: Option<&str>) -> Request {
+        let target = target.map(Into::into);
+        Request::Recommend { sales, top, target }
+    }
+
+    fn ingest(txns: Vec<Transaction>) -> Request {
+        Request::Ingest {
+            catalog: None,
+            txns,
+        }
+    }
+
     #[test]
     fn parses_every_op() {
-        assert_eq!(parse_request(r#"{"op":"ping"}"#).unwrap(), Request::Ping);
-        assert_eq!(parse_request(r#"{"op":"stats"}"#).unwrap(), Request::Stats);
+        let none = || recommend(vec![], 1, None);
+        let one_txn = || ingest(vec![Transaction::new(vec![], sale(0, 0, 1))]);
+        for (line, want) in [
+            (r#"{"op":"ping"}"#, Request::Ping),
+            (r#"{"op":"stats"}"#, Request::Stats),
+            (r#"{"op":"shutdown"}"#, Request::Shutdown),
+            (r#"{"op":"reload"}"#, Request::Reload),
+            (r#"{"op":"checkpoint"}"#, Request::Checkpoint),
+            (
+                r#"{"op":"recommend","sales":[[0,0,1],[2,1,3]],"top":2}"#,
+                recommend(vec![sale(0, 0, 1), sale(2, 1, 3)], 2, None),
+            ),
+            // All recommend fields are optional; the target spec rides
+            // along raw, resolved against the snapshot that answers.
+            (r#"{"op":"recommend"}"#, none()),
+            (
+                r#"{"op":"recommend","target":"codes:0","top":3}"#,
+                recommend(vec![], 3, Some("codes:0")),
+            ),
+            (
+                r#"{"op":"ingest","txns":[{"sales":[[1,0,2],[3,1,1]],"target":[0,0,4]}]}"#,
+                ingest(vec![Transaction::new(
+                    vec![sale(1, 0, 2), sale(3, 1, 1)],
+                    sale(0, 0, 4),
+                )]),
+            ),
+            // `null` reads as absent for every optional field.
+            (
+                r#"{"op":"recommend","sales":null,"top":null,"target":null}"#,
+                none(),
+            ),
+            (
+                r#"{"op":"ingest","txns":[{"sales":null,"target":[0,0,1]}]}"#,
+                one_txn(),
+            ),
+            // A field only another op reads is skipped whatever its type,
+            // `op` may come anywhere, and the first of duplicate keys wins.
+            (r#"{"op":"ping","sales":3,"txns":{}}"#, Request::Ping),
+            (
+                r#"{"txns":7,"catalog":1,"model":"m","op":"recommend"}"#,
+                none(),
+            ),
+            (
+                r#"{"op":"ingest","top":"x","txns":[{"target":[0,0,1]}]}"#,
+                one_txn(),
+            ),
+            (r#"{"op":"stats","op":7}"#, Request::Stats),
+        ] {
+            assert_eq!(parse_request(line).unwrap(), want, "{line}");
+        }
+    }
+
+    #[test]
+    fn ingest_line_round_trips_through_parse_request() {
+        let txns = vec![
+            Transaction::new(vec![sale(5, 1, 2), sale(2, 0, 1)], sale(0, 2, 3)),
+            Transaction::new(vec![], sale(1, 0, 1)),
+        ];
+        let line = ingest_line(None, &txns);
         assert_eq!(
-            parse_request(r#"{"op":"shutdown"}"#).unwrap(),
-            Request::Shutdown
+            line,
+            r#"{"op":"ingest","txns":[{"sales":[[2,0,1],[5,1,2]],"target":[0,2,3]},{"sales":[],"target":[1,0,1]}]}"#
         );
-        assert_eq!(
-            parse_request(r#"{"op":"reload"}"#).unwrap(),
-            Request::Reload
-        );
-        assert_eq!(
-            parse_request(r#"{"op":"recommend","sales":[[0,0,1],[2,1,3]],"top":2}"#).unwrap(),
-            Request::Recommend {
-                sales: vec![
-                    Sale::new(ItemId(0), CodeId(0), 1),
-                    Sale::new(ItemId(2), CodeId(1), 3)
-                ],
-                top: 2,
-                target: None
-            }
-        );
-        // All recommend fields are optional.
-        assert_eq!(
-            parse_request(r#"{"op":"recommend"}"#).unwrap(),
-            Request::Recommend {
-                sales: vec![],
-                top: 1,
-                target: None
-            }
-        );
-        // The target spec rides along as a raw string (resolved against
-        // the serving snapshot, not at parse time) and null means none.
-        assert_eq!(
-            parse_request(r#"{"op":"recommend","target":"codes:0","top":3}"#).unwrap(),
-            Request::Recommend {
-                sales: vec![],
-                top: 3,
-                target: Some("codes:0".into())
-            }
-        );
-        assert_eq!(
-            parse_request(r#"{"op":"recommend","target":null}"#).unwrap(),
-            Request::Recommend {
-                sales: vec![],
-                top: 1,
-                target: None
-            }
-        );
-        assert_eq!(
-            parse_request(
-                r#"{"op":"ingest","txns":[{"sales":[[1,0,2],[3,1,1]],"target":[0,0,4]}]}"#
-            )
-            .unwrap(),
-            Request::Ingest {
-                catalog: None,
-                txns: vec![Transaction::new(
-                    vec![
-                        Sale::new(ItemId(1), CodeId(0), 2),
-                        Sale::new(ItemId(3), CodeId(1), 1)
-                    ],
-                    Sale::new(ItemId(0), CodeId(0), 4)
-                )]
-            }
-        );
-        assert_eq!(
-            parse_request(r#"{"op":"checkpoint"}"#).unwrap(),
-            Request::Checkpoint
-        );
+        assert_eq!(parse_request(&line).unwrap(), ingest(txns));
     }
 
     #[test]
     fn ingest_line_carries_the_catalog_delta() {
         use pm_txn::{ItemDef, Money, NewItem, PromotionCode};
-        let delta = CatalogDelta {
+        let txns = vec![Transaction::new(vec![], sale(0, 0, 1))];
+        let def = ItemDef {
+            name: "new-item".into(),
+            codes: vec![PromotionCode::unit(
+                Money::from_cents(120),
+                Money::from_cents(70),
+            )],
+            is_target: false,
+        };
+        let catalog = Some(CatalogDelta {
             concepts: vec![],
             items: vec![NewItem {
-                def: ItemDef {
-                    name: "new-item".into(),
-                    codes: vec![PromotionCode::unit(
-                        Money::from_cents(120),
-                        Money::from_cents(70),
-                    )],
-                    is_target: false,
-                },
+                def,
                 parents: vec![],
             }],
-        };
-        let txns = vec![Transaction::new(vec![], Sale::new(ItemId(0), CodeId(0), 1))];
-        let line = ingest_line(Some(&delta), &txns);
-        let Request::Ingest { catalog, txns: got } = parse_request(&line).unwrap() else {
-            panic!("not an ingest");
-        };
-        let back = catalog.expect("delta must survive the wire");
-        assert_eq!(back.items.len(), 1);
-        assert_eq!(back.items[0].def.name, "new-item");
-        assert_eq!(got, txns);
-        // Without a delta the line parses back to a plain ingest.
-        let Request::Ingest { catalog, .. } = parse_request(&ingest_line(None, &txns)).unwrap()
-        else {
-            panic!("not an ingest");
-        };
-        assert!(catalog.is_none());
-    }
-
-    #[test]
-    fn txn_value_round_trips_through_parse_request() {
-        let txns = vec![
-            Transaction::new(
-                vec![
-                    Sale::new(ItemId(5), CodeId(1), 2),
-                    Sale::new(ItemId(2), CodeId(0), 1),
-                ],
-                Sale::new(ItemId(0), CodeId(2), 3),
-            ),
-            Transaction::new(vec![], Sale::new(ItemId(1), CodeId(0), 1)),
-        ];
-        let line = render(&obj(vec![
-            ("op", Value::Str("ingest".into())),
-            ("txns", Value::Seq(txns.iter().map(txn_value).collect())),
-        ]));
+        });
+        let line = ingest_line(catalog.as_ref(), &txns);
         assert_eq!(
             parse_request(&line).unwrap(),
-            Request::Ingest {
-                catalog: None,
-                txns
-            }
+            Request::Ingest { catalog, txns }
         );
     }
 
     #[test]
     fn rejects_malformed_requests_with_clear_messages() {
+        // A wrong-typed value is named by its kind, never echoed.
+        let big = r#"{"op":"recommend","target":["#.to_owned() + &"1,".repeat(9999) + "1]}";
         for (line, needle) in [
             ("not json", "bad request"),
             ("[1,2]", "JSON object"),
             (r#"{"no_op":1}"#, "missing \"op\""),
             (r#"{"op":7}"#, "\"op\" must be a string"),
+            (r#"{"op":null}"#, "\"op\" must be a string"),
             (r#"{"op":"frobnicate"}"#, "unknown op"),
-            (r#"{"op":"recommend","sales":[[1,2]]}"#, "triple"),
-            (r#"{"op":"recommend","sales":[[1,2,0]]}"#, "out of range"),
-            (r#"{"op":"recommend","sales":3}"#, "must be an array"),
-            (r#"{"op":"recommend","top":0}"#, "≥ 1"),
-            (r#"{"op":"recommend","target":7}"#, "target-spec string"),
-            (r#"{"op":"ingest"}"#, "missing \"txns\""),
-            (r#"{"op":"ingest","txns":[]}"#, "nothing to ingest"),
-            (r#"{"op":"ingest","txns":[7]}"#, "must be an object"),
             (
-                r#"{"op":"ingest","txns":[{"sales":[]}]}"#,
-                "missing \"target\"",
+                r#"{"op":"recommend","sales":[[1,2]]}"#,
+                "field sales: [0]: ItemCodeQty: expected 3",
             ),
             (
-                r#"{"op":"ingest","txns":[{"sales":[[1,2]],"target":[0,0,1]}]}"#,
-                "triple",
+                r#"{"op":"recommend","sales":[[1,2,0]]}"#,
+                "sales[0] is out of range",
             ),
             (
-                r#"{"op":"ingest","txns":[{"sales":[],"target":[0,0,0]}]}"#,
+                r#"{"op":"recommend","sales":[[0,0,4294967296]]}"#,
                 "out of range",
             ),
             (
+                r#"{"op":"recommend","sales":[[1.0,0,1]]}"#,
+                "field sales: [0]: u64: expected non-neg",
+            ),
+            (
+                r#"{"op":"recommend","sales":3}"#,
+                "field sales: Vec: expected array",
+            ),
+            (r#"{"op":"recommend","top":0}"#, "≥ 1"),
+            (
+                r#"{"op":"recommend","top":2.0}"#,
+                "field top: u64: expected non-neg",
+            ),
+            (
+                r#"{"op":"recommend","target":7}"#,
+                "field target: String: expected",
+            ),
+            (&*big, "field target: String: expected string, got an array"),
+            (r#"{"op":"ingest"}"#, "missing field txns"),
+            (
+                r#"{"op":"ingest","txns":null}"#,
+                "field txns: Vec: expected array",
+            ),
+            (r#"{"op":"ingest","txns":[]}"#, "nothing to ingest"),
+            (
+                r#"{"op":"ingest","txns":[7]}"#,
+                "field txns: [0]: TxnFields: expected object",
+            ),
+            (
+                r#"{"op":"ingest","txns":[{"sales":[]}]}"#,
+                "field txns: [0]: missing field target",
+            ),
+            (
+                r#"{"op":"ingest","txns":[{"sales":[[1,2]],"target":[0,0,1]}]}"#,
+                "field txns: [0]: field sales: [0]: ItemCodeQty: expected 3",
+            ),
+            (
+                r#"{"op":"ingest","txns":[{"target":[0,0,1]},{"sales":[[0,0,1],[1,2]],"target":[0,0,1]}]}"#,
+                "field txns: [1]: field sales: [1]: ItemCodeQty: expected 3 elements, got 2",
+            ),
+            (
+                r#"{"op":"ingest","txns":[{"sales":[],"target":[0,0,0]}]}"#,
+                "txns[0].target is out of range",
+            ),
+            (
                 r#"{"op":"ingest","txns":[{"sales":[],"target":[0,0,1]}],"catalog":7}"#,
-                "\"catalog\" must be an object",
+                "field catalog: CatalogDelta: expected object",
             ),
             (
                 r#"{"op":"ingest","txns":[{"sales":[],"target":[0,0,1]}],"catalog":{"x":1}}"#,
-                "\"catalog\" does not parse",
+                "field catalog: missing field concepts",
+            ),
+            // A syntax error anywhere is reported before any type error.
+            (r#"{"op":7,"x":[1,]}"#, "JSON parse error at byte 15"),
+            (
+                r#"{"op":"recommend","sales":3,"x":[1,]}"#,
+                "parse error at byte 35",
             ),
             // The wire names no files: any "model" or "path" is refused.
             (r#"{"op":"reload","model":"m.pm"}"#, "takes no \"model\""),
             (r#"{"op":"reload","path":"m.pm"}"#, "takes no \"path\""),
             (r#"{"op":"reload","model":null}"#, "takes no \"model\""),
             (r#"{"op":"reload","model":9}"#, "takes no \"model\""),
+            (
+                r#"{"op":"reload","path":1,"model":2}"#,
+                "takes no \"model\"",
+            ),
             (r#"{"op":"checkpoint","path":"ck"}"#, "takes no \"path\""),
             (r#"{"op":"checkpoint","model":"ck"}"#, "takes no \"model\""),
             (r#"{"op":"checkpoint","path":null}"#, "takes no \"path\""),
             (r#"{"op":"checkpoint","path":9}"#, "takes no \"path\""),
         ] {
             let err = parse_request(line).unwrap_err();
+            assert!(err.starts_with("bad request: "), "{line:?} → {err:?}");
             assert!(err.contains(needle), "{line:?} → {err:?}");
         }
     }

@@ -262,9 +262,11 @@ impl Stream {
     /// the two leaves a valid checkpoint plus an over-complete log, whose
     /// duplicate prefix [`plan_replay`] skips on recovery.
     ///
-    /// The model is rebuilt from the miner rather than taken from a
-    /// server's handle, which a manual reload may have swapped for an
-    /// unrelated file: the checkpoint stays consistent with its stream.
+    /// The model comes from [`Self::model`], which first brings the
+    /// miner to the current position (a recovered tail may not be mined
+    /// yet): the snapshot sealed beside `stream_pos` must be the miner's
+    /// state at that position. When the miner is already there, the
+    /// update re-mines no anchor and counts no pair.
     pub fn checkpoint(
         &mut self,
         path: &Path,

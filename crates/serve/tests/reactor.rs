@@ -8,130 +8,27 @@
 //! process-global fault hooks (and the backend env var) never leak
 //! between concurrently scheduled tests in this binary.
 
-use pm_datagen::DatasetConfig;
-use pm_rules::{MinerConfig, Support};
-use pm_serve::protocol::{obj, rec_value, render};
+mod common;
+
+use common::{
+    build_fixture, expected_line, json_u64, recommend_line, sealed_model_file, tmp_dir, Client,
+    Fixture,
+};
 use pm_serve::{ServeConfig, Server};
 use pm_store::faults;
-use pm_txn::{Sale, TransactionSet};
-use profit_core::{CutConfig, Matcher, ProfitMiner, Recommender, RuleModel};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use serde::Value;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
 use std::sync::OnceLock;
 use std::time::Duration;
 
-struct Fixture {
-    json: String,
-    model: RuleModel,
-    customers: Vec<Vec<Sale>>,
-}
-
-fn build_fixture(seed: u64) -> Fixture {
-    let data: TransactionSet = DatasetConfig::dataset_i()
-        .with_transactions(300)
-        .with_items(60)
-        .generate(&mut StdRng::seed_from_u64(seed));
-    let model = ProfitMiner::new(MinerConfig {
-        min_support: Support::Fraction(0.03),
-        max_body_len: 2,
-        ..MinerConfig::default()
-    })
-    .with_cut(CutConfig::default())
-    .fit(&data);
-    let customers = data
-        .transactions()
-        .iter()
-        .take(10)
-        .map(|t| t.non_target_sales().to_vec())
-        .collect();
-    Fixture {
-        json: serde_json::to_string(&model.save()).unwrap(),
-        model,
-        customers,
-    }
-}
-
 fn fixture() -> &'static Fixture {
     static FIX: OnceLock<Fixture> = OnceLock::new();
-    FIX.get_or_init(|| build_fixture(7))
+    FIX.get_or_init(|| build_fixture(7, 10))
 }
 
 fn fixture_b() -> &'static Fixture {
     static FIX: OnceLock<Fixture> = OnceLock::new();
-    FIX.get_or_init(|| build_fixture(4242))
-}
-
-fn tmp_dir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("pm-reactor-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    std::fs::create_dir_all(&d).unwrap();
-    d
-}
-
-fn sealed_model_file(dir: &std::path::Path, name: &str, fix: &Fixture) -> PathBuf {
-    let p = dir.join(name);
-    pm_store::save_sealed(&p, fix.json.as_bytes()).unwrap();
-    p
-}
-
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Client {
-    fn connect(addr: std::net::SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).expect("connect to daemon");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(20)))
-            .unwrap();
-        Client {
-            reader: BufReader::new(stream.try_clone().unwrap()),
-            writer: stream,
-        }
-    }
-
-    fn send(&mut self, line: &str) -> String {
-        writeln!(self.writer, "{line}").expect("write request");
-        self.recv()
-    }
-
-    fn recv(&mut self) -> String {
-        let mut buf = String::new();
-        self.reader.read_line(&mut buf).expect("read response");
-        buf.trim_end().to_string()
-    }
-}
-
-fn recommend_line(customer: &[Sale]) -> String {
-    let sales: Vec<String> = customer
-        .iter()
-        .map(|s| format!("[{},{},{}]", s.item.0, s.code.0, s.qty))
-        .collect();
-    format!(r#"{{"op":"recommend","sales":[{}]}}"#, sales.join(","))
-}
-
-fn expected_line(model: &RuleModel, customer: &[Sale]) -> String {
-    let matcher = Matcher::new(model);
-    let rec = matcher.recommend(customer);
-    render(&obj(vec![
-        ("ok", Value::Bool(true)),
-        ("degraded", Value::Bool(false)),
-        ("recs", Value::Seq(vec![rec_value(model, &rec)])),
-    ]))
-}
-
-fn json_u64(line: &str, key: &str) -> u64 {
-    let v: Value = serde_json::from_str(line).unwrap_or_else(|e| panic!("{line}: {e}"));
-    let Value::Map(m) = v else { panic!("{line}") };
-    match m.iter().find(|(k, _)| k == key).map(|(_, v)| v) {
-        Some(Value::U64(u)) => *u,
-        other => panic!("no u64 {key} in {line}: {other:?}"),
-    }
+    FIX.get_or_init(|| build_fixture(4242, 10))
 }
 
 /// The old engine computed `rules().len() - 1` on the degraded path, so
@@ -535,6 +432,46 @@ fn deeply_nested_request_gets_an_error_line_not_a_crash() {
     assert_eq!(json_u64(&stats, "worker_panics"), 0, "{stats}");
 
     assert!(c.send(r#"{"op":"shutdown"}"#).contains("bye"));
+    server.join();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Blank lines take no pipeline slot, so nothing bounds how many a read
+/// buffer holds. Framing used to remove each line from the front of the
+/// buffer, shifting the rest every time: a megabyte of bare newlines
+/// held the reactor for about 15 s in a release build, stalling every
+/// connection on it. Lines are now taken by offset, one linear pass.
+#[test]
+fn a_megabyte_of_blank_lines_does_not_stall_the_reactor() {
+    let _guard = faults::test_lock();
+    let fix = fixture();
+    let dir = tmp_dir("blank-lines");
+    let path = sealed_model_file(&dir, "model.pm", fix);
+    let cfg = ServeConfig {
+        io_threads: 1,
+        max_line: 1 << 20,
+        ..ServeConfig::default()
+    };
+    let server = Server::start("127.0.0.1:0", &path, cfg).unwrap();
+    let mut flooder = Client::connect(server.addr());
+    let mut bystander = Client::connect(server.addr());
+
+    let started = std::time::Instant::now();
+    let mut writer = flooder.writer.try_clone().unwrap();
+    let flood = std::thread::spawn(move || {
+        let mut bytes = vec![b'\n'; 1 << 20];
+        bytes.extend_from_slice(b"{\"op\":\"ping\"}\n");
+        writer.write_all(&bytes).unwrap();
+    });
+    let pong = bystander.send(r#"{"op":"ping"}"#);
+    assert!(pong.contains(r#""op":"pong""#), "{pong}");
+    flood.join().unwrap();
+    let pong = flooder.recv();
+    assert!(pong.contains(r#""op":"pong""#), "{pong}");
+    let elapsed = started.elapsed();
+    assert!(elapsed < Duration::from_secs(5), "took {elapsed:?}");
+
+    assert!(bystander.send(r#"{"op":"shutdown"}"#).contains("bye"));
     server.join();
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -8,128 +8,29 @@
 //! `pm_store::faults::test_lock()` for its whole body: an armed hook
 //! never leaks into a concurrently scheduled test in this binary.
 
-use pm_datagen::DatasetConfig;
-use pm_rules::{MinerConfig, Support};
+mod common;
+
+use common::{
+    assert_ok, build_fixture, expected_line, recommend_line, sealed_model_file, tmp_dir, Client,
+    Fixture,
+};
 use pm_serve::protocol::{obj, rec_value, render};
 use pm_serve::{ServeConfig, Server};
 use pm_store::faults;
-use pm_txn::{Sale, TargetFilter, TransactionSet};
-use profit_core::{CutConfig, Matcher, ProfitMiner, Recommender, RuleModel};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use pm_txn::TargetFilter;
 use serde::Value;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
-use std::path::PathBuf;
+use std::io::{Read, Write};
 use std::sync::OnceLock;
 use std::time::Duration;
 
-struct Fixture {
-    /// Saved-model JSON payload (what `fit` seals into the model file).
-    json: String,
-    model: RuleModel,
-    customers: Vec<Vec<Sale>>,
-}
-
-fn build_fixture(seed: u64) -> Fixture {
-    let data: TransactionSet = DatasetConfig::dataset_i()
-        .with_transactions(300)
-        .with_items(60)
-        .generate(&mut StdRng::seed_from_u64(seed));
-    let model = ProfitMiner::new(MinerConfig {
-        min_support: Support::Fraction(0.03),
-        max_body_len: 2,
-        ..MinerConfig::default()
-    })
-    .with_cut(CutConfig::default())
-    .fit(&data);
-    let customers = data
-        .transactions()
-        .iter()
-        .take(40)
-        .map(|t| t.non_target_sales().to_vec())
-        .collect();
-    Fixture {
-        json: serde_json::to_string(&model.save()).unwrap(),
-        model,
-        customers,
-    }
-}
-
 fn fixture() -> &'static Fixture {
     static FIX: OnceLock<Fixture> = OnceLock::new();
-    FIX.get_or_init(|| build_fixture(42))
+    FIX.get_or_init(|| build_fixture(42, 40))
 }
 
 fn fixture_b() -> &'static Fixture {
     static FIX: OnceLock<Fixture> = OnceLock::new();
-    FIX.get_or_init(|| build_fixture(1337))
-}
-
-fn tmp_dir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("pm-smoke-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    std::fs::create_dir_all(&d).unwrap();
-    d
-}
-
-fn sealed_model_file(dir: &std::path::Path, name: &str, fix: &Fixture) -> PathBuf {
-    let p = dir.join(name);
-    pm_store::save_sealed(&p, fix.json.as_bytes()).unwrap();
-    p
-}
-
-/// A line-oriented test client.
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Client {
-    fn connect(addr: std::net::SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).expect("connect to daemon");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(20)))
-            .unwrap();
-        Client {
-            reader: BufReader::new(stream.try_clone().unwrap()),
-            writer: stream,
-        }
-    }
-
-    fn send(&mut self, line: &str) -> String {
-        writeln!(self.writer, "{line}").expect("write request");
-        self.recv()
-    }
-
-    fn recv(&mut self) -> String {
-        let mut buf = String::new();
-        self.reader.read_line(&mut buf).expect("read response");
-        buf.trim_end().to_string()
-    }
-}
-
-fn recommend_line(customer: &[Sale]) -> String {
-    let sales: Vec<String> = customer
-        .iter()
-        .map(|s| format!("[{},{},{}]", s.item.0, s.code.0, s.qty))
-        .collect();
-    format!(r#"{{"op":"recommend","sales":[{}]}}"#, sales.join(","))
-}
-
-/// The exact response line a healthy daemon must produce for `customer`.
-fn expected_line(model: &RuleModel, customer: &[Sale]) -> String {
-    let matcher = Matcher::new(model);
-    let rec = matcher.recommend(customer);
-    render(&obj(vec![
-        ("ok", Value::Bool(true)),
-        ("degraded", Value::Bool(false)),
-        ("recs", Value::Seq(vec![rec_value(model, &rec)])),
-    ]))
-}
-
-fn assert_ok(line: &str) {
-    assert!(line.starts_with(r#"{"ok":true"#), "{line}");
+    FIX.get_or_init(|| build_fixture(1337, 40))
 }
 
 #[test]

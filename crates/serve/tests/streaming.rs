@@ -7,20 +7,19 @@
 //! The fault hooks are process-global, so every test holds
 //! `pm_store::faults::test_lock()` for its whole body.
 
+mod common;
+
+use common::{expected_line, recommend_line, tmp_dir, Client};
 use pm_datagen::DatasetConfig;
 use pm_rules::{MinerConfig, Support};
-use pm_serve::protocol::{obj, rec_value, render, txn_value};
+use pm_serve::protocol::{ingest_line, obj, render};
 use pm_serve::{ServeConfig, Server};
 use pm_store::faults;
 use pm_txn::{Sale, Transaction, TransactionSet};
-use profit_core::{CutConfig, Matcher, ProfitMiner, Recommender, RuleModel};
+use profit_core::{CutConfig, ProfitMiner};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Value;
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-use std::path::PathBuf;
-use std::time::Duration;
 
 fn pipeline() -> ProfitMiner {
     ProfitMiner::new(MinerConfig {
@@ -51,67 +50,6 @@ fn stream(seed: u64) -> Stream {
         batches: [txns[300..350].to_vec(), txns[350..400].to_vec()],
         full,
     }
-}
-
-fn tmp_dir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("pm-streaming-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    std::fs::create_dir_all(&d).unwrap();
-    d
-}
-
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Client {
-    fn connect(addr: std::net::SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).expect("connect to daemon");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(20)))
-            .unwrap();
-        Client {
-            reader: BufReader::new(stream.try_clone().unwrap()),
-            writer: stream,
-        }
-    }
-
-    fn send(&mut self, line: &str) -> String {
-        writeln!(self.writer, "{line}").expect("write request");
-        self.recv()
-    }
-
-    fn recv(&mut self) -> String {
-        let mut buf = String::new();
-        self.reader.read_line(&mut buf).expect("read response");
-        buf.trim_end().to_string()
-    }
-}
-
-fn ingest_line(batch: &[Transaction]) -> String {
-    render(&obj(vec![
-        ("op", Value::Str("ingest".into())),
-        ("txns", Value::Seq(batch.iter().map(txn_value).collect())),
-    ]))
-}
-
-fn recommend_line(customer: &[Sale]) -> String {
-    let sales: Vec<String> = customer
-        .iter()
-        .map(|s| format!("[{},{},{}]", s.item.0, s.code.0, s.qty))
-        .collect();
-    format!(r#"{{"op":"recommend","sales":[{}]}}"#, sales.join(","))
-}
-
-fn expected_line(model: &RuleModel, customer: &[Sale]) -> String {
-    let matcher = Matcher::new(model);
-    let rec = matcher.recommend(customer);
-    render(&obj(vec![
-        ("ok", Value::Bool(true)),
-        ("degraded", Value::Bool(false)),
-        ("recs", Value::Seq(vec![rec_value(model, &rec)])),
-    ]))
 }
 
 /// The ISSUE's e2e: append sales over the wire, watch the generation
@@ -154,11 +92,11 @@ fn wire_ingests_hot_swap_to_the_concatenated_batch_fit() {
 
     // Two wire ingests: each appends to the log, refits incrementally,
     // and swaps the model under a bumped generation.
-    let resp = c.send(&ingest_line(&s.batches[0]));
+    let resp = c.send(&ingest_line(None, &s.batches[0]));
     assert!(resp.contains(r#""op":"ingested""#), "{resp}");
     assert!(resp.contains(r#""generation":2"#), "{resp}");
     assert!(resp.contains(r#""transactions":350"#), "{resp}");
-    let resp = c.send(&ingest_line(&s.batches[1]));
+    let resp = c.send(&ingest_line(None, &s.batches[1]));
     assert!(resp.contains(r#""generation":3"#), "{resp}");
     assert!(resp.contains(r#""transactions":400"#), "{resp}");
     assert_eq!(server.generation(), 3);
@@ -215,7 +153,7 @@ fn ingest_on_a_model_file_daemon_is_refused_and_harmless() {
     let server = Server::start("127.0.0.1:0", &path, ServeConfig::default()).unwrap();
     let mut c = Client::connect(server.addr());
 
-    let resp = c.send(&ingest_line(&s.batches[0]));
+    let resp = c.send(&ingest_line(None, &s.batches[0]));
     assert!(resp.contains("ingest unavailable"), "{resp}");
     assert!(resp.contains("streaming mode"), "{resp}");
 
@@ -303,7 +241,7 @@ fn a_checkpoint_naming_a_file_leaves_it_byte_identical() {
         Server::start_streaming("127.0.0.1:0", s.head.clone(), &log, pipeline(), cfg).unwrap();
     let mut c = Client::connect(server.addr());
     assert!(c
-        .send(&ingest_line(&s.batches[0]))
+        .send(&ingest_line(None, &s.batches[0]))
         .contains(r#""op":"ingested""#));
     let log_bytes = std::fs::read(&log).unwrap();
 
@@ -356,7 +294,7 @@ fn rejected_batches_leave_stream_log_and_model_untouched() {
         vec![Sale::new(pm_txn::ItemId(999_999), pm_txn::CodeId(0), 1)],
         *s.batches[0][0].target_sale(),
     );
-    let resp = c.send(&ingest_line(&[bad]));
+    let resp = c.send(&ingest_line(None, &[bad]));
     assert!(
         resp.contains("ingest rejected, keeping current model"),
         "{resp}"
@@ -374,7 +312,7 @@ fn rejected_batches_leave_stream_log_and_model_untouched() {
     assert!(resp.contains("nothing to ingest"), "{resp}");
 
     // The stream is not poisoned: a good batch still lands.
-    let resp = c.send(&ingest_line(&s.batches[0]));
+    let resp = c.send(&ingest_line(None, &s.batches[0]));
     assert!(resp.contains(r#""generation":2"#), "{resp}");
     assert!(logged() > empty_log);
 
@@ -480,7 +418,7 @@ fn checkpoint_restart_matches_full_log_replay_byte_for_byte() {
             .unwrap();
     let mut c = Client::connect(server.addr());
     assert!(c
-        .send(&ingest_line(&s.batches[0]))
+        .send(&ingest_line(None, &s.batches[0]))
         .contains(r#""generation":2"#));
     let resp = c.send(r#"{"op":"checkpoint"}"#);
     assert!(resp.contains(r#""op":"checkpointed""#), "{resp}");
@@ -488,7 +426,7 @@ fn checkpoint_restart_matches_full_log_replay_byte_for_byte() {
     assert!(resp.contains(r#""dropped":1"#), "{resp}");
     assert!(resp.contains(r#""retained":0"#), "{resp}");
     assert!(c
-        .send(&ingest_line(&s.batches[1]))
+        .send(&ingest_line(None, &s.batches[1]))
         .contains(r#""generation":3"#));
     assert!(c.send(r#"{"op":"shutdown"}"#).starts_with(r#"{"ok":true"#));
     assert_eq!(server.join().ingests, 2);
@@ -504,7 +442,7 @@ fn checkpoint_restart_matches_full_log_replay_byte_for_byte() {
     .unwrap();
     let mut c = Client::connect(server.addr());
     for b in &s.batches {
-        assert!(c.send(&ingest_line(b)).contains(r#""op":"ingested""#));
+        assert!(c.send(&ingest_line(None, b)).contains(r#""op":"ingested""#));
     }
     assert!(c.send(r#"{"op":"shutdown"}"#).starts_with(r#"{"ok":true"#));
     server.join();
@@ -618,7 +556,7 @@ fn corrupt_checkpoint_falls_back_only_while_the_log_is_complete() {
         Server::start_streaming("127.0.0.1:0", s.head.clone(), &log, pipeline(), cfg()).unwrap();
     let mut c = Client::connect(server.addr());
     for b in &s.batches {
-        assert!(c.send(&ingest_line(b)).contains(r#""op":"ingested""#));
+        assert!(c.send(&ingest_line(None, b)).contains(r#""op":"ingested""#));
     }
     assert!(c.send(r#"{"op":"shutdown"}"#).starts_with(r#"{"ok":true"#));
     server.join();
@@ -669,7 +607,7 @@ fn oversized_ingest_batches_are_refused_before_admission() {
         Server::start_streaming("127.0.0.1:0", s.head.clone(), &log, pipeline(), cfg).unwrap();
     let mut c = Client::connect(server.addr());
     let empty_log = std::fs::metadata(&log).unwrap().len();
-    let resp = c.send(&ingest_line(&s.batches[0]));
+    let resp = c.send(&ingest_line(None, &s.batches[0]));
     assert!(
         resp.contains("ingest rejected: batch of 50 transactions"),
         "{resp}"
@@ -682,7 +620,7 @@ fn oversized_ingest_batches_are_refused_before_admission() {
         "a refused batch must not touch the log"
     );
     // Under the cap the same connection still ingests.
-    let resp = c.send(&ingest_line(&s.batches[0][..10]));
+    let resp = c.send(&ingest_line(None, &s.batches[0][..10]));
     assert!(resp.contains(r#""op":"ingested""#), "{resp}");
     let stats = c.send(r#"{"op":"stats"}"#);
     assert!(stats.contains(r#""ingest_oversized":1"#), "{stats}");
@@ -698,7 +636,7 @@ fn oversized_ingest_batches_are_refused_before_admission() {
     let server =
         Server::start_streaming("127.0.0.1:0", s.head.clone(), &log, pipeline(), cfg).unwrap();
     let mut c = Client::connect(server.addr());
-    let resp = c.send(&ingest_line(&s.batches[0][..1]));
+    let resp = c.send(&ingest_line(None, &s.batches[0][..1]));
     assert!(resp.contains("ingest rejected"), "{resp}");
     assert!(resp.contains("64 bytes"), "{resp}");
     assert!(c.send(r#"{"op":"shutdown"}"#).starts_with(r#"{"ok":true"#));
@@ -782,7 +720,7 @@ fn catalog_growth_over_the_wire_matches_the_cold_fit() {
     )
     .unwrap();
     let mut c = Client::connect(server.addr());
-    let resp = c.send(&pm_serve::protocol::ingest_line(Some(&delta), &tail));
+    let resp = c.send(&ingest_line(Some(&delta), &tail));
     assert!(resp.contains(r#""op":"ingested""#), "{resp}");
     assert!(resp.contains(r#""generation":2"#), "{resp}");
     for customer in &customers {
@@ -832,7 +770,7 @@ fn failed_checkpoint_write_leaves_log_and_model_untouched() {
         Server::start_streaming("127.0.0.1:0", s.head.clone(), &log, pipeline(), cfg).unwrap();
     let mut c = Client::connect(server.addr());
     assert!(c
-        .send(&ingest_line(&s.batches[0]))
+        .send(&ingest_line(None, &s.batches[0]))
         .contains(r#""op":"ingested""#));
     let resp = c.send(r#"{"op":"checkpoint"}"#);
     assert!(resp.contains(r#""op":"checkpointed""#), "{resp}");
@@ -891,7 +829,7 @@ fn control_job_panics_fail_that_op_and_the_executor_keeps_running() {
     let ops = [
         (
             &streaming,
-            ingest_line(&s.batches[0]),
+            ingest_line(None, &s.batches[0]),
             r#""generation":2"#,
             "ingest_failures",
         ),

@@ -182,10 +182,19 @@ impl<'de> Deserializer<'de> {
     }
 
     /// The type error for the value at the parser: `{what}: {expected},
-    /// got <the value>`, or the syntax error that value holds.
+    /// got <the value>`, or the syntax error that value holds. A string,
+    /// array or object is named by its kind, not echoed, so the error
+    /// stays short however large the value.
     fn unexpected(&mut self, what: &str, expected: &str) -> Error {
-        match self.parse_value() {
-            Ok(v) => Error(format!("{what}: {expected}, got {v:?}")),
+        let kind = match self.peek_token() {
+            Some(b'"') => "a string",
+            Some(b'[') => "an array",
+            Some(b'{') => "an object",
+            _ => "",
+        };
+        match self.parse_value(kind.is_empty()) {
+            Ok(v) if kind.is_empty() => Error(format!("{what}: {expected}, got {v:?}")),
+            Ok(_) => Error(format!("{what}: {expected}, got {kind}")),
             Err(e) => e,
         }
     }
@@ -354,20 +363,24 @@ impl<'de> Deserializer<'de> {
         Error(format!("unknown {kind} {name:?} for {what}"))
     }
 
-    /// Read and discard one value. It is built and dropped: nothing the
-    /// workspace writes holds a value a decoder skips.
+    /// Read and discard one value, checked as a [`Value`] decode checks
+    /// it (the same errors at the same bytes) but not built.
     pub fn skip_value(&mut self) -> Result<(), Error> {
-        self.parse_value().map(drop)
+        self.parse_value(false).map(drop)
     }
 
-    /// Read one value into a [`Value`] tree.
-    fn parse_value(&mut self) -> Result<Value, Error> {
+    /// Read one value into a [`Value`] tree; without `build`, containers
+    /// come back empty and strings as `Null`, so nothing is allocated.
+    fn parse_value(&mut self, build: bool) -> Result<Value, Error> {
         match self.peek_token() {
             Some(b'[') => {
                 self.open()?;
                 let mut items = Vec::new();
                 while self.next_element()? {
-                    items.push(self.parse_value()?);
+                    let item = self.parse_value(build)?;
+                    if build {
+                        items.push(item);
+                    }
                 }
                 Ok(Value::Seq(items))
             }
@@ -375,11 +388,17 @@ impl<'de> Deserializer<'de> {
                 self.open()?;
                 let mut entries = Vec::new();
                 while let Some(key) = self.next_key()? {
-                    entries.push((key.into_owned(), self.parse_value()?));
+                    let item = self.parse_value(build)?;
+                    if build {
+                        entries.push((key.into_owned(), item));
+                    }
                 }
                 Ok(Value::Map(entries))
             }
-            Some(b'"') => Ok(Value::Str(self.string()?.into_owned())),
+            Some(b'"') => match self.string()? {
+                s if build => Ok(Value::Str(s.into_owned())),
+                _ => Ok(Value::Null),
+            },
             Some(c) if c == b'-' || c.is_ascii_digit() => Ok(match self.number()? {
                 Number::U64(u) => Value::U64(u),
                 Number::I64(i) => Value::I64(i),
@@ -550,6 +569,17 @@ impl<'de> Deserializer<'de> {
         }
     }
 
+    /// A non-negative integer written as one. The integer impls also
+    /// take integral floats (`3.0`, `3e2`); this refuses them, and
+    /// negatives, as type errors naming `what`.
+    pub fn natural(&mut self, what: &str) -> Result<u64, Error> {
+        const EXPECTED: &str = "expected non-negative integer";
+        match self.number_for(what, EXPECTED)? {
+            Number::U64(u) => Ok(u),
+            n => Err(Error(format!("{what}: {EXPECTED}, got {n:?}"))),
+        }
+    }
+
     /// The integer at the parser, widened; integral floats below 2e18
     /// count as integers.
     fn integer(&mut self, what: &str) -> Result<i128, Error> {
@@ -578,7 +608,7 @@ impl Serialize for Value {
 
 impl Deserialize for Value {
     fn deserialize(d: &mut Deserializer<'_>) -> Result<Self, Error> {
-        d.parse_value()
+        d.parse_value(true)
     }
 }
 
@@ -787,7 +817,8 @@ impl<T: Deserialize> Deserialize for Vec<T> {
         d.begin_seq("Vec")?;
         let mut out = Vec::new();
         while d.next_element()? {
-            out.push(T::deserialize(d)?);
+            let i = out.len();
+            out.push(T::deserialize(d).map_err(|e| Error(format!("[{i}]: {e}")))?);
         }
         Ok(out)
     }
@@ -923,7 +954,24 @@ mod tests {
             de::<u8>("256").unwrap_err().to_string(),
             "u8 out of range: 256"
         );
-        assert!(de::<u32>("\"3\"").is_err());
+        for (doc, kind) in [
+            ("\"3\"", "a string"),
+            ("[[1],{}]", "an array"),
+            ("{}", "an object"),
+        ] {
+            let err = de::<u32>(doc).unwrap_err().to_string();
+            assert_eq!(err, format!("u32: expected integer, got {kind}"));
+        }
+        // `natural` takes integer tokens only.
+        assert_eq!(Deserializer::new("7").natural("n").unwrap(), 7);
+        for bad in ["3.0", "3e2", "-1", "\"3\""] {
+            assert!(Deserializer::new(bad).natural("n").is_err(), "{bad}");
+        }
+        let err = Deserializer::new("-1").natural("n").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "n: expected non-negative integer, got I64(-1)"
+        );
     }
 
     #[test]

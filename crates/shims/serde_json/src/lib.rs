@@ -348,6 +348,10 @@ mod tests {
         }
         let err = from_str::<Rec>(r#"{"id":3.5}"#).unwrap_err().to_string();
         assert_eq!(err, "field id: u32: expected integer, got F64(3.5)");
+        let err = from_str::<Vec<Rec>>(r#"[{"id":1},{"id":3.5}]"#)
+            .unwrap_err()
+            .to_string();
+        assert_eq!(err, "[1]: field id: u32: expected integer, got F64(3.5)");
     }
 
     #[test]

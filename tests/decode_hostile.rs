@@ -6,11 +6,14 @@
 //! random byte flips, splices and deep-nesting inserts. Each input must
 //! decode or return an error — never panic, never hang — and every
 //! success must re-encode to bytes that decode to the same value (the
-//! same bytes again). `PROPTEST_CASES` scales the random part.
+//! same bytes again). The wire requests also go, as lines, to a live
+//! daemon, which must answer each one and stay up. `PROPTEST_CASES`
+//! scales the random part.
 
 use pm_datagen::{DatasetConfig, HierarchyConfig};
 use pm_rules::{MinerConfig, MinerSnapshot, Support};
 use pm_serve::protocol::{ingest_line, parse_request, Request};
+use pm_serve::{ServeConfig, Server};
 use pm_txn::{
     decode_stream_record, encode_stream_record, CatalogDelta, ItemId, NewConcept, NewItem,
     TransactionSet,
@@ -19,7 +22,10 @@ use profit_core::{Checkpoint, ProfitMiner, Recommender};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::OnceLock;
+use std::time::Duration;
 
 /// A decoder under test: `Some(re-encoded bytes)` on success, `None` on
 /// a typed error.
@@ -106,18 +112,23 @@ fn pipeline() -> ProfitMiner {
     })
 }
 
+/// The dataset every document is drawn from.
+fn data() -> TransactionSet {
+    DatasetConfig::dataset_i()
+        .with_transactions(10)
+        .with_items(6)
+        .with_hierarchy(HierarchyConfig {
+            branching: 2,
+            levels: 2,
+        })
+        .generate(&mut StdRng::seed_from_u64(5))
+}
+
 /// One small valid document per decoder.
 fn targets() -> &'static [Target] {
     static TARGETS: OnceLock<Vec<Target>> = OnceLock::new();
     TARGETS.get_or_init(|| {
-        let data = DatasetConfig::dataset_i()
-            .with_transactions(10)
-            .with_items(6)
-            .with_hierarchy(HierarchyConfig {
-                branching: 2,
-                levels: 2,
-            })
-            .generate(&mut StdRng::seed_from_u64(5));
+        let data = data();
         let mut miner = pipeline().into_incremental();
         let model = miner.fit(&data);
         let snapshot = miner.snapshot().unwrap();
@@ -216,36 +227,138 @@ fn every_truncation_decodes_or_errors() {
     }
 }
 
+/// One case's random mutations: a byte flip, a splice of the document
+/// into itself, and a run of openers inserted (deep nesting).
+type Mutation = ((usize, u8), (usize, usize, usize), (usize, usize, usize));
+
+fn mutation() -> impl Strategy<Value = Mutation> {
+    (
+        (0usize..1 << 20, 0u8..255),
+        (0usize..1 << 20, 0usize..64, 0usize..1 << 20),
+        (0usize..1 << 20, 1usize..4096, 0usize..3),
+    )
+}
+
+/// `doc` mutated by one case, each input with what was done to it.
+fn mutants(doc: &[u8], (flip, splice, nest): Mutation) -> [(String, Vec<u8>); 3] {
+    let n = doc.len();
+
+    let mut flipped = doc.to_vec();
+    flipped[flip.0 % n] = flip.1;
+
+    let (from, len, at) = (splice.0 % n, splice.1, splice.2 % n);
+    let piece = &doc[from..(from + len).min(n)];
+    let mut spliced = doc[..at].to_vec();
+    spliced.extend_from_slice(piece);
+    spliced.extend_from_slice(&doc[at..]);
+
+    let opener = ["[", "{\"k\":", "[{\"k\":"][nest.2];
+    let nest_at = nest.0 % (n + 1);
+    let mut nested = doc[..nest_at].to_vec();
+    nested.extend_from_slice(opener.repeat(nest.1).as_bytes());
+    nested.extend_from_slice(&doc[nest_at..]);
+
+    [
+        (format!("byte {} set to {}", flip.0 % n, flip.1), flipped),
+        (format!("{len} bytes from {from} spliced at {at}"), spliced),
+        (format!("{} x {opener:?} at {nest_at}", nest.1), nested),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn flips_splices_and_deep_nesting_decode_or_error(
-        flip in (0usize..1 << 20, 0u8..255),
-        splice in (0usize..1 << 20, 0usize..64, 0usize..1 << 20),
-        nest in (0usize..1 << 20, 1usize..4096, 0usize..3),
-    ) {
+    fn flips_splices_and_deep_nesting_decode_or_error(m in mutation()) {
         for t in targets() {
-            let doc = &t.doc;
-            let n = doc.len();
-
-            let mut flipped = doc.clone();
-            flipped[flip.0 % n] = flip.1;
-            check(t, &flipped, &format!("byte {} set to {}", flip.0 % n, flip.1))?;
-
-            let (from, len, at) = (splice.0 % n, splice.1, splice.2 % n);
-            let piece = &doc[from..(from + len).min(n)];
-            let mut spliced = doc[..at].to_vec();
-            spliced.extend_from_slice(piece);
-            spliced.extend_from_slice(&doc[at..]);
-            check(t, &spliced, &format!("{len} bytes from {from} spliced at {at}"))?;
-
-            let opener = ["[", "{\"k\":", "[{\"k\":"][nest.2];
-            let at = nest.0 % (n + 1);
-            let mut nested = doc[..at].to_vec();
-            nested.extend_from_slice(opener.repeat(nest.1).as_bytes());
-            nested.extend_from_slice(&doc[at..]);
-            check(t, &nested, &format!("{} x {opener:?} at {at}", nest.1))?;
+            for (what, input) in mutants(&t.doc, m) {
+                check(t, &input, &what)?;
+            }
         }
     }
+}
+
+fn connect(addr: SocketAddr) -> BufReader<TcpStream> {
+    let stream = TcpStream::connect(addr).expect("connect to daemon");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    BufReader::new(stream)
+}
+
+/// Send `doc` as a line and read one answer for each line the daemon
+/// sees in it: a `\n` inside `doc` ends a line, and a blank line is not
+/// answered. A line that is not UTF-8 is answered, then the daemon
+/// closes the connection and drops what follows, so the client
+/// reconnects. Returns the last answer.
+fn send(conn: &mut BufReader<TcpStream>, doc: &[u8], what: &str) -> Result<String, String> {
+    let addr = conn.get_ref().peer_addr().unwrap();
+    conn.get_mut().write_all(&[doc, b"\n"].concat()).unwrap();
+    let mut last = String::new();
+    for line in doc.split(|&b| b == b'\n') {
+        let text = std::str::from_utf8(line);
+        if text.is_ok_and(|t| t.trim().is_empty()) {
+            continue;
+        }
+        last.clear();
+        conn.read_line(&mut last)
+            .map_err(|e| format!("{what}: no answer: {e}"))?;
+        if !(last.starts_with(r#"{"ok":"#) && last.ends_with("}\n")) {
+            return Err(format!("{what}: answered {last:?}"));
+        }
+        if text.is_err() {
+            conn.read_to_end(&mut Vec::new()).unwrap();
+            *conn = connect(addr);
+            break;
+        }
+    }
+    Ok(last)
+}
+
+/// The wire documents as a client sends them: every truncation and each
+/// case's mutants go as lines to one in-process streaming daemon on the
+/// documents' dataset, so a mutated ingest that validates reaches the
+/// log and refits. Each line gets one answer, and afterwards no request
+/// has panicked and the daemon still answers `ping`.
+#[test]
+fn a_live_daemon_answers_every_mutated_request() {
+    let log = std::env::temp_dir().join(format!("pm-decode-hostile-{}.log", std::process::id()));
+    let _ = std::fs::remove_file(&log);
+    let cfg = ServeConfig::default();
+    let server = Server::start_streaming("127.0.0.1:0", data(), &log, pipeline(), cfg).unwrap();
+    let mut live = connect(server.addr());
+    let docs: Vec<&[u8]> = targets()
+        .iter()
+        .filter(|t| t.name.starts_with("parse_request"))
+        .map(|t| t.doc.as_slice())
+        .collect();
+    for doc in &docs {
+        for end in 0..=doc.len() {
+            send(&mut live, &doc[..end], &format!("truncated at {end}")).unwrap();
+        }
+    }
+    proptest::run_cases(
+        &ProptestConfig::with_cases(64),
+        "a_live_daemon_answers_every_mutated_request",
+        |rng| {
+            let m = mutation().gen_value(rng);
+            for doc in &docs {
+                for (what, input) in mutants(doc, m) {
+                    send(&mut live, &input, &what)?;
+                }
+            }
+            Ok(())
+        },
+    );
+    let stats = send(&mut live, br#"{"op":"stats"}"#, "stats").unwrap();
+    assert!(stats.contains(r#""worker_panics":0,"#), "{stats}");
+    // Some mutants still validate, so both paths were exercised.
+    for served in [r#""recommends":0,"#, r#""ingests":0,"#] {
+        assert!(!stats.contains(served), "{stats}");
+    }
+    let pong = send(&mut live, br#"{"op":"ping"}"#, "ping").unwrap();
+    assert!(pong.contains(r#""op":"pong""#), "{pong}");
+    send(&mut live, br#"{"op":"shutdown"}"#, "shutdown").unwrap();
+    server.join();
+    std::fs::remove_file(&log).ok();
 }
