@@ -329,9 +329,9 @@ pub fn ingest(args: &ArgMap) -> Result<String, CliError> {
     ))
 }
 
-/// `checkpoint`: seal the whole streaming state — data, model, warm
-/// miner caches, and log position — into an atomic `PMCK` envelope,
-/// then compact the sales log behind it (unless `--no-compact`).
+/// `checkpoint`: seal the whole streaming state — data, warm miner
+/// caches, and log position — into an atomic `PMCK` envelope, then
+/// compact the sales log behind it (unless `--no-compact`).
 ///
 /// `--out` is also where recovery looks for the previous checkpoint, so
 /// the stream is recovered exactly as a daemon started with
@@ -348,7 +348,7 @@ pub fn checkpoint(args: &ArgMap) -> Result<String, CliError> {
     }
     let pipeline = build_pipeline(args, &base)?;
     let (mut stream, recovered) = recover(base, log_path, Some(out), pipeline)?;
-    let (model, compaction) = stream
+    let compaction = stream
         .checkpoint(Path::new(out), !args.switch("--no-compact"))
         .map_err(|e| CliError::Runtime(e.to_string()))?;
     let compacted = match compaction {
@@ -364,11 +364,10 @@ pub fn checkpoint(args: &ArgMap) -> Result<String, CliError> {
         "cold-fitted the base dataset and the replayed log"
     };
     Ok(format!(
-        "wrote checkpoint {out} at stream position {} — {} transactions, {} rules \
+        "wrote checkpoint {out} at stream position {} — {} transactions \
          ({how}, replayed {} tail records{compacted})",
         stream.position(),
         stream.data().len(),
-        model.rules().len(),
         recovered.replayed,
     ))
 }

@@ -219,7 +219,7 @@ USAGE
   tail batch for exercising exactly that pipeline.
 
   Checkpointing & recovery: checkpoint seals the whole streaming state
-  (data, model, warm miner caches, log position) into an atomic,
+  (data, warm miner caches, log position) into an atomic,
   checksummed PMCK envelope and then compacts the sales log behind it,
   so restarts replay only the records after the checkpoint. Rerunning
   checkpoint resumes from the previous envelope instead of refitting

@@ -19,7 +19,7 @@ mod common;
 use common::{bin, expected_line, recommend_line, tmp_dir, wait_for_addr, Client};
 use pm_rules::{MinerConfig, ProfitMode, Support};
 use pm_txn::{Sale, Transaction, TransactionSet};
-use profit_core::{Checkpoint, CutConfig, ProfitMiner, RuleModel};
+use profit_core::{Checkpoint, CutConfig, IncrementalProfitMiner, ProfitMiner, RuleModel};
 use std::path::Path;
 use std::process::{Child, Command, Stdio};
 
@@ -51,14 +51,23 @@ fn cli_ok(args: &[&str]) -> String {
     cli(args).unwrap_or_else(|e| panic!("profit-mining {args:?} failed: {e}"))
 }
 
-/// Decode the model sealed inside a `PMCK` envelope.
-fn checkpointed_model(path: &Path) -> Checkpoint {
+/// Decode the payload sealed inside a `PMCK` envelope.
+fn open_checkpoint(path: &Path) -> Checkpoint {
     let bytes = pm_store::checkpoint::load(path).expect("open checkpoint envelope");
     Checkpoint::decode(&bytes).expect("decode checkpoint payload")
 }
 
 fn model_json(m: &RuleModel) -> String {
     serde_json::to_string(&m.save()).expect("model serializes")
+}
+
+/// The model recovery serves from `ck`: its data re-validated, the
+/// miner restored from its caches, and one update.
+fn resumed_model(ck: &Checkpoint) -> String {
+    let data = TransactionSet::from_json(&ck.data_json).expect("checkpoint data validates");
+    let mut miner = IncrementalProfitMiner::restore(cli_pipeline(), &data, &ck.miner)
+        .expect("checkpoint miner restores");
+    model_json(&miner.update(&data))
 }
 
 /// Every deterministic crash point in ingest → checkpoint → compact,
@@ -123,12 +132,12 @@ fn crash_point_matrix_recovers_byte_identically() {
     let out = cli_ok(&ck_args);
     assert!(out.contains("cold-fitted the base dataset"), "{out}");
     assert!(out.contains("log left uncompacted"), "{out}");
-    let sealed_mid = checkpointed_model(Path::new(&ck));
+    let sealed_mid = open_checkpoint(Path::new(&ck));
     assert_eq!(sealed_mid.stream_pos, 1);
     assert_eq!(
-        serde_json::to_string(&sealed_mid.model).unwrap(),
+        resumed_model(&sealed_mid),
         model_json(&cli_pipeline().fit(&mid_data)),
-        "checkpointed model after a crashed seal must equal the cold fit"
+        "the model resumed after a crashed seal must equal the cold fit"
     );
 
     // The un-compacted checkpoint IS the crash-between-seal-and-compact
@@ -162,12 +171,12 @@ fn crash_point_matrix_recovers_byte_identically() {
     );
     assert!(out.contains("replayed 1 tail records"), "{out}");
     assert!(out.contains("dropped 2 records, retained 0"), "{out}");
-    let sealed_full = checkpointed_model(Path::new(&ck));
+    let sealed_full = open_checkpoint(Path::new(&ck));
     assert_eq!(sealed_full.stream_pos, 2);
     assert_eq!(
-        serde_json::to_string(&sealed_full.model).unwrap(),
+        resumed_model(&sealed_full),
         model_json(&cli_pipeline().fit(&full_data)),
-        "recovered checkpoint must hold the cold full-stream fit"
+        "the recovered checkpoint must resume to the cold full-stream fit"
     );
     assert_eq!(
         sealed_full.data_json,
@@ -214,8 +223,11 @@ impl Drop for Daemon {
 }
 
 impl Daemon {
+    /// Start a streaming daemon; a clean shutdown writes its `--metrics`
+    /// dump to `metrics.json` beside `addr_file`.
     fn start(data: &str, log: &str, ck: &str, addr_file: &Path) -> Daemon {
         let _ = std::fs::remove_file(addr_file);
+        let metrics = addr_file.with_file_name("metrics.json");
         let mut args = vec![
             "serve",
             "--data",
@@ -232,6 +244,8 @@ impl Daemon {
             "2",
             "--io-threads",
             "1",
+            "--metrics",
+            metrics.to_str().unwrap(),
         ];
         args.extend_from_slice(&FIT_FLAGS);
         let mut child = Command::new(bin())
@@ -359,11 +373,24 @@ fn sigkilled_daemon_recovers_byte_identically_at_every_stage() {
         "after SIGKILL post-tail-ingest",
     );
 
-    // The survivor still checkpoints and shuts down cleanly.
+    // The survivor still checkpoints and shuts down cleanly. Its
+    // `--metrics` dump times each step of the resume it started with.
     let mut c = daemon.connect();
     let resp = c.send(r#"{"op":"checkpoint"}"#);
     assert!(resp.contains(r#""op":"checkpointed""#), "{resp}");
     daemon.shutdown(&mut c);
+    let dump = std::fs::read_to_string(dir.join("metrics.json")).expect("metrics dump");
+    for step in [
+        "log_open",
+        "ckpt_read",
+        "ckpt_decode",
+        "data_decode",
+        "restore",
+        "tail_apply",
+    ] {
+        let span = format!(r#"{{"phase": "recover.{step}""#);
+        assert!(dump.contains(&span), "no {span} in {dump}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -466,9 +493,9 @@ fn checkpoint_verb_falls_back_on_a_corrupt_out_only_while_the_log_is_whole() {
         serde_json::from_str(&std::fs::read_to_string(&b1).unwrap()).unwrap();
     stream.extend_from(&batch).unwrap();
     assert_eq!(
-        serde_json::to_string(&checkpointed_model(Path::new(&ck)).model).unwrap(),
+        resumed_model(&open_checkpoint(Path::new(&ck))),
         model_json(&cli_pipeline().fit(&stream)),
-        "the fallback must seal the cold fit on the whole stream"
+        "the fallback must seal a checkpoint that resumes to the cold fit on the whole stream"
     );
     let log_bytes = std::fs::read(&log).unwrap();
 

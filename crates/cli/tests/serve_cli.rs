@@ -269,7 +269,7 @@ fn a_full_fleet_is_served_exactly_extras_are_shed_and_no_fd_leaks() {
 
 /// The counters one incremental delta moves, in the order the baseline
 /// lists them.
-const DELTA_COUNTERS: [&str; 10] = [
+const DELTA_COUNTERS: [&str; 11] = [
     "incremental.anchors_changed",
     "incremental.anchors_remined",
     "incremental.anchors_reused",
@@ -280,6 +280,7 @@ const DELTA_COUNTERS: [&str; 10] = [
     "mine.ub_evaluated",
     "mine.pairs_counted",
     "build.ucf_solved",
+    "build.bodies_ranked",
 ];
 
 /// Run a streaming daemon on `head` at `threads`, send it `request` (if
@@ -291,7 +292,7 @@ fn streaming_counters(
     head: &str,
     threads: &str,
     request: Option<(&str, &str)>,
-) -> [u64; 10] {
+) -> [u64; 11] {
     let tag = format!("t{threads}-{}", request.map_or("fit", |(_, op)| op));
     let log = dir.join(format!("{tag}.log")).display().to_string();
     let checkpoint = dir.join(format!("{tag}.pmck")).display().to_string();
@@ -345,10 +346,12 @@ fn streaming_counters(
 /// `mine.pairs_counted` recounts all 400 transactions, as a cold fit at
 /// `--minsup 0.03` does (`fit_cli.rs`), since no pair table is carried
 /// from one update to the next; its `build.ucf_solved` counts the `U_CF`
-/// values the delta's build read that the fit's build had not. A
-/// `checkpoint` op refits with no new transaction: every frequent anchor
-/// reuses its cache, so no DFS runs and no pair is counted. The
-/// registry is process-global, so each dump comes from its own daemon.
+/// values the delta's build read that the fit's build had not, and
+/// `build.bodies_ranked` the bodies that build ranked. A `checkpoint` op
+/// on a stream that has not moved since its last model seals the miner
+/// as it stands: it mines nothing and builds nothing, so every column is
+/// 0. The registry is process-global, so each dump comes from its own
+/// daemon.
 /// A change that moves a count updates the baseline and says why.
 #[test]
 fn one_ingest_delta_does_the_pinned_work() {
@@ -364,10 +367,10 @@ fn one_ingest_delta_does_the_pinned_work() {
     let batch: Vec<pm_txn::Transaction> =
         serde_json::from_str(&std::fs::read_to_string(&tail).unwrap()).unwrap();
     let ingest = pm_serve::protocol::ingest_line(None, &batch);
-    let ingested: [u64; 10] = [
-        110, 109, 86, 172_567, 2_988_844, 133_261, 63_654, 21_999, 236_091, 5,
+    let ingested: [u64; 11] = [
+        110, 109, 86, 172_567, 2_988_844, 133_261, 63_654, 21_999, 236_091, 5, 37_869,
     ];
-    let checkpointed: [u64; 10] = [0, 0, 195, 0, 0, 0, 0, 0, 0, 0];
+    let checkpointed: [u64; 11] = [0; 11];
     let requests = [
         ((ingest.as_str(), "ingested"), ingested),
         ((r#"{"op":"checkpoint"}"#, "checkpointed"), checkpointed),

@@ -8,23 +8,25 @@
 //!   checkpoint covers, so replay resumes exactly at the next record;
 //! * the **training data** up to that position, embedded as compact
 //!   JSON and re-validated on restore;
-//! * the fitted **model**, for tools that want to serve or inspect it
-//!   without resuming the stream at all;
 //! * the incremental miner's [`MinerSnapshot`] — the warm anchor
 //!   caches, so a restored miner
 //!   ([`IncrementalProfitMiner::restore`](crate::IncrementalProfitMiner::restore))
 //!   rebuilds the model without re-running the DFS.
 //!
+//! It holds no model: a model is a pure function of the data and the
+//! miner's rules, so recovery rebuilds it from those two. A payload that
+//! carries one (older builds sealed a `model` key) still decodes; the
+//! key is skipped.
+//!
 //! The payload is format-agnostic bytes: `pm-store`'s checkpoint module
 //! wraps it in the checksummed, versioned envelope and writes it
 //! atomically; `pm_serve::stream` restores it.
 
-use crate::model::SavedModel;
 use pm_rules::MinerSnapshot;
 use serde::{Deserialize, Serialize};
 
-/// A complete streaming checkpoint: data, model and miner state as of
-/// one sales-log position.
+/// A complete streaming checkpoint: data and miner state as of one
+/// sales-log position.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Checkpoint {
     /// Absolute sales-log position (records ingested since the log was
@@ -37,8 +39,6 @@ pub struct Checkpoint {
     /// [`pm_txn::TransactionSet::to_json`] form of older checkpoints as
     /// well.
     pub data_json: String,
-    /// The fitted model at `stream_pos`.
-    pub model: SavedModel,
     /// The incremental miner's durable state.
     pub miner: MinerSnapshot,
 }
@@ -97,7 +97,6 @@ mod tests {
         let ck = Checkpoint {
             stream_pos: 300,
             data_json: ds.to_json(),
-            model: model.save(),
             miner: inc.snapshot().unwrap(),
         };
 
@@ -112,7 +111,7 @@ mod tests {
         assert_eq!(
             serde_json::to_string(&got.save()).unwrap(),
             serde_json::to_string(&model.save()).unwrap(),
-            "resumed model must match the snapshotted one byte for byte"
+            "resumed model must match the fitted one byte for byte"
         );
 
         // The resumed pipeline keeps streaming like one that never died.
@@ -148,11 +147,10 @@ mod tests {
             .with_items(60)
             .generate(&mut StdRng::seed_from_u64(31));
         let mut inc = pipeline().into_incremental();
-        let model = inc.fit(&ds);
+        inc.fit(&ds);
         let mut ck = Checkpoint {
             stream_pos: 200,
             data_json: ds.to_json(),
-            model: model.save(),
             miner: inc.snapshot().unwrap(),
         };
         // Swap in a different (shorter) dataset: the miner snapshot's

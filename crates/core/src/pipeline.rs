@@ -146,11 +146,6 @@ pub struct IncrementalProfitMiner {
 }
 
 impl IncrementalProfitMiner {
-    /// True once [`fit`](Self::fit) has run.
-    pub fn is_fitted(&self) -> bool {
-        self.inner.is_fitted()
-    }
-
     /// Number of transactions currently incorporated.
     pub fn n_transactions(&self) -> usize {
         self.inner.n_transactions()
@@ -192,6 +187,26 @@ impl IncrementalProfitMiner {
             model_rules = model.rules().len()
         );
         model
+    }
+
+    /// Bring the miner to `data` and build no model: a cold mine before
+    /// the first [`fit`](Self::fit), a delta re-mine after it. A
+    /// checkpoint seals the miner's state, not a model, so a seal needs
+    /// only this.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty dataset before the first fit, or when `data`
+    /// shrank.
+    pub fn mine(&mut self, data: &TransactionSet) {
+        if self.inner.is_fitted() {
+            let _span = pm_obs::span("update.mine");
+            self.inner.update(data);
+        } else {
+            assert!(!data.is_empty(), "cannot fit on an empty dataset");
+            let _span = pm_obs::span("fit.mine");
+            self.inner.fit(data);
+        }
     }
 
     /// Capture the miner's durable incremental state for a checkpoint

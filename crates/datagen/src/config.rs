@@ -135,17 +135,6 @@ impl DatasetConfig {
         cfg
     }
 
-    /// A **targeted-workloads** preset: Dataset I widened to four target
-    /// items at spread costs (\$2/\$5/\$10/\$20, frequency still falling
-    /// with cost), so `items:`/`codes:` target filters carve out real
-    /// sub-domains of the head space and per-item profit floors can
-    /// stratify staples from the luxury tail.
-    pub fn targeted_workloads() -> Self {
-        let mut cfg = Self::dataset_i();
-        cfg.targets = TargetSpec::custom(vec![2.0, 5.0, 10.0, 20.0], vec![8.0, 4.0, 2.0, 1.0]);
-        cfg
-    }
-
     /// Override the transaction count (builder style).
     pub fn with_transactions(mut self, n: usize) -> Self {
         self.quest.n_transactions = n;

@@ -14,27 +14,8 @@
 //!   around μ = 5.5 (documented substitution).
 
 use pm_stats::{Discrete, Normal};
-use pm_txn::{Catalog, Money};
+use pm_txn::Money;
 use serde::{Deserialize, Serialize};
-
-/// A ready-made `--min-profit-per-item` spec stratifying a catalog's
-/// target items by cost: each target item's floor is `frac` of its unit
-/// cost in dollars, so staples mine under low floors and the luxury tail
-/// under high ones ("Beyond Frequency"-style per-item thresholds).
-/// Non-target items get no entry. The result round-trips through
-/// [`pm_txn::parse_item_floors`].
-pub fn cost_floor_csv(catalog: &Catalog, frac: f64) -> String {
-    catalog
-        .target_items()
-        .into_iter()
-        .map(|i| {
-            let def = catalog.item(i);
-            let cost = def.codes[0].cost.cents() as f64 / 100.0;
-            format!("{}={}", def.name, cost * frac)
-        })
-        .collect::<Vec<_>>()
-        .join(",")
-}
 
 /// Specification of the target items and their sales frequencies.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -133,25 +114,5 @@ mod tests {
     #[should_panic]
     fn mismatched_lengths_rejected() {
         TargetSpec::custom(vec![1.0], vec![1.0, 2.0]).sampler();
-    }
-
-    #[test]
-    fn cost_floor_csv_round_trips_through_the_cli_parser() {
-        let ds = crate::DatasetConfig::targeted_workloads()
-            .with_transactions(50)
-            .with_items(10)
-            .generate(&mut StdRng::seed_from_u64(4));
-        let catalog = ds.catalog();
-        let csv = cost_floor_csv(catalog, 0.5);
-        let floors = pm_txn::parse_item_floors(&csv, catalog).unwrap();
-        let targets = catalog.target_items();
-        assert_eq!(floors.len(), targets.len());
-        assert_eq!(targets.len(), 4, "targeted_workloads has four targets");
-        for (item, floor) in floors {
-            let def = catalog.item(item);
-            assert!(def.is_target, "floors cover targets only");
-            let cost = def.codes[0].cost.cents() as f64 / 100.0;
-            assert_eq!(floor, cost * 0.5, "{}", def.name);
-        }
     }
 }

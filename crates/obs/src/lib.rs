@@ -437,27 +437,6 @@ impl Registry {
         }
     }
 
-    /// Zero every registered cell (handles stay valid). Test helper.
-    pub fn reset(&self) {
-        for c in lock(&self.counters).values() {
-            c.store(0, Ordering::Relaxed);
-        }
-        for g in lock(&self.gauges).values() {
-            g.store(0, Ordering::Relaxed);
-        }
-        for h in lock(&self.histograms).values() {
-            for b in &h.buckets {
-                b.store(0, Ordering::Relaxed);
-            }
-            h.count.store(0, Ordering::Relaxed);
-            h.sum_ns.store(0, Ordering::Relaxed);
-        }
-        for p in lock(&self.phases).values() {
-            p.ns.store(0, Ordering::Relaxed);
-            p.count.store(0, Ordering::Relaxed);
-        }
-    }
-
     /// Serialize the whole registry as JSON.
     ///
     /// The `phases` array holds `{"phase": .., "millis": ..}` elements;
@@ -640,7 +619,7 @@ mod tests {
     }
 
     // Value-asserting tests use their own Registry so parallel tests
-    // (and the reset test) can never race the assertions.
+    // can never race the assertions.
     #[test]
     fn counters_and_gauges_accumulate() {
         let r = Registry::default();
@@ -749,19 +728,6 @@ mod tests {
         assert!(json.contains("\"obs.test.dump.gauge\": 11"), "{json}");
         assert!(json.contains("\"obs.test.dump.hist\""), "{json}");
         assert!(json.contains("\"p95_ns\""), "{json}");
-    }
-
-    #[test]
-    fn reset_zeroes_without_invalidating_handles() {
-        let r = Registry::default();
-        let c = r.counter("obs.test.reset");
-        c.add(9);
-        r.latency("obs.test.reset.hist").record_ns(5);
-        r.reset();
-        assert_eq!(c.get(), 0);
-        assert_eq!(r.latency("obs.test.reset.hist").count(), 0);
-        c.inc();
-        assert_eq!(r.counter("obs.test.reset").get(), 1);
     }
 
     #[test]

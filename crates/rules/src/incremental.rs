@@ -96,9 +96,10 @@ struct AnchorCache {
 /// process can resume streaming without re-running the DFS.
 ///
 /// Deliberately minimal: only the support count (an integrity
-/// cross-check) and the warm anchor caches are carried. The extension,
-/// vertical layout and floor accumulators are **rebuilt** from the
-/// transaction data at
+/// cross-check) and the warm anchor caches are carried, and a cached
+/// rule carries no generation index, since that equals its position in
+/// its list. The extension, vertical layout and floor accumulators are
+/// **rebuilt** from the transaction data at
 /// [`restore`](IncrementalMiner::restore) time with the exact loops of
 /// [`fit`](IncrementalMiner::fit) — cheaper to recompute than to store,
 /// and bit-identical by construction because the incremental paths patch
@@ -128,6 +129,8 @@ struct CacheSnapshot {
 /// A cached rule with its profit carried as raw IEEE-754 bits: the JSON
 /// layer turns non-finite `f64`s into `null`, and the bit pattern makes
 /// the byte-identity contract explicit rather than incidental.
+/// Snapshots sealed by older builds also carry a `gen_index` key, which
+/// decoding skips.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 struct RuleSnapshot {
     body: Vec<u32>,
@@ -135,7 +138,6 @@ struct RuleSnapshot {
     body_count: u32,
     hits: u32,
     profit_bits: u64,
-    gen_index: u32,
 }
 
 impl RuleSnapshot {
@@ -146,11 +148,11 @@ impl RuleSnapshot {
             body_count: r.body_count,
             hits: r.hits,
             profit_bits: r.profit.to_bits(),
-            gen_index: r.gen_index,
         }
     }
 
-    fn rule(&self, n_gs: usize, n_heads: usize) -> Result<Rule, String> {
+    /// The cached rule at `gen_index` in its list.
+    fn rule(&self, gen_index: u32, n_gs: usize, n_heads: usize) -> Result<Rule, String> {
         if self.head as usize >= n_heads {
             return Err(format!(
                 "cached rule references head {} but the data has only {n_heads} heads",
@@ -168,7 +170,7 @@ impl RuleSnapshot {
             body_count: self.body_count,
             hits: self.hits,
             profit: f64::from_bits(self.profit_bits),
-            gen_index: self.gen_index,
+            gen_index,
         })
     }
 }
@@ -394,7 +396,8 @@ impl IncrementalMiner {
     /// snapshot's, and every cached anchor and head must exist in the
     /// rebuilt extension. Each cache must also have the shape a walk
     /// gives it (see `AnchorCache::check`): a refit moves its subtrees by
-    /// that shape.
+    /// that shape. Each cached rule's `gen_index` is its position in its
+    /// level-1 or deeper list, the numbering a walk's job gives it.
     ///
     /// The extension, tidsets and floor accumulators are rebuilt by the
     /// same setup [`fit`](Self::fit) runs; the DFS is skipped entirely
@@ -439,7 +442,7 @@ impl IncrementalMiner {
                 ));
             }
             let decode = |rs: &[RuleSnapshot]| -> Result<Vec<Rule>, String> {
-                rs.iter().map(|r| r.rule(n_gs, h)).collect()
+                (0..).zip(rs).map(|(i, r)| r.rule(i, n_gs, h)).collect()
             };
             let cache = AnchorCache {
                 minsup: c.minsup,

@@ -1796,7 +1796,7 @@ fn checkpoint(shared: &Shared) -> Result<String, Failure> {
         "no checkpoint path configured — start with --checkpoint".into(),
     ))?;
     let mut stream = shared.stream();
-    let (_, compaction) = stream
+    let compaction = stream
         .checkpoint(target, true)
         .map_err(|e| (e.stage(), e.to_string()))?;
     let (dropped, retained) = compaction.map_or((0, 0), |c| (c.dropped, c.retained));

@@ -27,6 +27,9 @@ pub struct Stream {
     /// Absolute stream position: sales-log records ingested since the
     /// log was created (compaction moves the log's base, not this).
     pos: u64,
+    /// The stream position the miner last mined to; `None` until its
+    /// first fit.
+    mined: Option<u64>,
 }
 
 /// What [`Stream::recover`] found on disk.
@@ -98,14 +101,19 @@ impl Stream {
     /// end is a typed [`StoreError`].
     ///
     /// Recovery mines nothing: `pipeline` (the configuration the stream
-    /// is fitted with) first runs when [`Self::model`] is called.
+    /// is fitted with) first runs when [`Self::model`] is called. The
+    /// `recover.*` spans time each step: log open, checkpoint read and
+    /// CRC, payload decode, data decode, miner restore, tail apply.
     pub fn recover(
         base: TransactionSet,
         log_path: &Path,
         checkpoint: Option<&Path>,
         pipeline: ProfitMiner,
     ) -> Result<(Stream, Recovered), ServeError> {
-        let (log, recovery) = SalesLog::open(log_path)?;
+        let (log, recovery) = {
+            let _span = pm_obs::span("recover.log_open");
+            SalesLog::open(log_path)?
+        };
         if recovery.truncated_bytes > 0 {
             pm_obs::info!(
                 "stream.log_recovered",
@@ -124,10 +132,7 @@ impl Stream {
 
         let mut resumed = None;
         if let Some(ck_path) = checkpoint.filter(|p| p.exists()) {
-            let restored = match pm_store::checkpoint::load(ck_path)
-                .map_err(|e| e.to_string())
-                .and_then(|bytes| Checkpoint::decode(&bytes))
-            {
+            let restored = match read_checkpoint(ck_path) {
                 Ok(ck) => {
                     let skip =
                         plan_replay(ck.stream_pos, recovery.base, recovery.records.len() as u64)?;
@@ -164,20 +169,25 @@ impl Stream {
             None => (base, pipeline.into_incremental(), 0),
         };
 
+        // A restored miner stands at the checkpoint's position.
         let first = recovery.base + skip as u64;
+        let mined = is_resumed.then_some(first);
         let tail = &recovery.records[skip..];
-        for (i, payload) in tail.iter().enumerate() {
-            std::str::from_utf8(payload)
-                .map_err(|e| e.to_string())
-                .and_then(decode_stream_record)
-                .and_then(|(delta, txns)| {
-                    data.apply_stream_record(delta.as_ref(), &txns)
-                        .map_err(|e| e.to_string())
-                })
-                .map_err(|err| ServeError::Stream {
-                    path: format!("{} record {}", log_path.display(), first + i as u64),
-                    err,
-                })?;
+        {
+            let _span = pm_obs::span("recover.tail_apply");
+            for (i, payload) in tail.iter().enumerate() {
+                std::str::from_utf8(payload)
+                    .map_err(|e| e.to_string())
+                    .and_then(decode_stream_record)
+                    .and_then(|(delta, txns)| {
+                        data.apply_stream_record(delta.as_ref(), &txns)
+                            .map_err(|e| e.to_string())
+                    })
+                    .map_err(|err| ServeError::Stream {
+                        path: format!("{} record {}", log_path.display(), first + i as u64),
+                        err,
+                    })?;
+            }
         }
         let pos = first + tail.len() as u64;
         pm_obs::info!(
@@ -198,6 +208,7 @@ impl Stream {
                 log,
                 miner,
                 pos,
+                mined,
             },
             recovered,
         ))
@@ -249,49 +260,66 @@ impl Stream {
     ///
     /// Panics on an empty stream — there is nothing to learn from.
     pub fn model(&mut self) -> RuleModel {
-        if self.miner.is_fitted() {
-            self.miner.update(&self.data)
-        } else {
-            self.miner.fit(&self.data)
-        }
+        let model = match self.mined {
+            Some(_) => self.miner.update(&self.data),
+            None => self.miner.fit(&self.data),
+        };
+        self.mined = Some(self.pos);
+        model
     }
 
-    /// Seal the stream — data, model, warm miner caches and position —
-    /// into a `PMCK` checkpoint at `path`, then (with `compact`) drop the
-    /// log records it covers. The seal comes first, so a crash between
-    /// the two leaves a valid checkpoint plus an over-complete log, whose
+    /// Seal the stream — data, warm miner caches and position — into a
+    /// `PMCK` checkpoint at `path`, then (with `compact`) drop the log
+    /// records it covers. The seal comes first, so a crash between the
+    /// two leaves a valid checkpoint plus an over-complete log, whose
     /// duplicate prefix [`plan_replay`] skips on recovery.
     ///
-    /// The model comes from [`Self::model`], which first brings the
-    /// miner to the current position (a recovered tail may not be mined
-    /// yet): the snapshot sealed beside `stream_pos` must be the miner's
-    /// state at that position. When the miner is already there, the
-    /// update re-mines no anchor and counts no pair.
+    /// The snapshot sealed beside `stream_pos` must be the miner's state
+    /// at that position, so a tail the miner has not mined yet (one
+    /// recovery replayed) is mined first. A stream that has not moved
+    /// since its last [`Self::model`] or seal is sealed as it stands.
+    /// No model is built: recovery rebuilds it from the data and the
+    /// caches.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty stream that was never mined.
     pub fn checkpoint(
         &mut self,
         path: &Path,
         compact: bool,
-    ) -> Result<(RuleModel, Option<Compaction>), StreamError> {
-        let model = self.model();
+    ) -> Result<Option<Compaction>, StreamError> {
+        if self.mined != Some(self.pos) {
+            self.miner.mine(&self.data);
+            self.mined = Some(self.pos);
+        }
         let ck = Checkpoint {
             stream_pos: self.pos,
             data_json: serde_json::to_string(&self.data).expect("dataset serializes"),
-            model: model.save(),
             miner: self
                 .miner
                 .snapshot()
-                .expect("model() leaves the miner fitted"),
+                .expect("the miner has mined the stream"),
         };
         pm_store::checkpoint::save(path, &ck.encode()).map_err(StreamError::Seal)?;
         if !compact {
-            return Ok((model, None));
+            return Ok(None);
         }
-        let compaction = self
-            .log
+        self.log
             .compact_to(self.pos)
-            .map_err(|e| StreamError::Compact(path.to_path_buf(), e))?;
-        Ok((model, Some(compaction)))
+            .map(Some)
+            .map_err(|e| StreamError::Compact(path.to_path_buf(), e))
     }
+}
+
+/// Read, verify and decode the checkpoint at `path`.
+fn read_checkpoint(path: &Path) -> Result<Checkpoint, String> {
+    let bytes = {
+        let _span = pm_obs::span("recover.ckpt_read");
+        pm_store::checkpoint::load(path).map_err(|e| e.to_string())?
+    };
+    let _span = pm_obs::span("recover.ckpt_decode");
+    Checkpoint::decode(&bytes)
 }
 
 /// The state a checkpoint sealed: its dataset, re-validated, and the
@@ -300,8 +328,12 @@ fn restore(
     ck: &Checkpoint,
     pipeline: ProfitMiner,
 ) -> Result<(TransactionSet, IncrementalProfitMiner), String> {
-    let data = TransactionSet::from_json(&ck.data_json)
-        .map_err(|e| format!("checkpoint data does not validate: {e}"))?;
+    let data = {
+        let _span = pm_obs::span("recover.data_decode");
+        TransactionSet::from_json(&ck.data_json)
+            .map_err(|e| format!("checkpoint data does not validate: {e}"))?
+    };
+    let _span = pm_obs::span("recover.restore");
     let miner = IncrementalProfitMiner::restore(pipeline, &data, &ck.miner)?;
     Ok((data, miner))
 }

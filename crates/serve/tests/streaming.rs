@@ -19,7 +19,7 @@ use pm_txn::{Sale, Transaction, TransactionSet};
 use profit_core::{CutConfig, ProfitMiner};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::Value;
+use serde::{Serialize, Value};
 
 fn pipeline() -> ProfitMiner {
     ProfitMiner::new(MinerConfig {
@@ -529,6 +529,81 @@ fn checkpoints_with_pretty_embedded_data_still_resume() {
     let (mut resumed, recovered) =
         LiveStream::recover(s.head.clone(), &log, Some(&ck), pipeline()).unwrap();
     assert!(recovered.resumed, "the pretty checkpoint must be used");
+    assert_eq!(recovered.replayed, 1);
+    assert_eq!(
+        serde_json::to_string(&resumed.model().save()).unwrap(),
+        serde_json::to_string(&pipeline().fit(&s.full).save()).unwrap()
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Number every cached rule of a snapshot's value tree by its position
+/// in its list, as older builds sealed each rule's `gen_index`.
+fn number_cached_rules(miner: &mut Value) {
+    let Value::Map(miner) = miner else {
+        panic!("a snapshot is an object")
+    };
+    let Some((_, Value::Seq(caches))) = miner.iter_mut().find(|(k, _)| k == "caches") else {
+        panic!("a snapshot holds its caches")
+    };
+    for cache in caches {
+        let Value::Map(cache) = cache else {
+            panic!("a cache is an object")
+        };
+        for (_, list) in cache
+            .iter_mut()
+            .filter(|(k, _)| k == "level1" || k == "deeper")
+        {
+            let Value::Seq(rules) = list else {
+                panic!("a cache's rules are an array")
+            };
+            for (i, rule) in rules.iter_mut().enumerate() {
+                let Value::Map(rule) = rule else {
+                    panic!("a cached rule is an object")
+                };
+                rule.push(("gen_index".into(), Value::U64(i as u64)));
+            }
+        }
+    }
+}
+
+/// A seal holds the stream position, the data and the miner, and no
+/// cached rule carries a generation index. Older builds also sealed the
+/// model (a `model` key after the data) and numbered every cached rule
+/// (`gen_index`); recovery reads neither, so such a checkpoint still
+/// resumes, and the tail replays to the cold fit's bytes.
+#[test]
+fn checkpoints_with_a_model_and_generation_numbers_still_resume() {
+    use pm_serve::stream::Stream as LiveStream;
+    let _guard = faults::test_lock();
+    let s = stream(59);
+    let dir = tmp_dir("ck-old-format");
+    let (log, ck) = (dir.join("sales.log"), dir.join("ck.pmck"));
+
+    let (mut live, _) = LiveStream::recover(s.head.clone(), &log, None, pipeline()).unwrap();
+    live.append(None, &s.batches[0]).unwrap();
+    let model = live.model();
+    live.checkpoint(&ck, true).unwrap();
+    live.append(None, &s.batches[1]).unwrap();
+    drop(live);
+
+    let sealed = String::from_utf8(pm_store::checkpoint::load(&ck).unwrap()).unwrap();
+    assert!(!sealed.contains("gen_index"), "a seal numbers no rule");
+    let Value::Map(mut fields) = serde_json::from_str(&sealed).unwrap() else {
+        panic!("a checkpoint payload is an object")
+    };
+    let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(keys, ["stream_pos", "data_json", "miner"]);
+
+    number_cached_rules(&mut fields[2].1);
+    fields.insert(2, ("model".into(), model.save().ser_value()));
+    let old = serde_json::to_string(&Value::Map(fields)).unwrap();
+    assert!(old.contains(r#""profit_bits":"#) && old.contains(r#","gen_index":0}"#));
+    pm_store::checkpoint::save(&ck, old.as_bytes()).unwrap();
+
+    let (mut resumed, recovered) =
+        LiveStream::recover(s.head.clone(), &log, Some(&ck), pipeline()).unwrap();
+    assert!(recovered.resumed, "the old checkpoint must be used");
     assert_eq!(recovered.replayed, 1);
     assert_eq!(
         serde_json::to_string(&resumed.model().save()).unwrap(),

@@ -109,11 +109,6 @@ impl Exponential {
         Self { rate }
     }
 
-    /// An exponential with the given mean.
-    pub fn with_mean(mean: f64) -> Self {
-        Self::new(1.0 / mean)
-    }
-
     /// Draw one variate.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         // gen() yields [0,1); use 1−u to avoid ln(0).
@@ -244,7 +239,7 @@ mod tests {
 
     #[test]
     fn exponential_mean_matches() {
-        let e = Exponential::with_mean(4.0);
+        let e = Exponential::new(0.25);
         let mut rng = rng();
         let total: f64 = (0..50_000).map(|_| e.sample(&mut rng)).sum();
         let mean = total / 50_000.0;

@@ -1,7 +1,7 @@
 //! The `PMCK` checkpoint container and the recovery decision rule.
 //!
-//! A checkpoint is an opaque payload (the serving layer puts the fitted
-//! model, the incremental miner's caches, and the dataset in it) sealed
+//! A checkpoint is an opaque payload (the serving layer puts the stream
+//! position, the dataset and the incremental miner's caches in it) sealed
 //! under the **same** envelope as model files — [`crate::envelope`]'s
 //! header with the `PMCK` magic instead of `PMDL`, via
 //! [`crate::envelope::seal_with_magic`]. One envelope implementation,

@@ -100,32 +100,29 @@ pub fn parse_catalog(text: &str) -> Result<(Catalog, HashMap<String, ItemId>), C
                 ))
             }
         };
-        let price: f64 = f[2]
-            .parse()
-            .map_err(|_| err(ln, format!("bad price {:?}", f[2])))?;
-        let cost: f64 = f[3]
-            .parse()
-            .map_err(|_| err(ln, format!("bad cost {:?}", f[3])))?;
+        // `"inf".parse::<f64>()` succeeds, a negative price or cost is
+        // always a data error in a point-of-sale export, and `1e300`
+        // dollars has no `i64` cent count — reject all three here rather
+        // than panicking in the Money constructor.
+        let money = |field: &str, token: &str| {
+            let dollars: f64 = token
+                .parse()
+                .map_err(|_| err(ln, format!("bad {field} {token:?}")))?;
+            if !dollars.is_finite() || dollars < 0.0 {
+                return Err(err(ln, format!("{field} must be ≥ 0, got {token:?}")));
+            }
+            Money::checked_from_dollars_f64(dollars)
+                .ok_or_else(|| err(ln, format!("{field} {token:?} overflows the cent range")))
+        };
+        let price = money("price", f[2])?;
+        let cost = money("cost", f[3])?;
         let pack: u32 = f[4]
             .parse()
             .map_err(|_| err(ln, format!("bad pack {:?}", f[4])))?;
-        // `"inf".parse::<f64>()` succeeds, and a negative price or cost
-        // is always a data error in a point-of-sale export — reject both
-        // here rather than panicking later in the Money constructor.
-        if !price.is_finite() || price < 0.0 {
-            return Err(err(ln, format!("price must be ≥ 0, got {:?}", f[2])));
-        }
-        if !cost.is_finite() || cost < 0.0 {
-            return Err(err(ln, format!("cost must be ≥ 0, got {:?}", f[3])));
-        }
         if pack == 0 {
             return Err(err(ln, format!("pack must be ≥ 1, got {:?}", f[4])));
         }
-        let code = PromotionCode::packed(
-            Money::from_dollars_f64(price),
-            Money::from_dollars_f64(cost),
-            pack,
-        );
+        let code = PromotionCode::packed(price, cost, pack);
         match by_name.get(f[0]) {
             Some(&id) => {
                 if defs[id.index()].is_target != is_target {

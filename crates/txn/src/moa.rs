@@ -184,11 +184,6 @@ impl Moa {
         }
     }
 
-    /// `a` generalizes `b`, allowing equality.
-    pub fn generalizes_or_equal(&self, a: GenSale, b: GenSale) -> bool {
-        a == b || self.strictly_generalizes(a, b)
-    }
-
     /// Does the body `body` (a set of generalized non-target sales) match
     /// the customer `sales` — every body element generalizes *some* sale
     /// (Definition 3)?
@@ -368,7 +363,6 @@ mod tests {
         assert!(moa.strictly_generalizes(chicken, GenSale::Item(FC)));
         assert!(moa.strictly_generalizes(chicken, dear));
         assert!(!moa.strictly_generalizes(GenSale::Item(FC), GenSale::Item(FC)));
-        assert!(moa.generalizes_or_equal(GenSale::Item(FC), GenSale::Item(FC)));
     }
 
     #[test]

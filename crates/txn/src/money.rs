@@ -46,12 +46,14 @@ impl Money {
     /// Panics if `dollars` is not finite or overflows the cent range.
     pub fn from_dollars_f64(dollars: f64) -> Self {
         assert!(dollars.is_finite(), "money must be finite, got {dollars}");
+        Self::checked_from_dollars_f64(dollars)
+            .unwrap_or_else(|| panic!("money overflow: {dollars}"))
+    }
+
+    /// [`Money::from_dollars_f64`], or `None` where it would panic.
+    pub fn checked_from_dollars_f64(dollars: f64) -> Option<Self> {
         let cents = (dollars * 100.0).round();
-        assert!(
-            cents >= i64::MIN as f64 && cents <= i64::MAX as f64,
-            "money overflow: {dollars}"
-        );
-        Money(cents as i64)
+        (cents >= i64::MIN as f64 && cents <= i64::MAX as f64).then_some(Money(cents as i64))
     }
 
     /// The cent count.

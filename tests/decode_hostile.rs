@@ -1,6 +1,7 @@
-//! Hostile input for every decoder that reads untrusted bytes through
-//! the JSON pull parser: data files, sealed models, checkpoints, miner
-//! snapshots, sales-log records (both forms) and wire requests.
+//! Hostile input for every decoder that reads untrusted bytes: through
+//! the JSON pull parser, data files, sealed models, checkpoints, miner
+//! snapshots, sales-log records (both forms) and wire requests; through
+//! the CSV parser, `import`'s catalog and sales files.
 //!
 //! The inputs are every truncation of a small valid document, plus
 //! random byte flips, splices and deep-nesting inserts. Each input must
@@ -14,6 +15,7 @@ use pm_datagen::{DatasetConfig, HierarchyConfig};
 use pm_rules::{MinerConfig, MinerSnapshot, Support};
 use pm_serve::protocol::{ingest_line, parse_request, Request};
 use pm_serve::{ServeConfig, Server};
+use pm_txn::csv::{parse_catalog, parse_sales, to_csv};
 use pm_txn::{
     decode_stream_record, encode_stream_record, CatalogDelta, ItemId, NewConcept, NewItem,
     TransactionSet,
@@ -76,6 +78,26 @@ fn stream_record(b: &[u8]) -> Option<Vec<u8>> {
     Some(encode_stream_record(delta.as_ref(), &txns).into_bytes())
 }
 
+/// [`data`] as `export` writes it: the catalog CSV and the sales CSV.
+fn csvs() -> &'static (String, String) {
+    static CSVS: OnceLock<(String, String)> = OnceLock::new();
+    CSVS.get_or_init(|| to_csv(&data()))
+}
+
+/// `import` of this catalog with the valid sales, re-exported.
+fn catalog_csv(b: &[u8]) -> Option<Vec<u8>> {
+    let (catalog, names) = parse_catalog(&text(b)).ok()?;
+    let data = parse_sales(&csvs().1, catalog, &names).ok()?;
+    Some(to_csv(&data).0.into_bytes())
+}
+
+/// `import` of the valid catalog with these sales, re-exported.
+fn sales_csv(b: &[u8]) -> Option<Vec<u8>> {
+    let (catalog, names) = parse_catalog(&csvs().0).unwrap();
+    let data = parse_sales(&text(b), catalog, &names).ok()?;
+    Some(to_csv(&data).1.into_bytes())
+}
+
 fn request(b: &[u8]) -> Option<Vec<u8>> {
     let quoted = |s: &str| serde_json::to_string(s).unwrap();
     let optional = |key: &str, s: &Option<String>| match s {
@@ -135,7 +157,6 @@ fn targets() -> &'static [Target] {
         let ck = Checkpoint {
             stream_pos: 3,
             data_json: serde_json::to_string(&data).unwrap(),
-            model: model.save(),
             miner: snapshot.clone(),
         };
         let txns = &data.transactions()[..3];
@@ -187,6 +208,16 @@ fn targets() -> &'static [Target] {
                 decode: request,
             },
             Target {
+                name: "parse_catalog",
+                doc: csvs().0.clone().into_bytes(),
+                decode: catalog_csv,
+            },
+            Target {
+                name: "parse_sales",
+                doc: csvs().1.clone().into_bytes(),
+                decode: sales_csv,
+            },
+            Target {
                 name: "parse_request (recommend)",
                 doc: json(
                     r#"{"op":"recommend","sales":[[3,0,2],[5,1,1]],"top":2,"target":"codes:0"}"#
@@ -224,6 +255,22 @@ fn every_truncation_decodes_or_errors() {
         for end in 0..t.doc.len() {
             check(t, &t.doc[..end], &format!("truncated at {end}")).unwrap();
         }
+    }
+}
+
+/// Prices and costs that parse as finite numbers but have no `i64` cent
+/// count are a `CsvError` naming the line and the field, not a panic in
+/// `Money`.
+#[test]
+fn csv_amounts_past_the_cent_range_are_errors() {
+    let header = "item,role,price,cost,pack\n";
+    for (row, field) in [
+        ("Milk,target,1e300,1,1", "price"),
+        ("Milk,target,1,1e300,1", "cost"),
+    ] {
+        let e = parse_catalog(&format!("{header}Bread,nontarget,1,1,1\n{row}\n")).unwrap_err();
+        assert_eq!((e.role, e.line), ("catalog", 3), "{row}: {e}");
+        assert!(e.message.starts_with(field), "{row}: {e}");
     }
 }
 

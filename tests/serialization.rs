@@ -154,7 +154,6 @@ fn payloads_re_encode_byte_identically_after_decode() {
         let bytes = Checkpoint {
             stream_pos: 300,
             data_json: compact,
-            model: model.save(),
             miner: snapshot,
         }
         .encode();
