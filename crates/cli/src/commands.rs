@@ -447,6 +447,20 @@ pub(crate) fn render_recommendation(model: &RuleModel, rec: &Recommendation) -> 
     s
 }
 
+/// Transaction `txn`'s customer, whose sales must name items and codes
+/// in the model's catalog, as the daemon requires of every request: the
+/// matcher indexes the catalog with them.
+fn customer_of<'t>(
+    model: &RuleModel,
+    txn: usize,
+    t: &'t Transaction,
+) -> Result<&'t [Sale], CliError> {
+    let customer = t.non_target_sales();
+    pm_serve::protocol::validate_sales(model, customer)
+        .map_err(|msg| CliError::Runtime(format!("transaction {txn}: {msg}")))?;
+    Ok(customer)
+}
+
 fn recommend_one(
     data: &TransactionSet,
     model: &RuleModel,
@@ -458,7 +472,7 @@ fn recommend_one(
         .transactions()
         .get(txn)
         .ok_or_else(|| CliError::Runtime(format!("transaction {txn} out of range")))?;
-    let customer: &[Sale] = t.non_target_sales();
+    let customer = customer_of(model, txn, t)?;
     let moa = model.moa();
     let target = target_filter(args, moa.catalog(), moa.hierarchy())?;
     let recs = model.recommend_top_k(customer, k.max(1), target.as_ref());
@@ -530,8 +544,8 @@ fn recommend_all(data: &TransactionSet, model: &RuleModel) -> Result<String, Cli
     // (item, code) → (customers served, Σ expected profit).
     let mut summary: std::collections::BTreeMap<(pm_txn::ItemId, pm_txn::CodeId), (u64, f64)> =
         std::collections::BTreeMap::new();
-    for t in data.transactions() {
-        let rec = matcher.recommend(t.non_target_sales());
+    for (txn, t) in data.transactions().iter().enumerate() {
+        let rec = matcher.recommend(customer_of(model, txn, t)?);
         let e = summary.entry((rec.item, rec.code)).or_insert((0, 0.0));
         e.0 += 1;
         e.1 += rec.expected_profit;

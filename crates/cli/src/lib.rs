@@ -241,15 +241,16 @@ USAGE
   latency p50/p95/p99.
 
   serve runs a line-delimited-JSON TCP daemon over a fitted model:
-  an event-driven readiness loop (--io-threads reactors, epoll with a
-  portable poll fallback) feeding a compute pool (--workers) in batches
-  of up to --batch requests per model snapshot, bounded admission with
-  load shedding, per-request timeouts with a flagged degraded mode (the
-  §3.2 default rule) when the matcher errors or blows the deadline, and
-  {\"op\":\"reload\"} hot model swaps: rewrite the --model file (fit
-  --out writes atomically), then send reload; the old model keeps
-  serving on any validation failure. No request names a file, so a
-  reload or checkpoint line carrying \"model\" or \"path\" is refused.
+  an event-driven readiness loop (--io-threads reactors, each accepting
+  its own connections; epoll, poll(2) off Linux) feeding a compute pool
+  (--workers) in batches of up to --batch requests per model snapshot,
+  bounded admission with load shedding, per-request timeouts with a
+  flagged degraded mode (the §3.2 default rule) when the matcher errors
+  or blows the deadline, and {\"op\":\"reload\"} hot model swaps:
+  rewrite the --model file (fit --out writes atomically), then send
+  reload; the old model keeps serving on any validation failure. No
+  request names a file, so a reload or checkpoint line carrying
+  \"model\" or \"path\" is refused.
   With --data and --log instead of --model the daemon runs in streaming
   mode: it replays the sales log, fits in-process with the usual fit
   flags, and accepts {\"op\":\"ingest\"} requests that append a batch
@@ -403,6 +404,48 @@ mod tests {
             .filter_map(|n| n.trim().parse::<u64>().ok())
             .sum();
         assert_eq!(total, 300, "{out}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A customer whose sales fall outside the model's catalog is a
+    /// runtime error naming the transaction, for one customer and for
+    /// `--all`; the matcher used to index past the catalog and abort.
+    #[test]
+    fn recommend_refuses_customers_outside_the_catalog() {
+        let _guard = pm_store::faults::test_lock();
+        let dir = std::env::temp_dir().join(format!("pm-cli-foreign-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = |name: &str| dir.join(name).display().to_string();
+        let (small, model, wide) = (path("a.json"), path("a.pm"), path("b.json"));
+        for (out, items, seed) in [(&small, "60", "5"), (&wide, "200", "6")] {
+            run(&v(&[
+                "gen", "--out", out, "--txns", "300", "--items", items, "--seed", seed,
+            ]))
+            .unwrap();
+        }
+        run(&v(&[
+            "fit",
+            "--data",
+            &small,
+            "--out",
+            &model,
+            "--minsup",
+            "0.03",
+            "--max-body",
+            "2",
+        ]))
+        .unwrap();
+        for one_or_all in [&["--txn", "0"][..], &["--all"]] {
+            let mut argv = vec!["recommend", "--data", &wide, "--model", &model];
+            argv.extend(one_or_all);
+            match run(&v(&argv)) {
+                Err(CliError::Runtime(msg)) => assert_eq!(
+                    msg, "transaction 0: unknown item 107 (catalog holds 62 items)",
+                    "{one_or_all:?}"
+                ),
+                other => panic!("{one_or_all:?}: {other:?}"),
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

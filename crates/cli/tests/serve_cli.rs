@@ -267,6 +267,157 @@ fn a_full_fleet_is_served_exactly_extras_are_shed_and_no_fd_leaks() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Context switches, voluntary and not, of every thread of process
+/// `pid` so far.
+#[cfg(target_os = "linux")]
+fn context_switches(pid: u32) -> u64 {
+    let tasks = std::fs::read_dir(format!("/proc/{pid}/task")).expect("read the daemon's tasks");
+    let mut total = 0;
+    for task in tasks {
+        let status =
+            std::fs::read_to_string(task.unwrap().path().join("status")).unwrap_or_default();
+        total += status
+            .lines()
+            .filter(|l| l.starts_with("voluntary_ctxt") || l.starts_with("nonvoluntary_ctxt"))
+            .filter_map(|l| l.split_whitespace().nth(1)?.parse::<u64>().ok())
+            .sum::<u64>();
+    }
+    total
+}
+
+/// User plus system CPU seconds process `pid` has used so far.
+#[cfg(target_os = "linux")]
+fn cpu_seconds(pid: u32) -> f64 {
+    let stat =
+        std::fs::read_to_string(format!("/proc/{pid}/stat")).expect("read the daemon's stat");
+    // Field 3, the state, comes first after the parenthesized name, so
+    // utime (field 14) and stime (field 15) are the 12th and 13th.
+    let fields: Vec<&str> = stat[stat.rfind(')').unwrap() + 1..]
+        .split_whitespace()
+        .collect();
+    let ticks: f64 = fields[11..13]
+        .iter()
+        .map(|f| f.parse::<f64>().unwrap())
+        .sum();
+    // `/proc` counts in USER_HZ ticks, 100 a second on x86-64 and AArch64.
+    ticks / 100.0
+}
+
+/// An idle daemon sleeps: with default flags and no client, every thread
+/// blocks (the reactors in their pollers, the compute workers and the
+/// control-plane executor on their channels), so two seconds pass with
+/// next to no context switch.
+#[cfg(target_os = "linux")]
+#[test]
+fn an_idle_daemon_sleeps() {
+    let dir = tmp_dir("idle");
+    let (_, model) = gen_and_fit(&dir, "300", "60", "21");
+    let addr_file = dir.join("addr.txt");
+    let mut child = Command::new(bin())
+        .args([
+            "serve",
+            "--model",
+            &model,
+            "--addr",
+            "127.0.0.1:0",
+            "--addr-file",
+            addr_file.to_str().unwrap(),
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn daemon");
+    let addr = wait_for_addr(&addr_file, &mut child);
+    // Let the threads the daemon just started reach their first block.
+    std::thread::sleep(Duration::from_millis(100));
+    let before = context_switches(child.id());
+    std::thread::sleep(Duration::from_secs(2));
+    let switches = context_switches(child.id()) - before;
+    if switches > 20 {
+        let _ = child.kill();
+    }
+    assert!(
+        switches <= 20,
+        "an idle daemon switched {switches} times in 2 s"
+    );
+
+    assert!(Client::connect(&addr)
+        .send(r#"{"op":"shutdown"}"#)
+        .contains("bye"));
+    let out = child.wait_with_output().expect("daemon exit");
+    assert!(out.status.success(), "{out:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Out of descriptors, `accept` fails while the listener stays readable.
+/// The reactor backs off instead of spinning on it, and it serves again
+/// once the clients holding the descriptors leave.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_failing_accept_backs_off() {
+    const FDS: usize = 16;
+    let dir = tmp_dir("emfile");
+    let (_, model) = gen_and_fit(&dir, "300", "60", "21");
+    let addr_file = dir.join("addr.txt");
+    // Nothing reads the daemon's output while it runs, so none is kept.
+    let mut child = Command::new("sh")
+        .args([
+            "-c",
+            &format!(r#"ulimit -n {FDS}; exec "$0" "$@""#),
+            bin(),
+            "serve",
+            "--model",
+            &model,
+            "--addr",
+            "127.0.0.1:0",
+            "--addr-file",
+            addr_file.to_str().unwrap(),
+            "--io-threads",
+            "1",
+            "--workers",
+            "2",
+            "--queue",
+            "64",
+        ])
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn daemon");
+    let addr = wait_for_addr(&addr_file, &mut child);
+    // 30 clients against the descriptor table: the daemon admits what
+    // fits, and `accept` fails with EMFILE for the rest.
+    let fleet: Vec<_> = (0..30).map(|_| Client::connect(&addr)).collect();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while fd_count(child.id()) < FDS {
+        assert!(
+            Instant::now() < deadline,
+            "the daemon never filled its fd table"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let before = cpu_seconds(child.id());
+    std::thread::sleep(Duration::from_secs(2));
+    let used = cpu_seconds(child.id()) - before;
+    if used >= 0.5 {
+        let _ = child.kill();
+    }
+    assert!(
+        used < 0.5,
+        "out of descriptors, the daemon used {used:.2} s of CPU in 2 s"
+    );
+
+    drop(fleet);
+    assert!(Client::connect(&addr)
+        .send(r#"{"op":"ping"}"#)
+        .contains("pong"));
+    assert!(Client::connect(&addr)
+        .send(r#"{"op":"shutdown"}"#)
+        .contains("bye"));
+    assert!(child.wait().expect("daemon exit").success());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The counters one incremental delta moves, in the order the baseline
 /// lists them.
 const DELTA_COUNTERS: [&str; 11] = [

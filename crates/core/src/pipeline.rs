@@ -146,11 +146,6 @@ pub struct IncrementalProfitMiner {
 }
 
 impl IncrementalProfitMiner {
-    /// Number of transactions currently incorporated.
-    pub fn n_transactions(&self) -> usize {
-        self.inner.n_transactions()
-    }
-
     /// Cold fit, retaining the mining state for later updates.
     ///
     /// # Panics
@@ -355,7 +350,6 @@ mod tests {
                 "prefix {upto}"
             );
         }
-        assert_eq!(inc.n_transactions(), 400);
     }
 
     #[test]

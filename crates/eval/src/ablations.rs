@@ -21,7 +21,7 @@ use crate::experiments::{Dataset, Scale};
 use crate::folds::Folds;
 use crate::metrics::{evaluate, EvalOptions};
 use crate::report::{fmt, Table};
-use crate::runner::{fold_thread_split, score};
+use crate::runner::{fold_thread_split, score, MIN_CONFIDENCE};
 use pm_datagen::config::PriceCoupling;
 use pm_rules::{MinerConfig, MoaMode, RuleMiner, Support};
 use pm_txn::TransactionSet;
@@ -44,7 +44,7 @@ fn miner(scale: &Scale, minsup: f64) -> RuleMiner {
         min_support: Support::Fraction(minsup),
         max_body_len: scale.max_body_len,
         moa: MoaMode::Enabled,
-        min_confidence: Some(0.5),
+        min_confidence: Some(MIN_CONFIDENCE),
         ..MinerConfig::default()
     })
 }
@@ -182,7 +182,7 @@ pub fn quantity_model(which: Dataset, scale: &Scale, seed: u64, threads: usize) 
             max_body_len: scale.max_body_len,
             moa: MoaMode::Enabled,
             quantity: qm,
-            min_confidence: Some(0.5),
+            min_confidence: Some(MIN_CONFIDENCE),
             ..MinerConfig::default()
         })
         .with_threads(inner)

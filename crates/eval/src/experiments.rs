@@ -255,7 +255,6 @@ pub fn post_knn(scale: &Scale, seed: u64, threads: usize) -> Table {
         let cfg = EvalConfig {
             sweep: vec![scale.range_minsup],
             include_rule_models: false,
-            include_knn: true,
             include_knn_profit: true,
             include_mpi: false,
             ..base_config(scale, seed, threads)

@@ -13,6 +13,7 @@ use crate::metrics::{evaluate, EvalOptions, EvalOutcome, PROFIT_RANGES};
 use crate::report::{fmt, Table};
 use pm_baselines::{Knn, KnnConfig, KnnProfit, MostProfitableItem};
 use pm_rules::{MinedRules, MinerConfig, MoaMode, ProfitMode, RuleMiner, Support};
+use pm_stats::binomial::DEFAULT_CF;
 use pm_txn::{QuantityModel, TransactionSet};
 use profit_core::{CutConfig, Matcher, Recommender, RuleModel};
 use serde::{Deserialize, Serialize};
@@ -27,7 +28,17 @@ pub fn paper_sweep() -> Vec<f64> {
     vec![0.0004, 0.0006, 0.0008, 0.0010, 0.0015, 0.0020]
 }
 
-/// Sweep configuration.
+/// kNN neighbor count (paper: 5), for both kNN baselines.
+pub const KNN_K: usize = 5;
+
+/// Minimum confidence for mined rules. The paper allows thresholds on
+/// every worth measure (§3.1) without stating the figures' values; 0.5
+/// keeps the recommenders reliable (see DESIGN.md §5).
+pub const MIN_CONFIDENCE: f64 = 0.5;
+
+/// Sweep configuration. Every sweep also scores the vote-kNN baseline
+/// with [`KNN_K`] neighbors, mines at [`MIN_CONFIDENCE`], and cuts at
+/// C4.5's pessimistic confidence level ([`DEFAULT_CF`]).
 #[derive(Debug, Clone)]
 pub struct EvalConfig {
     /// Cross-validation folds (paper: 5).
@@ -38,24 +49,14 @@ pub struct EvalConfig {
     pub sweep: Vec<f64>,
     /// Maximum rule body length.
     pub max_body_len: usize,
-    /// kNN neighbor count (paper: 5).
-    pub knn_k: usize,
     /// Quantity model for mining *and* evaluation (saving MOA default).
     pub quantity: QuantityModel,
     /// Optional quantity-boost behavior at evaluation.
     pub boost: Option<QuantityBoost>,
-    /// Pessimistic confidence level.
-    pub cf: f64,
-    /// Minimum confidence for mined rules. The paper allows thresholds on
-    /// every worth measure (§3.1) without stating the figures' values;
-    /// 0.5 keeps the recommenders reliable (see DESIGN.md §5).
-    pub min_confidence: Option<f64>,
     /// Include the four rule-based recommenders.
     pub include_rule_models: bool,
     /// Restrict rule models to `+MOA` (used by Figure 3(b)).
     pub moa_only: bool,
-    /// Include the vote-kNN baseline.
-    pub include_knn: bool,
     /// Include the profit post-processing kNN (§5.3).
     pub include_knn_profit: bool,
     /// Include MPI.
@@ -75,14 +76,10 @@ impl Default for EvalConfig {
             seed: 2002_0301,
             sweep: paper_sweep(),
             max_body_len: 4,
-            knn_k: 5,
             quantity: QuantityModel::Saving,
             boost: None,
-            cf: 0.25,
-            min_confidence: Some(0.5),
             include_rule_models: true,
             moa_only: false,
-            include_knn: true,
             include_knn_profit: false,
             include_mpi: true,
             threads: 0,
@@ -364,7 +361,7 @@ fn sweep_fold(
                 max_body_len: cfg.max_body_len,
                 moa,
                 quantity: cfg.quantity,
-                min_confidence: cfg.min_confidence,
+                min_confidence: Some(MIN_CONFIDENCE),
                 min_rule_profit: None,
                 prune_default_dominated: true,
             })
@@ -374,7 +371,7 @@ fn sweep_fold(
                 for mode in [ProfitMode::Profit, ProfitMode::Confidence] {
                     let cut = CutConfig {
                         profit_mode: mode,
-                        cf: cfg.cf,
+                        cf: DEFAULT_CF,
                         prune: true,
                         min_support: Some(Support::Fraction(ms)),
                     };
@@ -387,24 +384,13 @@ fn sweep_fold(
 
     // Instance-based baselines are minsup-independent: evaluate once,
     // record at every sweep point.
-    let mut baselines: Vec<Box<dyn Recommender>> = Vec::new();
-    if cfg.include_knn {
-        baselines.push(Box::new(Knn::fit(
-            &train,
-            KnnConfig {
-                k: cfg.knn_k,
-                idf: true,
-            },
-        )));
-    }
+    let knn = KnnConfig {
+        k: KNN_K,
+        idf: true,
+    };
+    let mut baselines: Vec<Box<dyn Recommender>> = vec![Box::new(Knn::fit(&train, knn))];
     if cfg.include_knn_profit {
-        baselines.push(Box::new(KnnProfit::fit(
-            &train,
-            KnnConfig {
-                k: cfg.knn_k,
-                idf: true,
-            },
-        )));
+        baselines.push(Box::new(KnnProfit::fit(&train, knn)));
     }
     if cfg.include_mpi {
         baselines.push(Box::new(MostProfitableItem::fit(&train)));

@@ -254,13 +254,6 @@ impl IncrementalMiner {
         self.state.is_some()
     }
 
-    /// Number of transactions currently incorporated.
-    pub fn n_transactions(&self) -> usize {
-        self.state
-            .as_ref()
-            .map_or(0, |s| s.layout.extended.n_transactions())
-    }
-
     /// Cold mine: build the extension, the vertical layout and the rule
     /// caches from scratch. Equivalent to [`RuleMiner::mine`], with the
     /// state retained for [`update`](Self::update). Calling `fit` again

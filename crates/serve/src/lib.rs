@@ -9,17 +9,18 @@
 //! * **line-delimited JSON protocol** ([`protocol`]) — one request
 //!   object per line, one response object per line, over plain TCP, so
 //!   `netcat` is a complete client;
-//! * **event-driven multiplexing** — `io_threads` reactor threads run a
-//!   readiness loop (epoll, with a portable `poll(2)` fallback) over
-//!   non-blocking sockets with per-connection read/write buffers and
-//!   incremental line framing; a parked connection costs a slab slot,
-//!   not a thread;
-//! * **request batching + customer-keyed sharding** — each reactor
-//!   wakeup drains every ready request and ships them to a compute
-//!   worker pool in batches of up to `batch`, sharded by a hash of the
-//!   customer's sales; each worker scores its whole batch against one
-//!   `Arc<RuleModel>` snapshot and one [`Matcher`] index per model
-//!   generation instead of one index per connection;
+//! * **event-driven multiplexing** — `io_threads` reactor threads each
+//!   run one readiness loop (epoll on Linux, `poll(2)` elsewhere) over
+//!   the listener and their own non-blocking sockets, with
+//!   per-connection read/write buffers and incremental line framing; a
+//!   reactor accepts the connections it serves, and a parked connection
+//!   costs a slab slot, not a thread;
+//! * **request batching** — each reactor wakeup drains every ready
+//!   request and deals them round-robin to the compute workers in
+//!   batches of up to `batch`; each worker scores its whole batch
+//!   against one `Arc<RuleModel>` snapshot and one [`Matcher`] index per
+//!   model generation instead of one index per connection. An idle
+//!   daemon sleeps: every thread blocks until a client or a job arrives;
 //! * **admission control + load shedding** — at most
 //!   `workers + queue` connections are admitted concurrently; beyond
 //!   that clients get an immediate
@@ -82,7 +83,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use stream::Stream;
@@ -373,15 +374,18 @@ serve_counters! {
     checkpoint_failures, control_rejected, worker_panics, connections,
 }
 
-/// One reactor's mailboxes: the acceptor pushes admitted connections
-/// into `inbox`, compute workers and the control-plane executor push
-/// finished responses into `completions`; both wake the reactor through
-/// its poller's notify pipe.
+/// One reactor's mailbox: compute workers and the control-plane
+/// executor push finished responses into `completions` and wake the
+/// reactor through its poller's notify pipe.
 struct ReactorShared {
     poller: Poller,
-    inbox: Mutex<Vec<TcpStream>>,
     completions: Mutex<Vec<Completion>>,
 }
+
+/// The key every reactor registers the listener under. The shim keeps
+/// `usize::MAX` for its notify pipe, and connection keys are slab slots,
+/// which never grow this far.
+const LISTENER_KEY: usize = usize::MAX - 1;
 
 impl ReactorShared {
     fn wake(&self) {
@@ -407,8 +411,8 @@ enum Mode {
     Streaming(Box<Mutex<Stream>>),
 }
 
-/// State shared by the acceptor, the reactors, the compute workers, the
-/// control-plane executor, and the [`Server`] handle.
+/// State shared by the reactors, the compute workers, the control-plane
+/// executor, and the [`Server`] handle.
 struct Shared {
     cfg: ServeConfig,
     handle: ModelHandle,
@@ -624,33 +628,29 @@ impl Server {
         mode: Mode,
         cfg: ServeConfig,
     ) -> Result<Server, ServeError> {
-        let listener = TcpListener::bind(addr).map_err(|e| ServeError::Net {
-            what: format!("bind {addr}"),
+        let net = |what: &str, e: std::io::Error| ServeError::Net {
+            what: what.into(),
             err: e.to_string(),
-        })?;
+        };
+        let listener = TcpListener::bind(addr).map_err(|e| net(&format!("bind {addr}"), e))?;
         listener
             .set_nonblocking(true)
-            .map_err(|e| ServeError::Net {
-                what: "set_nonblocking".into(),
-                err: e.to_string(),
-            })?;
-        let local = listener.local_addr().map_err(|e| ServeError::Net {
-            what: "local_addr".into(),
-            err: e.to_string(),
-        })?;
+            .map_err(|e| net("set_nonblocking", e))?;
+        let local = listener.local_addr().map_err(|e| net("local_addr", e))?;
 
         let generation_gauge = pm_obs::gauge("serve.model_generation");
         generation_gauge.set(1);
         let io_threads = cfg.io_threads.max(1);
+        let listener = Arc::new(listener);
         let mut reactors = Vec::with_capacity(io_threads);
         for _ in 0..io_threads {
-            let poller = Poller::new().map_err(|e| ServeError::Net {
-                what: "create poller".into(),
-                err: e.to_string(),
-            })?;
+            let poller = Poller::new().map_err(|e| net("create poller", e))?;
+            // Every reactor watches the listener and accepts for itself.
+            poller
+                .add(&*listener, Event::readable(LISTENER_KEY))
+                .map_err(|e| net("register listener", e))?;
             reactors.push(Arc::new(ReactorShared {
                 poller,
-                inbox: Mutex::new(Vec::new()),
                 completions: Mutex::new(Vec::new()),
             }));
         }
@@ -669,10 +669,6 @@ impl Server {
             reactors,
         });
 
-        let spawn_err = |e: std::io::Error, what: &str| ServeError::Net {
-            what: what.into(),
-            err: e.to_string(),
-        };
         let mut threads = Vec::new();
 
         // Compute workers: the reactors hold the senders; when the
@@ -688,7 +684,7 @@ impl Server {
                 std::thread::Builder::new()
                     .name(format!("pm-serve-worker-{w}"))
                     .spawn(move || compute_worker_loop(&shared, &rx))
-                    .map_err(|e| spawn_err(e, "spawn worker"))?,
+                    .map_err(|e| net("spawn worker", e))?,
             );
         }
 
@@ -701,34 +697,26 @@ impl Server {
                 std::thread::Builder::new()
                     .name("pm-serve-control".into())
                     .spawn(move || control_executor_loop(&shared, &control_rx))
-                    .map_err(|e| spawn_err(e, "spawn control executor"))?,
+                    .map_err(|e| net("spawn control executor", e))?,
             );
         }
 
         for id in 0..io_threads {
             let shared = Arc::clone(&shared);
+            let listener = Arc::clone(&listener);
             let worker_txs = worker_txs.clone();
             let control_tx = control_tx.clone();
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("pm-serve-io-{id}"))
-                    .spawn(move || Reactor::new(shared, id, worker_txs, control_tx).run())
-                    .map_err(|e| spawn_err(e, "spawn reactor"))?,
+                    .spawn(move || Reactor::new(shared, id, listener, worker_txs, control_tx).run())
+                    .map_err(|e| net("spawn reactor", e))?,
             );
         }
-        // The reactors now hold the only long-lived senders.
+        // The reactors now hold the listener and the only long-lived
+        // senders.
         drop(worker_txs);
         drop(control_tx);
-
-        {
-            let shared = Arc::clone(&shared);
-            threads.push(
-                std::thread::Builder::new()
-                    .name("pm-serve-acceptor".into())
-                    .spawn(move || acceptor_loop(&shared, &listener))
-                    .map_err(|e| spawn_err(e, "spawn acceptor"))?,
-            );
-        }
 
         pm_obs::info!("serve.listening", addr = local);
         Ok(Server {
@@ -775,71 +763,14 @@ impl Server {
     }
 }
 
-/// Accept connections, apply admission control, and hand admitted
-/// streams to the reactors round-robin; shed with an immediate error
-/// line when the daemon is at capacity.
-fn acceptor_loop(shared: &Shared, listener: &TcpListener) {
-    let capacity = (shared.cfg.workers.max(1) + shared.cfg.queue) as i64;
-    let mut next = 0usize;
-    loop {
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, peer)) => {
-                shared.count.connections.inc();
-                pm_obs::debug!("serve.accept", peer = peer);
-                if shared.live_conns.load(Ordering::Relaxed) >= capacity {
-                    shared.count.shed.inc();
-                    pm_obs::error!("serve.shed", peer = peer);
-                    shed_connection(shared, stream);
-                } else {
-                    shared.live_conns.fetch_add(1, Ordering::Relaxed);
-                    let r = &shared.reactors[next % shared.reactors.len()];
-                    next = next.wrapping_add(1);
-                    r.inbox
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .push(stream);
-                    r.wake();
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(e) => {
-                pm_obs::error!("serve.accept_error", err = e);
-                std::thread::sleep(Duration::from_millis(20));
-            }
-        }
+/// Tell an over-capacity client it was shed, best-effort, and close:
+/// one non-blocking write, so a client that never reads cannot stall
+/// the reactor that refuses it.
+fn shed_connection(mut stream: TcpStream) {
+    let line = error_line("overloaded: request queue is full, retry later") + "\n";
+    if stream.set_nonblocking(true).is_ok() {
+        let _ = stream.write(line.as_bytes());
     }
-}
-
-/// Tell an over-capacity client it was shed, best-effort, and close.
-/// The accepted stream is still blocking here, so a short write timeout
-/// bounds the farewell.
-fn shed_connection(shared: &Shared, stream: TcpStream) {
-    let _ = stream.set_write_timeout(Some(shared.cfg.write_timeout.min(Duration::from_secs(1))));
-    let mut stream = stream;
-    let _ = writeln!(
-        stream,
-        "{}",
-        error_line("overloaded: request queue is full, retry later")
-    );
-}
-
-/// FNV-style hash of a customer's sales, for worker sharding: the same
-/// customer always lands on the same worker, so its matcher scratch
-/// stays warm.
-fn customer_shard(sales: &[pm_txn::Sale]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for s in sales {
-        for v in [u64::from(s.item.0), u64::from(s.code.0), u64::from(s.qty)] {
-            h ^= v.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
 }
 
 /// Per-connection pipelining cap: a connection may have at most this
@@ -916,12 +847,15 @@ struct Reactor {
     shared: Arc<Shared>,
     rs: Arc<ReactorShared>,
     id: usize,
+    listener: Arc<TcpListener>,
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
     next_token: u64,
     workers: Vec<Sender<Vec<Job>>>,
     /// Per-worker batch under construction during this wakeup.
     staged: Vec<Vec<Job>>,
+    /// The worker the next recommend is staged for (round-robin).
+    next_worker: usize,
     control_tx: Sender<ControlJob>,
     events: Events,
     last_sweep: Instant,
@@ -931,6 +865,7 @@ impl Reactor {
     fn new(
         shared: Arc<Shared>,
         id: usize,
+        listener: Arc<TcpListener>,
         workers: Vec<Sender<Vec<Job>>>,
         control_tx: Sender<ControlJob>,
     ) -> Reactor {
@@ -940,11 +875,13 @@ impl Reactor {
             shared,
             rs,
             id,
+            listener,
             conns: Vec::new(),
             free: Vec::new(),
             next_token: 0,
             workers,
             staged,
+            next_worker: 0,
             control_tx,
             events: Events::new(),
             last_sweep: Instant::now(),
@@ -972,49 +909,75 @@ impl Reactor {
             };
             self.events.clear();
             let _ = self.rs.poller.wait(&mut self.events, timeout);
-            self.drain_inbox();
             self.apply_completions();
             let ready: Vec<Event> = self.events.iter().collect();
             for ev in ready {
-                self.on_event(ev);
+                if ev.key == LISTENER_KEY {
+                    self.accept();
+                } else {
+                    self.on_event(ev);
+                }
             }
             self.sweep_timers();
             self.flush_staged();
         }
     }
 
-    /// Register connections the acceptor handed over.
-    fn drain_inbox(&mut self) {
-        let incoming: Vec<TcpStream> = {
-            let mut inbox = self.rs.inbox.lock().unwrap_or_else(|e| e.into_inner());
-            std::mem::take(&mut *inbox)
-        };
-        for stream in incoming {
-            let _ = stream.set_nonblocking(true);
-            let _ = stream.set_nodelay(true);
-            let slot = match self.free.pop() {
-                Some(s) => s,
-                None => {
-                    self.conns.push(None);
-                    self.conns.len() - 1
-                }
-            };
-            let token = self.next_token;
-            self.next_token += 1;
-            let conn = Conn::new(stream, token);
-            if self
-                .rs
-                .poller
-                .add(&conn.stream, Event::readable(slot))
-                .is_err()
-            {
-                pm_obs::error!("serve.register_failed");
-                self.free.push(slot);
-                self.shared.live_conns.fetch_sub(1, Ordering::Relaxed);
-                continue;
+    /// Accept one pending connection, then admit it into this reactor's
+    /// slab, or shed it when `workers + queue` connections are already
+    /// admitted. Every reactor watches the listener, so a connection
+    /// wakes them all and the others find nothing to accept.
+    fn accept(&mut self) {
+        let (stream, peer) = match self.listener.accept() {
+            Ok(accepted) => accepted,
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
+            Err(e) => {
+                // Out of descriptors or memory, the connection stays
+                // queued and the listener readable, so level-triggered
+                // readiness would wake this reactor straight back into
+                // the same error. Back off instead; this reactor's own
+                // connections wait out the pause with it.
+                pm_obs::error!("serve.accept_error", err = e);
+                std::thread::sleep(Duration::from_millis(20));
+                return;
             }
-            self.conns[slot] = Some(conn);
+        };
+        self.shared.count.connections.inc();
+        pm_obs::debug!("serve.accept", peer = peer);
+        // Several reactors admit at once; `fetch_add` + rollback keeps the
+        // cap exact without a lock.
+        let capacity = (self.shared.cfg.workers.max(1) + self.shared.cfg.queue) as i64;
+        if self.shared.live_conns.fetch_add(1, Ordering::Relaxed) >= capacity {
+            self.shared.live_conns.fetch_sub(1, Ordering::Relaxed);
+            self.shared.count.shed.inc();
+            pm_obs::error!("serve.shed", peer = peer);
+            shed_connection(stream);
+            return;
         }
+        let _ = stream.set_nonblocking(true);
+        let _ = stream.set_nodelay(true);
+        let slot = match self.free.pop() {
+            Some(s) => s,
+            None => {
+                self.conns.push(None);
+                self.conns.len() - 1
+            }
+        };
+        let token = self.next_token;
+        self.next_token += 1;
+        let conn = Conn::new(stream, token);
+        if self
+            .rs
+            .poller
+            .add(&conn.stream, Event::readable(slot))
+            .is_err()
+        {
+            pm_obs::error!("serve.register_failed");
+            self.free.push(slot);
+            self.shared.live_conns.fetch_sub(1, Ordering::Relaxed);
+            return;
+        }
+        self.conns[slot] = Some(conn);
     }
 
     /// Fill response slots from finished worker/executor jobs and flush
@@ -1309,8 +1272,9 @@ impl Reactor {
                     return;
                 };
                 self.shared.note_queue_depth(1);
-                let shard = (customer_shard(&sales) % self.workers.len() as u64) as usize;
-                self.staged[shard].push(Job {
+                let worker = self.next_worker;
+                self.next_worker = (worker + 1) % self.workers.len();
+                self.staged[worker].push(Job {
                     reply: Reply {
                         reactor: self.id,
                         slot,
@@ -1321,8 +1285,8 @@ impl Reactor {
                     top,
                     target,
                 });
-                if self.staged[shard].len() >= self.shared.cfg.batch.max(1) {
-                    self.send_batch(shard);
+                if self.staged[worker].len() >= self.shared.cfg.batch.max(1) {
+                    self.send_batch(worker);
                 }
             }
         }
@@ -1400,13 +1364,13 @@ impl Reactor {
     }
 
     /// Ship one staged batch to its worker.
-    fn send_batch(&mut self, shard: usize) {
-        let batch = std::mem::take(&mut self.staged[shard]);
+    fn send_batch(&mut self, worker: usize) {
+        let batch = std::mem::take(&mut self.staged[worker]);
         if batch.is_empty() {
             return;
         }
         let n = batch.len() as i64;
-        if self.workers[shard].send(batch).is_err() {
+        if self.workers[worker].send(batch).is_err() {
             // Only possible during shutdown; the jobs are abandoned and
             // the connections close when the reactor drains.
             self.shared.note_queue_depth(-n);
@@ -1415,8 +1379,8 @@ impl Reactor {
 
     /// Ship every non-empty staged batch (end of a wakeup cycle).
     fn flush_staged(&mut self) {
-        for shard in 0..self.staged.len() {
-            self.send_batch(shard);
+        for worker in 0..self.staged.len() {
+            self.send_batch(worker);
         }
     }
 
@@ -1513,10 +1477,12 @@ fn read_socket(conn: &mut Conn, max_line: usize) {
     }
 }
 
-/// Compute worker: receives request batches, scores each batch against
-/// one model snapshot and one matcher index per generation. Rebuilt on
-/// reload (generation bump) and after any compute panic (the matcher's
-/// scratch is suspect after an unwind).
+/// Compute worker: blocks until a reactor sends a request batch, and
+/// scores each batch against one model snapshot and one matcher index
+/// per generation. Rebuilt when a batch arrives after a reload or an
+/// ingest (generation bump) and after any compute panic (the matcher's
+/// scratch is suspect after an unwind). The reactors hold the only
+/// senders, so the worker stops once the last reactor has exited.
 fn compute_worker_loop(shared: &Arc<Shared>, rx: &Receiver<Vec<Job>>) {
     let mut pending: VecDeque<Job> = VecDeque::new();
     let mut touched = vec![false; shared.reactors.len()];
@@ -1541,22 +1507,12 @@ fn compute_worker_loop(shared: &Arc<Shared>, rx: &Receiver<Vec<Job>>) {
                 }
             }
             wake_touched(shared, &mut touched);
-            match rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(batch) => {
-                    pending.extend(batch);
-                    if shared.handle.generation() != generation {
-                        continue 'model;
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    if shared.shutdown.load(Ordering::Acquire) {
-                        return;
-                    }
-                    if shared.handle.generation() != generation {
-                        continue 'model;
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => return,
+            let Ok(batch) = rx.recv() else {
+                return;
+            };
+            pending.extend(batch);
+            if shared.handle.generation() != generation {
+                continue 'model;
             }
         }
     }

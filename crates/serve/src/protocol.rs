@@ -69,10 +69,10 @@ pub enum Request {
         /// plus exactly one target sale.
         txns: Vec<Transaction>,
     },
-    /// Write a crash-recovery checkpoint (model + miner state + stream
-    /// position) to the daemon's configured checkpoint file and compact
-    /// the sales log behind it. Only served by daemons started in
-    /// streaming mode.
+    /// Write a crash-recovery checkpoint (stream position, the stream's
+    /// data and the miner's warm caches) to the daemon's configured
+    /// checkpoint file and compact the sales log behind it. Only served
+    /// by daemons started in streaming mode.
     Checkpoint,
     /// Serving counters snapshot.
     Stats,

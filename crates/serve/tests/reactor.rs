@@ -1,12 +1,11 @@
 //! Regression tests for the event-driven engine and the degraded-path
 //! panic-safety sweep: rule-less model rejection, per-connection panic
 //! isolation, consistent (generation, rules) reporting under reload,
-//! non-UTF-8 request handling, response ordering under pipelining, and
-//! the portable poll(2) fallback backend.
+//! non-UTF-8 request handling, and response ordering under pipelining.
 //!
 //! Every test takes `pm_store::faults::test_lock()` so that the
-//! process-global fault hooks (and the backend env var) never leak
-//! between concurrently scheduled tests in this binary.
+//! process-global fault hooks never leak between concurrently scheduled
+//! tests in this binary.
 
 mod common;
 
@@ -507,30 +506,5 @@ fn pipelined_requests_flush_in_request_order() {
 
     assert!(c.send(r#"{"op":"shutdown"}"#).contains("bye"));
     server.join();
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// The portable poll(2) fallback backend serves the same bytes as the
-/// epoll backend (`PM_POLL_BACKEND=poll` forces it).
-#[test]
-fn poll_fallback_backend_serves_identically() {
-    let _guard = faults::test_lock();
-    std::env::set_var("PM_POLL_BACKEND", "poll");
-    let fix = fixture();
-    let dir = tmp_dir("pollback");
-    let path = sealed_model_file(&dir, "model.pm", fix);
-    let server = Server::start("127.0.0.1:0", &path, ServeConfig::default()).unwrap();
-    let mut c = Client::connect(server.addr());
-    for customer in &fix.customers {
-        assert_eq!(
-            c.send(&recommend_line(customer)),
-            expected_line(&fix.model, customer)
-        );
-    }
-    let pong = c.send(r#"{"op":"ping"}"#);
-    assert!(pong.contains(r#""generation":1"#), "{pong}");
-    assert!(c.send(r#"{"op":"shutdown"}"#).contains("bye"));
-    server.join();
-    std::env::remove_var("PM_POLL_BACKEND");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -17,9 +17,9 @@
 //!   nothing per wakeup;
 //! * **poll** (portable fallback) — interest is kept in a map and every
 //!   [`Poller::wait`] rebuilds a `pollfd` array, O(registered) per
-//!   wakeup. Correct everywhere POSIX; selected automatically off
-//!   Linux, or forced with `PM_POLL_BACKEND=poll` (or
-//!   [`Poller::new_poll_fallback`]) for testing the fallback on Linux.
+//!   wakeup. Correct everywhere POSIX; the backend off Linux, and on
+//!   Linux only through [`Poller::new_poll_fallback`], which this
+//!   crate's tests use to run every readiness check on both backends.
 //!
 //! Deviations from the real `polling` crate, deliberate and documented:
 //! interest is **level-triggered and persistent** (no oneshot re-arm
@@ -283,16 +283,17 @@ pub struct Poller {
 }
 
 impl Poller {
-    /// A poller on the platform's best backend (`epoll` on Linux unless
-    /// `PM_POLL_BACKEND=poll` is set, `poll` elsewhere).
+    /// A poller on the platform's backend: `epoll` on Linux, `poll`
+    /// elsewhere.
     pub fn new() -> io::Result<Poller> {
         #[cfg(target_os = "linux")]
         {
-            if std::env::var("PM_POLL_BACKEND").as_deref() != Ok("poll") {
-                return Poller::new_epoll();
-            }
+            Poller::new_epoll()
         }
-        Poller::new_poll_fallback()
+        #[cfg(not(target_os = "linux"))]
+        {
+            Poller::new_poll_fallback()
+        }
     }
 
     #[cfg(target_os = "linux")]
@@ -314,7 +315,7 @@ impl Poller {
     }
 
     /// A poller on the portable `poll(2)` backend, regardless of
-    /// platform — for tests and benchmarks of the fallback path.
+    /// platform — for tests of the fallback path.
     pub fn new_poll_fallback() -> io::Result<Poller> {
         let pipe = NotifyPipe::new()?;
         Ok(Poller {
